@@ -125,6 +125,16 @@ class Vertex:
 
 @dataclass(frozen=True)
 class Diagram:
+    """Orbit branches and bifurcation events, indexed once at construction
+    so that every lookup below is a dictionary access.
+
+    Construction checks that every edge end names a vertex (or TERMINAL)
+    and that each vertex has exactly its kind's degree, with a parent edge
+    among its incident edges for parented kinds.  A saddle node therefore
+    has degree exactly 2, so a cycle made only of saddle nodes is a whole
+    connected component; ``check_cycle_parity`` relies on this.
+    """
+
     dimension: int
     edges: tuple[Edge, ...]
     vertices: tuple[Vertex, ...]
@@ -132,23 +142,22 @@ class Diagram:
     def __post_init__(self):
         if self.dimension < 1:
             raise DiagramError("dimension must be >= 1")
-        eids = [e.id for e in self.edges]
-        if len(set(eids)) != len(eids):
+        edge_by_id = {e.id: e for e in self.edges}
+        if len(edge_by_id) != len(self.edges):
             raise DiagramError("duplicate edge ids")
-        vids = [v.id for v in self.vertices]
-        if len(set(vids)) != len(vids):
+        vertex_by_id = {v.id: v for v in self.vertices}
+        if len(vertex_by_id) != len(self.vertices):
             raise DiagramError("duplicate vertex ids")
-        vset = set(vids)
-        incident: dict[str, list[str]] = {v: [] for v in vids}
+        incident: dict[str, list[Edge]] = {v: [] for v in vertex_by_id}
         for e in self.edges:
             for end in e.ends:
                 if end is TERMINAL:
                     continue
-                if end not in vset:
+                if end not in incident:
                     raise DiagramError(f"edge {e.id!r} references missing vertex {end!r}")
-                incident[end].append(e.id)
+                incident[end].append(e)
         for v in self.vertices:
-            inc = incident[v.id]
+            inc = [e.id for e in incident[v.id]]
             if not inc:
                 raise DiagramError(f"vertex {v.id!r} has no incident edge")
             if len(inc) != v.kind.degree:
@@ -163,45 +172,32 @@ class Diagram:
                 if v.parent_edge not in inc:
                     raise DiagramError(
                         f"parent edge {v.parent_edge!r} is not incident to vertex {v.id!r}")
+        object.__setattr__(self, "_edge_by_id", edge_by_id)
+        object.__setattr__(self, "_vertex_by_id", vertex_by_id)
+        object.__setattr__(self, "_incident", incident)
 
     # -- lookups ----------------------------------------------------------
 
     def edge(self, edge_id: str) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(edge_id)
+        return self._edge_by_id[edge_id]
 
     def vertex(self, vertex_id: str) -> Vertex:
-        for v in self.vertices:
-            if v.id == vertex_id:
-                return v
-        raise KeyError(vertex_id)
+        return self._vertex_by_id[vertex_id]
 
     def incident_edges(self, vertex_id: str) -> list[Edge]:
-        """Incident edges with multiplicity (a loop appears twice)."""
-        out = []
-        for e in self.edges:
-            for end in e.ends:
-                if end == vertex_id:
-                    out.append(e)
-        return out
+        """Incident edges with multiplicity (a loop appears twice), in edge
+        order; empty for an id that names no vertex."""
+        return list(self._incident.get(vertex_id, ()))
 
     def child_edges(self, vertex: Vertex) -> list[Edge]:
         """Incident edges minus one occurrence of the parent edge."""
         inc = self.incident_edges(vertex.id)
-        if vertex.parent_edge is None:
-            return inc
-        out, dropped = [], False
-        for e in inc:
-            if not dropped and e.id == vertex.parent_edge:
-                dropped = True
-                continue
-            out.append(e)
-        return out
+        if vertex.parent_edge is not None:
+            inc.pop([e.id for e in inc].index(vertex.parent_edge))
+        return inc
 
     def degree(self, vertex_id: str) -> int:
-        return len(self.incident_edges(vertex_id))
+        return len(self._incident.get(vertex_id, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -237,74 +233,66 @@ def check_index_conservation(diagram: Diagram, vertex_id: str) -> ConservationCh
 class CycleCheck(NamedTuple):
     edge_ids: tuple[str, ...]
     vertex_ids: tuple[str, ...]
-    all_saddle_node: bool
     ok: bool
     reason: str
 
 
-def _simple_cycles(diagram: Diagram):
-    """Vertex-simple cycles of the underlying multigraph, including loops
-    and parallel-edge 2-cycles. Desk-scale enumeration."""
-    vids = sorted(v.id for v in diagram.vertices)
-    between: dict[tuple[str, str], list[str]] = {}
-    loops = []
-    for e in diagram.edges:
-        a, b = e.ends
-        if a is TERMINAL or b is TERMINAL:
+def _saddle_node_cycles(diagram: Diagram):
+    """Cycles made only of saddle-node vertices, as (edge ids, vertex ids).
+
+    A saddle node has degree exactly 2, so such a cycle is a whole
+    connected component and one walk from its least vertex finds it.
+    Order: loops in edge order, then parallel pairs and then longer
+    cycles, each by least vertex id; a longer cycle is read from its least
+    vertex toward the smaller of that vertex's two neighbours.
+    """
+    saddle = {v.id for v in diagram.vertices if v.kind.name == SADDLE_NODE}
+    loops = [((e.id,), (e.ends[0],)) for e in diagram.edges
+             if e.ends[0] == e.ends[1] and e.ends[0] in saddle]
+    pairs, rings = [], []
+    seen = set()
+    for start in sorted(saddle):
+        if start in seen:
             continue
-        if a == b:
-            loops.append(e)
-            continue
-        key = (a, b) if str(a) <= str(b) else (b, a)
-        between.setdefault(key, []).append(e.id)
-
-    for e in loops:
-        yield (e.id,), (e.ends[0],)
-    for (a, b), eids in sorted(between.items()):
-        if len(eids) >= 2:
-            from itertools import combinations
-            for e1, e2 in combinations(sorted(eids), 2):
-                yield (e1, e2), (a, b)
-
-    neighbors: dict[str, set[str]] = {v: set() for v in vids}
-    for (a, b) in between:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-
-    def edges_between(u, w):
-        key = (u, w) if str(u) <= str(w) else (w, u)
-        return sorted(between.get(key, []))
-
-    def extend(start, path, used_edges, visited):
-        u = path[-1]
-        for w in sorted(neighbors[u]):
-            if w == start and len(path) >= 3:
-                if path[1] < path[-1]:  # kill the reversed traversal
-                    for eid in edges_between(u, start):
-                        yield tuple(used_edges) + (eid,), tuple(path)
-            elif w > start and w not in visited:
-                for eid in edges_between(u, w):
-                    yield from extend(start, path + [w], used_edges + [eid], visited | {w})
-
-    for s in vids:
-        yield from extend(s, [s], [], {s})
+        seen.add(start)
+        # Walk one way round; a walk that leaves the saddle nodes is
+        # repeated the other way round only to mark the whole component.
+        for edge in diagram.incident_edges(start):
+            u, eids, vids = start, [], [start]
+            while True:
+                eids.append(edge.id)
+                a, b = edge.ends
+                u = b if a == u else a
+                if u == start or u not in saddle:
+                    break
+                seen.add(u)
+                vids.append(u)
+                first, second = diagram.incident_edges(u)
+                edge = second if first.id == edge.id else first
+            if u != start:
+                continue
+            if len(eids) == 2:
+                pairs.append((tuple(sorted(eids)), tuple(vids)))
+            elif len(eids) > 2:
+                if vids[1] > vids[-1]:
+                    eids, vids = eids[::-1], [start] + vids[:0:-1]
+                rings.append((tuple(eids), tuple(vids)))
+            break
+    return loops + pairs + rings
 
 
 def check_cycle_parity(diagram: Diagram) -> list[CycleCheck]:
     """Parity law for cycles made entirely of saddle-node vertices.
 
-    In dimension <= 2 such a cycle must have even length with the two
-    nonzero indices alternating; in dimension >= 3 an odd cycle passes only
-    when every edge has index 0 (even cycles are unconstrained here -- the
-    per-vertex laws still apply separately).
+    Only those cycles are constrained, and because a saddle node has degree
+    exactly 2 each one is a whole connected component: one linear walk
+    finds them all.  In dimension <= 2 such a cycle must have even length
+    with the two nonzero indices alternating; in dimension >= 3 an odd
+    cycle passes only when every edge has index 0 (even cycles are
+    unconstrained here -- the per-vertex laws still apply separately).
     """
     results = []
-    kind_of = {v.id: v.kind.name for v in diagram.vertices}
-    for eids, vset in _simple_cycles(diagram):
-        all_sn = all(kind_of[v] == SADDLE_NODE for v in vset)
-        if not all_sn:
-            results.append(CycleCheck(eids, vset, False, True, "not all saddle-node"))
-            continue
+    for eids, vids in _saddle_node_cycles(diagram):
         colors = [diagram.edge(eid).index for eid in eids]
         odd = len(colors) % 2 == 1
         if diagram.dimension <= 2:
@@ -312,16 +300,16 @@ def check_cycle_parity(diagram: Diagram) -> list[CycleCheck]:
                            and all(colors[i] != colors[(i + 1) % len(colors)]
                                    for i in range(len(colors))))
             results.append(CycleCheck(
-                eids, vset, True, alternating,
+                eids, vids, alternating,
                 "even alternating" if alternating else "saddle-node cycle must alternate +1/-1 with even length"))
         else:
             if odd:
                 ok = all(c == 0 for c in colors)
                 results.append(CycleCheck(
-                    eids, vset, True, ok,
+                    eids, vids, ok,
                     "odd all-zero" if ok else "odd saddle-node cycle must be all index 0"))
             else:
-                results.append(CycleCheck(eids, vset, True, True, "even"))
+                results.append(CycleCheck(eids, vids, True, "even"))
     return results
 
 

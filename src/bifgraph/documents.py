@@ -222,13 +222,6 @@ def parse_tree(source) -> tuple:
     return conv(doc, "$")
 
 
-def emit_tree(t) -> str:
-    def conv(node):
-        return [conv(c) for c in node]
-
-    return json.dumps(conv(t)) + "\n"
-
-
 def emit_binary_tree(t) -> str:
     """Binary slot tree as nested {"left": ..., "right": ...} objects."""
 

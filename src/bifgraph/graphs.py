@@ -63,10 +63,6 @@ class SimpleGraph:
             adj[v].add(u)
         return adj
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        adj = self.adjacency()
-        return tuple(sorted(len(a) for a in adj))
-
     def is_connected(self) -> bool:
         if self.n == 0:
             return True

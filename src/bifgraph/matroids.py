@@ -9,7 +9,10 @@ the very obstruction the minor detector reports.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from itertools import combinations
+
+from .spanning import _is_forest
 
 
 class Matroid:
@@ -66,34 +69,19 @@ class Matroid:
 
 def graphic_matroid(g) -> Matroid:
     """Edges of a graph, independent exactly when they form a forest."""
-    edges = tuple(g.sorted_edges())
-    n = g.n
-
-    def indep(subset: frozenset) -> bool:
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in subset:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
-
-    return Matroid(edges, indep, name="graphic")
+    return Matroid(tuple(g.sorted_edges()), partial(_is_forest, g.n), name="graphic")
 
 
 def from_bases(ground, bases) -> Matroid:
     """Tabulated matroid: independent sets are the subsets of the listed
     bases."""
+    ground = tuple(ground)
     basis_sets = [frozenset(b) for b in bases]
     if not basis_sets:
         raise ValueError("need at least one basis")
+    stray = frozenset().union(*basis_sets) - set(ground)
+    if stray:
+        raise ValueError(f"basis elements not in the ground set: {', '.join(sorted(map(repr, stray)))}")
     sizes = {len(b) for b in basis_sets}
     if len(sizes) != 1:
         raise ValueError("bases must share one size")

@@ -38,22 +38,27 @@ def _int_det(mat: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def laplacian(g: SimpleGraph) -> list[list[int]]:
-    """Degree matrix minus adjacency matrix: symmetric, zero row sums."""
-    lap = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        lap[u][u] += 1
-        lap[v][v] += 1
-        lap[u][v] -= 1
-        lap[v][u] -= 1
-    return lap
+def _is_forest(n: int, edges) -> bool:
+    """True when the edges on vertices 0..n-1 close no cycle (union-find)."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
 
 
-def spanning_count_edges(n: int, edges) -> int:
-    """Spanning-tree count of a multigraph given as an edge list (parallel
-    edges allowed, loops ignored), via the reduced-Laplacian determinant."""
-    if n <= 1:
-        return 1
+def _laplacian(n: int, edges) -> list[list[int]]:
+    """Degree matrix minus adjacency matrix of a multigraph, loops skipped:
+    symmetric, zero row sums."""
     lap = [[0] * n for _ in range(n)]
     for u, v in edges:
         if u == v:
@@ -62,7 +67,20 @@ def spanning_count_edges(n: int, edges) -> int:
         lap[v][v] += 1
         lap[u][v] -= 1
         lap[v][u] -= 1
-    minor = [row[1:] for row in lap[1:]]
+    return lap
+
+
+def laplacian(g: SimpleGraph) -> list[list[int]]:
+    """Degree matrix minus adjacency matrix: symmetric, zero row sums."""
+    return _laplacian(g.n, g.edges)
+
+
+def spanning_count_edges(n: int, edges) -> int:
+    """Spanning-tree count of a multigraph given as an edge list (parallel
+    edges allowed, loops ignored), via the reduced-Laplacian determinant."""
+    if n <= 1:
+        return 1
+    minor = [row[1:] for row in _laplacian(n, edges)[1:]]
     return _int_det(minor)
 
 
@@ -82,26 +100,8 @@ def spanning_enumerate_brute(g: SimpleGraph) -> list[tuple[tuple[int, int], ...]
         raise ValueError("brute-force spanning enumeration is limited to 8 vertices")
     if g.n <= 1:
         return [()]
-    out = []
-    for subset in combinations(g.sorted_edges(), g.n - 1):
-        parent = list(range(g.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for u, v in subset:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                acyclic = False
-                break
-            parent[ru] = rv
-        if acyclic:
-            out.append(subset)
-    return out
+    return [subset for subset in combinations(g.sorted_edges(), g.n - 1)
+            if _is_forest(g.n, subset)]
 
 
 def _span_dc(n: int, edges: tuple) -> int:

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from bifgraph import (
     TERMINAL, Diagram, Edge, SimpleGraph, Vertex, kind_for_child_count,
-    saddle_node,
+    period_doubling, saddle_node,
 )
 
 
@@ -42,6 +42,88 @@ def sn_cycle(dimension: int, colors) -> Diagram:
                   for i in range(n))
     verts = tuple(Vertex(f"v{i}", saddle_node()) for i in range(n))
     return Diagram(dimension, edges, verts)
+
+
+def simple_cycles(diagram: Diagram):
+    """Every vertex-simple cycle of a diagram's multigraph, including loops
+    and parallel-edge 2-cycles, as (edge ids, vertex ids), by recursive
+    search; exponential, so small diagrams only.
+
+    Order: loops in edge order, parallel pairs by vertex pair, then longer
+    cycles by least vertex, each read toward the smaller neighbour.
+    """
+    vids = sorted(v.id for v in diagram.vertices)
+    between: dict[tuple[str, str], list[str]] = {}
+    loops = []
+    for e in diagram.edges:
+        a, b = e.ends
+        if a is TERMINAL or b is TERMINAL:
+            continue
+        if a == b:
+            loops.append(e)
+            continue
+        key = (a, b) if str(a) <= str(b) else (b, a)
+        between.setdefault(key, []).append(e.id)
+
+    for e in loops:
+        yield (e.id,), (e.ends[0],)
+    for (a, b), eids in sorted(between.items()):
+        for e1, e2 in combinations(sorted(eids), 2):
+            yield (e1, e2), (a, b)
+
+    neighbors: dict[str, set[str]] = {v: set() for v in vids}
+    for (a, b) in between:
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+
+    def edges_between(u, w):
+        key = (u, w) if str(u) <= str(w) else (w, u)
+        return sorted(between.get(key, []))
+
+    def extend(start, path, used_edges, visited):
+        u = path[-1]
+        for w in sorted(neighbors[u]):
+            if w == start and len(path) >= 3:
+                if path[1] < path[-1]:  # kill the reversed traversal
+                    for eid in edges_between(u, start):
+                        yield tuple(used_edges) + (eid,), tuple(path)
+            elif w > start and w not in visited:
+                for eid in edges_between(u, w):
+                    yield from extend(start, path + [w], used_edges + [eid], visited | {w})
+
+    for s in vids:
+        yield from extend(s, [s], [], {s})
+
+
+def saddle_node_cycles(diagram: Diagram) -> list:
+    """The simple cycles whose vertices are all saddle nodes, in the order
+    ``simple_cycles`` finds them."""
+    saddle = {v.id for v in diagram.vertices if v.kind.name == "saddle_node"}
+    return [(eids, vids) for eids, vids in simple_cycles(diagram)
+            if set(vids) <= saddle]
+
+
+def random_sn_doubling_diagram(rng: random.Random, max_vertices: int = 9) -> Diagram:
+    """Random multigraph of saddle nodes (degree 2) and period doublings
+    (degree 3), with loops, parallel edges and terminal ends, and vertex
+    ids numbered so that string order differs from numeric order."""
+    kinds = [rng.random() < 0.7 for _ in range(rng.randint(1, max_vertices))]
+    names = [f"v{i}" for i in rng.sample(range(1, 2 * max_vertices), len(kinds))]
+    stubs = [name for name, sn in zip(names, kinds) for _ in range(2 if sn else 3)]
+    stubs += [TERMINAL] * rng.randint(0, 3)
+    if len(stubs) % 2:
+        stubs.append(TERMINAL)
+    rng.shuffle(stubs)
+    edges = tuple(Edge(f"e{i}", rng.choice((-1, 0, 1)), (stubs[2 * i], stubs[2 * i + 1]))
+                  for i in range(len(stubs) // 2))
+    vertices = []
+    for name, sn in zip(names, kinds):
+        if sn:
+            vertices.append(Vertex(name, saddle_node()))
+        else:
+            parent = rng.choice([e.id for e in edges if name in e.ends])
+            vertices.append(Vertex(name, period_doubling(), parent))
+    return Diagram(rng.choice((2, 3)), edges, tuple(vertices))
 
 
 def colored_tree_graph(tree) -> SimpleGraph:

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +50,14 @@ def test_validate_json_is_deterministic(capsys, fixture_file):
     payload = json.loads(first)
     assert payload["valid"] is False
     assert payload["violations"][0]["code"] == "period"
+
+
+def test_validate_json_multi_cycle_fixture(capsys):
+    # expected output recorded from the recursive simple-cycle search that
+    # preceded the component walk; cycle order must not change
+    data = Path(__file__).parent / "data"
+    assert main(["validate", str(data / "multi_cycle.json"), "--json"]) == 1
+    assert capsys.readouterr().out == (data / "multi_cycle_validate.json").read_text()
 
 
 def test_validate_schema_error_exit_two(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Diagram domain types and validators."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +12,9 @@ from bifgraph import (
     junction_periods_consistent, period_doubling, saddle_node,
     validate_diagram,
 )
-from helpers import sn_cycle, star_diagram
+from helpers import (
+    random_sn_doubling_diagram, saddle_node_cycles, sn_cycle, star_diagram,
+)
 
 
 # -- orbit index ------------------------------------------------------------
@@ -89,6 +93,24 @@ def test_structural_errors():
                 (Vertex("v", period_doubling(), "p"),))
 
 
+def test_lookups_keep_multiplicity_and_order():
+    # a doubling whose parent branch is a loop: the loop fills two slots
+    loop, out = Edge("p", 1, ("v", "v")), Edge("c", 0, ("v", TERMINAL))
+    sn_edges = (Edge("a", 1, ("s", TERMINAL)), Edge("b", -1, (TERMINAL, "s")))
+    d = Diagram(2, (loop, out) + sn_edges,
+                (Vertex("v", period_doubling(), "p"), Vertex("s", saddle_node())))
+    assert d.incident_edges("v") == [loop, loop, out]
+    assert d.child_edges(d.vertex("v")) == [loop, out]
+    assert d.child_edges(d.vertex("s")) == list(sn_edges)
+    assert d.degree("v") == 3 and d.degree("s") == 2
+    assert d.incident_edges("nowhere") == [] and d.degree("nowhere") == 0
+    assert d.edge("c") is out
+    with pytest.raises(KeyError):
+        d.edge("nowhere")
+    with pytest.raises(KeyError):
+        d.vertex("nowhere")
+
+
 # -- cycle parity -----------------------------------------------------------
 
 def test_triangle_of_saddle_nodes_fails_in_dimension_two():
@@ -124,7 +146,32 @@ def test_cycles_with_other_kinds_are_unconstrained():
              Edge("c", 1, ("u", TERMINAL)), Edge("d", 1, ("w", TERMINAL)))
     d = Diagram(2, edges, (Vertex("u", period_doubling(), "c"),
                            Vertex("w", period_doubling(), "d")))
-    assert all(c.ok for c in check_cycle_parity(d))
+    assert check_cycle_parity(d) == []
+
+
+def test_cycle_walk_matches_simple_cycle_oracle():
+    rng = random.Random(2)
+    for _ in range(400):
+        d = random_sn_doubling_diagram(rng)
+        got = [(c.edge_ids, c.vertex_ids) for c in check_cycle_parity(d)]
+        assert got == saddle_node_cycles(d), d
+
+
+def test_long_saddle_node_ring_validates():
+    ring = sn_cycle(2, [1, -1] * 600)
+    checks = check_cycle_parity(ring)
+    assert len(checks) == 1 and checks[0].ok and len(checks[0].edge_ids) == 1200
+    assert validate_diagram(ring, 1, builtin_table(2)).ok
+
+
+def test_long_saddle_node_chain_validates():
+    n = 1200
+    ends = [TERMINAL] + [f"v{i}" for i in range(n)] + [TERMINAL]
+    edges = tuple(Edge(f"e{i}", (1, -1)[i % 2], (ends[i], ends[i + 1]))
+                  for i in range(n + 1))
+    chain = Diagram(3, edges, tuple(Vertex(f"v{i}", saddle_node()) for i in range(n)))
+    assert check_cycle_parity(chain) == []
+    assert validate_diagram(chain, 1, builtin_table(3)).ok
 
 
 # -- period consistency -----------------------------------------------------

@@ -122,6 +122,9 @@ def test_matroid_document():
     m = parse_matroid('{"groundSet": ["a", "b", "c"], "bases": [["a", "b"]]}')
     assert m.rank == 2
     assert m.is_independent({"a"}) and not m.is_independent({"c"})
+    with pytest.raises(SchemaError) as err:
+        parse_matroid('{"groundSet": ["a", "b"], "bases": [["a", "z"]]}')
+    assert err.value.path == "$.bases"
 
 
 def test_tree_documents():

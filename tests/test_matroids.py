@@ -115,6 +115,8 @@ def test_from_bases_validation():
         from_bases("abc", [])
     with pytest.raises(ValueError):
         from_bases("abc", ["ab", "c"])
+    with pytest.raises(ValueError):
+        from_bases(["a", "b"], [["a", "z"]])
 
 
 def test_vamos_minor_examples():
