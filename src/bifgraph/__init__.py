@@ -26,10 +26,9 @@ from .trees import (
     mary_to_binary, ordered_trees, slot_trees, strip_slots, tree_size,
 )
 from .enumeration import (
-    ColoredTree, CountTable, EnumerationSpec, count_colored, enumerate_colored,
-    project_uncolored, ratio_lower_bound, ratio_sequence, shape_coverage,
-    share_sequence,
-    tree_to_diagram,
+    ColoredTree, CountTable, EnumerationSpec, count_colored, count_sequence,
+    enumerate_colored, project_uncolored, ratio_lower_bound, ratio_sequence,
+    shape_coverage, share_sequence, tree_to_diagram,
 )
 from .graphs import (
     SimpleGraph, all_graphs, complete_graph, connected_graphs, cycle_graph,

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import classes, documents, enumeration, matroids, represent, spanning, trees
-from .diagram import DiagramError, validate_diagram
+from .diagram import validate_diagram
 from .laws import builtin_table, load_law_table
 from .trees import EnumerationLimitError, TreeMode
 
@@ -80,11 +80,10 @@ def cmd_enumerate(args) -> int:
                                        _table_for(args, args.d), _limit(args))
     if args.emit in ("counts", "csv"):
         table = enumeration.CountTable()
-        for n in range(1, args.n + 1):
-            table.record(args.k, args.d, n, spec.mode,
-                         enumeration.count_colored(args.k, args.d, n, spec.mode,
-                                                   spec.resolved_table()),
-                         "count_colored")
+        counts = enumeration.count_sequence(args.k, args.d, args.n, spec.mode,
+                                            spec.resolved_table())
+        for n, count in enumerate(counts, start=1):
+            table.record(args.k, args.d, n, spec.mode, count, "count_sequence")
         sys.stdout.write(table.to_csv())
         return 0
     colored = enumeration.enumerate_colored(spec)
@@ -329,11 +328,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (documents.SchemaError, DiagramError, EnumerationLimitError,
-            UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValueError, EnumerationLimitError, FileNotFoundError) as exc:
+        # SchemaError, DiagramError and UsageError are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,17 +13,9 @@ from importlib import resources
 
 from .diagram import TERMINAL, Diagram, Edge, Vertex
 from .graphs import SimpleGraph
-from .laws import COLOR_OF, BifurcationKind, junction, period_doubling, saddle_node, type_m
+from .laws import COLOR_OF, BifurcationKind, SchemaError, _is_int, kind_from_json
 
 SCHEMA_VERSION = "1"
-
-
-class SchemaError(ValueError):
-    """Document violates the expected schema; ``path`` names the location."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 def _as_doc(source) -> dict:
@@ -41,6 +33,20 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise SchemaError(path, message)
 
 
+def _as_object(source) -> dict:
+    doc = _as_doc(source)
+    _expect(isinstance(doc, dict), "$", "document must be an object")
+    return doc
+
+
+def _is_index(value) -> bool:
+    return _is_int(value) and value in (-1, 0, 1)
+
+
+def _is_element_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) or _is_int(x) for x in value)
+
+
 # ---------------------------------------------------------------------------
 # Diagram documents
 # ---------------------------------------------------------------------------
@@ -51,41 +57,15 @@ def kind_to_json(kind: BifurcationKind):
     return {kind.name: kind.param}
 
 
-def kind_from_json(raw, path: str) -> BifurcationKind:
-    if raw == "saddle_node":
-        return saddle_node()
-    if raw == "period_doubling":
-        return period_doubling()
-    if isinstance(raw, dict) and len(raw) == 1:
-        (name, param), = raw.items()
-        # type_m admits a null multiplier: the index laws do not depend on m,
-        # only the period check does (and it demands a concrete m)
-        if name == "type_m":
-            _expect(param is None or isinstance(param, int), f"{path}.{name}",
-                    "parameter must be an integer or null")
-        else:
-            _expect(isinstance(param, int), f"{path}.{name}",
-                    "parameter must be an integer")
-        try:
-            if name == "type_m":
-                return type_m(param)
-            if name == "junction":
-                return junction(param)
-        except ValueError as exc:
-            raise SchemaError(f"{path}.{name}", str(exc)) from exc
-    raise SchemaError(path, f"unknown kind {raw!r}")
-
-
 def parse_diagram(source) -> Diagram:
     """Parse and schema-check a diagram document (JSON text or dict)."""
-    doc = _as_doc(source)
-    _expect(isinstance(doc, dict), "$", "document must be an object")
+    doc = _as_object(source)
     extra = set(doc) - {"schemaVersion", "dimension", "edges", "vertices", "comment"}
     _expect(not extra, "$", f"unknown keys {sorted(extra)}")
     _expect(doc.get("schemaVersion") == SCHEMA_VERSION,
             "$.schemaVersion", f"must be {SCHEMA_VERSION!r}")
     dim = doc.get("dimension")
-    _expect(isinstance(dim, int) and dim >= 1, "$.dimension", "must be an integer >= 1")
+    _expect(_is_int(dim) and dim >= 1, "$.dimension", "must be an integer >= 1")
     _expect(isinstance(doc.get("edges"), list), "$.edges", "must be a list")
     _expect(isinstance(doc.get("vertices"), list), "$.vertices", "must be a list")
 
@@ -97,10 +77,10 @@ def parse_diagram(source) -> Diagram:
         _expect(not extra, path, f"unknown keys {sorted(extra)}")
         _expect(isinstance(item.get("id"), str) and item["id"], f"{path}.id",
                 "must be a nonempty string")
-        _expect(item.get("index") in (-1, 0, 1), f"{path}.index", "must be -1, 0 or 1")
+        _expect(_is_index(item.get("index")), f"{path}.index", "must be -1, 0 or 1")
         period = item.get("period")
         if period is not None:
-            _expect(isinstance(period, int) and period >= 1, f"{path}.period",
+            _expect(_is_int(period) and period >= 1, f"{path}.period",
                     "must be a positive integer")
         eps = item.get("endpoints")
         _expect(isinstance(eps, list) and len(eps) == 2, f"{path}.endpoints",
@@ -170,20 +150,21 @@ def nonadmissible_period_fixture() -> Diagram:
 def parse_graph(source) -> SimpleGraph:
     """Graph document: {"vertexCount": n, "edges": [[u, v], ...],
     "colors"?: [...]}"""
-    doc = _as_doc(source)
+    doc = _as_object(source)
     n = doc.get("vertexCount")
-    _expect(isinstance(n, int) and n >= 0, "$.vertexCount", "must be an integer >= 0")
+    _expect(_is_int(n) and n >= 0, "$.vertexCount", "must be an integer >= 0")
     raw = doc.get("edges")
     _expect(isinstance(raw, list), "$.edges", "must be a list")
     edges = []
     for i, e in enumerate(raw):
-        _expect(isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e),
+        _expect(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)),
                 f"$.edges[{i}]", "must be a pair of vertex numbers")
         edges.append(tuple(e))
     colors = doc.get("colors")
     if colors is not None:
-        _expect(isinstance(colors, list) and len(colors) == n, "$.colors",
-                "must list one color per vertex")
+        _expect(isinstance(colors, list) and len(colors) == n
+                and all(map(_is_index, colors)), "$.colors",
+                "must list one color (-1, 0 or 1) per vertex")
     try:
         return SimpleGraph.from_edges(n, edges, colors)
     except ValueError as exc:
@@ -200,11 +181,15 @@ def emit_graph(g: SimpleGraph) -> str:
 def parse_matroid(source):
     """Matroid document: {"groundSet": [...], "bases": [[...], ...]}"""
     from .matroids import from_bases
-    doc = _as_doc(source)
+    doc = _as_object(source)
     ground = doc.get("groundSet")
-    _expect(isinstance(ground, list) and ground, "$.groundSet", "must be a nonempty list")
+    _expect(_is_element_list(ground) and ground, "$.groundSet",
+            "must be a nonempty list of strings or integers")
     bases = doc.get("bases")
     _expect(isinstance(bases, list) and bases, "$.bases", "must be a nonempty list")
+    for i, basis in enumerate(bases):
+        _expect(_is_element_list(basis), f"$.bases[{i}]",
+                "must be a list of strings or integers")
     try:
         return from_bases(ground, bases)
     except ValueError as exc:

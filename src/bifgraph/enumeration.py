@@ -10,8 +10,10 @@ root color are unconstrained.
 Two counting conventions are supported and never mixed: PLANE trees give
 children distinct positions among k+1 slots (the convention matched by the
 k-ary counting formula), FREE trees identify reorderings of children.
-Explicit enumeration is capped; the plane-mode count API uses memoized
-dynamic programming over (size, root color) and is not.
+Explicit enumeration is capped.  Counting builds no tree: one bottom-up
+table of counts by size and root color serves both modes, with ordered
+products of child series in plane mode and Polya's multiset construction
+in free mode.
 """
 
 from __future__ import annotations
@@ -23,10 +25,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
+from operator import mul
 
 from .diagram import TERMINAL, Diagram, Edge, Vertex
-from .laws import LawTable, builtin_table, check_index, kind_for_child_count, splits_for_child_count
+from .laws import (
+    INDEX_VALUES, LawTable, builtin_table, check_index, kind_for_child_count,
+    splits_for_child_count,
+)
 from .trees import (
     EnumerationLimitError, TreeMode, _compositions, canonical_trees,
     count_kary_formula, count_shapes, enumerate_shapes, slot_trees,
@@ -143,27 +149,17 @@ def _colored_free(table: LawTable, max_children: int, n: int, color: int) -> tup
 def enumerate_colored(spec: EnumerationSpec) -> tuple[ColoredTree, ...]:
     """All admissible colored trees for the spec, root color unconstrained.
 
-    The explicit list is capped (``spec.limit``, default 10**6); use
+    The explicit list is capped (``spec.limit``, default 10**6): the exact
+    count is checked against the cap before any tree is built.  Use
     ``count_colored`` for sizes beyond the cap.
     """
     table = spec.resolved_table()
     limit = spec.limit if spec.limit is not None else DEFAULT_LIST_LIMIT
-    if spec.mode is TreeMode.PLANE:
-        total = count_colored(spec.k, spec.d, spec.n, spec.mode, table)
-        if total > limit:
-            raise EnumerationLimitError(f"{total} colored trees exceed limit {limit}")
-        out = []
-        for color in (-1, 0, 1):
-            out.extend(_colored_plane(table, spec.k + 1, spec.n, color))
-        return tuple(out)
-    if count_shapes(spec.k, spec.n, TreeMode.FREE) > limit:
-        raise EnumerationLimitError("shape count alone exceeds the limit")
-    out = []
-    for color in (-1, 0, 1):
-        out.extend(_colored_free(table, spec.k + 1, spec.n, color))
-    if len(out) > limit:
-        raise EnumerationLimitError(f"{len(out)} colored trees exceed limit {limit}")
-    return tuple(out)
+    total = count_colored(spec.k, spec.d, spec.n, spec.mode, table)
+    if total > limit:
+        raise EnumerationLimitError(f"{total} colored trees exceed limit {limit}")
+    build = _colored_plane if spec.mode is TreeMode.PLANE else _colored_free
+    return tuple(t for color in INDEX_VALUES for t in build(table, spec.k + 1, spec.n, color))
 
 
 def project_uncolored(trees) -> frozenset:
@@ -184,53 +180,64 @@ def shape_coverage(spec: EnumerationSpec) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Exact counts (plane mode: memoized DP, no materialization)
+# Exact counts: one bottom-up coefficient table for both modes
 # ---------------------------------------------------------------------------
 
-def _perm_count(mset) -> int:
-    out = factorial(len(mset))
-    for c in Counter(mset).values():
-        out //= factorial(c)
-    return out
+def _coefficient(s: list[int], t: list[int], n: int, j: int = 1) -> int:
+    """Coefficient n of S(x^j) * T(x), where S has no constant term; reads
+    s[1..n // j] and t[0..n - j]."""
+    return sum(map(mul, s[1:n // j + 1], t[n - j::-j]))
 
 
-@lru_cache(maxsize=None)
-def _conv(table: LawTable, arity: int, mset: tuple, total: int) -> int:
-    """Sized convolution: colored-forest count for one fixed color order."""
-    if not mset:
-        return 1 if total == 0 else 0
-    head, rest = mset[0], mset[1:]
-    out = 0
-    for s in range(1, total - len(rest) + 1):
-        f = _count_plane(table, arity, s, head)
-        if f:
-            out += f * _conv(table, arity, rest, total - s)
-    return out
+def count_sequence(k: int, d: int, n_max: int, mode=TreeMode.PLANE,
+                   table: LawTable | None = None) -> list[int]:
+    """Exact numbers of admissible colored trees on n = 1..n_max nodes.
 
-
-@lru_cache(maxsize=None)
-def _count_plane(table: LawTable, arity: int, n: int, color: int) -> int:
-    if n == 1:
-        return 1
-    total = 0
-    for c in range(1, min(arity, n - 1) + 1):
-        for mset in splits_for_child_count(table, c, color):
-            total += comb(arity, c) * _perm_count(mset) * _conv(table, arity, mset, n - 1)
-    return total
+    ``a[color][n]`` is filled in order of n.  A law rule (root color, child
+    colors M, c children) adds coefficient n-1 of a product with one factor
+    per distinct child color h of multiplicity m: ``A_h^m`` in plane mode,
+    weighted by C(k+1, c) times the orderings of M, and ``MSET_m(A_h)`` in
+    free mode, from m Z_m(x) = sum_j A_h(x^j) Z_{m-j}(x).  No series has a
+    constant term, so coefficient n-1 reads only trees of fewer nodes.
+    """
+    table = table if table is not None else builtin_table(d)
+    plane = TreeMode.coerce(mode) is TreeMode.PLANE
+    rules = {color: [] for color in INDEX_VALUES}  # (weight, ((h, m), ...))
+    for color, rs in rules.items():
+        for c in range(1, min(k + 1, n_max - 1) + 1):
+            for mset in splits_for_child_count(table, c, color):
+                parts = tuple(sorted(Counter(mset).items()))
+                orderings = factorial(c) // prod(factorial(m) for _, m in parts)
+                rs.append((comb(k + 1, c) * orderings if plane else 1, parts))
+    keys = [parts for rs in rules.values() for _, parts in rs]
+    a = {color: [0, 1] for color in INDEX_VALUES}
+    # series[parts]: the product of the factors (h, m) in parts; the factor
+    # of (h, 1) is A_h in both modes, that of (h, 0) is 1
+    series = {((h, 1),): a[h] for h in INDEX_VALUES}
+    series.update({((h, 0),): [1] + [0] * n_max for h in INDEX_VALUES})
+    powers = sorted({(h, j) for parts in keys for h, m in parts for j in range(2, m + 1)})
+    products = sorted({parts[:i] for parts in keys for i in range(2, len(parts) + 1)}, key=len)
+    series.update({key: [0] for key in [((h, m),) for h, m in powers] + products})
+    for n in range(1, n_max):
+        for h, m in powers:
+            if plane:
+                got = _coefficient(a[h], series[((h, m - 1),)], n)
+            else:
+                got = sum(_coefficient(a[h], series[((h, m - j),)], n, j)
+                          for j in range(1, m + 1)) // m
+            series[((h, m),)].append(got)
+        for parts in products:
+            series[parts].append(_coefficient(series[parts[-1:]], series[parts[:-1]], n))
+        for color, rs in rules.items():
+            a[color].append(sum(weight * series[parts][n] for weight, parts in rs))
+    return [sum(a[color][n] for color in INDEX_VALUES) for n in range(1, n_max + 1)]
 
 
 def count_colored(k: int, d: int, n: int, mode=TreeMode.PLANE,
                   table: LawTable | None = None) -> int:
-    """Exact number of admissible colored trees on n nodes.
-
-    Plane mode runs entirely in the DP; free mode is enumeration-backed and
-    therefore practical only at desk scale.
-    """
-    table = table if table is not None else builtin_table(d)
-    mode = TreeMode.coerce(mode)
-    if mode is TreeMode.PLANE:
-        return sum(_count_plane(table, k + 1, n, c) for c in (-1, 0, 1))
-    return sum(len(_colored_free(table, k + 1, n, c)) for c in (-1, 0, 1))
+    """Exact number of admissible colored trees on n nodes (0 for n < 1):
+    the last entry of ``count_sequence``, in either mode."""
+    return count_sequence(k, d, n, mode, table)[-1] if n >= 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +252,9 @@ def ratio_sequence(k_low: int, k_high: int, d: int, n_max: int,
     """
     if k_low > k_high:
         raise ValueError("need k_low <= k_high")
-    out = []
-    for n in range(1, n_max + 1):
-        lo = count_colored(k_low, d, n, mode, table)
-        hi = count_colored(k_high, d, n, mode, table)
-        out.append(Fraction(hi, lo) if lo else None)
-    return out
+    lows = count_sequence(k_low, d, n_max, mode, table)
+    highs = count_sequence(k_high, d, n_max, mode, table)
+    return [Fraction(hi, lo) if lo else None for lo, hi in zip(lows, highs)]
 
 
 def share_sequence(k: int, d_low: int, d_high: int, n_max: int,
@@ -259,12 +263,9 @@ def share_sequence(k: int, d_low: int, d_high: int, n_max: int,
     each entry lies in (0, 1] because the law tables nest with dimension."""
     if d_low > d_high:
         raise ValueError("need d_low <= d_high")
-    out = []
-    for n in range(1, n_max + 1):
-        lo = count_colored(k, d_low, n, mode)
-        hi = count_colored(k, d_high, n, mode)
-        out.append(Fraction(lo, hi) if hi else None)
-    return out
+    lows = count_sequence(k, d_low, n_max, mode)
+    highs = count_sequence(k, d_high, n_max, mode)
+    return [Fraction(lo, hi) if hi else None for lo, hi in zip(lows, highs)]
 
 
 def ratio_lower_bound(k: int, n: int) -> Fraction:
@@ -352,7 +353,7 @@ class CountTable:
 
 __all__ = [
     "ColoredTree", "EnumerationSpec", "CountTable", "DEFAULT_LIST_LIMIT",
-    "enumerate_colored", "project_uncolored", "count_colored",
+    "enumerate_colored", "project_uncolored", "count_colored", "count_sequence",
     "ratio_sequence", "share_sequence", "ratio_lower_bound", "shape_coverage",
     "tree_to_diagram", "enumerate_shapes", "count_shapes",
     "count_kary_formula", "TreeMode", "EnumerationLimitError",

@@ -82,6 +82,44 @@ def junction(n: int) -> BifurcationKind:
     return BifurcationKind(JUNCTION, n)
 
 
+class SchemaError(ValueError):
+    """Document violates the expected schema; ``path`` names the location."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+
+
+def _is_int(value) -> bool:
+    """True for a JSON integer; booleans, which Python counts as ints, are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def kind_from_json(raw, path: str) -> BifurcationKind:
+    """The kind as diagram and law-table documents write it:
+    "saddle_node", "period_doubling", {"type_m": m} or {"junction": n}.
+
+    type_m admits a null multiplier: the index laws do not depend on m, only
+    the period check does (and it demands a concrete m).  Errors are
+    ``SchemaError``s that name ``path``.
+    """
+    if raw == SADDLE_NODE:
+        return saddle_node()
+    if raw == PERIOD_DOUBLING:
+        return period_doubling()
+    if isinstance(raw, dict) and len(raw) == 1:
+        (name, param), = raw.items()
+        if name in (TYPE_M, JUNCTION):
+            if not (_is_int(param) or (param is None and name == TYPE_M)):
+                raise SchemaError(f"{path}.{name}", "parameter must be an integer"
+                                  + (" or null" if name == TYPE_M else ""))
+            try:
+                return BifurcationKind(name, param)
+            except ValueError as exc:
+                raise SchemaError(f"{path}.{name}", str(exc)) from exc
+    raise SchemaError(path, f"unknown kind {raw!r}")
+
+
 def kind_for_child_count(c: int) -> BifurcationKind:
     """Kind implied by the number of children at a tree node."""
     if c == 1:
@@ -279,22 +317,6 @@ def builtin_table(d: int) -> LawTable:
 # User-supplied tables
 # ---------------------------------------------------------------------------
 
-def _parse_kind(raw) -> BifurcationKind:
-    if isinstance(raw, str):
-        if raw == SADDLE_NODE:
-            return saddle_node()
-        if raw == PERIOD_DOUBLING:
-            return period_doubling()
-        raise ValueError(f"unknown kind {raw!r}")
-    if isinstance(raw, dict) and len(raw) == 1:
-        (name, param), = raw.items()
-        if name == TYPE_M:
-            return type_m(int(param))
-        if name == JUNCTION:
-            return junction(int(param))
-    raise ValueError(f"cannot parse kind {raw!r}")
-
-
 def load_law_table(source) -> LawTable:
     """Load a law table from a JSON document (text, dict, or file path).
 
@@ -321,8 +343,8 @@ def load_law_table(source) -> LawTable:
     d = int(doc["dimension"])
     mode = doc.get("mode", "extend")
     extra = []
-    for item in doc.get("entries", []):
-        kind = _parse_kind(item["kind"])
+    for i, item in enumerate(doc.get("entries", [])):
+        kind = kind_from_json(item.get("kind"), f"$.entries[{i}].kind")
         extra.append(LawEntry(kind.name, int(item["parent"]),
                               tuple(int(c) for c in item["children"]),
                               tuple(item.get("multipliers", ()))))

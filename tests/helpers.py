@@ -8,11 +8,15 @@ is confirmed by a second, dumber computation.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from collections import Counter
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
+from math import comb, factorial
 
 from bifgraph import (
-    TERMINAL, Diagram, Edge, SimpleGraph, Vertex, kind_for_child_count,
-    period_doubling, saddle_node,
+    TERMINAL, Diagram, Edge, LawEntry, LawTable, SimpleGraph, Vertex,
+    builtin_table, kind_for_child_count, load_law_table, period_doubling,
+    saddle_node, splits_for_child_count,
 )
 
 
@@ -162,3 +166,73 @@ def labeled_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+
+
+# -- colored-tree counts ------------------------------------------------------
+
+def _orderings(mset) -> int:
+    out = factorial(len(mset))
+    for c in Counter(mset).values():
+        out //= factorial(c)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _forests(table: LawTable, arity: int, mset: tuple, total: int) -> int:
+    """Plane forests on ``total`` nodes whose roots have the colors of
+    ``mset`` in that order."""
+    if not mset:
+        return 1 if total == 0 else 0
+    head, rest = mset[0], mset[1:]
+    out = 0
+    for s in range(1, total - len(rest) + 1):
+        f = _plane_trees(table, arity, s, head)
+        if f:
+            out += f * _forests(table, arity, rest, total - s)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _plane_trees(table: LawTable, arity: int, n: int, color: int) -> int:
+    if n == 1:
+        return 1
+    total = 0
+    for c in range(1, min(arity, n - 1) + 1):
+        for mset in splits_for_child_count(table, c, color):
+            total += comb(arity, c) * _orderings(mset) * _forests(table, arity, mset, n - 1)
+    return total
+
+
+def plane_count(k: int, d: int, n: int, table: LawTable | None = None) -> int:
+    """Admissible plane colored trees on n nodes by memoized top-down
+    recursion over (size, root color) and ordered child colors."""
+    table = table if table is not None else builtin_table(d)
+    return sum(_plane_trees(table, k + 1, n, c) for c in (-1, 0, 1))
+
+
+def _kind_json(kind: str, c: int):
+    return kind if kind in ("saddle_node", "period_doubling") else {kind: c}
+
+
+def legal_law_entries() -> list:
+    """Every law entry with at most five children that ``LawEntry`` accepts."""
+    out = []
+    for kind, c in (("saddle_node", 1), ("period_doubling", 2), ("type_m", 3),
+                    ("junction", 4), ("junction", 5)):
+        for parent in (-1, 0, 1):
+            for children in combinations_with_replacement((-1, 0, 1), c):
+                try:
+                    out.append(LawEntry(kind, parent, children))
+                except ValueError:
+                    pass
+    return out
+
+
+def random_law_table(rng: random.Random, mode: str) -> LawTable:
+    """A law-table document of random legal entries (up to five children),
+    loaded in ``extend`` or ``replace`` mode."""
+    entries = rng.sample(legal_law_entries(), rng.randint(2, 12))
+    return load_law_table({
+        "schemaVersion": "1", "dimension": rng.randint(1, 4), "mode": mode,
+        "entries": [{"kind": _kind_json(e.kind, len(e.children)), "parent": e.parent,
+                     "children": list(e.children)} for e in entries]})

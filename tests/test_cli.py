@@ -10,6 +10,9 @@ from bifgraph.cli import main
 from helpers import star_diagram
 
 
+DATA = Path(__file__).parent / "data"
+
+
 @pytest.fixture()
 def fixture_file(tmp_path):
     path = tmp_path / "bad_periods.json"
@@ -55,9 +58,8 @@ def test_validate_json_is_deterministic(capsys, fixture_file):
 def test_validate_json_multi_cycle_fixture(capsys):
     # expected output recorded from the recursive simple-cycle search that
     # preceded the component walk; cycle order must not change
-    data = Path(__file__).parent / "data"
-    assert main(["validate", str(data / "multi_cycle.json"), "--json"]) == 1
-    assert capsys.readouterr().out == (data / "multi_cycle_validate.json").read_text()
+    assert main(["validate", str(DATA / "multi_cycle.json"), "--json"]) == 1
+    assert capsys.readouterr().out == (DATA / "multi_cycle_validate.json").read_text()
 
 
 def test_validate_schema_error_exit_two(tmp_path, capsys):
@@ -101,6 +103,25 @@ def test_enumerate_env_limit(capsys, monkeypatch):
     monkeypatch.setenv("BIFGRAPH_LIMIT", "5")
     assert main(["enumerate", "--k", "2", "--d", "4", "--n", "6",
                  "--emit", "json"]) == 2
+
+
+def test_enumerate_free_limit_uses_the_colored_count(capsys):
+    # 64 colored trees, though the free shapes on 12 nodes number 983
+    assert main(["enumerate", "--k", "1", "--d", "1", "--n", "12", "--mode", "free",
+                 "--emit", "json", "--limit", "100"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 64
+
+
+# stdout recorded with the memoized top-down plane counts and the
+# enumeration-backed free counts that preceded the bottom-up table
+COUNT_CASES = json.loads((DATA / "count_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", COUNT_CASES, ids=[" ".join(c["argv"]) for c in COUNT_CASES])
+def test_count_output_is_unchanged(case, capsys, monkeypatch):
+    monkeypatch.chdir(Path(__file__).parent.parent)  # argv names tests/data/...
+    assert main(case["argv"]) == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
 
 
 def test_ratio_and_share(capsys):
@@ -186,3 +207,20 @@ def test_classify_disconnected_exits_two(tmp_path, capsys):
     path.write_text(json.dumps({"vertexCount": 4, "edges": [[0, 1], [2, 3]]}))
     assert main(["classify", str(path)]) == 2
     assert "connected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--k", "0", "--d", "4", "--n", "3"],
+    ["count", "--husimi", "1=2"],
+    ["count", "--kary", "1", "3"],
+    ["count", "--cactus", "x"],
+    ["classify", "@array"],
+    ["spanning", "@array"],
+    ["matroid", "@array"],
+])
+def test_bad_input_exits_two_without_traceback(argv, tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[1,2]")
+    assert main([str(path) if a == "@array" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

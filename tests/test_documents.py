@@ -127,6 +127,33 @@ def test_matroid_document():
     assert err.value.path == "$.bases"
 
 
+def _edge(**changes):
+    return [dict({"id": "a", "index": 1, "endpoints": ["terminal", "terminal"]}, **changes)]
+
+
+@pytest.mark.parametrize("parse, doc, path", [
+    (parse_diagram, dict(MINIMAL, dimension=True), "$.dimension"),
+    (parse_diagram, dict(MINIMAL, edges=_edge(index=True)), "$.edges[0].index"),
+    (parse_diagram, dict(MINIMAL, edges=_edge(period=True)), "$.edges[0].period"),
+    (parse_diagram, dict(MINIMAL, vertices=[{"id": "v", "kind": {"junction": True}}]),
+     "$.vertices[0].kind.junction"),
+    (parse_graph, [1, 2], "$"),
+    (parse_graph, {"vertexCount": True, "edges": []}, "$.vertexCount"),
+    (parse_graph, {"vertexCount": 2, "edges": [[True, 0]]}, "$.edges[0]"),
+    (parse_graph, {"vertexCount": 2, "edges": [[0, 1]], "colors": [True, 0]}, "$.colors"),
+    (parse_graph, {"vertexCount": 2, "edges": [[0, 1]], "colors": [5, 0]}, "$.colors"),
+    (parse_matroid, [1, 2], "$"),
+    (parse_matroid, {"groundSet": ["a", "b"], "bases": [[["a"], "b"]]}, "$.bases[0]"),
+    (parse_matroid, {"groundSet": ["a", "b"], "bases": ["ab"]}, "$.bases[0]"),
+    (parse_matroid, {"groundSet": ["a", True], "bases": [["a"]]}, "$.groundSet"),
+    (parse_matroid, {"groundSet": ["a", ["b"]], "bases": [["a"]]}, "$.groundSet"),
+])
+def test_documents_reject_values_of_the_wrong_type(parse, doc, path):
+    with pytest.raises(SchemaError) as err:
+        parse(json.dumps(doc))
+    assert err.value.path == path
+
+
 def test_tree_documents():
     t = parse_tree("[[], [[]]]")
     assert t == ((), ((),)) and isinstance(t, tuple)

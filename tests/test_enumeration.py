@@ -1,15 +1,17 @@
 """Colored-tree enumeration, exact counts, ratio and share sequences."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from bifgraph import (
     ColoredTree, CountTable, EnumerationSpec, builtin_table, count_colored,
-    count_shapes, enumerate_colored, enumerate_shapes, project_uncolored,
-    ratio_lower_bound, ratio_sequence, share_sequence, tree_to_diagram,
-    validate_diagram,
+    count_sequence, count_shapes, enumerate_colored, enumerate_shapes,
+    project_uncolored, ratio_lower_bound, ratio_sequence, share_sequence,
+    tree_to_diagram, validate_diagram,
 )
+from helpers import plane_count, random_law_table
 
 
 def spec(k, d, n, mode="plane"):
@@ -91,6 +93,51 @@ def test_project_uncolored_misses_shapes_in_low_dimension():
 
 def test_project_uncolored_empty():
     assert project_uncolored([]) == frozenset()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_count_sequence_matches_plane_recursion(k, d):
+    assert count_sequence(k, d, 40) == [plane_count(k, d, n) for n in range(1, 41)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_count_sequence_matches_free_enumeration(k, d):
+    assert count_sequence(k, d, 8, "free") == [
+        len(enumerate_colored(spec(k, d, n, "free"))) for n in range(1, 9)]
+
+
+@pytest.mark.parametrize("mode", ["extend", "replace"])
+def test_count_sequence_on_random_law_tables(mode):
+    rng = random.Random(f"law tables {mode}")
+    for _ in range(25):
+        table = random_law_table(rng, mode)
+        k, d = rng.randint(1, 4), table.dimension
+        assert count_sequence(k, d, 24, "plane", table) == [
+            plane_count(k, d, n, table) for n in range(1, 25)]
+        assert count_sequence(k, d, 6, "free", table) == [
+            len(enumerate_colored(EnumerationSpec(k, d, n, "free", table)))
+            for n in range(1, 7)]
+
+
+def test_count_colored_is_the_last_sequence_entry():
+    assert count_sequence(2, 4, 0) == []
+    assert count_colored(2, 4, 0) == count_colored(2, 4, -3, "free") == 0
+    assert count_colored(2, 4, 12, "free") == count_sequence(2, 4, 12, "free")[-1]
+
+
+def test_free_counts_build_no_trees(monkeypatch):
+    import bifgraph.enumeration as enumeration
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("counting built a tree")
+
+    for name in ("ColoredTree", "_colored_free", "_colored_plane"):
+        monkeypatch.setattr(enumeration, name, refuse)
+    free = count_colored(2, 4, 60, "free")
+    # every free tree has at least one plane arrangement
+    assert 0 < free < count_colored(2, 4, 60)
 
 
 def test_counts_monotone_in_dimension():

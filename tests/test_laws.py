@@ -3,7 +3,7 @@
 import pytest
 
 from bifgraph import (
-    LawEntry, allowed_child_multisets, builtin_table, is_admissible_star,
+    LawEntry, SchemaError, allowed_child_multisets, builtin_table, is_admissible_star,
     junction, period_doubling, splits_for_child_count, type_m,
     load_law_table,
 )
@@ -131,3 +131,25 @@ def test_load_law_table_replace():
     assert table.saddle_node_pairs() == {(-1, 1)}
     assert allowed_child_multisets(table, period_doubling(), 1) == frozenset()
     assert allowed_child_multisets(table, junction(5), 1) == frozenset()
+
+
+def _one_entry_table(kind, children):
+    return load_law_table({"schemaVersion": "1", "dimension": 4, "entries": [
+        {"kind": kind, "parent": 1, "children": children}]})
+
+
+def test_load_law_table_accepts_a_null_multiplier():
+    # as in diagram documents: the index laws do not depend on m
+    table = _one_entry_table({"type_m": None}, [1, 1, -1])
+    assert (-1, 1, 1) in allowed_child_multisets(table, type_m(), 1)
+
+
+@pytest.mark.parametrize("kind, path", [
+    ({"junction": 4.7}, "$.entries[0].kind.junction"),
+    ({"type_m": "5"}, "$.entries[0].kind.type_m"),
+    ("sideways", "$.entries[0].kind"),
+])
+def test_load_law_table_rejects_bad_kinds(kind, path):
+    with pytest.raises(SchemaError) as err:
+        _one_entry_table(kind, [0, 0, 0, 1])
+    assert err.value.path == path
