@@ -12,8 +12,8 @@ functions, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 from .laws import (
@@ -329,111 +329,28 @@ class PeriodReport(NamedTuple):
     violations: tuple[PeriodViolation, ...]
 
 
-def _items(periods) -> tuple:
-    from collections import Counter
-    return tuple(sorted(Counter(periods).items()))
-
-
-def _sub_multisets(items):
-    """All sub-count-vectors of a (value, count) tuple, as item tuples."""
-    if not items:
-        yield ()
-        return
-    (val, cnt), rest = items[0], items[1:]
-    for sub in _sub_multisets(rest):
-        for take in range(cnt + 1):
-            yield ((val, take),) + sub if take else sub
-
-
-def _strip(items):
-    return tuple((v, c) for v, c in items if c)
-
-
-def _diff(items, sub):
-    d = dict(items)
-    for v, c in sub:
-        d[v] -= c
-    return tuple(sorted((v, c) for v, c in d.items() if c))
-
-
-@lru_cache(maxsize=None)
-def _doubling_leaves(p: int, items: tuple) -> bool:
-    """Can a chain of period doublings rooted at period p produce exactly
-    this leaf multiset?  Each event turns one leaf q into leaves {q, 2q}.
-
-    Two exact prunes keep the search desk-fast: every leaf is p times a
-    power of two, and the surviving chain leaves exactly one leaf at p.
-    """
-    if items == ((p, 1),):
-        return True
-    total = sum(c for _, c in items)
-    if total < 2:
-        return False
-    counts = dict(items)
-    if counts.get(p, 0) != 1:
-        return False
-    for v in counts:
-        q, r = divmod(v, p)
-        if r or q & (q - 1):
-            return False
-    for left in map(_strip, _sub_multisets(items)):
-        if not left:
-            continue
-        right = _diff(items, left)
-        if not right:
-            continue
-        if _doubling_leaves(p, left) and _doubling_leaves(2 * p, right):
-            return True
-    return False
-
-
-@lru_cache(maxsize=None)
-def _multiplying_leaves(p: int, items: tuple) -> bool:
-    """Same for chains of three-way events q -> {q, mq, mq}, any m >= 3
-    per event.
-
-    Prunes (all exact): leaf counts are odd (each event adds two), every
-    leaf is a multiple of the root period, and exactly one leaf stays at it.
-    """
-    if items == ((p, 1),):
-        return True
-    total = sum(c for _, c in items)
-    if total < 3 or total % 2 == 0:
-        return False
-    counts = dict(items)
-    if counts.get(p, 0) != 1:
-        return False
-    if any(v % p for v in counts):
-        return False
-    values = [v for v, _ in items]
-    hi = max(values)
-    for m in range(3, hi // p + 1):
-        if not any(v % (m * p) == 0 for v in values):
-            continue
-        for keep in map(_strip, _sub_multisets(items)):
-            if not keep:
-                continue
-            rest = _diff(items, keep)
-            if sum(c for _, c in rest) < 2:
-                continue
-            if not _multiplying_leaves(p, keep):
-                continue
-            for part1 in map(_strip, _sub_multisets(rest)):
-                if not part1:
-                    continue
-                part2 = _diff(rest, part1)
-                if not part2 or part1 > part2:  # unordered halves
-                    continue
-                if _multiplying_leaves(m * p, part1) and _multiplying_leaves(m * p, part2):
-                    return True
-    return False
-
-
 def junction_periods_consistent(parent_period: int, child_periods) -> bool:
-    """True when the child periods arise from some decomposition of the
-    junction into a chain of doublings or of m-fold multiplications."""
-    items = _items(child_periods)
-    return _doubling_leaves(parent_period, items) or _multiplying_leaves(parent_period, items)
+    """True when the child periods are the leaves of a chain of period
+    doublings (q -> {q, 2q}) or of m-fold multiplications
+    (q -> {q, mq, mq}, any m >= 3 per event) rooted at the parent period p.
+
+    Every event keeps one leaf at its own root period, so both chains leave
+    exactly one child at p.  Beyond that:
+
+    - doubling: every other period is p * 2**i with the exponents used
+      running 1..j without a gap (a leaf at 2q needs a leaf at q);
+    - multiplying: every other period is a multiple of p that is at least
+      3p and occurs an even number of times (events add leaves in equal
+      pairs, and each pair can hang directly off p).
+    """
+    p = parent_period
+    others = Counter(child_periods)
+    if others.pop(p, 0) != 1 or any(v % p for v in others):
+        return False
+    ratios = {v // p for v in others}
+    doubling = ratios == {2 ** i for i in range(1, len(ratios) + 1)}
+    multiplying = all(v >= 3 * p and n % 2 == 0 for v, n in others.items())
+    return doubling or multiplying
 
 
 def check_period_consistency(diagram: Diagram) -> PeriodReport:
@@ -441,10 +358,13 @@ def check_period_consistency(diagram: Diagram) -> PeriodReport:
 
     Saddle nodes preserve the period across the pair; a period doubling has
     one child at the parent period and one at exactly double; an m-fold
-    multiplication keeps one child and multiplies two by m; a junction must
-    be consistent with some decomposition (searched).  Applies only when
-    every edge carries a period; partial labelings are rejected as
-    ambiguous.
+    multiplication keeps one child and multiplies two by m (a type_m vertex
+    without a multiplier is a violation).  A junction from period p keeps
+    exactly one child at p, and its other children are either p * 2**i with
+    no exponent skipped (a doubling chain) or multiples of p that are at
+    least 3p, each value an even number of times (a multiplication chain);
+    see ``junction_periods_consistent``.  Applies only when every edge
+    carries a period; partial labelings are rejected as ambiguous.
     """
     labels = [e.period for e in diagram.edges]
     if all(p is None for p in labels):
@@ -474,9 +394,10 @@ def check_period_consistency(diagram: Diagram) -> PeriodReport:
         elif v.kind.name == TYPE_M:
             m = v.kind.param
             if m is None:
-                raise ValueError(f"vertex {v.id!r}: type_m multiplier required to check periods")
-            want = sorted((p, m * p, m * p))
-            if got != want:
+                violations.append(PeriodViolation(
+                    v.id, (parent.id, kids[0].id),
+                    f"vertex {v.id!r}: type_m multiplier required to check periods"))
+            elif got != sorted((p, m * p, m * p)):
                 violations.append(PeriodViolation(
                     v.id, (parent.id, kids[0].id),
                     f"m-fold split from period {p} must yield {{{p}, {m}p x2}}, got {got}"))

@@ -13,7 +13,10 @@ from importlib import resources
 
 from .diagram import TERMINAL, Diagram, Edge, Vertex
 from .graphs import SimpleGraph
-from .laws import COLOR_OF, BifurcationKind, SchemaError, _is_int, kind_from_json
+from .laws import (
+    COLOR_OF, BifurcationKind, SchemaError, _expect, _is_element_list, _is_index, _is_int,
+    kind_from_json,
+)
 
 SCHEMA_VERSION = "1"
 
@@ -28,23 +31,10 @@ def _as_doc(source) -> dict:
         raise SchemaError("$", f"not valid JSON: {exc}") from exc
 
 
-def _expect(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise SchemaError(path, message)
-
-
 def _as_object(source) -> dict:
     doc = _as_doc(source)
     _expect(isinstance(doc, dict), "$", "document must be an object")
     return doc
-
-
-def _is_index(value) -> bool:
-    return _is_int(value) and value in (-1, 0, 1)
-
-
-def _is_element_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) or _is_int(x) for x in value)
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,6 @@ class SimpleGraph:
                    tuple(colors) if colors is not None else None,
                    tuple(names) if names is not None else None)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 

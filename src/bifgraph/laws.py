@@ -10,6 +10,7 @@ rather than stored, which keeps tables finite.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -90,9 +91,25 @@ class SchemaError(ValueError):
         self.path = path
 
 
+def _expect(cond: bool, path: str, message: str) -> None:
+    if not cond:
+        raise SchemaError(path, message)
+
+
 def _is_int(value) -> bool:
     """True for a JSON integer; booleans, which Python counts as ints, are not."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_index(value) -> bool:
+    """True for a JSON orbit index: the integer -1, 0 or 1."""
+    return _is_int(value) and value in INDEX_VALUES
+
+
+def _is_element_list(value) -> bool:
+    """True for a JSON list of strings and integers (matroid ground
+    elements, law-entry multipliers)."""
+    return isinstance(value, list) and all(isinstance(x, str) or _is_int(x) for x in value)
 
 
 def kind_from_json(raw, path: str) -> BifurcationKind:
@@ -329,28 +346,44 @@ def load_law_table(source) -> LawTable:
     ``extend`` (the default) adds the listed entries to the built-in table
     for the dimension; ``replace`` keeps only the listed entries plus no
     generated junction families.  Conservation and the always-forbidden
-    transitions are enforced either way.
+    transitions are enforced either way.  Text that is not JSON is read as
+    a file path.  Schema problems raise ``SchemaError`` naming the JSON path.
     """
     if isinstance(source, dict):
         doc = source
     else:
         text = str(source)
-        if "{" not in text:
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            _expect(os.path.isfile(text), "$", f"neither JSON nor a file path: {exc}")
             with open(text, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        else:
-            doc = json.loads(text)
-    d = int(doc["dimension"])
+    _expect(isinstance(doc, dict), "$", "document must be an object")
+    d = doc.get("dimension")
+    _expect(_is_int(d) and d >= 1, "$.dimension", "must be an integer >= 1")
     mode = doc.get("mode", "extend")
+    _expect(mode in ("extend", "replace"), "$.mode", "must be 'extend' or 'replace'")
+    items = doc.get("entries", [])
+    _expect(isinstance(items, list), "$.entries", "must be a list")
     extra = []
-    for i, item in enumerate(doc.get("entries", [])):
-        kind = kind_from_json(item.get("kind"), f"$.entries[{i}].kind")
-        extra.append(LawEntry(kind.name, int(item["parent"]),
-                              tuple(int(c) for c in item["children"]),
-                              tuple(item.get("multipliers", ()))))
+    for i, item in enumerate(items):
+        path = f"$.entries[{i}]"
+        _expect(isinstance(item, dict), path, "must be an object")
+        kind = kind_from_json(item.get("kind"), f"{path}.kind")
+        _expect(_is_index(item.get("parent")), f"{path}.parent", "must be -1, 0 or 1")
+        children = item.get("children")
+        _expect(isinstance(children, list) and all(map(_is_index, children)),
+                f"{path}.children", "must be a list of -1, 0 or 1")
+        multipliers = item.get("multipliers", [])
+        _expect(_is_element_list(multipliers), f"{path}.multipliers",
+                "must be a list of integers or strings")
+        try:
+            extra.append(LawEntry(kind.name, item["parent"], tuple(children),
+                                  tuple(multipliers)))
+        except ValueError as exc:
+            raise SchemaError(path, str(exc)) from exc
     if mode == "replace":
         return LawTable(d, frozenset(extra), frozenset())
-    if mode != "extend":
-        raise ValueError(f"unknown table mode {mode!r}")
     base = builtin_table(d)
     return LawTable(d, base.entries | frozenset(extra), base.junction_families)

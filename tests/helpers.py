@@ -236,3 +236,113 @@ def random_law_table(rng: random.Random, mode: str) -> LawTable:
         "schemaVersion": "1", "dimension": rng.randint(1, 4), "mode": mode,
         "entries": [{"kind": _kind_json(e.kind, len(e.children)), "parent": e.parent,
                      "children": list(e.children)} for e in entries]})
+
+
+# -- junction period decompositions ------------------------------------------
+
+def _items(periods) -> tuple:
+    return tuple(sorted(Counter(periods).items()))
+
+
+def _sub_multisets(items):
+    """All sub-count-vectors of a (value, count) tuple, as item tuples."""
+    if not items:
+        yield ()
+        return
+    (val, cnt), rest = items[0], items[1:]
+    for sub in _sub_multisets(rest):
+        for take in range(cnt + 1):
+            yield ((val, take),) + sub if take else sub
+
+
+def _strip(items):
+    return tuple((v, c) for v, c in items if c)
+
+
+def _diff(items, sub):
+    d = dict(items)
+    for v, c in sub:
+        d[v] -= c
+    return tuple(sorted((v, c) for v, c in d.items() if c))
+
+
+@lru_cache(maxsize=None)
+def _doubling_leaves(p: int, items: tuple) -> bool:
+    """Can a chain of period doublings rooted at period p produce exactly
+    this leaf multiset?  Each event turns one leaf q into leaves {q, 2q}.
+
+    Two exact prunes keep the search desk-fast: every leaf is p times a
+    power of two, and the surviving chain leaves exactly one leaf at p.
+    """
+    if items == ((p, 1),):
+        return True
+    total = sum(c for _, c in items)
+    if total < 2:
+        return False
+    counts = dict(items)
+    if counts.get(p, 0) != 1:
+        return False
+    for v in counts:
+        q, r = divmod(v, p)
+        if r or q & (q - 1):
+            return False
+    for left in map(_strip, _sub_multisets(items)):
+        if not left:
+            continue
+        right = _diff(items, left)
+        if not right:
+            continue
+        if _doubling_leaves(p, left) and _doubling_leaves(2 * p, right):
+            return True
+    return False
+
+
+@lru_cache(maxsize=None)
+def _multiplying_leaves(p: int, items: tuple) -> bool:
+    """Same for chains of three-way events q -> {q, mq, mq}, any m >= 3
+    per event.
+
+    Prunes (all exact): leaf counts are odd (each event adds two), every
+    leaf is a multiple of the root period, and exactly one leaf stays at it.
+    """
+    if items == ((p, 1),):
+        return True
+    total = sum(c for _, c in items)
+    if total < 3 or total % 2 == 0:
+        return False
+    counts = dict(items)
+    if counts.get(p, 0) != 1:
+        return False
+    if any(v % p for v in counts):
+        return False
+    values = [v for v, _ in items]
+    hi = max(values)
+    for m in range(3, hi // p + 1):
+        if not any(v % (m * p) == 0 for v in values):
+            continue
+        for keep in map(_strip, _sub_multisets(items)):
+            if not keep:
+                continue
+            rest = _diff(items, keep)
+            if sum(c for _, c in rest) < 2:
+                continue
+            if not _multiplying_leaves(p, keep):
+                continue
+            for part1 in map(_strip, _sub_multisets(rest)):
+                if not part1:
+                    continue
+                part2 = _diff(rest, part1)
+                if not part2 or part1 > part2:  # unordered halves
+                    continue
+                if _multiplying_leaves(m * p, part1) and _multiplying_leaves(m * p, part2):
+                    return True
+    return False
+
+
+def searched_junction_periods(parent_period: int, child_periods) -> bool:
+    """True when the child periods arise from some decomposition of the
+    junction into a chain of doublings or of m-fold multiplications, by
+    trying every split of the leaf multiset; exponential in the number of
+    leaves, so small junctions only."""
+    items = _items(child_periods)
+    return _doubling_leaves(parent_period, items) or _multiplying_leaves(parent_period, items)

@@ -224,3 +224,34 @@ def test_bad_input_exits_two_without_traceback(argv, tmp_path, capsys):
     assert main([str(path) if a == "@array" else a for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _law_doc(entry=None, **top):
+    """A one-entry law-table document with some values replaced."""
+    first = {"kind": "period_doubling", "parent": 0, "children": [-1, 1], **(entry or {})}
+    return {"schemaVersion": "1", "dimension": 2, "entries": [first], **top}
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"schemaVersion": "1", "entries": []}, "$.dimension"),
+    (_law_doc(dimension=2.9), "$.dimension"),
+    (_law_doc(dimension=True), "$.dimension"),
+    (_law_doc(mode="merge"), "$.mode"),
+    (_law_doc(entries="abc"), "$.entries"),
+    (_law_doc(entries=[1]), "$.entries[0]"),
+    (_law_doc(entries=[{"kind": "period_doubling", "children": [-1, 1]}]),
+     "$.entries[0].parent"),
+    (_law_doc({"parent": True}), "$.entries[0].parent"),
+    (_law_doc({"children": 1}), "$.entries[0].children"),
+    (_law_doc({"children": [-1.5, 1.2]}), "$.entries[0].children"),
+    (_law_doc({"multipliers": 5}), "$.entries[0].multipliers"),
+    (_law_doc({"children": [1, 1]}), "$.entries[0]"),
+    ([1], "$"),
+    ("x" * 300, "$"),
+])
+def test_bad_law_table_exits_two_naming_the_path(doc, path, tmp_path, valid_file, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert main(["validate", valid_file, "--law-table", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err

@@ -1,19 +1,22 @@
 """Diagram domain types and validators."""
 
 import random
+import time
+from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bifgraph import (
     TERMINAL, Diagram, DiagramError, Edge, EigenvalueSpec, Vertex,
     builtin_table, check_cycle_parity, check_index_conservation,
     check_period_consistency, index_from_eigenvalues,
-    junction_periods_consistent, period_doubling, saddle_node,
+    junction_periods_consistent, period_doubling, saddle_node, type_m,
     validate_diagram,
 )
 from helpers import (
-    random_sn_doubling_diagram, saddle_node_cycles, sn_cycle, star_diagram,
+    random_sn_doubling_diagram, saddle_node_cycles, searched_junction_periods,
+    sn_cycle, star_diagram,
 )
 
 
@@ -218,7 +221,6 @@ def test_junction_period_decompositions():
 
 
 def test_junction_period_decompositions_at_scale():
-    import time
     start = time.monotonic()
     # a twelve-way split with a genuine doubling tree behind it
     assert junction_periods_consistent(1, (1, 2, 2, 4, 4, 4, 8, 8, 8, 8, 16, 32))
@@ -235,6 +237,80 @@ def test_junction_period_decompositions_at_scale():
     # the surviving chain keeps exactly one leaf at the root period
     assert not junction_periods_consistent(1, (1, 1, 2))
     assert time.monotonic() - start < 2
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_junction_periods_match_the_decomposition_search(p):
+    for size in range(7):
+        for periods in combinations_with_replacement(range(1, 9 * p + 1), size):
+            assert junction_periods_consistent(p, periods) == \
+                searched_junction_periods(p, periods), (p, periods)
+
+
+@st.composite
+def _event_chains(draw):
+    """Root period and leaf periods of a chain of doublings (up to eight
+    leaves) or of m-fold events (up to nine)."""
+    p = draw(st.integers(1, 4))
+    multiplying = draw(st.booleans())
+    leaves = [p]
+    for _ in range(draw(st.integers(0, 4 if multiplying else 7))):
+        q = draw(st.sampled_from(leaves))
+        leaves += [draw(st.integers(3, 6)) * q] * 2 if multiplying else [2 * q]
+    return p, draw(st.permutations(leaves))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_event_chains(), st.data())
+def test_event_chains_and_their_one_leaf_perturbations(chain, data):
+    p, leaves = chain
+    assert junction_periods_consistent(p, leaves)
+    i = data.draw(st.integers(0, len(leaves) - 1))
+    new = data.draw(st.integers(1, 2 * max(leaves)))
+    op = data.draw(st.sampled_from(["replace", "drop", "add"] if len(leaves) < 9
+                                   else ["replace", "drop"]))
+    changed = {"replace": leaves[:i] + [new] + leaves[i + 1:],
+               "drop": leaves[:i] + leaves[i + 1:],
+               "add": leaves + [new]}[op]
+    assert junction_periods_consistent(p, changed) == searched_junction_periods(p, changed)
+
+
+def test_invalid_19_leaf_junction_is_decided_fast():
+    # the decomposition search took about 48 s on this junction
+    periods = (1, 3, 3, 9, 9, 27, 27, 81, 81, 3, 3, 9, 9, 27, 27, 81, 81, 5, 7)
+    d = star_diagram(1, (1,) + (0,) * 18, parent_period=1, child_periods=periods)
+    start = time.monotonic()
+    report = validate_diagram(d, 18, builtin_table(4))
+    assert time.monotonic() - start < 2
+    assert [(v.code, v.vertex_id) for v in report.violations] == [("period", "v")]
+
+
+def test_valid_41_leaf_multiplication_junction():
+    leaves = [1]
+    for m in range(3, 23):  # twenty events, each on the newest leaf
+        leaves += [m * leaves[-1]] * 2
+    d = star_diagram(1, (1,) * 21 + (-1,) * 20, parent_period=1,
+                     child_periods=leaves, dimension=2)
+    start = time.monotonic()
+    assert validate_diagram(d, 40, builtin_table(2)).ok
+    assert time.monotonic() - start < 2
+
+
+def test_null_multiplier_does_not_hide_other_period_violations():
+    # a bad doubling 3 -> {3, 9} above a type_m vertex with no multiplier
+    edges = (Edge("p", 1, (TERMINAL, "a"), 3),
+             Edge("c0", 0, ("a", TERMINAL), 3),
+             Edge("c1", 1, ("a", "b"), 9),
+             Edge("d0", 1, ("b", TERMINAL), 9),
+             Edge("d1", -1, ("b", TERMINAL), 27),
+             Edge("d2", 1, ("b", TERMINAL), 27))
+    d = Diagram(2, edges, (Vertex("a", period_doubling(), "p"),
+                           Vertex("b", type_m(), "c1")))
+    report = validate_diagram(d, 2, builtin_table(2))
+    assert [(v.code, v.vertex_id, v.edge_ids) for v in report.violations] == [
+        ("period", "a", ("p", "c0")), ("period", "b", ("c1", "d0"))]
+    assert report.violations[1].message == \
+        "vertex 'b': type_m multiplier required to check periods"
 
 
 def test_junction_vertex_period_check():
