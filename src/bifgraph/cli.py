@@ -328,8 +328,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, EnumerationLimitError, FileNotFoundError) as exc:
-        # SchemaError, DiagramError and UsageError are ValueErrors too
+    except (ValueError, EnumerationLimitError, OSError) as exc:
+        # SchemaError, DiagramError and UsageError are ValueErrors too;
+        # OSError covers missing, unreadable and directory paths
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

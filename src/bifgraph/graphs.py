@@ -60,18 +60,7 @@ class SimpleGraph:
         return adj
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return len(self.components()) <= 1
 
     def components(self) -> list[set[int]]:
         adj = self.adjacency()
@@ -237,23 +226,23 @@ def graph_from_mask(n: int, mask: int) -> SimpleGraph:
     return SimpleGraph.from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
+def _permuted_mask(mask: int, ep) -> int:
+    """Edge bitmask after moving each edge slot i to slot ep[i]."""
+    out = 0
+    while mask:
+        i = (mask & -mask).bit_length() - 1
+        out |= 1 << ep[i]
+        mask &= mask - 1
+    return out
+
+
 def canonical_mask(g: SimpleGraph) -> int:
     """Minimum edge bitmask over all vertex relabelings. Exponential in n;
     guarded to n <= 8 where it stays cheap."""
     if g.n > 8:
         raise ValueError("canonical_mask is limited to 8 vertices")
     mask = edge_mask(g)
-    best = mask
-    for ep in _edge_perms(g.n):
-        pm = 0
-        rest = mask
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            pm |= 1 << ep[i]
-            rest &= rest - 1
-        if pm < best:
-            best = pm
-    return best
+    return min(_permuted_mask(mask, ep) for ep in _edge_perms(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +270,7 @@ def all_graphs(n: int) -> tuple[SimpleGraph, ...]:
             continue
         reps.append(graph_from_mask(n, mask))
         for ep in eperms:
-            pm = 0
-            rest = mask
-            while rest:
-                i = (rest & -rest).bit_length() - 1
-                pm |= 1 << ep[i]
-                rest &= rest - 1
-            seen[pm] = 1
+            seen[_permuted_mask(mask, ep)] = 1
     return tuple(reps)
 
 

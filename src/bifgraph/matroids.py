@@ -20,7 +20,8 @@ class Matroid:
 
     def __init__(self, ground, indep, name: str = "matroid"):
         self.ground = tuple(ground)
-        if len(set(self.ground)) != len(self.ground):
+        self._ground_set = frozenset(self.ground)
+        if len(self._ground_set) != len(self.ground):
             raise ValueError("ground set elements must be distinct")
         self._indep = indep
         self._memo: dict[frozenset, bool] = {frozenset(): True}
@@ -28,24 +29,25 @@ class Matroid:
 
     def is_independent(self, subset) -> bool:
         key = frozenset(subset)
-        if not key <= set(self.ground):
+        if not key <= self._ground_set:
             raise ValueError("subset is not contained in the ground set")
         got = self._memo.get(key)
         if got is None:
             got = self._memo[key] = bool(self._indep(key))
         return got
 
-    def rank_of(self, subset=None, base=()) -> int:
-        """Greedy rank of ``subset`` (defaults to the whole ground set),
-        relative to an independent ``base``."""
-        pool = self.ground if subset is None else [e for e in self.ground if e in set(subset)]
-        got = list(base)
+    def rank_of(self, subset=None) -> int:
+        """Greedy rank of ``subset`` (defaults to the whole ground set)."""
+        if subset is None:
+            pool = self.ground
+        else:
+            keep = set(subset)
+            pool = [e for e in self.ground if e in keep]
+        got = frozenset()
         for e in pool:
-            if e in got:
-                continue
-            if self.is_independent(frozenset(got) | {e}):
-                got.append(e)
-        return len(got) - len(base)
+            if self.is_independent(got | {e}):
+                got |= {e}
+        return len(got)
 
     @property
     def rank(self) -> int:
@@ -85,6 +87,22 @@ def from_bases(ground, bases) -> Matroid:
     sizes = {len(b) for b in basis_sets}
     if len(sizes) != 1:
         raise ValueError("bases must share one size")
+    # Exchange axiom: for bases B1, B2 and x in B1 - B2, some y in B2 - B1
+    # makes B1 - x + y a basis.  fills[B - x] holds every y that completes
+    # B - x to a basis (x among them), so B2 must meet fills[B1 - x].
+    fills: dict[frozenset, set] = {}
+    drops = []
+    for b in basis_sets:
+        row = []
+        for x in b:
+            fill = fills.setdefault(b - {x}, set())
+            fill.add(x)
+            row.append(fill)
+        drops.append(row)
+    for i, row in enumerate(drops):
+        for j, b2 in enumerate(basis_sets):
+            if any(fill.isdisjoint(b2) for fill in row):
+                raise ValueError(f"bases[{i}] and bases[{j}] break the basis exchange axiom")
 
     def indep(subset: frozenset) -> bool:
         return any(subset <= b for b in basis_sets)
@@ -137,72 +155,47 @@ def matroid_minor(m: Matroid, delete=(), contract=()) -> Matroid:
     return Matroid(ground, indep, name=f"{m.name}-minor")
 
 
-def _matches_vamos(elements, indep) -> bool:
-    """Structural isomorphism test against the Vamos matroid for a rank-4
-    oracle on exactly eight elements (all triples already independent and
-    exactly five dependent quadruples assumed checked by the caller)."""
-    quads = [frozenset(q) for q in combinations(elements, 4) if not indep(frozenset(q))]
-    pair_count = Counter()
-    for q in quads:
-        for pair in combinations(sorted(q, key=repr), 2):
-            pair_count[frozenset(pair)] += 1
-    pairs = [p for p, c in pair_count.items() if c >= 2]
-    if len(pairs) != 4 or len(frozenset().union(*pairs)) != 8:
+def _is_vamos(m: Matroid, eight) -> bool:
+    """True when m restricted to the eight elements ``eight`` is the Vamos
+    matroid: rank 4, no dependent triple, and exactly five dependent
+    quadruples, each the union of two of four disjoint pairs."""
+    if m.rank_of(eight) != 4 or not all(m.is_independent(t) for t in combinations(eight, 3)):
         return False
+    quads = []
+    for q in combinations(eight, 4):
+        if not m.is_independent(q):
+            quads.append(q)
+            if len(quads) > 5:
+                return False
+    if len(quads) != 5:
+        return False
+    # The diamond's vertices are the pairs lying in two or more quadruples.
+    # Five distinct edges on four vertices always form a diamond.
+    counts = Counter(p for q in quads for p in combinations(q, 2))
+    pairs = [p for p, c in counts.items() if c >= 2]
     which = {e: i for i, p in enumerate(pairs) for e in p}
-    quad_edges = set()
-    for q in quads:
-        ps = frozenset(which[e] for e in q)
-        if len(ps) != 2:
-            return False
-        quad_edges.add(ps)
-    if len(quad_edges) != 5:
-        return False
-    deg = Counter()
-    for e in quad_edges:
-        for x in e:
-            deg[x] += 1
-    return sorted(deg.values()) == [2, 2, 3, 3]
+    return (len(pairs) == 4 and len(which) == 8
+            and all(len({which[e] for e in q}) == 2 for q in quads))
 
 
 def has_vamos_minor(m: Matroid) -> bool:
     """True when some minor of m is isomorphic to the Vamos matroid.
 
-    Brute force over (contract, delete) splits, pruned by rank arithmetic
-    and dependency-count signatures; a hit flags the source structure as
-    non-representable.  Practical for ground sets up to ~15 elements.
+    Brute force: contract each independent set small enough to leave rank 4
+    on eight elements, then test every eight-element restriction of that
+    minor.  A hit flags the source structure as non-representable.
+    Practical for ground sets up to ~15 elements.
     """
     size = len(m.ground)
     if size < 8:
         return False
     if size > 15:
         raise ValueError("vamos-minor search is limited to 15 ground elements")
-    removals = size - 8
-    top_rank = m.rank
-    for csize in range(0, min(removals, max(0, top_rank - 4)) + 1):
+    for csize in range(min(size - 8, m.rank - 4) + 1):
         for cset in combinations(m.ground, csize):
-            cfs = frozenset(cset)
-            if not m.is_independent(cfs):
+            if not m.is_independent(cset):
                 continue
-            pool = tuple(e for e in m.ground if e not in cfs)
-            for dset in combinations(pool, removals - csize):
-                rem = tuple(e for e in pool if e not in dset)
-
-                def indep(subset: frozenset, _c=cfs) -> bool:
-                    return m.is_independent(subset | _c)
-
-                if m.rank_of(rem, base=cset) != 4:
-                    continue
-                bad = 0
-                for q in combinations(rem, 4):
-                    if not indep(frozenset(q)):
-                        bad += 1
-                        if bad > 5:
-                            break
-                if bad != 5:
-                    continue
-                if any(not indep(frozenset(t)) for t in combinations(rem, 3)):
-                    continue
-                if _matches_vamos(rem, indep):
-                    return True
+            minor = matroid_minor(m, contract=cset)
+            if any(_is_vamos(minor, eight) for eight in combinations(minor.ground, 8)):
+                return True
     return False

@@ -259,70 +259,17 @@ def _tree_edges(t) -> list[tuple[int, int]]:
     return edges
 
 
-def _centroids(n: int, edges) -> list[int]:
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    size = [1] * n
-    order = []
-    parent = [-1] * n
-    stack = [0]
-    seen = [False] * n
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                stack.append(w)
-    for u in reversed(order):
-        if parent[u] >= 0:
-            size[parent[u]] += size[u]
-    best, cents = n + 1, []
-    for v in range(n):
-        heaviest = n - size[v]
-        for w in adj[v]:
-            if parent[w] == v:
-                heaviest = max(heaviest, size[w])
-        if heaviest < best:
-            best, cents = heaviest, [v]
-        elif heaviest == best:
-            cents.append(v)
-    return cents
-
-
-def _rooted_key(n: int, edges, root: int) -> tuple:
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-
-    def canon(v, par):
-        kids = sorted((canon(w, v) for w in adj[v] if w != par), reverse=True)
-        return tuple(kids)
-
-    return canon(root, -1)
-
-
-def free_tree_key(n: int, edges) -> tuple:
-    """Isomorphism invariant of an unrooted tree: minimum rooted canonical
-    form over its one or two centroids."""
-    cents = _centroids(n, edges)
-    return min(_rooted_key(n, edges, c) for c in cents)
-
-
 @lru_cache(maxsize=None)
 def free_trees(n: int) -> tuple[SimpleGraph, ...]:
-    """All unrooted, unlabeled trees on n vertices, as SimpleGraphs."""
-    if n < 1:
-        return ()
-    seen = {}
+    """All unrooted, unlabeled trees on n vertices, as SimpleGraphs.
+
+    Each is a canonical rooted tree whose root is a centroid.  Children come
+    largest first, so the root is a centroid when the first subtree has
+    fewer than n/2 nodes; with exactly n/2 (two centroids) the rooting whose
+    first subtree is no smaller than the rest of the tree is kept."""
+    out = []
     for t in canonical_trees(n):
-        edges = _tree_edges(t)
-        key = free_tree_key(n, edges)
-        if key not in seen:
-            seen[key] = SimpleGraph.from_edges(n, edges)
-    return tuple(seen.values())
+        heavy = tree_size(t[0]) if t else 0
+        if 2 * heavy < n or (2 * heavy == n and t[0] >= t[1:]):
+            out.append(SimpleGraph.from_edges(n, _tree_edges(t)))
+    return tuple(out)

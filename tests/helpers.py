@@ -15,9 +15,10 @@ from math import comb, factorial
 
 from bifgraph import (
     TERMINAL, Diagram, Edge, LawEntry, LawTable, SimpleGraph, Vertex,
-    builtin_table, kind_for_child_count, load_law_table, period_doubling,
-    saddle_node, splits_for_child_count,
+    builtin_table, canonical_trees, kind_for_child_count, load_law_table,
+    period_doubling, saddle_node, splits_for_child_count,
 )
+from bifgraph.trees import _tree_edges
 
 
 def star_diagram(parent_index: int, child_indexes, parent_period=None,
@@ -346,3 +347,155 @@ def searched_junction_periods(parent_period: int, child_periods) -> bool:
     leaves, so small junctions only."""
     items = _items(child_periods)
     return _doubling_leaves(parent_period, items) or _multiplying_leaves(parent_period, items)
+
+
+# -- Vamos-minor search: one (contract, delete) split at a time -----------------
+
+def _rank_over(m, subset, base) -> int:
+    """Greedy rank of ``subset`` relative to an independent ``base``."""
+    pool = [e for e in m.ground if e in set(subset)]
+    got = list(base)
+    for e in pool:
+        if e in got:
+            continue
+        if m.is_independent(frozenset(got) | {e}):
+            got.append(e)
+    return len(got) - len(base)
+
+
+def _matches_vamos(elements, indep) -> bool:
+    """Structural isomorphism test against the Vamos matroid for a rank-4
+    oracle on exactly eight elements (all triples already independent and
+    exactly five dependent quadruples assumed checked by the caller)."""
+    quads = [frozenset(q) for q in combinations(elements, 4) if not indep(frozenset(q))]
+    pair_count = Counter()
+    for q in quads:
+        for pair in combinations(sorted(q, key=repr), 2):
+            pair_count[frozenset(pair)] += 1
+    pairs = [p for p, c in pair_count.items() if c >= 2]
+    if len(pairs) != 4 or len(frozenset().union(*pairs)) != 8:
+        return False
+    which = {e: i for i, p in enumerate(pairs) for e in p}
+    quad_edges = set()
+    for q in quads:
+        ps = frozenset(which[e] for e in q)
+        if len(ps) != 2:
+            return False
+        quad_edges.add(ps)
+    if len(quad_edges) != 5:
+        return False
+    deg = Counter()
+    for e in quad_edges:
+        for x in e:
+            deg[x] += 1
+    return sorted(deg.values()) == [2, 2, 3, 3]
+
+
+def searched_vamos_minor(m) -> bool:
+    """True when some minor of m is isomorphic to the Vamos matroid, by
+    building an independence closure for every (contract, delete) split."""
+    size = len(m.ground)
+    if size < 8:
+        return False
+    if size > 15:
+        raise ValueError("vamos-minor search is limited to 15 ground elements")
+    removals = size - 8
+    top_rank = m.rank
+    for csize in range(0, min(removals, max(0, top_rank - 4)) + 1):
+        for cset in combinations(m.ground, csize):
+            cfs = frozenset(cset)
+            if not m.is_independent(cfs):
+                continue
+            pool = tuple(e for e in m.ground if e not in cfs)
+            for dset in combinations(pool, removals - csize):
+                rem = tuple(e for e in pool if e not in dset)
+
+                def indep(subset: frozenset, _c=cfs) -> bool:
+                    return m.is_independent(subset | _c)
+
+                if _rank_over(m, rem, cset) != 4:
+                    continue
+                bad = 0
+                for q in combinations(rem, 4):
+                    if not indep(frozenset(q)):
+                        bad += 1
+                        if bad > 5:
+                            break
+                if bad != 5:
+                    continue
+                if any(not indep(frozenset(t)) for t in combinations(rem, 3)):
+                    continue
+                if _matches_vamos(rem, indep):
+                    return True
+    return False
+
+
+# -- free trees keyed by their centroid-rooted canonical form -------------------
+
+def _centroids(n: int, edges) -> list[int]:
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    size = [1] * n
+    order = []
+    parent = [-1] * n
+    stack = [0]
+    seen = [False] * n
+    seen[0] = True
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for w in adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = u
+                stack.append(w)
+    for u in reversed(order):
+        if parent[u] >= 0:
+            size[parent[u]] += size[u]
+    best, cents = n + 1, []
+    for v in range(n):
+        heaviest = n - size[v]
+        for w in adj[v]:
+            if parent[w] == v:
+                heaviest = max(heaviest, size[w])
+        if heaviest < best:
+            best, cents = heaviest, [v]
+        elif heaviest == best:
+            cents.append(v)
+    return cents
+
+
+def _rooted_key(n: int, edges, root: int) -> tuple:
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+
+    def canon(v, par):
+        kids = sorted((canon(w, v) for w in adj[v] if w != par), reverse=True)
+        return tuple(kids)
+
+    return canon(root, -1)
+
+
+def free_tree_key(n: int, edges) -> tuple:
+    """Isomorphism invariant of an unrooted tree: minimum rooted canonical
+    form over its one or two centroids."""
+    cents = _centroids(n, edges)
+    return min(_rooted_key(n, edges, c) for c in cents)
+
+
+def keyed_free_trees(n: int) -> dict:
+    """One tree per isomorphism class, keyed by ``free_tree_key``: every
+    canonical rooted tree on n nodes, rebuilt as a graph and keyed again."""
+    if n < 1:
+        return {}
+    seen = {}
+    for t in canonical_trees(n):
+        edges = _tree_edges(t)
+        key = free_tree_key(n, edges)
+        if key not in seen:
+            seen[key] = SimpleGraph.from_edges(n, edges)
+    return seen

@@ -217,11 +217,14 @@ def test_classify_disconnected_exits_two(tmp_path, capsys):
     ["classify", "@array"],
     ["spanning", "@array"],
     ["matroid", "@array"],
+    ["validate", "@dir"],
+    ["classify", "@dir"],
 ])
 def test_bad_input_exits_two_without_traceback(argv, tmp_path, capsys):
     path = tmp_path / "array.json"
     path.write_text("[1,2]")
-    assert main([str(path) if a == "@array" else a for a in argv]) == 2
+    files = {"@array": str(path), "@dir": str(tmp_path)}
+    assert main([files.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 

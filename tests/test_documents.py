@@ -125,6 +125,9 @@ def test_matroid_document():
     with pytest.raises(SchemaError) as err:
         parse_matroid('{"groundSet": ["a", "b"], "bases": [["a", "z"]]}')
     assert err.value.path == "$.bases"
+    with pytest.raises(SchemaError) as err:
+        parse_matroid('{"groundSet": ["a", "b", "c", "d"], "bases": [["a", "b"], ["c", "d"]]}')
+    assert err.value.path == "$.bases" and "exchange" in str(err.value)
 
 
 def _edge(**changes):

@@ -6,11 +6,12 @@ from itertools import combinations
 import pytest
 
 from bifgraph import (
-    Matroid, SimpleGraph, complete_graph, cycle_graph, from_bases,
-    graphic_matroid, has_vamos_minor, matroid_minor, path_graph, vamos,
+    Matroid, SimpleGraph, complete_graph, connected_graphs, cycle_graph,
+    from_bases, graphic_matroid, has_vamos_minor, matroid_minor, path_graph,
+    vamos,
 )
 from bifgraph.matroids import VAMOS_CIRCUIT_QUADS, VAMOS_GROUND
-from helpers import random_connected_graph
+from helpers import random_connected_graph, searched_vamos_minor
 
 
 def powerset(items):
@@ -117,6 +118,28 @@ def test_from_bases_validation():
         from_bases("abc", ["ab", "c"])
     with pytest.raises(ValueError):
         from_bases(["a", "b"], [["a", "z"]])
+    with pytest.raises(ValueError, match="exchange"):
+        from_bases("abcd", ["ab", "cd"])
+
+
+def _satisfies_exchange(bases) -> bool:
+    bs = {frozenset(b) for b in bases}
+    return all(any((b1 - {x}) | {y} in bs for y in b2 - b1)
+               for b1 in bs for b2 in bs for x in b1 - b2)
+
+
+@pytest.mark.parametrize("ground, r", [("abcd", 2), ("abcde", 2), ("abcde", 3)])
+def test_from_bases_accepts_exactly_the_exchange_families(ground, r):
+    # every nonempty family of r-subsets, against the axiom as written
+    subsets = ["".join(c) for c in combinations(ground, r)]
+    for mask in range(1, 1 << len(subsets)):
+        bases = [b for i, b in enumerate(subsets) if mask >> i & 1]
+        try:
+            from_bases(ground, bases)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == _satisfies_exchange(bases), bases
 
 
 def test_vamos_minor_examples():
@@ -126,9 +149,8 @@ def test_vamos_minor_examples():
     assert not has_vamos_minor(graphic_matroid(cycle_graph(3)))  # < 8 elements
 
 
-def test_vamos_minor_survives_padding():
+def _padded_vamos() -> Matroid:
     # vamos plus two deletable junk elements that are loops (never independent)
-    ground = VAMOS_GROUND + ("x", "y")
     base = vamos()
 
     def indep(sub):
@@ -136,19 +158,21 @@ def test_vamos_minor_survives_padding():
             return False
         return base.is_independent(sub)
 
-    padded = Matroid(ground, indep, name="padded-vamos")
-    assert has_vamos_minor(padded)
+    return Matroid(VAMOS_GROUND + ("x", "y"), indep, name="padded-vamos")
+
+
+def _with_coloop(base: Matroid) -> Matroid:
+    return Matroid(base.ground + ("z",), lambda sub: base.is_independent(sub - {"z"}),
+                   name=f"{base.name}+coloop")
+
+
+def test_vamos_minor_survives_padding():
+    assert has_vamos_minor(_padded_vamos())
 
 
 def test_vamos_minor_found_through_contraction():
     # vamos plus a coloop: rank 5, so the search must contract one element
-    ground = VAMOS_GROUND + ("z",)
-    base = vamos()
-
-    def indep(sub):
-        return base.is_independent(sub - {"z"})
-
-    extended = Matroid(ground, indep, name="vamos+coloop")
+    extended = _with_coloop(vamos())
     assert extended.rank == 5
     assert has_vamos_minor(extended)
 
@@ -165,3 +189,69 @@ def test_no_vamos_minor_in_uniform_paving():
     uniform = Matroid(ground, lambda s: len(s) <= 4, name="U49")
     assert uniform.rank == 4
     assert not has_vamos_minor(uniform)
+
+
+def _listed(ground, dependent, rank=4) -> Matroid:
+    """Sets of at most ``rank`` elements are independent unless listed in
+    ``dependent``.  With rank 4 and listed four-sets that pairwise meet in
+    at most two elements (the circuit-hyperplanes) this is a sparse paving
+    matroid; other lists give oracles outside the matroid axioms."""
+    listed = {frozenset(s) for s in dependent}
+    return Matroid(ground, lambda s: len(s) <= rank and s not in listed, name="listed")
+
+
+def _random_sparse_paving(rng: random.Random) -> Matroid:
+    """Rank 4 on 8-10 elements: random four-sets meeting pairwise in at most
+    two elements are the circuit-hyperplanes; half the time they start from
+    the Vamos pattern on a random relabelling of eight elements."""
+    ground = tuple(f"e{i}" for i in range(rng.randint(8, 10)))
+    quads = []
+    if rng.random() < 0.5:
+        a, b, c, d = (set(rng.sample(ground, 2)) for _ in range(4))
+        while len(a | b | c | d) < 8:
+            a, b, c, d = (set(rng.sample(ground, 2)) for _ in range(4))
+        quads = [a | b, a | c, b | c, a | d, b | d]
+    for _ in range(rng.randint(0, 6)):
+        q = set(rng.sample(ground, 4))
+        if all(len(q & o) <= 2 for o in quads):
+            quads.append(q)
+    return _listed(ground, quads)
+
+
+def _pair_unions(edges) -> list:
+    """Unions of the diamond-vertex pairs of VAMOS_GROUND along ``edges``."""
+    return [{f"{u}1", f"{u}2", f"{v}1", f"{v}2"} for u, v in edges]
+
+
+def test_vamos_minor_matches_the_split_search():
+    rng = random.Random(5)
+    samples = [vamos(), _padded_vamos(), _with_coloop(vamos()),
+               matroid_minor(_with_coloop(_padded_vamos()), delete=["x"]),
+               matroid_minor(_with_coloop(vamos()), contract=["a1"]),
+               # pair unions along a 4-cycle and along all of K4
+               _listed(VAMOS_GROUND, _pair_unions(["ab", "bc", "cd", "da"])),
+               _listed(VAMOS_GROUND, _pair_unions(combinations("abcd", 2))),
+               Matroid(tuple("abcdefgh"), lambda s: len(s) <= 4, name="U48"),
+               Matroid(tuple("abcdefghi"), lambda s: len(s) <= 4, name="U49")]
+    expected = [True] * 4 + [False] * 5
+    samples += [graphic_matroid(g) for n in range(1, 6) for g in connected_graphs(n)]
+    for _ in range(40):
+        m = _random_sparse_paving(rng)
+        samples.append(_with_coloop(m) if rng.random() < 0.25 else m)
+    answers = [has_vamos_minor(m) for m in samples]
+    assert answers == [searched_vamos_minor(m) for m in samples]
+    assert answers[:len(expected)] == expected
+    assert len(set(answers[-40:])) == 2
+
+
+def test_vamos_minor_matches_the_split_search_outside_the_axioms():
+    # each oracle fails one condition of the Vamos test: rank 5, a dependent
+    # triple, and four pairs in two or more quads that leave elements uncovered
+    samples = [
+        _listed(VAMOS_GROUND, VAMOS_CIRCUIT_QUADS, rank=5),
+        _listed(VAMOS_GROUND, VAMOS_CIRCUIT_QUADS + (("a1", "c1", "d1"),)),
+        _listed(range(8), [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5),
+                           (0, 1, 6, 7), (3, 4, 6, 7)]),
+    ]
+    for m in samples:
+        assert not has_vamos_minor(m) and not searched_vamos_minor(m)

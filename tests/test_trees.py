@@ -8,6 +8,7 @@ from bifgraph import (
     ordered_trees, strip_slots, tree_size,
 )
 from bifgraph.trees import slot_tree_size
+from helpers import free_tree_key, keyed_free_trees
 
 
 def test_kary_formula_examples():
@@ -69,6 +70,14 @@ def test_rooted_and_free_tree_counts():
     for n in range(2, 10):
         for g in free_trees(n):
             assert g.n == n and len(g.edges) == n - 1 and g.is_connected()
+
+
+def test_free_trees_are_one_per_centroid_key():
+    counts = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+    for n in range(1, 13):
+        keys = [free_tree_key(n, sorted(g.edges)) for g in free_trees(n)]
+        assert len(keys) == len(set(keys)) == counts[n - 1]
+        assert set(keys) == set(keyed_free_trees(n))
 
 
 def test_canonical_form_is_order_invariant():
