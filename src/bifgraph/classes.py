@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from .graphs import SimpleGraph, canonical_mask
+from .graphs import SimpleGraph
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,11 @@ def block_decomposition(g: SimpleGraph) -> BlockDecomposition:
     blocks = tuple(p[0] for p in pairs)
     block_edges = tuple(p[1] for p in pairs)
 
-    cut_list = sorted(cuts)
     b = len(blocks)
-    tree_edges = [(i, b + j) for i, blk in enumerate(blocks)
-                  for j, c in enumerate(cut_list) if c in blk]
-    bct = SimpleGraph.from_edges(b + len(cut_list), tree_edges)
+    cut_node = {c: b + j for j, c in enumerate(sorted(cuts))}
+    tree_edges = [(i, cut_node[v]) for i, blk in enumerate(blocks)
+                  for v in blk if v in cut_node]
+    bct = SimpleGraph.from_edges(b + len(cut_node), tree_edges)
     return BlockDecomposition(blocks, block_edges, frozenset(cuts), bct)
 
 
@@ -188,40 +188,15 @@ def is_claw_free(g: SimpleGraph) -> bool:
     return True
 
 
-def _contract(g: SimpleGraph, u: int, v: int) -> SimpleGraph:
-    """Contract edge (u, v): merge v into u, drop loops and parallels."""
-    keep = [x for x in range(g.n) if x != v]
-    pos = {x: i for i, x in enumerate(keep)}
-    edges = set()
-    for a, b in g.edges:
-        a2 = u if a == v else a
-        b2 = u if b == v else b
-        if a2 != b2:
-            edges.add(tuple(sorted((pos[a2], pos[b2]))))
-    return SimpleGraph.from_edges(g.n - 1, edges)
-
-
 def has_diamond_minor(g: SimpleGraph) -> bool:
-    """Brute-force minor test for the diamond (K4 minus an edge), via
-    contractions and a subgraph shortcut, memoized on canonical forms.
+    """True when g, connected or not, has the diamond (K4 minus an edge) as
+    a minor.
 
-    Agrees with the complement of ``is_cactus`` on connected graphs.
+    A connected graph has no diamond minor exactly when it is a cactus,
+    i.e. every block is an edge or a cycle (El-Mallah and Colbourn, 1988),
+    so this is ``is_cactus`` on each component, in linear time.
     """
-    seen: set[tuple[int, int]] = set()
-
-    def search(h: SimpleGraph) -> bool:
-        if h.n < 4 or len(h.edges) < 5:
-            return False
-        key = (h.n, canonical_mask(h)) if h.n <= 8 else None
-        if key is not None:
-            if key in seen:
-                return False
-            seen.add(key)
-        if has_diamond_subgraph(h):
-            return True
-        return any(search(_contract(h, u, v)) for u, v in sorted(h.edges))
-
-    return search(g)
+    return not all(is_cactus(g.induced(comp)) for comp in g.components())
 
 
 # ---------------------------------------------------------------------------

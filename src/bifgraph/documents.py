@@ -15,7 +15,7 @@ from .diagram import TERMINAL, Diagram, Edge, Vertex
 from .graphs import SimpleGraph
 from .laws import (
     COLOR_OF, BifurcationKind, SchemaError, _expect, _is_element_list, _is_index, _is_int,
-    kind_from_json,
+    _json_loads, kind_from_json,
 )
 
 SCHEMA_VERSION = "1"
@@ -26,7 +26,7 @@ def _as_doc(source) -> dict:
         return source
     text = str(source)
     try:
-        return json.loads(text)
+        return _json_loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from exc
 

@@ -198,27 +198,12 @@ def graphs_isomorphic(g1: SimpleGraph, g2: SimpleGraph, respect_colors: bool = F
 
 
 @lru_cache(maxsize=None)
-def _edge_index(n: int) -> dict[tuple[int, int], int]:
-    return {e: i for i, e in enumerate(combinations(range(n), 2))}
-
-
-@lru_cache(maxsize=None)
 def _edge_perms(n: int) -> tuple[tuple[int, ...], ...]:
     """For every vertex permutation, the induced permutation of edge slots."""
-    idx = _edge_index(n)
     pairs = list(combinations(range(n), 2))
-    out = []
-    for perm in permutations(range(n)):
-        out.append(tuple(idx[_norm_edge(perm[u], perm[v])] for u, v in pairs))
-    return tuple(out)
-
-
-def edge_mask(g: SimpleGraph) -> int:
-    idx = _edge_index(g.n)
-    m = 0
-    for e in g.edges:
-        m |= 1 << idx[e]
-    return m
+    idx = {e: i for i, e in enumerate(pairs)}
+    return tuple(tuple(idx[_norm_edge(perm[u], perm[v])] for u, v in pairs)
+                 for perm in permutations(range(n)))
 
 
 def graph_from_mask(n: int, mask: int) -> SimpleGraph:
@@ -234,15 +219,6 @@ def _permuted_mask(mask: int, ep) -> int:
         out |= 1 << ep[i]
         mask &= mask - 1
     return out
-
-
-def canonical_mask(g: SimpleGraph) -> int:
-    """Minimum edge bitmask over all vertex relabelings. Exponential in n;
-    guarded to n <= 8 where it stays cheap."""
-    if g.n > 8:
-        raise ValueError("canonical_mask is limited to 8 vertices")
-    mask = edge_mask(g)
-    return min(_permuted_mask(mask, ep) for ep in _edge_perms(g.n))
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,15 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise SchemaError(path, message)
 
 
+def _json_loads(text: str):
+    """``json.loads``, with text nested too deeply for the parser reported
+    as a ``SchemaError`` at ``$``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SchemaError("$", "JSON nested too deeply to parse") from None
+
+
 def _is_int(value) -> bool:
     """True for a JSON integer; booleans, which Python counts as ints, are not."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -354,11 +363,11 @@ def load_law_table(source) -> LawTable:
     else:
         text = str(source)
         try:
-            doc = json.loads(text)
+            doc = _json_loads(text)
         except json.JSONDecodeError as exc:
             _expect(os.path.isfile(text), "$", f"neither JSON nor a file path: {exc}")
             with open(text, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+                doc = _json_loads(fh.read())
     _expect(isinstance(doc, dict), "$", "document must be an object")
     d = doc.get("dimension")
     _expect(_is_int(d) and d >= 1, "$.dimension", "must be an integer >= 1")

@@ -1,5 +1,5 @@
 """Matroids as independence oracles: graphic matroids, the Vamos matroid,
-minors, and a brute-force Vamos-minor detector.
+minors, and a Vamos-minor detector.
 
 Oracles rather than matrices are the representation of choice here because
 the Vamos matroid admits no matrix representation over any field -- that is
@@ -178,13 +178,41 @@ def _is_vamos(m: Matroid, eight) -> bool:
             and all(len({which[e] for e in q}) == 2 for q in quads))
 
 
+def _vamos_candidates(m: Matroid):
+    """The eight-element subsets of m's ground set that can pass
+    ``_is_vamos``.
+
+    Each triple, and each quadruple without a dependent triple, is queried
+    once; the dependent ones are kept as bitmasks over the ground set.  A
+    Vamos restriction has no dependent triple and exactly five dependent
+    quadruples, two of them disjoint with the eight elements as their union
+    (the pair unions along ac and bd), so only such unions are tried.
+    """
+    bit = {e: 1 << i for i, e in enumerate(m.ground)}
+    triples = {sum(map(bit.get, t)) for t in combinations(m.ground, 3)
+               if not m.is_independent(t)}
+    quads = []
+    for q in combinations(m.ground, 4):
+        mask = sum(map(bit.get, q))
+        if all(mask ^ bit[e] not in triples for e in q) and not m.is_independent(q):
+            quads.append(mask)
+    for eight in sorted({a | b for a, b in combinations(quads, 2) if not a & b}):
+        if (all(t & eight != t for t in triples)
+                and sum(q & eight == q for q in quads) == 5):
+            yield tuple(e for e in m.ground if bit[e] & eight)
+
+
 def has_vamos_minor(m: Matroid) -> bool:
     """True when some minor of m is isomorphic to the Vamos matroid.
 
-    Brute force: contract each independent set small enough to leave rank 4
-    on eight elements, then test every eight-element restriction of that
-    minor.  A hit flags the source structure as non-representable.
-    Practical for ground sets up to ~15 elements.
+    Contracts each independent set small enough to leave rank 4 on eight
+    elements.  The Vamos matroid is sparse paving, so its dependent sets of
+    at most four elements decide it (Oxley, *Matroid Theory*, 2011): each
+    minor's dependent triples and quadruples are listed once as bitmasks,
+    and only the eight-element subsets they leave open reach ``_is_vamos``.
+    The answer equals the test of every eight-element restriction for any
+    deterministic oracle.  A hit flags the source structure as
+    non-representable.  Limited to ground sets of at most 15 elements.
     """
     size = len(m.ground)
     if size < 8:
@@ -196,6 +224,6 @@ def has_vamos_minor(m: Matroid) -> bool:
             if not m.is_independent(cset):
                 continue
             minor = matroid_minor(m, contract=cset)
-            if any(_is_vamos(minor, eight) for eight in combinations(minor.ground, 8)):
+            if any(_is_vamos(minor, eight) for eight in _vamos_candidates(minor)):
                 return True
     return False

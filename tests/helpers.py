@@ -18,6 +18,8 @@ from bifgraph import (
     builtin_table, canonical_trees, kind_for_child_count, load_law_table,
     period_doubling, saddle_node, splits_for_child_count,
 )
+from bifgraph.classes import has_diamond_subgraph
+from bifgraph.graphs import _edge_perms, _permuted_mask
 from bifgraph.trees import _tree_edges
 
 
@@ -160,6 +162,12 @@ def random_connected_graph(rng: random.Random, n: int) -> SimpleGraph:
         if rng.random() < 0.3:
             edges.add((u, v))
     return SimpleGraph.from_edges(n, edges)
+
+
+def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
+    """Each of the n-choose-2 edges independently with probability p, so
+    the graph may be disconnected."""
+    return SimpleGraph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
 def labeled_graphs(n: int):
@@ -499,3 +507,49 @@ def keyed_free_trees(n: int) -> dict:
         if key not in seen:
             seen[key] = SimpleGraph.from_edges(n, edges)
     return seen
+
+
+# -- diamond minors by contraction search --------------------------------------
+
+def canonical_mask(g: SimpleGraph) -> int:
+    """Minimum edge bitmask over all vertex relabelings. Exponential in n;
+    guarded to n <= 8 where it stays cheap."""
+    if g.n > 8:
+        raise ValueError("canonical_mask is limited to 8 vertices")
+    idx = {e: i for i, e in enumerate(combinations(range(g.n), 2))}
+    mask = sum(1 << idx[e] for e in g.edges)
+    return min(_permuted_mask(mask, ep) for ep in _edge_perms(g.n))
+
+
+def _contract(g: SimpleGraph, u: int, v: int) -> SimpleGraph:
+    """Contract edge (u, v): merge v into u, drop loops and parallels."""
+    keep = [x for x in range(g.n) if x != v]
+    pos = {x: i for i, x in enumerate(keep)}
+    edges = set()
+    for a, b in g.edges:
+        a2 = u if a == v else a
+        b2 = u if b == v else b
+        if a2 != b2:
+            edges.add(tuple(sorted((pos[a2], pos[b2]))))
+    return SimpleGraph.from_edges(g.n - 1, edges)
+
+
+def searched_diamond_minor(g: SimpleGraph) -> bool:
+    """Brute-force minor test for the diamond (K4 minus an edge), via
+    contractions and a subgraph shortcut, memoized on canonical forms;
+    exponential, so small graphs only (C10 takes seconds)."""
+    seen: set[tuple[int, int]] = set()
+
+    def search(h: SimpleGraph) -> bool:
+        if h.n < 4 or len(h.edges) < 5:
+            return False
+        key = (h.n, canonical_mask(h)) if h.n <= 8 else None
+        if key is not None:
+            if key in seen:
+                return False
+            seen.add(key)
+        if has_diamond_subgraph(h):
+            return True
+        return any(search(_contract(h, u, v)) for u, v in sorted(h.edges))
+
+    return search(g)

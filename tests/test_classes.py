@@ -7,13 +7,15 @@ from fractions import Fraction
 import pytest
 
 from bifgraph import (
-    SimpleGraph, block_decomposition, cactus_count, complete_graph,
+    SimpleGraph, all_graphs, block_decomposition, cactus_count, complete_graph,
     connected_graphs, cycle_graph, diamond_graph, free_trees,
     has_diamond_minor, has_diamond_subgraph, husimi_count, is_block_graph,
     is_block_graph_by_obstructions, is_cactus, is_chordal, is_claw_free,
     path_graph, star_graph, triangular_cactus_count,
 )
-from helpers import labeled_graphs, random_connected_graph
+from helpers import (
+    labeled_graphs, random_connected_graph, random_graph, searched_diamond_minor,
+)
 
 TWO_TRIANGLES = SimpleGraph.from_edges(
     5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
@@ -43,6 +45,20 @@ def test_block_decomposition_invariants():
         for c in dec.cut_vertices:
             rest = g.induced([v for v in range(g.n) if v != c])
             assert len(rest.components()) > 1
+
+
+def test_block_cut_tree_joins_each_block_to_its_cut_vertices():
+    rng = random.Random(9)
+    for _ in range(60):
+        g = random_connected_graph(rng, rng.randint(2, 9))
+        dec = block_decomposition(g)
+        cuts = sorted(dec.cut_vertices)
+        b = len(dec.blocks)
+        want = SimpleGraph.from_edges(b + len(cuts), [
+            (i, b + j) for i, blk in enumerate(dec.blocks)
+            for j, c in enumerate(cuts) if c in blk])
+        assert dec.block_cut_tree == want
+        assert list(dec.blocks) == sorted(dec.blocks, key=sorted)
 
 
 def test_block_decomposition_needs_connected():
@@ -103,6 +119,30 @@ def test_cactus_iff_no_diamond_minor():
     for n in range(1, 7):
         for g in connected_graphs(n):
             assert is_cactus(g) == (not has_diamond_minor(g))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_diamond_minor_matches_the_contraction_search(n):
+    # every graph up to isomorphism, disconnected ones included
+    for g in all_graphs(n):
+        assert has_diamond_minor(g) == searched_diamond_minor(g), sorted(g.edges)
+
+
+@pytest.mark.parametrize("n, samples", [(7, 30), (8, 8), (9, 4)])
+def test_diamond_minor_matches_the_contraction_search_sampled(n, samples):
+    rng = random.Random(n)
+    for _ in range(samples):
+        g = random_graph(rng, n, rng.uniform(0.15, 0.5))
+        assert has_diamond_minor(g) == searched_diamond_minor(g), sorted(g.edges)
+
+
+def test_diamond_minor_on_long_cycles_and_cacti():
+    assert not has_diamond_minor(cycle_graph(2000))
+    chord = SimpleGraph.from_edges(2000, cycle_graph(2000).edges | {(0, 1000)})
+    assert has_diamond_minor(chord)
+    two = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (3, 0)])
+    assert not has_diamond_minor(two)
+    assert has_diamond_minor(SimpleGraph.from_edges(9, complete_graph(4).edges))
 
 
 # -- counting formulas -------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -258,3 +259,42 @@ def test_bad_law_table_exits_two_naming_the_path(doc, path, tmp_path, valid_file
     assert main(["validate", valid_file, "--law-table", str(table)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "@deep"],
+    ["classify", "@deep"],
+    ["matroid", "@deep"],
+    ["convert", "@deep"],
+    ["spanning", "@deep"],
+    ["repr", "@deep", "--star"],
+    ["repr", "@deep", "--line"],
+    ["validate", "@valid", "--law-table", "@deep"],
+])
+def test_deeply_nested_json_exits_two(argv, tmp_path, valid_file, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 3000 + "]" * 3000)
+    files = {"@deep": str(path), "@valid": valid_file}
+    assert main([files.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: $") and "Traceback" not in err
+
+
+def _triangle_cactus(n: int) -> list:
+    """A path 0..n-1 with a chord (i - 2, i) at every even i: triangles
+    sharing cut vertices, plus a pendant edge when n is even."""
+    return [[i - 1, i] for i in range(1, n)] + [[i - 2, i] for i in range(2, n, 2)]
+
+
+@pytest.mark.parametrize("edges", [
+    [[i, (i + 1) % 2000] for i in range(2000)],
+    _triangle_cactus(2000),
+], ids=["cycle", "triangle_cactus"])
+def test_classify_large_cactus_is_fast(edges, tmp_path, capsys):
+    path = tmp_path / "cactus.json"
+    path.write_text(json.dumps({"vertexCount": 2000, "edges": edges}))
+    start = time.perf_counter()
+    assert main(["classify", str(path), "--json"]) == 0
+    assert time.perf_counter() - start < 2
+    facts = json.loads(capsys.readouterr().out)
+    assert facts["cactus"] and not facts["diamond_minor"] and not facts["tree"]

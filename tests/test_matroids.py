@@ -10,7 +10,7 @@ from bifgraph import (
     from_bases, graphic_matroid, has_vamos_minor, matroid_minor, path_graph,
     vamos,
 )
-from bifgraph.matroids import VAMOS_CIRCUIT_QUADS, VAMOS_GROUND
+from bifgraph.matroids import VAMOS_CIRCUIT_QUADS, VAMOS_GROUND, _is_vamos, _vamos_candidates
 from helpers import random_connected_graph, searched_vamos_minor
 
 
@@ -255,3 +255,36 @@ def test_vamos_minor_matches_the_split_search_outside_the_axioms():
     ]
     for m in samples:
         assert not has_vamos_minor(m) and not searched_vamos_minor(m)
+
+
+def test_vamos_minor_matches_the_split_search_on_random_graphic():
+    rng = random.Random(6)
+    pairs = list(combinations(range(6), 2))
+    for size in range(8, 13):
+        for _ in range(3):
+            m = graphic_matroid(SimpleGraph.from_edges(6, rng.sample(pairs, size)))
+            assert has_vamos_minor(m) == searched_vamos_minor(m)
+
+
+def _random_oracle(rng: random.Random) -> Matroid:
+    """Sets of at most four elements listed at random as dependent, with no
+    regard for the matroid axioms; half the time the Vamos quadruples of a
+    random relabelling are listed too."""
+    ground = tuple(range(rng.randint(8, 10)))
+    listed = [rng.sample(ground, rng.choice((3, 4, 4, 4))) for _ in range(rng.randint(0, 8))]
+    if rng.random() < 0.5:
+        perm = dict(zip(VAMOS_GROUND, rng.sample(ground, 8)))
+        listed += [[perm[e] for e in q] for q in VAMOS_CIRCUIT_QUADS]
+    return _listed(ground, listed)
+
+
+def test_vamos_candidates_keep_every_vamos_restriction():
+    # the mask filter may only drop eight-sets that _is_vamos rejects
+    rng = random.Random(8)
+    hits = 0
+    for _ in range(60):
+        m = _random_oracle(rng)
+        accepted = {eight for eight in combinations(m.ground, 8) if _is_vamos(m, eight)}
+        assert accepted <= set(_vamos_candidates(m))
+        hits += bool(accepted)
+    assert hits

@@ -10,9 +10,8 @@ from bifgraph import (
     is_block_graph, is_claw_free, line_graph, path_graph, star_graph,
     to_clique, to_star, tree_to_diagram,
 )
-from bifgraph.graphs import canonical_mask
 from bifgraph.laws import SADDLE_NODE
-from helpers import colored_tree_graph, random_connected_graph, star_diagram
+from helpers import canonical_mask, colored_tree_graph, random_connected_graph, star_diagram
 
 
 def test_saddle_node_becomes_single_edge():
