@@ -3,13 +3,14 @@
 Times ``has_diamond_minor`` and ``has_vamos_minor`` against the brute-force
 searches they replaced, and writes the medians to ``BENCH_minors.json``:
 
-    python3 scripts/bench_minors.py [--runs 5] [--out BENCH_minors.json]
+    python3 scripts/bench_minors.py [--out BENCH_minors.json]
 
-Each row is the median (and every run) of ``--runs`` calls on a fresh
+Each row is the median (and every run) of ``RUNS`` calls on a fresh
 input, with bifgraph's functools caches emptied before each call.  The
-diamond search runs only where it finishes (C8, C10); the Vamos rows time
-the split search kept as a test oracle and the restriction sweep that the
-mask filter replaced.
+reference paths come from ``tests/helpers.py``: the diamond search runs
+only where it finishes (C8, C10); the Vamos rows time the split search
+kept as a test oracle and the restriction sweep that the mask filter
+replaced.
 """
 
 from __future__ import annotations
@@ -21,27 +22,17 @@ import platform
 import statistics
 import sys
 import time
-from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import bifgraph as bg  # noqa: E402
-from bifgraph.matroids import _is_vamos  # noqa: E402
-from helpers import searched_diamond_minor, searched_vamos_minor  # noqa: E402
+from helpers import (  # noqa: E402
+    searched_diamond_minor, searched_vamos_minor, swept_vamos_minor,
+)
 
-
-def swept_vamos_minor(m) -> bool:
-    """The detector before the mask filter: ``_is_vamos`` on every
-    eight-element restriction of every contraction."""
-    for csize in range(min(len(m.ground) - 8, m.rank - 4) + 1):
-        for cset in combinations(m.ground, csize):
-            if m.is_independent(cset):
-                minor = bg.matroid_minor(m, contract=cset)
-                if any(_is_vamos(minor, eight) for eight in combinations(minor.ground, 8)):
-                    return True
-    return False
+RUNS = 5
 
 
 def triangle_cactus(n: int) -> bg.SimpleGraph:
@@ -65,9 +56,9 @@ def clear_caches() -> None:
                     fn.cache_clear()
 
 
-def time_call(fn, make, runs: int) -> dict:
+def time_call(fn, make) -> dict:
     times, answers = [], set()
-    for _ in range(runs):
+    for _ in range(RUNS):
         arg = make()
         clear_caches()
         start = time.perf_counter()
@@ -79,7 +70,6 @@ def time_call(fn, make, runs: int) -> dict:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--runs", type=int, default=5)
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_minors.json")
     args = ap.parse_args()
 
@@ -100,11 +90,11 @@ def main() -> None:
 
     rows = []
     for name, fn, label, make in cases:
-        row = {"function": name, "input": label, **time_call(fn, make, args.runs)}
+        row = {"function": name, "input": label, **time_call(fn, make)}
         rows.append(row)
         print(f"{name:24s} {label:32s} {row['median_s']:10.4f} s  -> {row['answer']}")
     record = {"python": platform.python_version(), "platform": platform.platform(),
-              "machine": platform.machine(), "cpus": os.cpu_count(), "runs": args.runs,
+              "machine": platform.machine(), "cpus": os.cpu_count(), "runs": RUNS,
               "rows": rows}
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 

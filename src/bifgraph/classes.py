@@ -193,10 +193,14 @@ def has_diamond_minor(g: SimpleGraph) -> bool:
     a minor.
 
     A connected graph has no diamond minor exactly when it is a cactus,
-    i.e. every block is an edge or a cycle (El-Mallah and Colbourn, 1988),
-    so this is ``is_cactus`` on each component, in linear time.
+    i.e. every block is an edge or a cycle (El-Mallah and Colbourn, 1988).
+    The components are first chained together by bridges, which are blocks
+    of their own, so one ``is_cactus`` call decides every component in
+    linear time.
     """
-    return not all(is_cactus(g.induced(comp)) for comp in g.components())
+    comps = g.components()
+    bridges = [(min(a), min(b)) for a, b in zip(comps, comps[1:])]
+    return not is_cactus(SimpleGraph.from_edges(g.n, [*g.edges, *bridges]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ from math import comb, factorial
 from bifgraph import (
     TERMINAL, Diagram, Edge, LawEntry, LawTable, SimpleGraph, Vertex,
     builtin_table, canonical_trees, kind_for_child_count, load_law_table,
-    period_doubling, saddle_node, splits_for_child_count,
+    matroid_minor, period_doubling, saddle_node, splits_for_child_count,
 )
 from bifgraph.classes import has_diamond_subgraph
 from bifgraph.graphs import _edge_perms, _permuted_mask
+from bifgraph.matroids import _is_vamos
 from bifgraph.trees import _tree_edges
 
 
@@ -434,6 +435,18 @@ def searched_vamos_minor(m) -> bool:
                 if any(not indep(frozenset(t)) for t in combinations(rem, 3)):
                     continue
                 if _matches_vamos(rem, indep):
+                    return True
+    return False
+
+
+def swept_vamos_minor(m) -> bool:
+    """The detector before the mask filter: ``_is_vamos`` on every
+    eight-element restriction of every contraction (a timing reference)."""
+    for csize in range(min(len(m.ground) - 8, m.rank - 4) + 1):
+        for cset in combinations(m.ground, csize):
+            if m.is_independent(cset):
+                minor = matroid_minor(m, contract=cset)
+                if any(_is_vamos(minor, eight) for eight in combinations(minor.ground, 8)):
                     return True
     return False
 

@@ -1,6 +1,7 @@
 """Block decomposition, class detectors, and the labeled counting formulas."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -143,6 +144,16 @@ def test_diamond_minor_on_long_cycles_and_cacti():
     two = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (3, 0)])
     assert not has_diamond_minor(two)
     assert has_diamond_minor(SimpleGraph.from_edges(9, complete_graph(4).edges))
+
+
+def test_diamond_minor_on_many_components():
+    # 3,000 disjoint triangles, then a diamond; one pass over all components
+    triangles = [(u + i, u + j) for u in range(0, 9000, 3) for i, j in ((0, 1), (1, 2), (0, 2))]
+    start = time.perf_counter()
+    assert not has_diamond_minor(SimpleGraph.from_edges(9000, triangles))
+    assert has_diamond_minor(SimpleGraph.from_edges(9004, triangles + [
+        (9000 + u, 9000 + v) for u, v in diamond_graph().edges]))
+    assert time.perf_counter() - start < 2
 
 
 # -- counting formulas -------------------------------------------------------

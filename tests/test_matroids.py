@@ -11,7 +11,7 @@ from bifgraph import (
     vamos,
 )
 from bifgraph.matroids import VAMOS_CIRCUIT_QUADS, VAMOS_GROUND, _is_vamos, _vamos_candidates
-from helpers import random_connected_graph, searched_vamos_minor
+from helpers import random_connected_graph, searched_vamos_minor, swept_vamos_minor
 
 
 def powerset(items):
@@ -241,6 +241,7 @@ def test_vamos_minor_matches_the_split_search():
     answers = [has_vamos_minor(m) for m in samples]
     assert answers == [searched_vamos_minor(m) for m in samples]
     assert answers[:len(expected)] == expected
+    assert [swept_vamos_minor(m) for m in samples[:len(expected)]] == expected
     assert len(set(answers[-40:])) == 2
 
 
@@ -255,6 +256,7 @@ def test_vamos_minor_matches_the_split_search_outside_the_axioms():
     ]
     for m in samples:
         assert not has_vamos_minor(m) and not searched_vamos_minor(m)
+        assert not swept_vamos_minor(m)
 
 
 def test_vamos_minor_matches_the_split_search_on_random_graphic():
