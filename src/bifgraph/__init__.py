@@ -17,7 +17,7 @@ from .diagram import (
 from .laws import (
     COLOR_OF, INDEX_VALUES, BifurcationKind, LawEntry, LawTable,
     allowed_child_multisets, allowed_splits, builtin_table, is_admissible_star,
-    junction, kind_for_child_count, load_law_table, period_doubling,
+    junction, kind_for_child_count, period_doubling,
     saddle_node, splits_for_child_count, type_m,
 )
 from .trees import (
@@ -49,8 +49,8 @@ from .matroids import (
     Matroid, from_bases, graphic_matroid, has_vamos_minor, matroid_minor, vamos,
 )
 from .documents import (
-    SchemaError, emit_diagram, emit_dot, emit_graph, nonadmissible_period_fixture,
-    parse_diagram, parse_graph, parse_matroid, parse_tree,
+    SchemaError, emit_diagram, emit_dot, emit_graph, load_law_table,
+    nonadmissible_period_fixture, parse_diagram, parse_graph, parse_matroid, parse_tree,
 )
 
 __version__ = "0.1.0"

@@ -5,7 +5,6 @@ and the exact counting formulas for labeled block graphs and cacti.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
@@ -233,7 +232,7 @@ def husimi_count(block_sizes: dict[int, int]) -> int:
     return q
 
 
-def cactus_count(polygon_sizes: dict[int, int]):
+def cactus_count(polygon_sizes: dict[int, int]) -> int:
     """Number of labeled connected cacti with the given multiset of polygon
     sizes (a polygon of size 2 is a plain edge):
     (n-1)! / (2^t * prod_i n_i!) * n^{k-1}, with the reflection factor 2
@@ -241,7 +240,8 @@ def cactus_count(polygon_sizes: dict[int, int]):
 
     Literal application of the 1/2 to size-2 polygons would count a single
     labeled edge as one half; the brute-force oracle fixes the convention.
-    Returns an int when the value is integral, otherwise a Fraction.
+    The value is an integer: (n-1)! / prod_i ((i-1)!^{n_i} n_i!) counts
+    set partitions, and each polygon of size i >= 3 adds a factor (i-1)!/2.
     """
     n, k = _spec_totals(polygon_sizes)
     if k == 0:
@@ -250,8 +250,9 @@ def cactus_count(polygon_sizes: dict[int, int]):
     denom = 2 ** t
     for cnt in polygon_sizes.values():
         denom *= factorial(cnt)
-    val = Fraction(factorial(n - 1) * n ** (k - 1), denom)
-    return int(val) if val.denominator == 1 else val
+    q, r = divmod(factorial(n - 1) * n ** (k - 1), denom)
+    assert r == 0, "cactus count must be an integer"
+    return q
 
 
 def double_factorial(m: int) -> int:

@@ -15,7 +15,7 @@ import sys
 
 from . import classes, documents, enumeration, matroids, represent, spanning, trees
 from .diagram import validate_diagram
-from .laws import builtin_table, load_law_table
+from .laws import builtin_table
 from .trees import EnumerationLimitError, TreeMode
 
 
@@ -39,7 +39,7 @@ def _limit(args) -> int | None:
 
 def _table_for(args, dimension: int):
     if getattr(args, "law_table", None):
-        table = load_law_table(_read(args.law_table))
+        table = documents.load_law_table(_read(args.law_table))
         if table.dimension != dimension:
             raise UsageError(f"law table is for dimension {table.dimension}, "
                              f"input has dimension {dimension}")

@@ -1,9 +1,11 @@
-"""File formats: the diagram JSON document, graph/matroid/tree documents,
-and DOT export.
+"""File formats: the diagram JSON document, graph/matroid/tree and
+law-table documents, and DOT export.
 
-Parsing is schema-checked up front and failures name the JSON path of the
-offending value.  Emission is canonical (fixed key order, ids sorted), so
-identical inputs always produce byte-identical output.
+Every document is read through one reader: a dict is taken as it is, and
+anything else is parsed as JSON text.  Parsing is schema-checked up front
+and failures are ``SchemaError``s naming the JSON path of the offending
+value.  Emission is canonical (fixed key order, ids sorted), so identical
+inputs always produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,21 +16,54 @@ from importlib import resources
 from .diagram import TERMINAL, Diagram, Edge, Vertex
 from .graphs import SimpleGraph
 from .laws import (
-    COLOR_OF, BifurcationKind, SchemaError, _expect, _is_element_list, _is_index, _is_int,
-    _json_loads, kind_from_json,
+    COLOR_OF, INDEX_VALUES, JUNCTION, PERIOD_DOUBLING, SADDLE_NODE, TYPE_M, BifurcationKind,
+    LawEntry, LawTable, builtin_table,
 )
+from .matroids import from_bases
 
 SCHEMA_VERSION = "1"
 
 
-def _as_doc(source) -> dict:
+class SchemaError(ValueError):
+    """Document violates the expected schema; ``path`` names the location."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+
+
+def _expect(cond: bool, path: str, message: str) -> None:
+    if not cond:
+        raise SchemaError(path, message)
+
+
+def _is_int(value) -> bool:
+    """True for a JSON integer; booleans, which Python counts as ints, are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_index(value) -> bool:
+    """True for a JSON orbit index: the integer -1, 0 or 1."""
+    return _is_int(value) and value in INDEX_VALUES
+
+
+def _is_element_list(value) -> bool:
+    """True for a JSON list of strings and integers (matroid ground
+    elements, law-entry multipliers)."""
+    return isinstance(value, list) and all(isinstance(x, str) or _is_int(x) for x in value)
+
+
+def _as_doc(source):
+    """A dict as it is, anything else parsed as JSON text; text that is not
+    JSON, or is nested too deeply to parse, is a ``SchemaError`` at ``$``."""
     if isinstance(source, dict):
         return source
-    text = str(source)
     try:
-        return _json_loads(text)
+        return json.loads(str(source))
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("$", "JSON nested too deeply to parse") from None
 
 
 def _as_object(source) -> dict:
@@ -37,15 +72,38 @@ def _as_object(source) -> dict:
     return doc
 
 
-# ---------------------------------------------------------------------------
-# Diagram documents
-# ---------------------------------------------------------------------------
+def kind_from_json(raw, path: str) -> BifurcationKind:
+    """The kind as diagram and law-table documents write it:
+    "saddle_node", "period_doubling", {"type_m": m} or {"junction": n}.
+
+    type_m admits a null multiplier: the index laws do not depend on m, only
+    the period check does (and it demands a concrete m).  Errors are
+    ``SchemaError``s that name ``path``.
+    """
+    if raw in (SADDLE_NODE, PERIOD_DOUBLING):
+        return BifurcationKind(raw)
+    if isinstance(raw, dict) and len(raw) == 1:
+        (name, param), = raw.items()
+        if name in (TYPE_M, JUNCTION):
+            if not (_is_int(param) or (param is None and name == TYPE_M)):
+                raise SchemaError(f"{path}.{name}", "parameter must be an integer"
+                                  + (" or null" if name == TYPE_M else ""))
+            try:
+                return BifurcationKind(name, param)
+            except ValueError as exc:
+                raise SchemaError(f"{path}.{name}", str(exc)) from exc
+    raise SchemaError(path, f"unknown kind {raw!r}")
+
 
 def kind_to_json(kind: BifurcationKind):
-    if kind.name in ("saddle_node", "period_doubling"):
+    if kind.name in (SADDLE_NODE, PERIOD_DOUBLING):
         return kind.name
     return {kind.name: kind.param}
 
+
+# ---------------------------------------------------------------------------
+# Diagram documents
+# ---------------------------------------------------------------------------
 
 def parse_diagram(source) -> Diagram:
     """Parse and schema-check a diagram document (JSON text or dict)."""
@@ -170,7 +228,6 @@ def emit_graph(g: SimpleGraph) -> str:
 
 def parse_matroid(source):
     """Matroid document: {"groundSet": [...], "bases": [[...], ...]}"""
-    from .matroids import from_bases
     doc = _as_object(source)
     ground = doc.get("groundSet")
     _expect(_is_element_list(ground) and ground, "$.groundSet",
@@ -206,6 +263,57 @@ def emit_binary_tree(t) -> str:
                 "right": conv(kids[1]) if 1 in kids else None}
 
     return json.dumps(conv(t), indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Law-table documents
+# ---------------------------------------------------------------------------
+
+def load_law_table(source) -> LawTable:
+    """Load a law table from a JSON document (text or dict).
+
+    Format::
+
+        {"schemaVersion": "1", "dimension": D, "mode": "extend"|"replace",
+         "entries": [{"kind": ..., "parent": i, "children": [...],
+                      "multipliers": [...]}, ...]}
+
+    ``extend`` (the default) adds the listed entries to the built-in table
+    for the dimension; ``replace`` keeps only the listed entries plus no
+    generated junction families.  Each entry lists as many children as its
+    kind splits into ({"junction": n} takes n), and conservation and the
+    always-forbidden transitions are enforced either way.
+    """
+    doc = _as_object(source)
+    d = doc.get("dimension")
+    _expect(_is_int(d) and d >= 1, "$.dimension", "must be an integer >= 1")
+    mode = doc.get("mode", "extend")
+    _expect(mode in ("extend", "replace"), "$.mode", "must be 'extend' or 'replace'")
+    items = doc.get("entries", [])
+    _expect(isinstance(items, list), "$.entries", "must be a list")
+    extra = []
+    for i, item in enumerate(items):
+        path = f"$.entries[{i}]"
+        _expect(isinstance(item, dict), path, "must be an object")
+        kind = kind_from_json(item.get("kind"), f"{path}.kind")
+        _expect(_is_index(item.get("parent")), f"{path}.parent", "must be -1, 0 or 1")
+        children = item.get("children")
+        _expect(isinstance(children, list) and all(map(_is_index, children)),
+                f"{path}.children", "must be a list of -1, 0 or 1")
+        _expect(len(children) == kind.child_count, path,
+                f"{kind.name} entry needs {kind.child_count} children, got {len(children)}")
+        multipliers = item.get("multipliers", [])
+        _expect(_is_element_list(multipliers), f"{path}.multipliers",
+                "must be a list of integers or strings")
+        try:
+            extra.append(LawEntry(kind.name, item["parent"], tuple(children),
+                                  tuple(multipliers)))
+        except ValueError as exc:
+            raise SchemaError(path, str(exc)) from exc
+    if mode == "replace":
+        return LawTable(d, frozenset(extra), frozenset())
+    base = builtin_table(d)
+    return LawTable(d, base.entries | frozenset(extra), base.junction_families)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,12 @@ tables keyed by bifurcation kind and parent index.
 Each rule in the dimension-specific catalogs lives in exactly one table
 entry; junction rules are generated on demand from the two decomposition
 schemes (chains of period doublings, chains of period multiplications)
-rather than stored, which keeps tables finite.
+rather than stored, which keeps tables finite.  Law-table documents are
+read, like every other document, by ``documents.load_law_table``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -81,69 +80,6 @@ def type_m(m: int | None = None) -> BifurcationKind:
 
 def junction(n: int) -> BifurcationKind:
     return BifurcationKind(JUNCTION, n)
-
-
-class SchemaError(ValueError):
-    """Document violates the expected schema; ``path`` names the location."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
-
-
-def _expect(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise SchemaError(path, message)
-
-
-def _json_loads(text: str):
-    """``json.loads``, with text nested too deeply for the parser reported
-    as a ``SchemaError`` at ``$``."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise SchemaError("$", "JSON nested too deeply to parse") from None
-
-
-def _is_int(value) -> bool:
-    """True for a JSON integer; booleans, which Python counts as ints, are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_index(value) -> bool:
-    """True for a JSON orbit index: the integer -1, 0 or 1."""
-    return _is_int(value) and value in INDEX_VALUES
-
-
-def _is_element_list(value) -> bool:
-    """True for a JSON list of strings and integers (matroid ground
-    elements, law-entry multipliers)."""
-    return isinstance(value, list) and all(isinstance(x, str) or _is_int(x) for x in value)
-
-
-def kind_from_json(raw, path: str) -> BifurcationKind:
-    """The kind as diagram and law-table documents write it:
-    "saddle_node", "period_doubling", {"type_m": m} or {"junction": n}.
-
-    type_m admits a null multiplier: the index laws do not depend on m, only
-    the period check does (and it demands a concrete m).  Errors are
-    ``SchemaError``s that name ``path``.
-    """
-    if raw == SADDLE_NODE:
-        return saddle_node()
-    if raw == PERIOD_DOUBLING:
-        return period_doubling()
-    if isinstance(raw, dict) and len(raw) == 1:
-        (name, param), = raw.items()
-        if name in (TYPE_M, JUNCTION):
-            if not (_is_int(param) or (param is None and name == TYPE_M)):
-                raise SchemaError(f"{path}.{name}", "parameter must be an integer"
-                                  + (" or null" if name == TYPE_M else ""))
-            try:
-                return BifurcationKind(name, param)
-            except ValueError as exc:
-                raise SchemaError(f"{path}.{name}", str(exc)) from exc
-    raise SchemaError(path, f"unknown kind {raw!r}")
 
 
 def kind_for_child_count(c: int) -> BifurcationKind:
@@ -337,62 +273,3 @@ def builtin_table(d: int) -> LawTable:
         raise ValueError("dimension must be >= 1")
     entries, families = _builtin_parts(min(d, 4))
     return LawTable(d, entries, families)
-
-
-# ---------------------------------------------------------------------------
-# User-supplied tables
-# ---------------------------------------------------------------------------
-
-def load_law_table(source) -> LawTable:
-    """Load a law table from a JSON document (text, dict, or file path).
-
-    Format::
-
-        {"schemaVersion": "1", "dimension": D, "mode": "extend"|"replace",
-         "entries": [{"kind": ..., "parent": i, "children": [...],
-                      "multipliers": [...]}, ...]}
-
-    ``extend`` (the default) adds the listed entries to the built-in table
-    for the dimension; ``replace`` keeps only the listed entries plus no
-    generated junction families.  Conservation and the always-forbidden
-    transitions are enforced either way.  Text that is not JSON is read as
-    a file path.  Schema problems raise ``SchemaError`` naming the JSON path.
-    """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = str(source)
-        try:
-            doc = _json_loads(text)
-        except json.JSONDecodeError as exc:
-            _expect(os.path.isfile(text), "$", f"neither JSON nor a file path: {exc}")
-            with open(text, "r", encoding="utf-8") as fh:
-                doc = _json_loads(fh.read())
-    _expect(isinstance(doc, dict), "$", "document must be an object")
-    d = doc.get("dimension")
-    _expect(_is_int(d) and d >= 1, "$.dimension", "must be an integer >= 1")
-    mode = doc.get("mode", "extend")
-    _expect(mode in ("extend", "replace"), "$.mode", "must be 'extend' or 'replace'")
-    items = doc.get("entries", [])
-    _expect(isinstance(items, list), "$.entries", "must be a list")
-    extra = []
-    for i, item in enumerate(items):
-        path = f"$.entries[{i}]"
-        _expect(isinstance(item, dict), path, "must be an object")
-        kind = kind_from_json(item.get("kind"), f"{path}.kind")
-        _expect(_is_index(item.get("parent")), f"{path}.parent", "must be -1, 0 or 1")
-        children = item.get("children")
-        _expect(isinstance(children, list) and all(map(_is_index, children)),
-                f"{path}.children", "must be a list of -1, 0 or 1")
-        multipliers = item.get("multipliers", [])
-        _expect(_is_element_list(multipliers), f"{path}.multipliers",
-                "must be a list of integers or strings")
-        try:
-            extra.append(LawEntry(kind.name, item["parent"], tuple(children),
-                                  tuple(multipliers)))
-        except ValueError as exc:
-            raise SchemaError(path, str(exc)) from exc
-    if mode == "replace":
-        return LawTable(d, frozenset(extra), frozenset())
-    base = builtin_table(d)
-    return LawTable(d, base.entries | frozenset(extra), base.junction_families)

@@ -8,7 +8,6 @@ the very obstruction the minor detector reports.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import partial
 from itertools import combinations
 
@@ -155,38 +154,18 @@ def matroid_minor(m: Matroid, delete=(), contract=()) -> Matroid:
     return Matroid(ground, indep, name=f"{m.name}-minor")
 
 
-def _is_vamos(m: Matroid, eight) -> bool:
-    """True when m restricted to the eight elements ``eight`` is the Vamos
-    matroid: rank 4, no dependent triple, and exactly five dependent
-    quadruples, each the union of two of four disjoint pairs."""
-    if m.rank_of(eight) != 4 or not all(m.is_independent(t) for t in combinations(eight, 3)):
-        return False
-    quads = []
-    for q in combinations(eight, 4):
-        if not m.is_independent(q):
-            quads.append(q)
-            if len(quads) > 5:
-                return False
-    if len(quads) != 5:
-        return False
-    # The diamond's vertices are the pairs lying in two or more quadruples.
-    # Five distinct edges on four vertices always form a diamond.
-    counts = Counter(p for q in quads for p in combinations(q, 2))
-    pairs = [p for p, c in counts.items() if c >= 2]
-    which = {e: i for i, p in enumerate(pairs) for e in p}
-    return (len(pairs) == 4 and len(which) == 8
-            and all(len({which[e] for e in q}) == 2 for q in quads))
-
-
 def _vamos_candidates(m: Matroid):
-    """The eight-element subsets of m's ground set that can pass
-    ``_is_vamos``.
+    """The eight-element subsets of m's ground set on which m restricts to
+    the Vamos matroid.
 
     Each triple, and each quadruple without a dependent triple, is queried
     once; the dependent ones are kept as bitmasks over the ground set.  A
-    Vamos restriction has no dependent triple and exactly five dependent
-    quadruples, two of them disjoint with the eight elements as their union
-    (the pair unions along ac and bd), so only such unions are tried.
+    Vamos restriction has rank 4, no dependent triple and exactly five
+    dependent quadruples, two of them disjoint with the eight elements as
+    their union (the pair unions along ac and bd).  The four diamond
+    vertices are the two-element intersections of the five quadruples, and
+    each quadruple must be the union of two of them; five distinct edges on
+    four vertices always form a diamond.
     """
     bit = {e: 1 << i for i, e in enumerate(m.ground)}
     triples = {sum(map(bit.get, t)) for t in combinations(m.ground, 3)
@@ -197,9 +176,18 @@ def _vamos_candidates(m: Matroid):
         if all(mask ^ bit[e] not in triples for e in q) and not m.is_independent(q):
             quads.append(mask)
     for eight in sorted({a | b for a, b in combinations(quads, 2) if not a & b}):
-        if (all(t & eight != t for t in triples)
-                and sum(q & eight == q for q in quads) == 5):
-            yield tuple(e for e in m.ground if bit[e] & eight)
+        if any(t & eight == t for t in triples):
+            continue
+        inside = [q for q in quads if q & eight == q]
+        if len(inside) != 5:
+            continue
+        pairs = {a & b for a, b in combinations(inside, 2) if (a & b).bit_count() == 2}
+        elements = tuple(e for e in m.ground if bit[e] & eight)
+        # four two-element masks sum to the eight bits only when disjoint
+        if (len(pairs) == 4 and sum(pairs) == eight
+                and all(sum(p & q == p for p in pairs) == 2 for q in inside)
+                and m.rank_of(elements) == 4):
+            yield elements
 
 
 def has_vamos_minor(m: Matroid) -> bool:
@@ -209,10 +197,10 @@ def has_vamos_minor(m: Matroid) -> bool:
     elements.  The Vamos matroid is sparse paving, so its dependent sets of
     at most four elements decide it (Oxley, *Matroid Theory*, 2011): each
     minor's dependent triples and quadruples are listed once as bitmasks,
-    and only the eight-element subsets they leave open reach ``_is_vamos``.
-    The answer equals the test of every eight-element restriction for any
-    deterministic oracle.  A hit flags the source structure as
-    non-representable.  Limited to ground sets of at most 15 elements.
+    and the Vamos restrictions are read off them.  The answer equals the
+    test of every eight-element restriction for any deterministic oracle.
+    A hit flags the source structure as non-representable.  Limited to
+    ground sets of at most 15 elements.
     """
     size = len(m.ground)
     if size < 8:
@@ -224,6 +212,6 @@ def has_vamos_minor(m: Matroid) -> bool:
             if not m.is_independent(cset):
                 continue
             minor = matroid_minor(m, contract=cset)
-            if any(_is_vamos(minor, eight) for eight in _vamos_candidates(minor)):
+            if any(_vamos_candidates(minor)):
                 return True
     return False

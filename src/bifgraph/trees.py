@@ -244,7 +244,7 @@ def is_binary(t) -> bool:
 # ---------------------------------------------------------------------------
 
 def _tree_edges(t) -> list[tuple[int, int]]:
-    """Edge list of a canonical/ordered tree with BFS vertex numbering."""
+    """Edge list of a canonical/ordered tree, vertices numbered in DFS preorder."""
     edges = []
     counter = [0]
 

@@ -20,7 +20,6 @@ from bifgraph import (
 )
 from bifgraph.classes import has_diamond_subgraph
 from bifgraph.graphs import _edge_perms, _permuted_mask
-from bifgraph.matroids import _is_vamos
 from bifgraph.trees import _tree_edges
 
 
@@ -400,6 +399,29 @@ def _matches_vamos(elements, indep) -> bool:
     return sorted(deg.values()) == [2, 2, 3, 3]
 
 
+def is_vamos_restriction(m, eight) -> bool:
+    """True when m restricted to the eight elements ``eight`` is the Vamos
+    matroid: rank 4, no dependent triple, and exactly five dependent
+    quadruples, each the union of two of four disjoint pairs."""
+    if m.rank_of(eight) != 4 or not all(m.is_independent(t) for t in combinations(eight, 3)):
+        return False
+    quads = []
+    for q in combinations(eight, 4):
+        if not m.is_independent(q):
+            quads.append(q)
+            if len(quads) > 5:
+                return False
+    if len(quads) != 5:
+        return False
+    # The diamond's vertices are the pairs lying in two or more quadruples.
+    # Five distinct edges on four vertices always form a diamond.
+    counts = Counter(p for q in quads for p in combinations(q, 2))
+    pairs = [p for p, c in counts.items() if c >= 2]
+    which = {e: i for i, p in enumerate(pairs) for e in p}
+    return (len(pairs) == 4 and len(which) == 8
+            and all(len({which[e] for e in q}) == 2 for q in quads))
+
+
 def searched_vamos_minor(m) -> bool:
     """True when some minor of m is isomorphic to the Vamos matroid, by
     building an independence closure for every (contract, delete) split."""
@@ -440,13 +462,14 @@ def searched_vamos_minor(m) -> bool:
 
 
 def swept_vamos_minor(m) -> bool:
-    """The detector before the mask filter: ``_is_vamos`` on every
+    """The detector before the mask filter: ``is_vamos_restriction`` on every
     eight-element restriction of every contraction (a timing reference)."""
     for csize in range(min(len(m.ground) - 8, m.rank - 4) + 1):
         for cset in combinations(m.ground, csize):
             if m.is_independent(cset):
                 minor = matroid_minor(m, contract=cset)
-                if any(_is_vamos(minor, eight) for eight in combinations(minor.ground, 8)):
+                if any(is_vamos_restriction(minor, eight)
+                       for eight in combinations(minor.ground, 8)):
                     return True
     return False
 

@@ -1,5 +1,6 @@
 """Block decomposition, class detectors, and the labeled counting formulas."""
 
+import itertools
 import random
 import time
 from collections import Counter
@@ -241,3 +242,7 @@ def test_cactus_count_returns_exact_rational_type():
     # the unadjusted reflection factor would give 1/2 for a bare edge;
     # the adjusted formula keeps everything integral on realizable specs
     assert not isinstance(cactus_count({2: 3}), Fraction)
+    # 0-4 polygons of each size 2-7: always an exact int
+    for counts in itertools.product(range(5), repeat=6):
+        spec = {size: cnt for size, cnt in zip(range(2, 8), counts) if cnt}
+        assert type(cactus_count(spec)) is int, spec

@@ -252,6 +252,8 @@ def _law_doc(entry=None, **top):
     (_law_doc({"children": [1, 1]}), "$.entries[0]"),
     ([1], "$"),
     ("x" * 300, "$"),
+    (_law_doc({"kind": {"junction": 7}, "parent": 1, "children": [0, 0, 0, 0, 1]}),
+     "$.entries[0]"),
 ])
 def test_bad_law_table_exits_two_naming_the_path(doc, path, tmp_path, valid_file, capsys):
     table = tmp_path / "table.json"
@@ -259,6 +261,16 @@ def test_bad_law_table_exits_two_naming_the_path(doc, path, tmp_path, valid_file
     assert main(["validate", valid_file, "--law-table", str(table)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+def test_law_table_holding_a_path_exits_two(tmp_path, valid_file, capsys):
+    # the file's content is JSON text, never a path to read the table from
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(_law_doc()))
+    pointer = tmp_path / "pointer.json"
+    pointer.write_text(str(table))
+    assert main(["validate", valid_file, "--law-table", str(pointer)]) == 2
+    assert capsys.readouterr().err.startswith("error: $: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -153,3 +153,14 @@ def test_load_law_table_rejects_bad_kinds(kind, path):
     with pytest.raises(SchemaError) as err:
         _one_entry_table(kind, [0, 0, 0, 1])
     assert err.value.path == path
+
+
+def test_load_law_table_reads_text_not_paths(tmp_path):
+    valid = tmp_path / "table.json"
+    valid.write_text('{"schemaVersion": "1", "dimension": 2, "entries": []}')
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(valid.read_text()[:-3])
+    for source in (str(valid), str(truncated), truncated.read_text()):
+        with pytest.raises(SchemaError) as err:
+            load_law_table(source)
+        assert err.value.path == "$"

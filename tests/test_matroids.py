@@ -10,8 +10,10 @@ from bifgraph import (
     from_bases, graphic_matroid, has_vamos_minor, matroid_minor, path_graph,
     vamos,
 )
-from bifgraph.matroids import VAMOS_CIRCUIT_QUADS, VAMOS_GROUND, _is_vamos, _vamos_candidates
-from helpers import random_connected_graph, searched_vamos_minor, swept_vamos_minor
+from bifgraph.matroids import VAMOS_CIRCUIT_QUADS, VAMOS_GROUND, _vamos_candidates
+from helpers import (
+    is_vamos_restriction, random_connected_graph, searched_vamos_minor, swept_vamos_minor,
+)
 
 
 def powerset(items):
@@ -247,12 +249,19 @@ def test_vamos_minor_matches_the_split_search():
 
 def test_vamos_minor_matches_the_split_search_outside_the_axioms():
     # each oracle fails one condition of the Vamos test: rank 5, a dependent
-    # triple, and four pairs in two or more quads that leave elements uncovered
+    # triple, and four pairs in two or more quads that leave elements
+    # uncovered; the last two hold two disjoint quads, and either the pairs
+    # (0,1), (2,3), (4,5), (6,7) split the eight but (0,1,2,4) is no union
+    # of two, or every quad is a union of two pairs but (1,3) and (2,3) meet
     samples = [
         _listed(VAMOS_GROUND, VAMOS_CIRCUIT_QUADS, rank=5),
         _listed(VAMOS_GROUND, VAMOS_CIRCUIT_QUADS + (("a1", "c1", "d1"),)),
         _listed(range(8), [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5),
                            (0, 1, 6, 7), (3, 4, 6, 7)]),
+        _listed(range(8), [(0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 2, 4),
+                           (0, 1, 4, 5), (2, 3, 6, 7)]),
+        _listed(range(8), [(0, 1, 2, 3), (4, 5, 6, 7), (1, 3, 6, 7),
+                           (2, 3, 4, 5), (2, 3, 6, 7)]),
     ]
     for m in samples:
         assert not has_vamos_minor(m) and not searched_vamos_minor(m)
@@ -281,12 +290,14 @@ def _random_oracle(rng: random.Random) -> Matroid:
 
 
 def test_vamos_candidates_keep_every_vamos_restriction():
-    # the mask filter may only drop eight-sets that _is_vamos rejects
+    # the mask filter yields exactly the eight-sets the direct test accepts
     rng = random.Random(8)
     hits = 0
     for _ in range(60):
         m = _random_oracle(rng)
-        accepted = {eight for eight in combinations(m.ground, 8) if _is_vamos(m, eight)}
-        assert accepted <= set(_vamos_candidates(m))
+        accepted = {eight for eight in combinations(m.ground, 8)
+                    if is_vamos_restriction(m, eight)}
+        assert accepted == set(_vamos_candidates(m))
         hits += bool(accepted)
     assert hits
+
