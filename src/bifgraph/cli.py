@@ -87,21 +87,9 @@ def cmd_enumerate(args) -> int:
         sys.stdout.write(table.to_csv())
         return 0
     colored = enumeration.enumerate_colored(spec)
-    if args.emit == "json":
-        _emit_json([_tree_json(t) for t in colored])
-    else:  # dot
-        for i, t in enumerate(colored):
-            diagram = enumeration.tree_to_diagram(t, args.d)
-            sys.stdout.write(documents.emit_dot(represent.to_star(diagram), f"t{i}"))
+    write = documents.write_trees_json if args.emit == "json" else documents.write_trees_dot
+    write(colored, sys.stdout)
     return 0
-
-
-def _tree_json(t) -> dict:
-    out = {"color": t.color,
-           "children": [_tree_json(c) for c in t.children]}
-    if t.slots is not None:
-        out["slots"] = list(t.slots)
-    return out
 
 
 def _print_fractions(values, as_json: bool) -> None:

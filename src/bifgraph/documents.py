@@ -244,25 +244,113 @@ def parse_matroid(source):
 
 
 def parse_tree(source) -> tuple:
-    """Ordered tree as nested arrays: [] is a leaf, [c1, c2, ...] a node."""
+    """Ordered tree as nested arrays: [] is a leaf, [c1, c2, ...] a node.
+
+    Built from an explicit stack, so any depth the JSON parser accepts
+    converts; the first non-list in preorder is reported."""
     doc = _as_doc(source) if not isinstance(source, list) else source
-
-    def conv(node, path):
-        _expect(isinstance(node, list), path, "must be a list")
-        return tuple(conv(c, f"{path}[{i}]") for i, c in enumerate(node))
-
-    return conv(doc, "$")
+    _expect(isinstance(doc, list), "$", "must be a list")
+    stack = [(doc, [])]  # (array, its children converted so far)
+    while True:
+        node, done = stack[-1]
+        if len(done) == len(node):
+            stack.pop()
+            if not stack:
+                return tuple(done)
+            stack[-1][1].append(tuple(done))
+        elif isinstance(node[len(done)], list):
+            stack.append((node[len(done)], []))
+        else:
+            raise SchemaError("$" + "".join(f"[{len(d)}]" for _, d in stack), "must be a list")
 
 
 def emit_binary_tree(t) -> str:
-    """Binary slot tree as nested {"left": ..., "right": ...} objects."""
+    """Binary slot tree as nested {"left": ..., "right": ...} objects, with
+    the text of ``json.dumps(..., indent=2)``.
 
-    def conv(node):
-        kids = dict(node)
-        return {"left": conv(kids[0]) if 0 in kids else None,
-                "right": conv(kids[1]) if 1 in kids else None}
+    Written in preorder from an explicit stack, each line at its final
+    indent, so the work is linear in the output at any depth."""
+    out = []
+    stack = [(t, "\n")]  # (node or None, newline plus the node's indent)
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, pad = item
+        if node is None:
+            out.append("null")
+            continue
+        kids, inner = dict(node), pad + "  "
+        out.append("{" + inner + '"left": ')
+        stack += [pad + "}", (kids.get(1), inner), "," + inner + '"right": ',
+                  (kids.get(0), inner)]
+    return "".join(out) + "\n"
 
-    return json.dumps(conv(t), indent=2) + "\n"
+
+# ---------------------------------------------------------------------------
+# Colored trees (enumerate --emit json|dot)
+# ---------------------------------------------------------------------------
+
+def write_trees_json(trees, out) -> None:
+    """Write colored trees to ``out``, one at a time, with the text of
+    ``json.dumps(docs, indent=2, sort_keys=True)`` plus a newline, where a
+    tree's doc is {"children": [...], "color": c} and "slots" in plane mode.
+
+    The text of each distinct subtree is built once and kept by ``id()``:
+    enumerated trees share their subtree objects, so most of a tree's text
+    is already there.  A parent indents a child's text with one replace."""
+    memo: dict = {}  # id(subtree) -> (subtree, its text indented as a child)
+    sep = "[\n  "
+    for tree in trees:
+        out.write(sep + _tree_text(tree, memo).replace("\n", "\n  "))
+        sep = ",\n  "
+    out.write("[]\n" if sep == "[\n  " else "\n]\n")
+
+
+def _tree_text(root, memo: dict) -> str:
+    """The JSON text of one colored tree at indent 0, children first from an
+    explicit stack; the text of every proper subtree ends up in ``memo``."""
+    order, stack = [], [root]  # the nodes still to write, each before its children
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack += [c for c in node.children if id(c) not in memo]
+    for node in reversed(order):
+        text = ('{\n  "children": ' + _json_array([memo[id(c)][1] for c in node.children])
+                + ',\n  "color": ' + str(node.color))
+        if node.slots is not None:
+            text += ',\n  "slots": ' + _json_array(list(map(str, node.slots)))
+        text += "\n}"
+        if node is root:
+            return text
+        memo[id(node)] = (node, text.replace("\n", "\n    "))
+
+
+def _json_array(items: list) -> str:
+    """A JSON array that is a member of an object at indent 0, from its
+    items' texts already indented to their place."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def write_trees_dot(trees, out) -> None:
+    """Write each colored tree's star representation to ``out`` as a DOT
+    graph t0, t1, ...: the DOT of ``to_star(tree_to_diagram(tree, d))``
+    without building either.  Vertex i is the i-th node in preorder,
+    labelled e{i} and colored by its index; each parent links to its
+    children."""
+    for i, tree in enumerate(trees):
+        colors, edges = [], []
+        stack = [(tree, -1)]
+        while stack:
+            node, parent = stack.pop()
+            if parent >= 0:
+                edges.append((parent, len(colors)))
+            stack += [(c, len(colors)) for c in reversed(node.children)]
+            colors.append(node.color)
+        edges.sort()
+        out.write(_graph_dot(f"t{i}", len(colors), [f"e{v}" for v in range(len(colors))],
+                             colors, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -332,20 +420,21 @@ def emit_dot(obj, name: str = "g") -> str:
     """
     if isinstance(obj, Diagram):
         return _diagram_dot(obj, name)
-    return _graph_dot(obj, name)
+    return _graph_dot(name, obj.n, obj.names, obj.colors, obj.sorted_edges())
 
 
-def _graph_dot(g: SimpleGraph, name: str) -> str:
+def _graph_dot(name: str, n: int, names, colors, edges) -> str:
+    """The one DOT formatter for graphs: vertices n0..n{n-1} with their
+    optional labels and colors, then the edges in the order given."""
     lines = [f"graph {name} {{"]
-    for v in range(g.n):
+    for v in range(n):
         attrs = []
-        if g.names is not None:
-            attrs.append(f'label="{_q(g.names[v])}"')
-        if g.colors is not None:
-            attrs.append(f"color={COLOR_OF[g.colors[v]]}")
+        if names is not None:
+            attrs.append(f'label="{_q(names[v])}"')
+        if colors is not None:
+            attrs.append(f"color={COLOR_OF[colors[v]]}")
         lines.append(f"  n{v}" + (f" [{', '.join(attrs)}]" if attrs else "") + ";")
-    for u, v in g.sorted_edges():
-        lines.append(f"  n{u} -- n{v};")
+    lines += [f"  n{u} -- n{v};" for u, v in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

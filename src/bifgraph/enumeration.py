@@ -57,7 +57,11 @@ class ColoredTree:
 
     @property
     def size(self) -> int:
-        return 1 + sum(c.size for c in self.children)
+        count, stack = 0, [self]
+        while stack:
+            count += 1
+            stack += stack.pop().children
+        return count
 
     @property
     def kind(self):
@@ -289,23 +293,19 @@ def tree_to_diagram(tree: ColoredTree, dimension: int) -> Diagram:
     the root's far end and all leaf ends are terminals."""
     edges: list[Edge] = []
     vertices: list[Vertex] = []
-    counter = [0]
-
-    def walk(node: ColoredTree, upper_end) -> None:
-        eid = f"e{counter[0]}"
-        counter[0] += 1
+    stack = [(tree, TERMINAL)]  # (node, the vertex above its branch)
+    while stack:
+        node, upper_end = stack.pop()
+        eid = f"e{len(edges)}"
         if not node.children:
             edges.append(Edge(eid, node.color, (upper_end, TERMINAL)))
-            return
+            continue
         vid = f"v{eid}"
         edges.append(Edge(eid, node.color, (upper_end, vid)))
         kind = node.kind
         parent = None if kind.name == "saddle_node" else eid
         vertices.append(Vertex(vid, kind, parent_edge=parent))
-        for child in node.children:
-            walk(child, vid)
-
-    walk(tree, TERMINAL)
+        stack += [(child, vid) for child in reversed(node.children)]
     return Diagram(dimension, tuple(edges), tuple(vertices))
 
 

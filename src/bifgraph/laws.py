@@ -112,6 +112,8 @@ class LawEntry:
     multipliers: tuple = ()
 
     def __post_init__(self):
+        if self.kind not in (SADDLE_NODE, PERIOD_DOUBLING, TYPE_M, JUNCTION):
+            raise ValueError(f"unknown law entry kind {self.kind!r}")
         check_index(self.parent)
         for c in self.children:
             check_index(c)

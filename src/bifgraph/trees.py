@@ -218,20 +218,24 @@ def mary_to_binary(t) -> tuple:
 
     The leftmost child becomes the left child; each subsequent child becomes
     the right child of its previous sibling.  Injective on plane trees and
-    node-count preserving.
+    node-count preserving.  Built children first from an explicit stack,
+    so deep and wide trees convert alike.
     """
-
-    def conv(node, siblings):
-        pairs = ()
-        if node:
-            pairs += ((0, conv(node[0], node[1:])),)
-        if siblings:
-            pairs += ((1, conv(siblings[0], siblings[1:])),)
-        return pairs
-
     if t == ():
         return ()
-    return ((0, conv(t[0], t[1:])),)
+    order, stack = [], [t]  # every inner node, each before its children
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack += [c for c in node if c]
+    chains = {}  # id(node) -> the binary form of its list of children
+    for node in reversed(order):
+        right = None
+        for child in reversed(node):
+            pairs = ((0, chains[id(child)]),) if child else ()
+            right = pairs if right is None else pairs + ((1, right),)
+        chains[id(node)] = right
+    return ((0, chains[id(t)]),)
 
 
 def is_binary(t) -> bool:

@@ -7,16 +7,19 @@ is confirmed by a second, dumber computation.
 
 from __future__ import annotations
 
+import json
 import random
+import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
 
 from bifgraph import (
-    TERMINAL, Diagram, Edge, LawEntry, LawTable, SimpleGraph, Vertex,
-    builtin_table, canonical_trees, kind_for_child_count, load_law_table,
-    matroid_minor, period_doubling, saddle_node, splits_for_child_count,
+    TERMINAL, ColoredTree, Diagram, Edge, LawEntry, LawTable, SimpleGraph, Vertex,
+    builtin_table, canonical_trees, emit_dot, kind_for_child_count, load_law_table,
+    matroid_minor, period_doubling, saddle_node, splits_for_child_count, to_star,
+    tree_to_diagram,
 )
 from bifgraph.classes import has_diamond_subgraph
 from bifgraph.graphs import _edge_perms, _permuted_mask
@@ -589,3 +592,82 @@ def searched_diamond_minor(g: SimpleGraph) -> bool:
         return any(search(_contract(h, u, v)) for u, v in sorted(h.edges))
 
     return search(g)
+
+
+# -- emission: the per-object paths the streaming writers replaced -------------
+
+def tree_json(t) -> dict:
+    """A colored tree as the document ``enumerate --emit json`` lists."""
+    out = {"color": t.color, "children": [tree_json(c) for c in t.children]}
+    if t.slots is not None:
+        out["slots"] = list(t.slots)
+    return out
+
+
+def dumped_trees_json(trees) -> str:
+    """``enumerate --emit json`` output through ``json.dumps`` of the whole list."""
+    return json.dumps([tree_json(t) for t in trees], indent=2, sort_keys=True) + "\n"
+
+
+def diagram_trees_dot(trees, dimension: int) -> str:
+    """``enumerate --emit dot`` output with each tree built as a Diagram,
+    turned into its star graph and exported by ``emit_dot``."""
+    return "".join(emit_dot(to_star(tree_to_diagram(t, dimension)), f"t{i}")
+                   for i, t in enumerate(trees))
+
+
+def nested_parse_tree(doc) -> tuple:
+    """Nested JSON arrays as nested tuples, by recursion."""
+    if not isinstance(doc, list):
+        raise ValueError("must be a list")
+    return tuple(nested_parse_tree(c) for c in doc)
+
+
+def nested_mary_to_binary(t) -> tuple:
+    """Left-child/right-sibling encoding by recursion once per child and
+    once per sibling."""
+
+    def conv(node, siblings):
+        pairs = ()
+        if node:
+            pairs += ((0, conv(node[0], node[1:])),)
+        if siblings:
+            pairs += ((1, conv(siblings[0], siblings[1:])),)
+        return pairs
+
+    return ((0, conv(t[0], t[1:])),) if t else ()
+
+
+def dumped_binary_tree(t) -> str:
+    """A binary slot tree through ``json.dumps(indent=2)`` of nested dicts."""
+
+    def conv(node):
+        kids = dict(node)
+        return {"left": conv(kids[0]) if 0 in kids else None,
+                "right": conv(kids[1]) if 1 in kids else None}
+
+    return json.dumps(conv(t), indent=2) + "\n"
+
+
+def chain_tree(n: int) -> ColoredTree:
+    """A path of n saddle nodes in plane mode, colors alternating 1, -1
+    from the leaf."""
+    t = ColoredTree(1)
+    for i in range(n - 1):
+        t = ColoredTree(-1 if i % 2 == 0 else 1, (t,), (0,))
+    return t
+
+
+def with_stack_room(frames: int, fn, *args):
+    """``fn(*args)`` with the recursion limit ``frames`` above the current
+    depth, so a call that recurses once per tree level fails on a deeper
+    input."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(old)

@@ -125,6 +125,18 @@ def test_count_output_is_unchanged(case, capsys, monkeypatch):
     assert capsys.readouterr().out == case["stdout"]
 
 
+# stdout recorded with the parent of the streaming writers: json.dumps of
+# the whole list, and a Diagram and star graph per tree for DOT
+EMIT_CASES = json.loads((DATA / "enumerate_emit.json").read_text())
+
+
+@pytest.mark.parametrize("case", EMIT_CASES, ids=[" ".join(c["argv"]) for c in EMIT_CASES])
+def test_enumerate_emit_output_is_unchanged(case, capsys, monkeypatch):
+    monkeypatch.chdir(Path(__file__).parent.parent)  # argv names tests/data/...
+    assert main(case["argv"]) == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
+
+
 def test_ratio_and_share(capsys):
     assert main(["ratio", "--k1", "1", "--k2", "2", "--d", "4",
                  "--n-max", "3"]) == 0
@@ -178,6 +190,26 @@ def test_convert_tree(capsys, tmp_path):
     assert main(["convert", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["left"]["right"]["right"] == {"left": None, "right": None}
+
+
+def test_convert_flat_tree(tmp_path, capsys):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps([[]] * 2000))
+    assert main(["convert", str(path)]) == 0
+    out = capsys.readouterr().out
+    # 2,001 binary nodes with 2,000 links between them; the last child
+    # sits 2,000 levels down the right spine
+    assert out.count("{") == 2001 and out.count("null") == 2002
+    assert "\n" + "  " * 2001 + '"right": null' in out
+
+
+def test_convert_deep_tree(tmp_path, capsys):
+    path = tmp_path / "tree.json"
+    path.write_text("[" * 600 + "]" * 600)
+    assert main(["convert", str(path)]) == 0
+    out = capsys.readouterr().out
+    # a 600-deep left spine: each node's right is null, the last left too
+    assert out.count('"left": {') == 599 and out.count('"right": null') == 600
 
 
 def test_matroid_vamos_flag(capsys, tmp_path):

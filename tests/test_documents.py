@@ -1,16 +1,23 @@
 """Diagram/graph/matroid documents, DOT export, fixture."""
 
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifgraph import (
-    SchemaError, builtin_table, check_period_consistency, emit_diagram,
-    emit_dot, emit_graph, nonadmissible_period_fixture, parse_diagram,
-    parse_graph, parse_matroid, parse_tree, to_star, validate_diagram,
+    ColoredTree, EnumerationSpec, SchemaError, builtin_table, check_period_consistency,
+    emit_diagram, emit_dot, emit_graph, enumerate_colored, mary_to_binary,
+    nonadmissible_period_fixture, parse_diagram, parse_graph, parse_matroid, parse_tree,
+    to_star, validate_diagram,
 )
-from bifgraph.documents import emit_binary_tree
-from helpers import star_diagram
+from bifgraph.documents import emit_binary_tree, write_trees_dot, write_trees_json
+from helpers import (
+    chain_tree, diagram_trees_dot, dumped_binary_tree, dumped_trees_json, nested_mary_to_binary,
+    nested_parse_tree, star_diagram, with_stack_room,
+)
 
 MINIMAL = {
     "schemaVersion": "1",
@@ -150,6 +157,9 @@ def _edge(**changes):
     (parse_matroid, {"groundSet": ["a", "b"], "bases": ["ab"]}, "$.bases[0]"),
     (parse_matroid, {"groundSet": ["a", True], "bases": [["a"]]}, "$.groundSet"),
     (parse_matroid, {"groundSet": ["a", ["b"]], "bases": [["a"]]}, "$.groundSet"),
+    (parse_tree, {}, "$"),
+    (parse_tree, [[], [[], 3]], "$[1][1]"),  # the first non-list in preorder
+    (parse_tree, [[[[1]]], 2], "$[0][0][0][0]"),
 ])
 def test_documents_reject_values_of_the_wrong_type(parse, doc, path):
     with pytest.raises(SchemaError) as err:
@@ -179,3 +189,60 @@ def test_documents_roundtrip_over_enumerated_diagrams():
         again = parse_diagram(text)
         assert emit_diagram(again) == text
         assert validate_diagram(again, 2, builtin_table(4)).ok
+
+
+def _written(write, trees) -> str:
+    out = io.StringIO()
+    write(trees, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["plane", "free"])
+def test_tree_writers_equal_the_per_object_oracles(mode, k):
+    for d in (1, 2, 3, 4):
+        for n in range(1, (5 if k == 3 else 6) + 1):
+            trees = enumerate_colored(EnumerationSpec(k, d, n, mode))
+            assert _written(write_trees_json, trees) == dumped_trees_json(trees), (d, n)
+            assert _written(write_trees_dot, trees) == diagram_trees_dot(trees, d), (d, n)
+
+
+def test_tree_writers_take_any_iterable_of_trees():
+    # fresh trees from a generator, each dropped once written: a new subtree
+    # could take a freed one's id unless the JSON memo keeps them alive
+    def fresh():
+        for color in (1, -1, 0, 1):
+            yield ColoredTree(color, (ColoredTree(-color), ColoredTree(color)), None)
+
+    assert _written(write_trees_json, fresh()) == dumped_trees_json(list(fresh()))
+    assert _written(write_trees_dot, fresh()) == diagram_trees_dot(list(fresh()), 4)
+    assert _written(write_trees_json, []) == "[]\n"
+    assert _written(write_trees_dot, []) == ""
+
+
+def test_tree_writers_do_not_recurse():
+    tree = chain_tree(150)
+    assert with_stack_room(40, _written, write_trees_json, [tree]) == dumped_trees_json([tree])
+    assert with_stack_room(40, _written, write_trees_dot, [tree]) == diagram_trees_dot([tree], 1)
+
+
+_nested_arrays = st.recursive(st.just([]), lambda inner: st.lists(inner, max_size=5),
+                              max_leaves=40)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_nested_arrays)
+def test_convert_pipeline_equals_the_recursive_one(doc):
+    tree = parse_tree(json.dumps(doc))
+    assert tree == nested_parse_tree(doc)
+    binary = mary_to_binary(tree)
+    assert binary == nested_mary_to_binary(tree)
+    assert emit_binary_tree(binary) == dumped_binary_tree(binary)
+
+
+def test_convert_pipeline_does_not_recurse():
+    # json.loads recurses itself, so the documents are parsed outside
+    for doc in (json.loads("[" * 300 + "]" * 300), [[]] * 300):
+        binary = with_stack_room(40, lambda: mary_to_binary(parse_tree(doc)))
+        assert binary == nested_mary_to_binary(nested_parse_tree(doc))
+        assert with_stack_room(40, emit_binary_tree, binary) == dumped_binary_tree(binary)

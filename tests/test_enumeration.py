@@ -11,7 +11,7 @@ from bifgraph import (
     project_uncolored, ratio_lower_bound, ratio_sequence, share_sequence,
     tree_to_diagram, validate_diagram,
 )
-from helpers import plane_count, random_law_table
+from helpers import chain_tree, plane_count, random_law_table
 
 
 def spec(k, d, n, mode="plane"):
@@ -230,3 +230,11 @@ def test_count_table_roundtrip():
     assert back.get(1, 4, 3, "plane") == 18
     with pytest.raises(ValueError):
         table.record(1, 4, 3, "plane", 99)
+
+
+def test_a_deep_tree_reports_its_size_and_converts():
+    tree = chain_tree(1500)
+    assert tree.size == 1500
+    diagram = tree_to_diagram(tree, 1)
+    assert len(diagram.edges) == 1500 and len(diagram.vertices) == 1499
+    assert validate_diagram(diagram, 1, builtin_table(1)).ok

@@ -104,6 +104,8 @@ def test_forbidden_entries_rejected():
         LawEntry(PERIOD_DOUBLING, 1, (1, 1))
     with pytest.raises(ValueError):  # three distinct junction indices
         LawEntry(JUNCTION, 0, (-1, 0, 0, 1))
+    with pytest.raises(ValueError, match="'sideways'"):  # the kind is named
+        LawEntry("sideways", 1, (1,))
 
 
 def test_splits_for_child_count_routes_by_arity():
