@@ -8,7 +8,8 @@ paths they replaced, and writes the medians to ``BENCH_emit.json``:
 Each row is the median (and every run) of ``RUNS`` runs, each of which
 enumerates the trees and writes them, with bifgraph's functools caches
 emptied before it; the ``enumerate_colored`` rows time the enumeration
-alone.  The reference paths come from ``tests/helpers.py``:
+alone, the last of them on a law table of the two saddle-node entries
+only, whose trees are two paths.  The reference paths come from ``tests/helpers.py``:
 ``dumped_trees_json`` is ``json.dumps`` of the whole list of tree
 documents, ``diagram_trees_dot`` builds a Diagram and its star graph for
 every tree.  The writers' output goes to a sink that only counts
@@ -72,11 +73,22 @@ PATHS = {
 }
 
 
-def run_once(name: str, k: int, d: int, n: int) -> tuple[float, int]:
+SADDLE_NODES_ONLY = bg.load_law_table({
+    "schemaVersion": "1", "dimension": 1, "mode": "replace", "entries": [
+        {"kind": "saddle_node", "parent": 1, "children": [-1]},
+        {"kind": "saddle_node", "parent": -1, "children": [1]}]})
+
+
+def run_once(name: str, spec: bg.EnumerationSpec) -> tuple[float, int]:
     clear_caches()
     start = time.perf_counter()
-    size = PATHS[name](bg.enumerate_colored(bg.EnumerationSpec(k, d, n)), d)
+    size = PATHS[name](bg.enumerate_colored(spec), spec.d)
     return time.perf_counter() - start, size
+
+
+def describe(spec: bg.EnumerationSpec) -> str:
+    table = " saddle nodes only" if spec.table is not None else ""
+    return f"k={spec.k} d={spec.d} n={spec.n} {spec.mode.value}{table}"
 
 
 def main() -> None:
@@ -86,25 +98,29 @@ def main() -> None:
 
     cases = []
     for k, d, n in ((2, 4, 5), (1, 3, 6)):
-        cases += [("enumerate_colored", k, d, n),
-                  ("write_trees_json", k, d, n), ("dumped_trees_json", k, d, n),
-                  ("write_trees_dot", k, d, n), ("diagram_trees_dot", k, d, n)]
-    cases += [("enumerate_colored", 2, 4, 7),
-              ("write_trees_json", 2, 4, 7), ("dumped_trees_json", 2, 4, 7)]
+        spec = bg.EnumerationSpec(k, d, n)
+        cases += [("enumerate_colored", spec),
+                  ("write_trees_json", spec), ("dumped_trees_json", spec),
+                  ("write_trees_dot", spec), ("diagram_trees_dot", spec)]
+    spec = bg.EnumerationSpec(2, 4, 7)
+    cases += [("enumerate_colored", spec),
+              ("write_trees_json", spec), ("dumped_trees_json", spec),
+              ("enumerate_colored", bg.EnumerationSpec(1, 4, 9, "free")),
+              ("enumerate_colored", bg.EnumerationSpec(1, 1, 400, "free", SADDLE_NODES_ONLY))]
 
     rows = []
-    for name, k, d, n in cases:
+    for name, spec in cases:
         times, sizes = [], set()
         for _ in range(RUNS):
-            took, size = run_once(name, k, d, n)
+            took, size = run_once(name, spec)
             times.append(took)
             sizes.add(size)
         (size,) = sizes
         unit = "trees" if name == "enumerate_colored" else "chars"
-        row = {"function": name, "input": f"k={k} d={d} n={n} plane",
+        row = {"function": name, "input": describe(spec),
                "median_s": statistics.median(times), "runs_s": times, unit: size}
         rows.append(row)
-        print(f"{name:20s} {row['input']:20s} {row['median_s']:10.4f} s  {size} {unit}")
+        print(f"{name:20s} {row['input']:36s} {row['median_s']:10.4f} s  {size} {unit}")
     record = {"python": platform.python_version(), "platform": platform.platform(),
               "machine": platform.machine(), "cpus": os.cpu_count(), "runs": RUNS,
               "rows": rows}

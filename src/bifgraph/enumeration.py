@@ -10,10 +10,11 @@ root color are unconstrained.
 Two counting conventions are supported and never mixed: PLANE trees give
 children distinct positions among k+1 slots (the convention matched by the
 k-ary counting formula), FREE trees identify reorderings of children.
-Explicit enumeration is capped.  Counting builds no tree: one bottom-up
-table of counts by size and root color serves both modes, with ordered
-products of child series in plane mode and Polya's multiset construction
-in free mode.
+Explicit enumeration is capped, and fills one table of trees by size and
+root color inside each call, keeping nothing between calls.  Counting
+builds no tree: one bottom-up table of counts by size and root color serves
+both modes, with ordered products of child series in plane mode and Polya's
+multiset construction in free mode.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import io
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 from operator import mul
@@ -75,10 +75,6 @@ class ColoredTree:
         return tuple(c.shape() for c in self.children)
 
 
-def _ckey(t: ColoredTree):
-    return (t.size, t.shape(), t.color, tuple(_ckey(c) for c in t.children))
-
-
 @dataclass(frozen=True)
 class EnumerationSpec:
     """Parameters of one enumeration run: branching budget k (at most k+1
@@ -104,50 +100,55 @@ class EnumerationSpec:
 # Explicit enumeration
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _ordered_color_tuples(table: LawTable, c: int, color: int) -> tuple:
-    out = set()
-    for mset in splits_for_child_count(table, c, color):
-        out.update(permutations(mset))
-    return tuple(sorted(out))
+def _colored_pools(table: LawTable, arity: int, n: int, plane: bool) -> dict:
+    """``pool[color][size]``: every admissible tree with that root color and
+    size, for size 1..n and at most ``arity`` children per node, filled in
+    order of size within this one call.
 
+    Plane trees come in the order child count, slots, color tuple, size
+    composition, then the product of the child pools.  Free trees keep their
+    children, and each pool, sorted by the key (size, shape, color, child
+    keys), built once per tree from its children's keys; reorderings of one
+    child multiset are merged by the ids of the sorted children.  Every tree
+    of a pool is one object, shared by each larger tree that holds it.
+    """
+    rules = {color: [] for color in INDEX_VALUES}  # (c children, color tuples)
+    for color, rs in rules.items():
+        for c in range(1, min(arity, n - 1) + 1):
+            tuples = sorted({p for mset in splits_for_child_count(table, c, color)
+                             for p in permutations(mset)})
+            if tuples:
+                rs.append((c, tuples))
+    pool = {color: [(), (ColoredTree(color),)] for color in INDEX_VALUES}
+    key = {id(pool[color][1][0]): (1, (), color, ()) for color in INDEX_VALUES}
 
-@lru_cache(maxsize=None)
-def _colored_plane(table: LawTable, arity: int, n: int, color: int) -> tuple:
-    if n == 1:
-        return (ColoredTree(color),)
-    out = []
-    for c in range(1, min(arity, n - 1) + 1):
-        tuples = _ordered_color_tuples(table, c, color)
-        if not tuples:
-            continue
-        for slots in combinations(range(arity), c):
-            for colors in tuples:
-                for sizes in _compositions(n - 1, c):
-                    pools = [_colored_plane(table, arity, s, col)
-                             for s, col in zip(sizes, colors)]
-                    for kids in product(*pools):
-                        out.append(ColoredTree(color, kids, slots))
-    return tuple(out)
+    def key_of(t):
+        return key[id(t)]
 
-
-@lru_cache(maxsize=None)
-def _colored_free(table: LawTable, max_children: int, n: int, color: int) -> tuple:
-    if n == 1:
-        return (ColoredTree(color),)
-    out = set()
-    for c in range(1, min(max_children, n - 1) + 1):
-        tuples = _ordered_color_tuples(table, c, color)
-        if not tuples:
-            continue
-        for colors in tuples:
-            for sizes in _compositions(n - 1, c):
-                pools = [_colored_free(table, max_children, s, col)
-                         for s, col in zip(sizes, colors)]
-                for kids in product(*pools):
-                    ordered = tuple(sorted(kids, key=_ckey, reverse=True))
-                    out.add(ColoredTree(color, ordered, None))
-    return tuple(sorted(out, key=_ckey))
+    for size in range(2, n + 1):
+        for color in INDEX_VALUES:
+            out, seen = [], set()
+            for c, tuples in rules[color]:
+                if c >= size:
+                    break
+                slot_sets = combinations(range(arity), c) if plane else (None,)
+                for slots, colors, sizes in product(slot_sets, tuples, _compositions(size - 1, c)):
+                    kid_tuples = product(*(pool[col][s] for s, col in zip(sizes, colors)))
+                    if plane:
+                        out += [ColoredTree(color, kids, slots) for kids in kid_tuples]
+                        continue
+                    for kids in kid_tuples:
+                        kids = tuple(sorted(kids, key=key_of, reverse=True))
+                        ids = tuple(map(id, kids))
+                        if ids not in seen:
+                            seen.add(ids)
+                            tree, keys = ColoredTree(color, kids), tuple(map(key_of, kids))
+                            key[id(tree)] = (size, tuple(k[1] for k in keys), color, keys)
+                            out.append(tree)
+            if not plane:
+                out.sort(key=key_of)
+            pool[color].append(tuple(out))
+    return pool
 
 
 def enumerate_colored(spec: EnumerationSpec) -> tuple[ColoredTree, ...]:
@@ -162,8 +163,8 @@ def enumerate_colored(spec: EnumerationSpec) -> tuple[ColoredTree, ...]:
     total = count_colored(spec.k, spec.d, spec.n, spec.mode, table)
     if total > limit:
         raise EnumerationLimitError(f"{total} colored trees exceed limit {limit}")
-    build = _colored_plane if spec.mode is TreeMode.PLANE else _colored_free
-    return tuple(t for color in INDEX_VALUES for t in build(table, spec.k + 1, spec.n, color))
+    pool = _colored_pools(table, spec.k + 1, spec.n, spec.mode is TreeMode.PLANE)
+    return tuple(t for color in INDEX_VALUES for t in pool[color][spec.n])
 
 
 def project_uncolored(trees) -> frozenset:

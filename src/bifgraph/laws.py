@@ -112,27 +112,20 @@ class LawEntry:
     multipliers: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in (SADDLE_NODE, PERIOD_DOUBLING, TYPE_M, JUNCTION):
-            raise ValueError(f"unknown law entry kind {self.kind!r}")
         check_index(self.parent)
         for c in self.children:
             check_index(c)
         object.__setattr__(self, "children", tuple(sorted(self.children)))
         object.__setattr__(self, "multipliers", tuple(self.multipliers))
+        arity = len(self.children)
+        if arity < 1 or self.kind != kind_for_child_count(arity).name:
+            raise ValueError(f"a {self.kind!r} law entry cannot have {arity} children")
         if self.kind == SADDLE_NODE:
-            if len(self.children) != 1:
-                raise ValueError("saddle_node entry pairs exactly one partner index")
             if self.parent + self.children[0] != 0:
                 raise ValueError("saddle-node pair must sum to 0")
-        else:
-            expected = {PERIOD_DOUBLING: 2, TYPE_M: 3}.get(self.kind)
-            if expected is not None and len(self.children) != expected:
-                raise ValueError(f"{self.kind} entry needs {expected} children")
-            if self.kind == JUNCTION and len(self.children) < 4:
-                raise ValueError("junction entry needs at least 4 children")
-            if sum(self.children) != self.parent:
-                raise ValueError(
-                    f"children {self.children} do not conserve parent index {self.parent}")
+        elif sum(self.children) != self.parent:
+            raise ValueError(
+                f"children {self.children} do not conserve parent index {self.parent}")
         _check_forbidden(self.kind, self.parent, self.children)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from .graphs import SimpleGraph
@@ -61,37 +61,30 @@ def count_kary_formula(k: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _compositions(total: int, parts: int):
-    """Ordered tuples of positive integers of length ``parts`` summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
+    """Ordered tuples of positive integers of length ``parts`` >= 1 summing
+    to total."""
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
         return
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
 def slot_trees(arity: int, n: int) -> tuple:
-    """All slot trees on n nodes where each node has ``arity`` child positions."""
-    if n < 1:
-        return ()
-    if n == 1:
-        return ((),)
-    out = []
-    for c in range(1, min(arity, n - 1) + 1):
-        for slots in combinations(range(arity), c):
-            for sizes in _compositions(n - 1, c):
-                out.extend(_assemble(slots, sizes, arity, 0, ()))
-    return tuple(out)
-
-
-def _assemble(slots, sizes, arity, i, acc):
-    if i == len(slots):
-        yield acc
-        return
-    for child in slot_trees(arity, sizes[i]):
-        yield from _assemble(slots, sizes, arity, i + 1, acc + ((slots[i], child),))
+    """All slot trees on n nodes where each node has ``arity`` child positions,
+    filled in order of size: child count, slots, size composition, then the
+    product of the smaller lists, each subtree one shared object."""
+    pool = [(), ((),)]
+    for size in range(2, n + 1):
+        pool.append(tuple(
+            tuple(zip(slots, kids))
+            for c in range(1, min(arity, size - 1) + 1)
+            for slots in combinations(range(arity), c)
+            for sizes in _compositions(size - 1, c)
+            for kids in product(*(pool[s] for s in sizes))))
+    return pool[n] if n >= 1 else ()
 
 
 def slot_tree_size(t) -> int:
@@ -107,24 +100,15 @@ def strip_slots(t) -> tuple:
 # Ordered trees (plane trees without slots)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def ordered_forests(total: int) -> tuple:
-    if total == 0:
-        return ((),)
-    out = []
-    for s in range(1, total + 1):
-        for t in ordered_trees(s):
-            for rest in ordered_forests(total - s):
-                out.append((t,) + rest)
-    return tuple(out)
-
-
 def ordered_trees(n: int) -> tuple:
     """All plane trees on n nodes (ordered children, unbounded arity);
-    there are Catalan(n-1) of them."""
-    if n < 1:
-        return ()
-    return tuple(ordered_forests(n - 1))
+    there are Catalan(n-1) of them.  A tree is its forest of children:
+    first child of every size, then the forests of the remaining nodes."""
+    forests = [((),)]
+    for total in range(1, n):
+        forests.append(tuple((t,) + rest for s in range(1, total + 1)
+                             for t in forests[s - 1] for rest in forests[total - s]))
+    return forests[n - 1] if n >= 1 else ()
 
 
 def tree_size(t) -> int:
@@ -198,15 +182,9 @@ def enumerate_shapes(k: int, n: int, mode=TreeMode.PLANE, limit: int | None = No
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     mode = TreeMode.coerce(mode)
-    if mode is TreeMode.PLANE:
-        if limit is not None and count_kary_formula(max(k + 1, 2), n) > limit:
-            raise EnumerationLimitError(
-                f"{count_kary_formula(max(k + 1, 2), n)} shapes exceed limit {limit}")
-        return slot_trees(k + 1, n)
-    shapes = canonical_trees(n, k + 1)
-    if limit is not None and len(shapes) > limit:
-        raise EnumerationLimitError(f"{len(shapes)} shapes exceed limit {limit}")
-    return shapes
+    if limit is not None and (total := count_shapes(k, n, mode)) > limit:
+        raise EnumerationLimitError(f"{total} shapes exceed limit {limit}")
+    return slot_trees(k + 1, n) if mode is TreeMode.PLANE else canonical_trees(n, k + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import random
 import sys
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial
 
 from bifgraph import (
@@ -248,6 +248,132 @@ def random_law_table(rng: random.Random, mode: str) -> LawTable:
         "schemaVersion": "1", "dimension": rng.randint(1, 4), "mode": mode,
         "entries": [{"kind": _kind_json(e.kind, len(e.children)), "parent": e.parent,
                      "children": list(e.children)} for e in entries]})
+
+
+# -- listing: the cached recursive listers the by-size pass replaced ---------
+
+def _compositions(total: int, parts: int):
+    """Ordered tuples of positive integers of length ``parts`` summing to total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _ckey(t: ColoredTree):
+    return (t.size, t.shape(), t.color, tuple(_ckey(c) for c in t.children))
+
+
+@lru_cache(maxsize=None)
+def _ordered_color_tuples(table: LawTable, c: int, color: int) -> tuple:
+    out = set()
+    for mset in splits_for_child_count(table, c, color):
+        out.update(permutations(mset))
+    return tuple(sorted(out))
+
+
+@lru_cache(maxsize=None)
+def _colored_plane(table: LawTable, arity: int, n: int, color: int) -> tuple:
+    if n == 1:
+        return (ColoredTree(color),)
+    out = []
+    for c in range(1, min(arity, n - 1) + 1):
+        tuples = _ordered_color_tuples(table, c, color)
+        if not tuples:
+            continue
+        for slots in combinations(range(arity), c):
+            for colors in tuples:
+                for sizes in _compositions(n - 1, c):
+                    pools = [_colored_plane(table, arity, s, col)
+                             for s, col in zip(sizes, colors)]
+                    for kids in product(*pools):
+                        out.append(ColoredTree(color, kids, slots))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _colored_free(table: LawTable, max_children: int, n: int, color: int) -> tuple:
+    if n == 1:
+        return (ColoredTree(color),)
+    out = set()
+    for c in range(1, min(max_children, n - 1) + 1):
+        tuples = _ordered_color_tuples(table, c, color)
+        if not tuples:
+            continue
+        for colors in tuples:
+            for sizes in _compositions(n - 1, c):
+                pools = [_colored_free(table, max_children, s, col)
+                         for s, col in zip(sizes, colors)]
+                for kids in product(*pools):
+                    ordered = tuple(sorted(kids, key=_ckey, reverse=True))
+                    out.add(ColoredTree(color, ordered, None))
+    return tuple(sorted(out, key=_ckey))
+
+
+def cached_colored_trees(spec) -> tuple:
+    """``enumerate_colored`` without its cap, through one cached recursive
+    lister per mode that keeps every smaller list between calls."""
+    table = spec.resolved_table()
+    build = _colored_plane if spec.mode.value == "plane" else _colored_free
+    return tuple(t for color in (-1, 0, 1) for t in build(table, spec.k + 1, spec.n, color))
+
+
+@lru_cache(maxsize=None)
+def cached_slot_trees(arity: int, n: int) -> tuple:
+    """All slot trees on n nodes where each node has ``arity`` child positions."""
+    if n < 1:
+        return ()
+    if n == 1:
+        return ((),)
+    out = []
+    for c in range(1, min(arity, n - 1) + 1):
+        for slots in combinations(range(arity), c):
+            for sizes in _compositions(n - 1, c):
+                out.extend(_assemble(slots, sizes, arity, 0, ()))
+    return tuple(out)
+
+
+def _assemble(slots, sizes, arity, i, acc):
+    if i == len(slots):
+        yield acc
+        return
+    for child in cached_slot_trees(arity, sizes[i]):
+        yield from _assemble(slots, sizes, arity, i + 1, acc + ((slots[i], child),))
+
+
+@lru_cache(maxsize=None)
+def ordered_forests(total: int) -> tuple:
+    if total == 0:
+        return ((),)
+    out = []
+    for s in range(1, total + 1):
+        for t in cached_ordered_trees(s):
+            for rest in ordered_forests(total - s):
+                out.append((t,) + rest)
+    return tuple(out)
+
+
+def cached_ordered_trees(n: int) -> tuple:
+    """All plane trees on n nodes (ordered children, unbounded arity);
+    there are Catalan(n-1) of them."""
+    if n < 1:
+        return ()
+    return tuple(ordered_forests(n - 1))
+
+
+def distinct_children(trees, children) -> int:
+    """How many distinct objects (by ``id``) sit below the roots of the
+    listed trees; ``children(node)`` gives a node's children."""
+    seen, stack = set(), list(trees)
+    while stack:
+        for child in children(stack.pop()):
+            if id(child) not in seen:
+                seen.add(id(child))
+                stack.append(child)
+    return len(seen)
 
 
 # -- junction period decompositions ------------------------------------------

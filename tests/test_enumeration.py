@@ -1,5 +1,6 @@
 """Colored-tree enumeration, exact counts, ratio and share sequences."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -8,10 +9,14 @@ import pytest
 from bifgraph import (
     ColoredTree, CountTable, EnumerationSpec, builtin_table, count_colored,
     count_sequence, count_shapes, enumerate_colored, enumerate_shapes,
-    project_uncolored, ratio_lower_bound, ratio_sequence, share_sequence,
-    tree_to_diagram, validate_diagram,
+    load_law_table, ordered_trees, project_uncolored, ratio_lower_bound,
+    ratio_sequence, share_sequence, slot_trees, tree_to_diagram, validate_diagram,
 )
-from helpers import chain_tree, plane_count, random_law_table
+from bifgraph.cli import main
+from helpers import (
+    cached_colored_trees, cached_ordered_trees, cached_slot_trees, chain_tree,
+    distinct_children, plane_count, random_law_table,
+)
 
 
 def spec(k, d, n, mode="plane"):
@@ -121,6 +126,52 @@ def test_count_sequence_on_random_law_tables(mode):
             for n in range(1, 7)]
 
 
+def test_listers_match_the_cached_recursive_listers():
+    """Same trees in the same order as the recursive listers they replaced,
+    with as many distinct subtree objects, so subtrees stay shared."""
+
+    def same(got, want, children):
+        assert got == want
+        assert distinct_children(got, children) == distinct_children(want, children)
+
+    def colored(s):
+        same(enumerate_colored(s), cached_colored_trees(s), lambda t: t.children)
+
+    for mode in ("plane", "free"):
+        for k in (1, 2, 3):
+            for d in (1, 2, 3, 4):
+                for n in range(1, 6 if k == 3 else 7):
+                    colored(spec(k, d, n, mode))
+        for table_mode in ("extend", "replace"):
+            rng = random.Random(f"listers {mode} {table_mode}")
+            for _ in range(25):
+                table = random_law_table(rng, table_mode)
+                colored(EnumerationSpec(rng.randint(1, 3), table.dimension,
+                                        rng.randint(1, 6), mode, table))
+    for arity in (1, 2, 3, 4):
+        for n in range(0, 9):
+            same(slot_trees(arity, n), cached_slot_trees(arity, n),
+                 lambda t: [c for _, c in t])
+    for n in range(0, 12):
+        same(ordered_trees(n), cached_ordered_trees(n), lambda t: t)
+
+
+SADDLE_NODES_ONLY = {"schemaVersion": "1", "dimension": 1, "mode": "replace", "entries": [
+    {"kind": "saddle_node", "parent": 1, "children": [-1]},
+    {"kind": "saddle_node", "parent": -1, "children": [1]}]}
+
+
+def test_saddle_node_paths_list_at_any_depth(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(SADDLE_NODES_ONLY))
+    assert main(["enumerate", "--k", "1", "--d", "1", "--n", "400", "--mode", "free",
+                 "--emit", "dot", "--law-table", str(table)]) == 0
+    assert capsys.readouterr().out.count("graph t") == 2
+    trees = enumerate_colored(
+        EnumerationSpec(1, 1, 3000, "free", load_law_table(SADDLE_NODES_ONLY)))
+    assert [t.size for t in trees] == [3000, 3000]
+
+
 def test_count_colored_is_the_last_sequence_entry():
     assert count_sequence(2, 4, 0) == []
     assert count_colored(2, 4, 0) == count_colored(2, 4, -3, "free") == 0
@@ -133,7 +184,7 @@ def test_free_counts_build_no_trees(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("counting built a tree")
 
-    for name in ("ColoredTree", "_colored_free", "_colored_plane"):
+    for name in ("ColoredTree", "_colored_pools"):
         monkeypatch.setattr(enumeration, name, refuse)
     free = count_colored(2, 4, 60, "free")
     # every free tree has at least one plane arrangement

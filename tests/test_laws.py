@@ -108,6 +108,17 @@ def test_forbidden_entries_rejected():
         LawEntry("sideways", 1, (1,))
 
 
+@pytest.mark.parametrize("kind, parent, children", [
+    (SADDLE_NODE, 1, (-1, 0)),
+    (PERIOD_DOUBLING, 1, (0, 0, 1)),
+    (TYPE_M, 0, (-1, 1)),
+    (JUNCTION, 1, (0, 0, 1)),
+])
+def test_entry_arity_must_match_its_kind(kind, parent, children):
+    with pytest.raises(ValueError, match=f"'{kind}' law entry cannot have {len(children)}"):
+        LawEntry(kind, parent, children)
+
+
 def test_splits_for_child_count_routes_by_arity():
     t4 = builtin_table(4)
     assert splits_for_child_count(t4, 1, 0) == {(0,)}

@@ -54,6 +54,9 @@ def test_free_shapes_respect_child_budget():
 def test_enumeration_limit():
     with pytest.raises(EnumerationLimitError):
         enumerate_shapes(2, 10, limit=10)
+    with pytest.raises(EnumerationLimitError, match="^20 shapes exceed limit 19$"):
+        enumerate_shapes(5, 6, "free", limit=19)
+    assert len(enumerate_shapes(5, 6, "free", limit=20)) == 20
 
 
 def test_ordered_trees_catalan():
