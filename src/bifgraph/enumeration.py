@@ -24,7 +24,7 @@ import io
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import comb, factorial, prod
 from operator import mul
 
@@ -44,7 +44,12 @@ DEFAULT_LIST_LIMIT = 1_000_000
 @dataclass(frozen=True)
 class ColoredTree:
     """Rooted tree with orbit-index colors; ``slots`` gives the child
-    positions in plane mode and is None in free mode."""
+    positions in plane mode and is None in free mode.
+
+    Equality, hashing and ``shape`` walk the tree with an explicit stack,
+    so a tree of any depth answers them; the hash equals the one the
+    dataclass would compute from (color, children, slots).
+    """
 
     color: int
     children: tuple["ColoredTree", ...] = ()
@@ -54,6 +59,24 @@ class ColoredTree:
         check_index(self.color)
         if self.slots is not None and len(self.slots) != len(self.children):
             raise ValueError("slots must parallel children")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (a.color != b.color or a.slots != b.slots
+                    or len(a.children) != len(b.children)):
+                return False
+            stack += zip(a.children, b.children)
+        return True
+
+    def __hash__(self):
+        hashes = _fold((self,), lambda t, kids: _Hash(hash((t.color, tuple(kids), t.slots))))
+        return hashes[id(self)].value
 
     @property
     def size(self) -> int:
@@ -70,9 +93,52 @@ class ColoredTree:
 
     def shape(self):
         """Uncolored shape in the carrier matching the tree's mode."""
-        if self.slots is not None:
-            return tuple((s, c.shape()) for s, c in zip(self.slots, self.children))
-        return tuple(c.shape() for c in self.children)
+        return _shapes((self,))[id(self)]
+
+
+class _Hash:
+    """A subtree's known hash, standing in for the subtree in its parent's
+    (color, children, slots) tuple."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def _fold(roots, combine) -> dict:
+    """``{id(t): combine(t, [value of each child])}`` over every node under
+    ``roots``, children first, each shared subtree once."""
+    done: dict = {}
+    stack = [(t, False) for t in roots]
+    while stack:
+        t, ready = stack.pop()
+        if id(t) in done:
+            continue
+        if ready:
+            done[id(t)] = combine(t, [done[id(c)] for c in t.children])
+        else:
+            stack.append((t, True))
+            stack += [(c, False) for c in t.children]
+    return done
+
+
+def _shapes(roots) -> dict:
+    """``{id(t): shape}`` for every node under ``roots``.  Equal shapes are
+    built as one object, so a set of deep shapes never compares two of them
+    element by element."""
+    interned: dict = {}
+
+    def shape(t, kids):
+        key = (t.slots, tuple(map(id, kids)))
+        if key not in interned:
+            interned[key] = tuple(kids) if t.slots is None else tuple(zip(t.slots, kids))
+        return interned[key]
+
+    return _fold(roots, shape)
 
 
 @dataclass(frozen=True)
@@ -100,6 +166,14 @@ class EnumerationSpec:
 # Explicit enumeration
 # ---------------------------------------------------------------------------
 
+def _orderings(mset) -> list[tuple]:
+    """The distinct orderings of a multiset, in lexicographic order: each
+    distinct value in turn, followed by every ordering of the rest."""
+    rest = sorted(mset)
+    return [(v,) + tail for i, v in enumerate(rest) if i == 0 or v != rest[i - 1]
+            for tail in _orderings(rest[:i] + rest[i + 1:])] if rest else [()]
+
+
 def _colored_pools(table: LawTable, arity: int, n: int, plane: bool) -> dict:
     """``pool[color][size]``: every admissible tree with that root color and
     size, for size 1..n and at most ``arity`` children per node, filled in
@@ -116,7 +190,7 @@ def _colored_pools(table: LawTable, arity: int, n: int, plane: bool) -> dict:
     for color, rs in rules.items():
         for c in range(1, min(arity, n - 1) + 1):
             tuples = sorted({p for mset in splits_for_child_count(table, c, color)
-                             for p in permutations(mset)})
+                             for p in _orderings(mset)})
             if tuples:
                 rs.append((c, tuples))
     pool = {color: [(), (ColoredTree(color),)] for color in INDEX_VALUES}
@@ -169,7 +243,9 @@ def enumerate_colored(spec: EnumerationSpec) -> tuple[ColoredTree, ...]:
 
 def project_uncolored(trees) -> frozenset:
     """Strip colors (and kinds) from colored trees; returns the shape set."""
-    return frozenset(t.shape() for t in trees)
+    trees = tuple(trees)
+    shapes = _shapes(trees)
+    return frozenset(shapes[id(t)] for t in trees)
 
 
 def shape_coverage(spec: EnumerationSpec) -> tuple[int, int]:

@@ -8,6 +8,8 @@ exact answers, so no approximate or hash-based shortcuts are used.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -197,28 +199,9 @@ def graphs_isomorphic(g1: SimpleGraph, g2: SimpleGraph, respect_colors: bool = F
     return extend(0)
 
 
-@lru_cache(maxsize=None)
-def _edge_perms(n: int) -> tuple[tuple[int, ...], ...]:
-    """For every vertex permutation, the induced permutation of edge slots."""
-    pairs = list(combinations(range(n), 2))
-    idx = {e: i for i, e in enumerate(pairs)}
-    return tuple(tuple(idx[_norm_edge(perm[u], perm[v])] for u, v in pairs)
-                 for perm in permutations(range(n)))
-
-
 def graph_from_mask(n: int, mask: int) -> SimpleGraph:
     pairs = list(combinations(range(n), 2))
     return SimpleGraph.from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-
-
-def _permuted_mask(mask: int, ep) -> int:
-    """Edge bitmask after moving each edge slot i to slot ep[i]."""
-    out = 0
-    while mask:
-        i = (mask & -mask).bit_length() - 1
-        out |= 1 << ep[i]
-        mask &= mask - 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -227,26 +210,35 @@ def _permuted_mask(mask: int, ep) -> int:
 
 @lru_cache(maxsize=None)
 def all_graphs(n: int) -> tuple[SimpleGraph, ...]:
-    """All graphs on exactly n vertices up to isomorphism (n <= 6).
+    """All graphs on exactly n vertices up to isomorphism (n <= 6), each the
+    least edge bitmask of its orbit, in ascending order of that mask.
 
-    Works by sweeping every edge bitmask once and expanding the orbit of each
-    unseen mask under the vertex permutations, so the cost is proportional to
-    the number of isomorphism classes rather than masks times permutations.
+    Column i packs the image bit of edge slot i under every vertex
+    permutation into one integer, one 16-bit field per permutation (at
+    most 15 edge slots).  A mask's whole orbit is then the sum of the
+    columns of its set bits: distinct edges map to distinct bits, so no
+    field carries.  Sweeping the masks once and marking each unseen
+    mask's orbit costs one integer sum per isomorphism class.
     """
     if n > 6:
         raise ValueError("all_graphs is limited to 6 vertices")
     if n == 0:
         return (SimpleGraph.from_edges(0, []),)
-    eperms = _edge_perms(n)
-    nbits = n * (n - 1) // 2
-    seen = bytearray(1 << nbits)
+    pairs = list(combinations(range(n), 2))
+    slot = {e: 1 << i for i, e in enumerate(pairs)}
+    perms = list(permutations(range(n)))
+    columns = [int.from_bytes(array("H", [slot[_norm_edge(p[u], p[v])] for p in perms]),
+                              sys.byteorder) for u, v in pairs]
+    width = 2 * len(perms)
+    seen = bytearray(1 << len(pairs))
     reps = []
-    for mask in range(1 << nbits):
+    for mask in range(len(seen)):
         if seen[mask]:
             continue
         reps.append(graph_from_mask(n, mask))
-        for ep in eperms:
-            seen[_permuted_mask(mask, ep)] = 1
+        orbit = sum(col for i, col in enumerate(columns) if mask >> i & 1)
+        for image in array("H", orbit.to_bytes(width, sys.byteorder)):
+            seen[image] = 1
     return tuple(reps)
 
 

@@ -15,38 +15,73 @@ from .spanning import _is_forest
 
 
 class Matroid:
-    """Ground set plus a memoized independence oracle."""
+    """Ground set plus a memoized independence oracle.
+
+    Each ground element owns one bit, and queries are memoised by the int
+    mask of the set.  The oracle receives a frozenset, built only when the
+    memo misses.  A minor from ``matroid_minor`` keeps its parent's bits,
+    oracle and memo: its query of a mask is the parent's query of that mask
+    together with the contracted mask, so every minor of one matroid shares
+    one memo.
+    """
 
     def __init__(self, ground, indep, name: str = "matroid"):
         self.ground = tuple(ground)
-        self._ground_set = frozenset(self.ground)
-        if len(self._ground_set) != len(self.ground):
+        self._bit = {e: 1 << i for i, e in enumerate(self.ground)}
+        if len(self._bit) != len(self.ground):
             raise ValueError("ground set elements must be distinct")
+        self._elements = self.ground  # decodes a mask for the oracle
+        self._contracted = 0
         self._indep = indep
-        self._memo: dict[frozenset, bool] = {frozenset(): True}
+        self._memo: dict[int, bool] = {0: True}
         self.name = name
 
-    def is_independent(self, subset) -> bool:
-        key = frozenset(subset)
-        if not key <= self._ground_set:
-            raise ValueError("subset is not contained in the ground set")
-        got = self._memo.get(key)
+    def _minor(self, ground, contracted: int, name: str) -> "Matroid":
+        """Restriction to ``ground`` after contracting the independent mask
+        ``contracted``, sharing this matroid's bits, oracle and memo."""
+        minor = object.__new__(Matroid)
+        minor.ground = tuple(ground)
+        minor._bit = {e: self._bit[e] for e in minor.ground}
+        minor._elements, minor._indep, minor._memo = self._elements, self._indep, self._memo
+        minor._contracted = self._contracted | contracted
+        minor.name = name
+        return minor
+
+    def _mask(self, subset) -> int:
+        """Mask of ``subset``; ValueError for an element outside the ground set."""
+        mask, bit = 0, self._bit
+        try:
+            for e in subset:
+                mask |= bit[e]
+        except KeyError:
+            raise ValueError("subset is not contained in the ground set") from None
+        return mask
+
+    def _independent(self, mask: int) -> bool:
+        mask |= self._contracted
+        got = self._memo.get(mask)
         if got is None:
-            got = self._memo[key] = bool(self._indep(key))
+            chosen = frozenset(e for i, e in enumerate(self._elements) if mask >> i & 1)
+            got = self._memo[mask] = bool(self._indep(chosen))
         return got
 
+    def _rank(self, mask: int) -> int:
+        """Greedy rank of the elements of ``mask``, taken in ground order."""
+        got = 0
+        for b in self._bit.values():
+            if b & mask and self._independent(got | b):
+                got |= b
+        return got.bit_count()
+
+    def is_independent(self, subset) -> bool:
+        return self._independent(self._mask(subset))
+
     def rank_of(self, subset=None) -> int:
-        """Greedy rank of ``subset`` (defaults to the whole ground set)."""
+        """Greedy rank of ``subset`` (defaults to the whole ground set);
+        elements outside the ground set are ignored."""
         if subset is None:
-            pool = self.ground
-        else:
-            keep = set(subset)
-            pool = [e for e in self.ground if e in keep]
-        got = frozenset()
-        for e in pool:
-            if self.is_independent(got | {e}):
-                got |= {e}
-        return len(got)
+            return self._rank(sum(self._bit.values()))
+        return self._rank(sum(self._bit.get(e, 0) for e in set(subset)))
 
     @property
     def rank(self) -> int:
@@ -57,11 +92,10 @@ class Matroid:
         out = []
         for r in range(1, len(self.ground) + 1):
             for sub in combinations(self.ground, r):
-                s = frozenset(sub)
-                if self.is_independent(s):
-                    continue
-                if all(self.is_independent(s - {x}) for x in s):
-                    out.append(s)
+                mask = self._mask(sub)
+                if not self._independent(mask) and all(
+                        self._independent(mask ^ self._bit[x]) for x in sub):
+                    out.append(frozenset(sub))
         return out
 
     def __repr__(self):
@@ -147,11 +181,7 @@ def matroid_minor(m: Matroid, delete=(), contract=()) -> Matroid:
     if not m.is_independent(cset):
         raise ValueError("contract set must be independent")
     ground = tuple(e for e in m.ground if e not in dset and e not in cset)
-
-    def indep(subset: frozenset) -> bool:
-        return m.is_independent(subset | cset)
-
-    return Matroid(ground, indep, name=f"{m.name}-minor")
+    return m._minor(ground, m._mask(cset), f"{m.name}-minor")
 
 
 def _vamos_candidates(m: Matroid):
@@ -167,13 +197,13 @@ def _vamos_candidates(m: Matroid):
     each quadruple must be the union of two of them; five distinct edges on
     four vertices always form a diamond.
     """
-    bit = {e: 1 << i for i, e in enumerate(m.ground)}
-    triples = {sum(map(bit.get, t)) for t in combinations(m.ground, 3)
-               if not m.is_independent(t)}
+    bit, independent = m._bit, m._independent
+    bits = tuple(bit.values())
+    triples = {t for t in map(sum, combinations(bits, 3)) if not independent(t)}
     quads = []
-    for q in combinations(m.ground, 4):
-        mask = sum(map(bit.get, q))
-        if all(mask ^ bit[e] not in triples for e in q) and not m.is_independent(q):
+    for a, b, c, d in combinations(bits, 4):
+        mask = a | b | c | d
+        if triples.isdisjoint((mask ^ a, mask ^ b, mask ^ c, mask ^ d)) and not independent(mask):
             quads.append(mask)
     for eight in sorted({a | b for a, b in combinations(quads, 2) if not a & b}):
         if any(t & eight == t for t in triples):
@@ -182,12 +212,11 @@ def _vamos_candidates(m: Matroid):
         if len(inside) != 5:
             continue
         pairs = {a & b for a, b in combinations(inside, 2) if (a & b).bit_count() == 2}
-        elements = tuple(e for e in m.ground if bit[e] & eight)
         # four two-element masks sum to the eight bits only when disjoint
         if (len(pairs) == 4 and sum(pairs) == eight
                 and all(sum(p & q == p for p in pairs) == 2 for q in inside)
-                and m.rank_of(elements) == 4):
-            yield elements
+                and m._rank(eight) == 4):
+            yield tuple(e for e, b in bit.items() if b & eight)
 
 
 def has_vamos_minor(m: Matroid) -> bool:
@@ -209,9 +238,7 @@ def has_vamos_minor(m: Matroid) -> bool:
         raise ValueError("vamos-minor search is limited to 15 ground elements")
     for csize in range(min(size - 8, m.rank - 4) + 1):
         for cset in combinations(m.ground, csize):
-            if not m.is_independent(cset):
-                continue
-            minor = matroid_minor(m, contract=cset)
-            if any(_vamos_candidates(minor)):
+            if m.is_independent(cset) and any(
+                    _vamos_candidates(matroid_minor(m, contract=cset))):
                 return True
     return False

@@ -11,6 +11,7 @@ import json
 import random
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial
@@ -22,7 +23,7 @@ from bifgraph import (
     tree_to_diagram,
 )
 from bifgraph.classes import has_diamond_subgraph
-from bifgraph.graphs import _edge_perms, _permuted_mask
+from bifgraph.graphs import _norm_edge, graph_from_mask
 from bifgraph.trees import _tree_edges
 
 
@@ -674,6 +675,45 @@ def keyed_free_trees(n: int) -> dict:
     return seen
 
 
+# -- graph catalog: one permutation at a time --------------------------------
+
+@lru_cache(maxsize=None)
+def _edge_perms(n: int) -> tuple[tuple[int, ...], ...]:
+    """For every vertex permutation, the induced permutation of edge slots."""
+    pairs = list(combinations(range(n), 2))
+    idx = {e: i for i, e in enumerate(pairs)}
+    return tuple(tuple(idx[_norm_edge(perm[u], perm[v])] for u, v in pairs)
+                 for perm in permutations(range(n)))
+
+
+def _permuted_mask(mask: int, ep) -> int:
+    """Edge bitmask after moving each edge slot i to slot ep[i]."""
+    out = 0
+    while mask:
+        i = (mask & -mask).bit_length() - 1
+        out |= 1 << ep[i]
+        mask &= mask - 1
+    return out
+
+
+def swept_all_graphs(n: int) -> tuple:
+    """``all_graphs`` before the packed orbit sums: every unseen mask's orbit
+    is marked by moving it through each edge permutation, one bit at a
+    time."""
+    if n == 0:
+        return (SimpleGraph.from_edges(0, []),)
+    nbits = n * (n - 1) // 2
+    seen = bytearray(1 << nbits)
+    reps = []
+    for mask in range(1 << nbits):
+        if seen[mask]:
+            continue
+        reps.append(graph_from_mask(n, mask))
+        for ep in _edge_perms(n):
+            seen[_permuted_mask(mask, ep)] = 1
+    return tuple(reps)
+
+
 # -- diamond minors by contraction search --------------------------------------
 
 def canonical_mask(g: SimpleGraph) -> int:
@@ -782,6 +822,25 @@ def chain_tree(n: int) -> ColoredTree:
     for i in range(n - 1):
         t = ColoredTree(-1 if i % 2 == 0 else 1, (t,), (0,))
     return t
+
+
+@dataclass(frozen=True)
+class PlainTree:
+    """``ColoredTree`` as the dataclass defines it: generated recursive
+    equality and hashing, and the recursive ``shape``."""
+
+    color: int
+    children: tuple = ()
+    slots: tuple | None = None
+
+    def shape(self):
+        if self.slots is not None:
+            return tuple((s, c.shape()) for s, c in zip(self.slots, self.children))
+        return tuple(c.shape() for c in self.children)
+
+
+def plain_tree(t: ColoredTree) -> PlainTree:
+    return PlainTree(t.color, tuple(map(plain_tree, t.children)), t.slots)
 
 
 def with_stack_room(frames: int, fn, *args):

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -13,9 +14,10 @@ from bifgraph import (
     ratio_sequence, share_sequence, slot_trees, tree_to_diagram, validate_diagram,
 )
 from bifgraph.cli import main
+from bifgraph.enumeration import _orderings
 from helpers import (
     cached_colored_trees, cached_ordered_trees, cached_slot_trees, chain_tree,
-    distinct_children, plane_count, random_law_table,
+    distinct_children, plain_tree, plane_count, random_law_table,
 )
 
 
@@ -170,6 +172,50 @@ def test_saddle_node_paths_list_at_any_depth(tmp_path, capsys):
     trees = enumerate_colored(
         EnumerationSpec(1, 1, 3000, "free", load_law_table(SADDLE_NODES_ONLY)))
     assert [t.size for t in trees] == [3000, 3000]
+
+
+def test_deep_trees_hash_compare_and_project():
+    spec = EnumerationSpec(1, 1, 3000, "free", load_law_table(SADDLE_NODES_ONLY))
+    a, b = enumerate_colored(spec)
+    again = enumerate_colored(spec)
+    assert a == again[0] and b == again[1] and a != b
+    assert hash(a) == hash(again[0]) and hash(b) == hash(again[1])
+    assert set(again) == {a, b} and len({a, b, *again}) == 2
+
+    def depth(shape):
+        levels = 0
+        while shape:
+            (shape,), levels = shape, levels + 1
+        return levels
+
+    assert depth(a.shape()) == depth(b.shape()) == 2999
+    (projected,) = project_uncolored((a, b, *again))
+    assert depth(projected) == 2999
+    chain = chain_tree(3000)
+    assert chain == chain_tree(3000) and hash(chain) == hash(chain_tree(3000))
+    assert len(project_uncolored([chain])) == 1
+
+
+def test_tree_equality_and_hash_match_the_dataclass():
+    for mode in ("plane", "free"):
+        for k, d, n in ((1, 4, 5), (2, 3, 4), (2, 4, 4), (3, 2, 4)):
+            trees = enumerate_colored(spec(k, d, n, mode))
+            plain = list(map(plain_tree, trees))
+            for t, p, twin in zip(trees, plain, enumerate_colored(spec(k, d, n, mode))):
+                assert hash(t) == hash(p) == hash(twin) and t == twin
+                assert t.shape() == p.shape()
+            for i in range(0, len(trees), 7):
+                for j in range(len(trees)):
+                    assert (trees[i] == trees[j]) == (plain[i] == plain[j]) == (i == j)
+            assert project_uncolored(trees) == frozenset(p.shape() for p in plain)
+
+
+@pytest.mark.parametrize("c", range(8))
+def test_multiset_orderings_match_the_distinct_permutations(c):
+    rng = random.Random(c)
+    for mset in combinations_with_replacement((-1, 0, 1), c):
+        shuffled = rng.sample(mset, c)
+        assert _orderings(shuffled) == sorted(set(permutations(mset)))
 
 
 def test_count_colored_is_the_last_sequence_entry():

@@ -1,6 +1,7 @@
 """Graphic matroids, the Vamos matroid, minors, axiom checks."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -80,6 +81,84 @@ def test_minor_delete_from_vamos():
     v = vamos()
     for e in v.ground:
         assert matroid_minor(v, delete=[e]).rank == 4
+
+
+def _splits(m):
+    """Every (independent contract set, disjoint delete set) pair of m."""
+    for cset in powerset(m.ground):
+        if m.is_independent(cset):
+            rest = [e for e in m.ground if e not in cset]
+            for dset in powerset(rest):
+                yield frozenset(cset), frozenset(dset)
+
+
+@pytest.mark.parametrize("make", [lambda: graphic_matroid(complete_graph(4)), vamos],
+                         ids=["graphic K4", "vamos"])
+def test_minors_answer_like_their_parent_exhaustively(make):
+    # every minor shares one parent's memo; a second copy gives the answers
+    m, reference = make(), make()
+    for cset, dset in _splits(reference):
+        minor = matroid_minor(m, delete=dset, contract=cset)
+        assert minor.ground == tuple(e for e in m.ground if e not in cset | dset)
+        for sub in powerset(minor.ground):
+            assert minor.is_independent(sub) == reference.is_independent(set(sub) | cset)
+        for e in cset | dset:
+            with pytest.raises(ValueError):
+                minor.is_independent({e})
+            with pytest.raises(ValueError):
+                minor.is_independent(set(minor.ground) | {e})
+
+
+def test_minors_of_minors_add_their_contractions():
+    m, reference = vamos(), vamos()
+    first = matroid_minor(m, delete=["d2"], contract=["a1"])
+    for cset, dset in _splits(first):
+        minor = matroid_minor(first, delete=dset, contract=cset)
+        for sub in powerset(minor.ground):
+            assert (minor.is_independent(sub)
+                    == reference.is_independent(set(sub) | cset | {"a1"}))
+
+
+@pytest.mark.parametrize("make", [lambda: graphic_matroid(complete_graph(4)), vamos],
+                         ids=["graphic K4", "vamos"])
+def test_minor_queries_reach_the_oracle_once_as_subset_plus_contracted(make):
+    base = make()
+    received = []
+
+    def counting(subset):
+        received.append(subset)
+        return base.is_independent(subset)
+
+    m = Matroid(base.ground, counting, name="counting")
+    for cset, dset in _splits(base):
+        start = len(received)
+        minor = matroid_minor(m, delete=dset, contract=cset)
+        for sub in powerset(minor.ground):
+            minor.is_independent(sub)
+        minor.rank_of(minor.ground)
+        # the sets the minor's own oracle passed upstream before: S | C
+        assert all(cset <= got and got - cset <= set(minor.ground)
+                   for got in received[start:])
+    # the minor with nothing deleted or contracted asks about every set once
+    assert all(type(got) is frozenset for got in received)
+    assert max(Counter(received).values()) == 1
+    assert len(received) == 2 ** len(base.ground) - 1
+
+
+@pytest.mark.parametrize("make", [lambda: graphic_matroid(complete_graph(6)),
+                                  lambda: _with_coloop(vamos())],
+                         ids=["graphic K6", "vamos + coloop"])
+def test_vamos_search_passes_each_set_to_the_oracle_once(make):
+    base = make()
+    received = []
+
+    def counting(subset):
+        received.append(subset)
+        return base.is_independent(subset)
+
+    m = Matroid(base.ground, counting, name="counting")
+    assert has_vamos_minor(m) == has_vamos_minor(base)
+    assert received and max(Counter(received).values()) == 1
 
 
 def test_minor_argument_validation():

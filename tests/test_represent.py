@@ -5,13 +5,15 @@ import random
 import pytest
 
 from bifgraph import (
-    EnumerationSpec, SimpleGraph, block_intersection_graph, complete_graph,
-    cycle_graph, enumerate_colored, free_trees, graphs_isomorphic,
+    EnumerationSpec, SimpleGraph, all_graphs, block_intersection_graph,
+    complete_graph, connected_graphs, cycle_graph, enumerate_colored, free_trees, graphs_isomorphic,
     is_block_graph, is_claw_free, line_graph, path_graph, star_graph,
     to_clique, to_star, tree_to_diagram,
 )
 from bifgraph.laws import SADDLE_NODE
-from helpers import canonical_mask, colored_tree_graph, random_connected_graph, star_diagram
+from helpers import (
+    canonical_mask, colored_tree_graph, random_connected_graph, star_diagram, swept_all_graphs,
+)
 
 
 def test_saddle_node_becomes_single_edge():
@@ -116,13 +118,21 @@ def test_isomorphism_respects_colors():
 
 
 def test_isomorphism_agrees_with_canonical_masks():
-    from bifgraph import all_graphs
     for n in (3, 4, 5):
         graphs = all_graphs(n)
         rng = random.Random(7)
         for _ in range(200):
             a, b = rng.choice(graphs), rng.choice(graphs)
             assert graphs_isomorphic(a, b) == (canonical_mask(a) == canonical_mask(b))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_all_graphs_match_the_permutation_sweep(n):
+    # the same least-mask representatives in the same order
+    graphs = all_graphs(n)
+    assert graphs == swept_all_graphs(n)
+    assert len(graphs) == (1, 1, 2, 4, 11, 34, 156)[n]
+    assert len(connected_graphs(n)) == (1, 1, 1, 2, 6, 21, 112)[n]
 
 
 def test_whitney_correspondence_on_random_pairs():
