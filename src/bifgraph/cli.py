@@ -47,8 +47,9 @@ def _table_for(args, dimension: int):
     return builtin_table(dimension)
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(as_json: bool, payload, text) -> None:
+    """Print ``payload`` as indented JSON with sorted keys, or else ``text``."""
+    print(json.dumps(payload, indent=2, sort_keys=True) if as_json else text)
 
 
 # ---------------------------------------------------------------------------
@@ -59,18 +60,12 @@ def cmd_validate(args) -> int:
     diagram = documents.parse_diagram(_read(args.file))
     table = _table_for(args, diagram.dimension)
     report = validate_diagram(diagram, args.k, table)
-    if args.json:
-        _emit_json({"valid": report.ok,
-                    "violations": [{"code": v.code, "message": v.message,
-                                    "vertexId": v.vertex_id,
-                                    "edgeIds": list(v.edge_ids)}
-                                   for v in report.violations]})
-    else:
-        if report.ok:
-            print(f"valid: member of the admissible family (k={args.k}, "
-                  f"d={diagram.dimension})")
-        for v in report.violations:
-            print(f"violation [{v.code}] {v.message}")
+    lines = [f"violation [{v.code}] {v.message}" for v in report.violations] or [
+        f"valid: member of the admissible family (k={args.k}, d={diagram.dimension})"]
+    _emit(args.json, {"valid": report.ok,
+                      "violations": [{"code": v.code, "message": v.message,
+                                      "vertexId": v.vertex_id, "edgeIds": list(v.edge_ids)}
+                                     for v in report.violations]}, "\n".join(lines))
     return 0 if report.ok else 1
 
 
@@ -96,12 +91,8 @@ def _print_fractions(values, as_json: bool) -> None:
     rows = [{"n": i + 1, "value": None if v is None else f"{v.numerator}/{v.denominator}",
              "approx": None if v is None else float(v)}
             for i, v in enumerate(values)]
-    if as_json:
-        _emit_json(rows)
-    else:
-        print("n,value,approx")
-        for r in rows:
-            print(f"{r['n']},{r['value']},{r['approx']}")
+    _emit(as_json, rows, "\n".join(["n,value,approx"] + [
+        f"{r['n']},{r['value']},{r['approx']}" for r in rows]))
 
 
 def cmd_ratio(args) -> int:
@@ -130,11 +121,8 @@ def cmd_classify(args) -> int:
         "claw_free": classes.is_claw_free(g),
         "diamond_minor": classes.has_diamond_minor(g),
     }
-    if args.json:
-        _emit_json(facts)
-    else:
-        for key in sorted(facts):
-            print(f"{key}: {str(facts[key]).lower()}")
+    _emit(args.json, facts, "\n".join(f"{key}: {str(facts[key]).lower()}"
+                                      for key in sorted(facts)))
     return 0
 
 
@@ -146,11 +134,8 @@ def cmd_spanning(args) -> int:
         count = len(spanning.spanning_enumerate_brute(g))
     else:
         count = spanning.tutte_11(g)
-    if args.json:
-        _emit_json({"method": args.method, "count": str(count),
-                    "connected": g.is_connected()})
-    else:
-        print(count)
+    _emit(args.json, {"method": args.method, "count": str(count),
+                      "connected": g.is_connected()}, count)
     return 0
 
 
@@ -172,17 +157,12 @@ def cmd_matroid(args) -> int:
     m = documents.parse_matroid(_read(args.file))
     if args.vamos_minor:
         found = matroids.has_vamos_minor(m)
-        if args.json:
-            _emit_json({"vamosMinor": found,
-                        "representable": None if not found else False})
-        else:
-            print("vamos minor present: non-representable over any field"
-                  if found else "no vamos minor found")
+        _emit(args.json, {"vamosMinor": found, "representable": None if not found else False},
+              "vamos minor present: non-representable over any field"
+              if found else "no vamos minor found")
         return 1 if found else 0
-    if args.json:
-        _emit_json({"groundSize": len(m.ground), "rank": m.rank})
-    else:
-        print(f"ground size {len(m.ground)}, rank {m.rank}")
+    _emit(args.json, {"groundSize": len(m.ground), "rank": m.rank},
+          f"ground size {len(m.ground)}, rank {m.rank}")
     return 0
 
 
@@ -204,10 +184,7 @@ def cmd_count(args) -> int:
         value = classes.husimi_count(_parse_sizes(args.husimi))
     else:
         value = classes.cactus_count(_parse_sizes(args.cactus))
-    if args.json:
-        _emit_json({"count": str(value)})
-    else:
-        print(value)
+    _emit(args.json, {"count": str(value)}, value)
     return 0
 
 
@@ -221,99 +198,91 @@ def cmd_convert(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _arg(*flags, one_of=False, **options):
+    """One argument: its flags, its ``add_argument`` keywords, and whether it
+    belongs to its subcommand's one required mutually exclusive group."""
+    return flags, tuple(options.items()), one_of
+
+
+def _ints(*flags):
+    """Required int options."""
+    return tuple(_arg(flag, type=int, required=True) for flag in flags)
+
+
+_FILE = _arg("file")
+_JSON = _arg("--json", action="store_true", help="machine-readable output")
+_MODE = _arg("--mode", choices=("plane", "free"), default="plane")
+_LAW_TABLE = _arg("--law-table")
+
+# (name, help, handler, arguments in help order) per subcommand
+COMMANDS = (
+    ("validate", "check a diagram document against the laws", cmd_validate,
+     (_FILE, _arg("--k", type=int, default=1, help="branching budget (degree bound k+2)"),
+      _arg("--law-table", help="JSON law-table override"), _JSON)),
+    ("enumerate", "enumerate or count admissible colored trees", cmd_enumerate,
+     (*_ints("--k", "--d", "--n"), _MODE,
+      _arg("--emit", choices=("counts", "csv", "json", "dot"), default="counts",
+           help="csv is an alias for counts"),
+      _arg("--limit", type=int), _LAW_TABLE)),
+    ("ratio", "count ratios across branching budgets", cmd_ratio,
+     (*_ints("--k1", "--k2", "--d", "--n-max"), _MODE, _LAW_TABLE, _JSON)),
+    ("share", "count ratios across dimensions", cmd_share,
+     (*_ints("--k", "--d1", "--d2", "--n-max"), _MODE, _JSON)),
+    ("classify", "graph-class facts for a graph document", cmd_classify, (_FILE, _JSON)),
+    ("spanning", "spanning-tree counts", cmd_spanning,
+     (_FILE, _arg("--method", choices=("kirchhoff", "brute", "tutte"), default="kirchhoff"),
+      _JSON)),
+    ("repr", "star/clique representation or line graph", cmd_repr,
+     (_FILE, _arg("--star", action="store_true", one_of=True),
+      _arg("--clique", action="store_true", one_of=True),
+      _arg("--line", action="store_true", one_of=True, help="line graph of a graph document"),
+      _arg("--emit", choices=("dot", "json"), default="dot"))),
+    ("matroid", "matroid checks from a bases document", cmd_matroid,
+     (_FILE, _arg("--vamos-minor", action="store_true",
+                  help="search for a Vamos minor (exit 1 when present)"), _JSON)),
+    ("count", "closed-form counting formulas", cmd_count,
+     (_arg("--husimi", metavar="SPEC", one_of=True, help="block-size spec, e.g. 2=1,3=2"),
+      _arg("--cactus", metavar="SPEC", one_of=True, help="polygon-size spec, e.g. 3=2"),
+      _arg("--kary", nargs=2, metavar=("K", "N"), one_of=True), _JSON)),
+    ("convert", "ordered tree to binary tree", cmd_convert, (_FILE,)),
+)
+
+
+def _fill(parser: argparse.ArgumentParser, command) -> argparse.ArgumentParser:
+    """Add one ``COMMANDS`` row's arguments and handler to ``parser``."""
+    _, _, handler, arguments = command
+    group = None
+    for flags, options, one_of in arguments:
+        if one_of and group is None:
+            group = parser.add_mutually_exclusive_group(required=True)
+        (group if one_of else parser).add_argument(*flags, **dict(options))
+    parser.set_defaults(func=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, for top-level help and errors."""
     p = argparse.ArgumentParser(prog="bifgraph",
                                 description="Bifurcation-diagram graph toolkit")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_json(sp):
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
-
-    sp = sub.add_parser("validate", help="check a diagram document against the laws")
-    sp.add_argument("file")
-    sp.add_argument("--k", type=int, default=1, help="branching budget (degree bound k+2)")
-    sp.add_argument("--law-table", help="JSON law-table override")
-    add_json(sp)
-    sp.set_defaults(func=cmd_validate)
-
-    sp = sub.add_parser("enumerate", help="enumerate or count admissible colored trees")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--mode", choices=["plane", "free"], default="plane")
-    sp.add_argument("--emit", choices=["counts", "csv", "json", "dot"],
-                    default="counts", help="csv is an alias for counts")
-    sp.add_argument("--limit", type=int)
-    sp.add_argument("--law-table")
-    sp.set_defaults(func=cmd_enumerate)
-
-    sp = sub.add_parser("ratio", help="count ratios across branching budgets")
-    sp.add_argument("--k1", type=int, required=True)
-    sp.add_argument("--k2", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--n-max", type=int, required=True)
-    sp.add_argument("--mode", choices=["plane", "free"], default="plane")
-    sp.add_argument("--law-table")
-    add_json(sp)
-    sp.set_defaults(func=cmd_ratio)
-
-    sp = sub.add_parser("share", help="count ratios across dimensions")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--d1", type=int, required=True)
-    sp.add_argument("--d2", type=int, required=True)
-    sp.add_argument("--n-max", type=int, required=True)
-    sp.add_argument("--mode", choices=["plane", "free"], default="plane")
-    add_json(sp)
-    sp.set_defaults(func=cmd_share)
-
-    sp = sub.add_parser("classify", help="graph-class facts for a graph document")
-    sp.add_argument("file")
-    add_json(sp)
-    sp.set_defaults(func=cmd_classify)
-
-    sp = sub.add_parser("spanning", help="spanning-tree counts")
-    sp.add_argument("file")
-    sp.add_argument("--method", choices=["kirchhoff", "brute", "tutte"],
-                    default="kirchhoff")
-    add_json(sp)
-    sp.set_defaults(func=cmd_spanning)
-
-    sp = sub.add_parser("repr", help="star/clique representation or line graph")
-    sp.add_argument("file")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--star", action="store_true")
-    group.add_argument("--clique", action="store_true")
-    group.add_argument("--line", action="store_true",
-                       help="line graph of a graph document")
-    sp.add_argument("--emit", choices=["dot", "json"], default="dot")
-    sp.set_defaults(func=cmd_repr)
-
-    sp = sub.add_parser("matroid", help="matroid checks from a bases document")
-    sp.add_argument("file")
-    sp.add_argument("--vamos-minor", action="store_true",
-                    help="search for a Vamos minor (exit 1 when present)")
-    add_json(sp)
-    sp.set_defaults(func=cmd_matroid)
-
-    sp = sub.add_parser("count", help="closed-form counting formulas")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--husimi", metavar="SPEC",
-                       help="block-size spec, e.g. 2=1,3=2")
-    group.add_argument("--cactus", metavar="SPEC",
-                       help="polygon-size spec, e.g. 3=2")
-    group.add_argument("--kary", nargs=2, metavar=("K", "N"))
-    add_json(sp)
-    sp.set_defaults(func=cmd_count)
-
-    sp = sub.add_parser("convert", help="ordered tree to binary tree")
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_convert)
-
+    for command in COMMANDS:
+        _fill(sub.add_parser(command[0], help=command[1]), command)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a named subcommand gets a parser of its own, which prints what the full
+    # parser's subparser would; anything else goes to the full parser
+    name = argv[0] if argv else None
+    command = next((c for c in COMMANDS if c[0] == name), None)
+    if command is None:
+        args = build_parser().parse_args(argv)
+    else:
+        parser = _fill(argparse.ArgumentParser(prog=f"bifgraph {command[0]}"), command)
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:  # the full parser reports these as bifgraph's own error
+            args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, EnumerationLimitError, OSError) as exc:

@@ -88,7 +88,11 @@ def slot_trees(arity: int, n: int) -> tuple:
 
 
 def slot_tree_size(t) -> int:
-    return 1 + sum(slot_tree_size(c) for _, c in t)
+    size, stack = 0, [t]
+    while stack:
+        size += 1
+        stack += (c for _, c in stack.pop())
+    return size
 
 
 def strip_slots(t) -> tuple:
@@ -113,7 +117,11 @@ def ordered_trees(n: int) -> tuple:
 
 def tree_size(t) -> int:
     """Node count of an ordered or canonical tree."""
-    return 1 + sum(tree_size(c) for c in t)
+    size, stack = 0, [t]
+    while stack:
+        size += 1
+        stack += stack.pop()
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +226,13 @@ def mary_to_binary(t) -> tuple:
 
 def is_binary(t) -> bool:
     """True when a slot tree uses only slots 0 and 1."""
-    return all(s in (0, 1) and is_binary(c) for s, c in t)
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if any(s not in (0, 1) for s, _ in node):
+            return False
+        stack += (c for _, c in node)
+    return True
 
 
 # ---------------------------------------------------------------------------

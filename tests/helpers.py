@@ -804,6 +804,21 @@ def nested_mary_to_binary(t) -> tuple:
     return ((0, conv(t[0], t[1:])),) if t else ()
 
 
+def nested_tree_size(t) -> int:
+    """Node count of an ordered or canonical tree, by recursion once per level."""
+    return 1 + sum(nested_tree_size(c) for c in t)
+
+
+def nested_slot_tree_size(t) -> int:
+    """Node count of a slot tree, by recursion once per level."""
+    return 1 + sum(nested_slot_tree_size(c) for _, c in t)
+
+
+def nested_is_binary(t) -> bool:
+    """Whether a slot tree uses only slots 0 and 1, by recursion once per level."""
+    return all(s in (0, 1) and nested_is_binary(c) for s, c in t)
+
+
 def dumped_binary_tree(t) -> str:
     """A binary slot tree through ``json.dumps(indent=2)`` of nested dicts."""
 

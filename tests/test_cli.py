@@ -1,17 +1,20 @@
 """End-to-end checks of the command-line surface."""
 
 import json
+import re
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from bifgraph import emit_diagram, nonadmissible_period_fixture
-from bifgraph.cli import main
+from bifgraph.cli import COMMANDS, build_parser, main
 from helpers import star_diagram
 
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -135,6 +138,48 @@ def test_enumerate_emit_output_is_unchanged(case, capsys, monkeypatch):
     monkeypatch.chdir(Path(__file__).parent.parent)  # argv names tests/data/...
     assert main(case["argv"]) == case["exit"]
     assert capsys.readouterr().out == case["stdout"]
+
+
+# stdout, stderr and exit code of help and usage errors, recorded with the
+# parent of the subcommand table, when every call built the full parser
+USAGE_CASES = json.loads((DATA / "cli_usage.json").read_text())
+
+
+def _outcome(run, argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _through_the_full_parser(argv):
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize("case", USAGE_CASES,
+                         ids=[" ".join(c["argv"]) or "(none)" for c in USAGE_CASES])
+def test_usage_and_usage_errors_are_unchanged(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _outcome(main, case["argv"], capsys)
+    assert got == _outcome(_through_the_full_parser, case["argv"], capsys)
+    # recorded under Python 3.10 to 3.12 alike; 3.13 rewraps usage lines
+    # and lists choices unquoted
+    if sys.version_info < (3, 13):
+        assert got == (case["exit"], case["stdout"], case["stderr"])
+
+
+def test_readme_usage_lists_every_long_option():
+    block = README.read_text().split("## Command line")[1].split("```")[1]
+    lines = {line.split()[1]: line for line in block.splitlines() if line.strip()}
+    assert sorted(lines) == sorted(c[0] for c in COMMANDS)
+    for name, _, _, arguments in COMMANDS:
+        for flags, _, _ in arguments:
+            for flag in flags:
+                if flag.startswith("--"):
+                    assert re.search(re.escape(flag) + r"(?![\w-])", lines[name]), (name, flag)
 
 
 def test_ratio_and_share(capsys):

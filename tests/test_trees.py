@@ -5,10 +5,13 @@ import pytest
 from bifgraph import (
     EnumerationLimitError, canonical_form, canonical_trees, count_kary_formula,
     count_shapes, enumerate_shapes, free_trees, is_binary, mary_to_binary,
-    ordered_trees, strip_slots, tree_size,
+    ordered_trees, slot_trees, strip_slots, tree_size,
 )
 from bifgraph.trees import slot_tree_size
-from helpers import free_tree_key, keyed_free_trees
+from helpers import (
+    chain_tree, free_tree_key, keyed_free_trees, nested_is_binary, nested_slot_tree_size,
+    nested_tree_size,
+)
 
 
 def test_kary_formula_examples():
@@ -87,6 +90,30 @@ def test_canonical_form_is_order_invariant():
     a = ((), ((),))            # children in one order
     b = (((),), ())            # and the other
     assert canonical_form(a) == canonical_form(b)
+
+
+def test_sizes_and_binary_check_match_the_recursive_oracles():
+    for n in range(1, 10):
+        for t in ordered_trees(n) + canonical_trees(n):
+            assert tree_size(t) == nested_tree_size(t) == n
+        slotted = slot_trees(2, n) + (slot_trees(3, n) if n <= 7 else ())
+        for t in slotted + tuple(map(mary_to_binary, ordered_trees(n))):
+            assert slot_tree_size(t) == nested_slot_tree_size(t) == n
+            assert is_binary(t) == nested_is_binary(t)
+    assert not all(map(is_binary, slot_trees(3, 4))) and all(map(is_binary, slot_trees(2, 4)))
+
+
+def test_sizes_and_binary_check_on_a_3000_node_saddle_node_path():
+    slotted = chain_tree(3000).shape()
+    plain, ternary_leaf = (), ((2, ()),)  # the second has slot 2 at the bottom
+    for _ in range(2999):
+        plain, ternary_leaf = (plain,), ((0, ternary_leaf),)
+    assert tree_size(plain) == slot_tree_size(slotted) == 3000
+    assert is_binary(slotted) and not is_binary(ternary_leaf)
+    for oracle, t in ((nested_tree_size, plain), (nested_slot_tree_size, slotted),
+                      (nested_is_binary, slotted)):
+        with pytest.raises(RecursionError):
+            oracle(t)
 
 
 def test_strip_slots():
