@@ -1,17 +1,22 @@
-"""Per-layer timings of the graph catalogs.
+"""Per-layer timings of the graph and tree-shape catalogs.
 
 Times ``all_graphs`` and ``connected_graphs`` against the permutation
-sweep they replaced, and writes the medians to ``BENCH_graphs.json``:
+sweep they replaced, and the free shape count, ``canonical_trees`` and
+``free_trees`` against the cached listers they replaced, and writes the
+medians to ``BENCH_graphs.json``:
 
     python3 scripts/bench_graphs.py [--out BENCH_graphs.json]
 
 Each row is the median (and every run) of ``RUNS`` calls, with the
 functools caches of bifgraph and of ``tests/helpers.py`` emptied before
-each call, so neither the catalog nor the sweep's edge permutations are
-reused.  The reference is ``swept_all_graphs`` from ``tests/helpers.py``,
-which pushes every new orbit representative through each vertex
-permutation one edge bit at a time.  Each row records the number of
-graphs listed; a catalog and its reference must list the same graphs.
+each call, so no catalog, listing or edge permutation is reused.  The
+references come from ``tests/helpers.py``: ``swept_all_graphs`` pushes
+every new orbit representative through each vertex permutation one edge
+bit at a time; ``cached_canonical_trees`` and ``cached_free_trees`` list
+through module-level caches; ``listed_free_shape_count`` counts free
+shapes by listing them.  Each row records the count, or the number of
+graphs or trees listed; a function and its reference must give the same
+answer.
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import bifgraph as bg  # noqa: E402
-from helpers import swept_all_graphs  # noqa: E402
+from helpers import (  # noqa: E402
+    cached_canonical_trees, cached_free_trees, listed_free_shape_count, swept_all_graphs,
+)
 
 RUNS = 5
 
@@ -46,16 +53,17 @@ def swept_connected_graphs(n: int) -> tuple:
     return tuple(g for g in swept_all_graphs(n) if g.is_connected())
 
 
-def time_call(fn, n: int) -> tuple[dict, tuple]:
+def time_call(fn, args) -> tuple[dict, object]:
     times, results = [], set()
     for _ in range(RUNS):
         clear_caches()
         start = time.perf_counter()
-        got = fn(n)
+        got = fn(*args)
         times.append(time.perf_counter() - start)
         results.add(got)
     (got,) = results
-    return {"median_s": statistics.median(times), "runs_s": times, "answer": len(got)}, got
+    answer = got if isinstance(got, int) else len(got)
+    return {"median_s": statistics.median(times), "runs_s": times, "answer": answer}, got
 
 
 def main() -> None:
@@ -63,17 +71,26 @@ def main() -> None:
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_graphs.json")
     args = ap.parse_args()
 
-    cases = [(bg.all_graphs, swept_all_graphs, 5), (bg.all_graphs, swept_all_graphs, 6),
-             (bg.connected_graphs, swept_connected_graphs, 6)]
+    # each case: the function and its arguments, then the reference it replaced
+    cases = [((bg.all_graphs, 5), (swept_all_graphs, 5)),
+             ((bg.all_graphs, 6), (swept_all_graphs, 6)),
+             ((bg.connected_graphs, 6), (swept_connected_graphs, 6)),
+             ((bg.count_shapes, 3, 17, "free"), (listed_free_shape_count, 3, 17)),
+             ((bg.count_shapes, 3, 60, "free"),),
+             ((bg.canonical_trees, 14), (cached_canonical_trees, 14)),
+             ((bg.canonical_trees, 16, 4), (cached_canonical_trees, 16, 4)),
+             ((bg.free_trees, 14), (cached_free_trees, 14))]
     rows = []
-    for fn, reference, n in cases:
-        got = {}
-        for f in (fn, reference):
-            row, got[f] = time_call(f, n)
-            rows.append({"function": f.__name__, "input": f"n={n}", **row})
-            print(f"{f.__name__:24s} n={n} {row['median_s']:10.4f} s  -> {row['answer']} graphs")
-        if got[fn] != got[reference]:
-            raise SystemExit(f"{fn.__name__}({n}) differs from {reference.__name__}({n})")
+    for calls in cases:
+        got = []
+        for fn, *params in calls:
+            row, answer = time_call(fn, params)
+            got.append(answer)
+            text = ", ".join(map(repr, params))
+            rows.append({"function": fn.__name__, "input": text, **row})
+            print(f"{fn.__name__:24s} {text:14s} {row['median_s']:10.4f} s  -> {row['answer']}")
+        if any(answer != got[0] for answer in got):
+            raise SystemExit(f"{calls[0][0].__name__} differs from its reference")
     record = {"python": platform.python_version(), "platform": platform.platform(),
               "machine": platform.machine(), "cpus": os.cpu_count(), "runs": RUNS,
               "rows": rows}

@@ -166,24 +166,26 @@ def cmd_matroid(args) -> int:
     return 0
 
 
-def _parse_sizes(text: str) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for part in text.split(","):
-        if not part:
-            continue
-        size, _, count = part.partition("=")
-        out[int(size)] = int(count)
-    return out
+def _int(option: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{option}: {text!r} is not an integer") from None
+
+
+def _parse_sizes(option: str, text: str) -> dict[int, int]:
+    pairs = (part.partition("=")[::2] for part in text.split(",") if part)
+    return {_int(option, size): _int(option, count) for size, count in pairs}
 
 
 def cmd_count(args) -> int:
     if args.kary:
-        k, n = (int(x) for x in args.kary)
+        k, n = (_int("--kary", x) for x in args.kary)
         value = trees.count_kary_formula(k, n)
     elif args.husimi is not None:
-        value = classes.husimi_count(_parse_sizes(args.husimi))
+        value = classes.husimi_count(_parse_sizes("--husimi", args.husimi))
     else:
-        value = classes.cactus_count(_parse_sizes(args.cactus))
+        value = classes.cactus_count(_parse_sizes("--cactus", args.cactus))
     _emit(args.json, {"count": str(value)}, value)
     return 0
 

@@ -12,9 +12,8 @@ children distinct positions among k+1 slots (the convention matched by the
 k-ary counting formula), FREE trees identify reorderings of children.
 Explicit enumeration is capped, and fills one table of trees by size and
 root color inside each call, keeping nothing between calls.  Counting
-builds no tree: one bottom-up table of counts by size and root color serves
-both modes, with ordered products of child series in plane mode and Polya's
-multiset construction in free mode.
+builds no tree: the law table becomes the rules of the bottom-up count
+engine in ``trees``, which serves both modes and the shape counts too.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial, prod
-from operator import mul
+from operator import attrgetter
 
 from .diagram import TERMINAL, Diagram, Edge, Vertex
 from .laws import (
@@ -34,11 +33,12 @@ from .laws import (
     splits_for_child_count,
 )
 from .trees import (
-    EnumerationLimitError, TreeMode, _compositions, canonical_trees,
-    count_kary_formula, count_shapes, enumerate_shapes, slot_trees,
+    EnumerationLimitError, TreeMode, _compositions, _count_series, _fold, count_kary_formula,
+    count_shapes,
 )
 
 DEFAULT_LIST_LIMIT = 1_000_000
+_children = attrgetter("children")
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,8 @@ class ColoredTree:
         return True
 
     def __hash__(self):
-        hashes = _fold((self,), lambda t, kids: _Hash(hash((t.color, tuple(kids), t.slots))))
+        hashes = _fold((self,), _children,
+                       lambda t, kids: _Hash(hash((t.color, tuple(kids), t.slots))))
         return hashes[id(self)].value
 
     @property
@@ -109,23 +110,6 @@ class _Hash:
         return self.value
 
 
-def _fold(roots, combine) -> dict:
-    """``{id(t): combine(t, [value of each child])}`` over every node under
-    ``roots``, children first, each shared subtree once."""
-    done: dict = {}
-    stack = [(t, False) for t in roots]
-    while stack:
-        t, ready = stack.pop()
-        if id(t) in done:
-            continue
-        if ready:
-            done[id(t)] = combine(t, [done[id(c)] for c in t.children])
-        else:
-            stack.append((t, True))
-            stack += [(c, False) for c in t.children]
-    return done
-
-
 def _shapes(roots) -> dict:
     """``{id(t): shape}`` for every node under ``roots``.  Equal shapes are
     built as one object, so a set of deep shapes never compares two of them
@@ -138,7 +122,7 @@ def _shapes(roots) -> dict:
             interned[key] = tuple(kids) if t.slots is None else tuple(zip(t.slots, kids))
         return interned[key]
 
-    return _fold(roots, shape)
+    return _fold(roots, _children, shape)
 
 
 @dataclass(frozen=True)
@@ -261,26 +245,14 @@ def shape_coverage(spec: EnumerationSpec) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Exact counts: one bottom-up coefficient table for both modes
+# Exact counts: law rules for the count engine
 # ---------------------------------------------------------------------------
-
-def _coefficient(s: list[int], t: list[int], n: int, j: int = 1) -> int:
-    """Coefficient n of S(x^j) * T(x), where S has no constant term; reads
-    s[1..n // j] and t[0..n - j]."""
-    return sum(map(mul, s[1:n // j + 1], t[n - j::-j]))
-
 
 def count_sequence(k: int, d: int, n_max: int, mode=TreeMode.PLANE,
                    table: LawTable | None = None) -> list[int]:
-    """Exact numbers of admissible colored trees on n = 1..n_max nodes.
-
-    ``a[color][n]`` is filled in order of n.  A law rule (root color, child
-    colors M, c children) adds coefficient n-1 of a product with one factor
-    per distinct child color h of multiplicity m: ``A_h^m`` in plane mode,
-    weighted by C(k+1, c) times the orderings of M, and ``MSET_m(A_h)`` in
-    free mode, from m Z_m(x) = sum_j A_h(x^j) Z_{m-j}(x).  No series has a
-    constant term, so coefficient n-1 reads only trees of fewer nodes.
-    """
+    """Exact numbers of admissible colored trees on n = 1..n_max nodes: each
+    law rule (root color, child colors M, c children) is a rule of the count
+    engine, weighted by C(k+1, c) times the orderings of M in plane mode."""
     table = table if table is not None else builtin_table(d)
     plane = TreeMode.coerce(mode) is TreeMode.PLANE
     rules = {color: [] for color in INDEX_VALUES}  # (weight, ((h, m), ...))
@@ -290,28 +262,7 @@ def count_sequence(k: int, d: int, n_max: int, mode=TreeMode.PLANE,
                 parts = tuple(sorted(Counter(mset).items()))
                 orderings = factorial(c) // prod(factorial(m) for _, m in parts)
                 rs.append((comb(k + 1, c) * orderings if plane else 1, parts))
-    keys = [parts for rs in rules.values() for _, parts in rs]
-    a = {color: [0, 1] for color in INDEX_VALUES}
-    # series[parts]: the product of the factors (h, m) in parts; the factor
-    # of (h, 1) is A_h in both modes, that of (h, 0) is 1
-    series = {((h, 1),): a[h] for h in INDEX_VALUES}
-    series.update({((h, 0),): [1] + [0] * n_max for h in INDEX_VALUES})
-    powers = sorted({(h, j) for parts in keys for h, m in parts for j in range(2, m + 1)})
-    products = sorted({parts[:i] for parts in keys for i in range(2, len(parts) + 1)}, key=len)
-    series.update({key: [0] for key in [((h, m),) for h, m in powers] + products})
-    for n in range(1, n_max):
-        for h, m in powers:
-            if plane:
-                got = _coefficient(a[h], series[((h, m - 1),)], n)
-            else:
-                got = sum(_coefficient(a[h], series[((h, m - j),)], n, j)
-                          for j in range(1, m + 1)) // m
-            series[((h, m),)].append(got)
-        for parts in products:
-            series[parts].append(_coefficient(series[parts[-1:]], series[parts[:-1]], n))
-        for color, rs in rules.items():
-            a[color].append(sum(weight * series[parts][n] for weight, parts in rs))
-    return [sum(a[color][n] for color in INDEX_VALUES) for n in range(1, n_max + 1)]
+    return _count_series(rules, n_max, plane)
 
 
 def count_colored(k: int, d: int, n: int, mode=TreeMode.PLANE,
@@ -432,7 +383,6 @@ __all__ = [
     "ColoredTree", "EnumerationSpec", "CountTable", "DEFAULT_LIST_LIMIT",
     "enumerate_colored", "project_uncolored", "count_colored", "count_sequence",
     "ratio_sequence", "share_sequence", "ratio_lower_bound", "shape_coverage",
-    "tree_to_diagram", "enumerate_shapes", "count_shapes",
-    "count_kary_formula", "TreeMode", "EnumerationLimitError",
-    "canonical_trees", "slot_trees",
+    "tree_to_diagram", "count_shapes", "count_kary_formula", "TreeMode",
+    "EnumerationLimitError",
 ]

@@ -1,6 +1,7 @@
 """Uncolored tree shapes: positional (slotted) trees counted by the k-ary
-formula, rooted trees up to child reordering, unrooted free trees, and the
-standard m-ary to binary conversion.
+formula, rooted trees up to child reordering, unrooted free trees, the
+standard m-ary to binary conversion, and the one series engine that counts
+both colored trees and shapes.
 
 Three nested-tuple carriers are used:
 
@@ -18,9 +19,9 @@ A leaf is the empty tuple in every carrier.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from itertools import combinations, product
 from math import comb
+from operator import mul
 
 from .graphs import SimpleGraph
 
@@ -31,9 +32,7 @@ class TreeMode(Enum):
 
     @classmethod
     def coerce(cls, value) -> "TreeMode":
-        if isinstance(value, TreeMode):
-            return value
-        return cls(str(value).lower())
+        return value if isinstance(value, TreeMode) else cls(str(value).lower())
 
 
 class EnumerationLimitError(RuntimeError):
@@ -49,11 +48,27 @@ def count_kary_formula(k: int, n: int) -> int:
         raise ValueError("k-ary count formula requires k >= 2")
     if n < 1:
         raise ValueError("need n >= 1")
-    num = comb(k * n, n)
-    den = (k - 1) * n + 1
-    q, r = divmod(num, den)
+    q, r = divmod(comb(k * n, n), (k - 1) * n + 1)
     assert r == 0, "k-ary count formula produced a non-integer"
     return q
+
+
+def _fold(roots, children, combine) -> dict:
+    """``{id(node): combine(node, [value of each child])}`` over every node
+    under ``roots``, where ``children(node)`` lists a node's children;
+    children first from an explicit stack, each shared subtree once."""
+    done: dict = {}
+    stack = [(t, False) for t in roots]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in done:
+            continue
+        if ready:
+            done[id(node)] = combine(node, [done[id(c)] for c in children(node)])
+        else:
+            stack.append((node, True))
+            stack += [(c, False) for c in children(node)]
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +112,7 @@ def slot_tree_size(t) -> int:
 
 def strip_slots(t) -> tuple:
     """Forget slot positions, keeping child order: slot tree -> ordered tree."""
-    return tuple(strip_slots(c) for _, c in t)
+    return _fold((t,), lambda node: [c for _, c in node], lambda _, kids: tuple(kids))[id(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -128,56 +143,102 @@ def tree_size(t) -> int:
 # Canonical rooted trees (children as a multiset, "free" mode)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _bounded_forests(total: int, slots: int, max_children: int, max_key) -> tuple:
+def _forests(memo: dict, total: int, slots: int, max_children: int, max_key) -> tuple:
     """Non-increasing tuples of canonical trees: at most ``slots`` trees whose
     sizes sum to ``total``, each tree of branching at most ``max_children``,
-    each no larger than ``max_key`` under the (size, structure) order."""
+    each no larger than ``max_key`` under the (size, structure) order.  A
+    tree of size s is a forest of s - 1 nodes in ``max_children`` slots."""
     if total == 0:
         return ((),)
     if slots == 0:
         return ()
-    out = []
-    for s in range(total, 0, -1):
-        for t in canonical_trees(s, max_children):
-            key = (s, t)
-            if max_key is not None and key > max_key:
-                continue
-            for rest in _bounded_forests(total - s, slots - 1, max_children, key):
-                out.append((t,) + rest)
-    return tuple(out)
+    key = (total, slots, max_key)  # hashed once per call: trees hash slowly
+    out = memo.get(key)
+    if out is None:
+        out = []
+        for s in range(total, 0, -1):
+            for t in _forests(memo, s - 1, max_children, max_children, None):
+                bound = (s, t)
+                if max_key is None or bound <= max_key:
+                    for rest in _forests(memo, total - s, slots - 1, max_children, bound):
+                        out.append((t,) + rest)
+        out = memo[key] = tuple(out)
+    return out
 
 
-@lru_cache(maxsize=None)
 def canonical_trees(n: int, max_children: int | None = None) -> tuple:
     """Rooted trees on n nodes up to reordering of children, canonically
-    encoded as non-increasing child tuples."""
+    encoded as non-increasing child tuples; the memo lives for one call."""
     if n < 1:
         return ()
     mc = n if max_children is None else max_children
-    if n == 1:
-        return ((),)
-    return _bounded_forests(n - 1, mc, mc, None)
+    return _forests({}, n - 1, mc, mc, None)
 
 
 def canonical_form(t) -> tuple:
-    """Canonical (order-free) form of an ordered tree."""
-    kids = sorted((canonical_form(c) for c in t), key=lambda c: (tree_size(c), c), reverse=True)
-    return tuple(kids)
+    """Canonical (order-free) form of an ordered tree: children sorted by
+    (size, canonical form), largest first."""
+    def form(_, kids):  # kids: (size, canonical form) of each child
+        kids.sort(reverse=True)
+        return 1 + sum(size for size, _ in kids), tuple(c for _, c in kids)
+
+    return _fold((t,), tuple, form)[id(t)][1]
 
 
 # ---------------------------------------------------------------------------
-# Shape enumeration entry point
+# Exact counts, one bottom-up coefficient table, and the shape entry points
 # ---------------------------------------------------------------------------
+
+def _coefficient(s: list[int], t: list[int], n: int, j: int = 1) -> int:
+    """Coefficient n of S(x^j) * T(x), where S has no constant term; reads
+    s[1..n // j] and t[0..n - j]."""
+    return sum(map(mul, s[1:n // j + 1], t[n - j::-j]))
+
+
+def _count_series(rules: dict, n_max: int, plane: bool) -> list[int]:
+    """Numbers of trees on n = 1..n_max nodes over all roots, where every root
+    is a leaf or has children by one of its ``rules[root]``, each
+    ``(weight, ((child, multiplicity), ...))`` with sorted children.
+
+    ``a[root][n]`` is filled in order of n: a rule adds its weight times
+    coefficient n-1 of a product with one factor per child h of multiplicity
+    m, ``A_h^m`` in plane mode and ``MSET_m(A_h)`` in free mode, from m Z_m(x)
+    = sum_j A_h(x^j) Z_{m-j}(x).  No series has a constant term, so
+    coefficient n-1 reads only trees of fewer nodes.
+    """
+    keys = [parts for rs in rules.values() for _, parts in rs]
+    a = {root: [0, 1] for root in rules}
+    # series[parts]: the product of the factors (h, m) in parts; the factor
+    # of (h, 1) is A_h in both modes, that of (h, 0) is 1
+    series = {((h, 1),): a[h] for h in rules}
+    series.update({((h, 0),): [1] + [0] * n_max for h in rules})
+    powers = sorted({(h, j) for parts in keys for h, m in parts for j in range(2, m + 1)})
+    products = sorted({parts[:i] for parts in keys for i in range(2, len(parts) + 1)}, key=len)
+    series.update({key: [0] for key in [((h, m),) for h, m in powers] + products})
+    for n in range(1, n_max):
+        for h, m in powers:
+            if plane:
+                got = _coefficient(a[h], series[((h, m - 1),)], n)
+            else:
+                got = sum(_coefficient(a[h], series[((h, m - j),)], n, j)
+                          for j in range(1, m + 1)) // m
+            series[((h, m),)].append(got)
+        for parts in products:
+            series[parts].append(_coefficient(series[parts[-1:]], series[parts[:-1]], n))
+        for root, rs in rules.items():
+            a[root].append(sum(weight * series[parts][n] for weight, parts in rs))
+    return [sum(a[root][n] for root in rules) for n in range(1, n_max + 1)]
+
 
 def count_shapes(k: int, n: int, mode=TreeMode.PLANE) -> int:
-    """Exact shape count for branching budget k (at most k+1 children)."""
-    mode = TreeMode.coerce(mode)
-    if mode is TreeMode.PLANE:
-        if n == 1:
-            return 1
+    """Exact shape count for branching budget k (at most k+1 children): the
+    (k+1)-ary formula in plane mode, the count engine in free mode."""
+    if k < 1 or n < 1:
+        raise ValueError("need k >= 1 and n >= 1")
+    if TreeMode.coerce(mode) is TreeMode.PLANE:
         return count_kary_formula(k + 1, n)
-    return len(canonical_trees(n, k + 1))
+    rules = {0: [(1, ((0, c),)) for c in range(1, min(k + 1, n - 1) + 1)]}
+    return _count_series(rules, n, plane=False)[-1]
 
 
 def enumerate_shapes(k: int, n: int, mode=TreeMode.PLANE, limit: int | None = None) -> tuple:
@@ -187,10 +248,9 @@ def enumerate_shapes(k: int, n: int, mode=TreeMode.PLANE, limit: int | None = No
     k+1 slots); the count then matches ``count_kary_formula(k + 1, n)``.
     FREE mode returns canonical rooted trees up to child reordering.
     """
-    if k < 1 or n < 1:
-        raise ValueError("need k >= 1 and n >= 1")
+    total = count_shapes(k, n, mode)
     mode = TreeMode.coerce(mode)
-    if limit is not None and (total := count_shapes(k, n, mode)) > limit:
+    if limit is not None and total > limit:
         raise EnumerationLimitError(f"{total} shapes exceed limit {limit}")
     return slot_trees(k + 1, n) if mode is TreeMode.PLANE else canonical_trees(n, k + 1)
 
@@ -204,24 +264,17 @@ def mary_to_binary(t) -> tuple:
 
     The leftmost child becomes the left child; each subsequent child becomes
     the right child of its previous sibling.  Injective on plane trees and
-    node-count preserving.  Built children first from an explicit stack,
-    so deep and wide trees convert alike.
+    node-count preserving.  Built children first, so deep and wide trees
+    convert alike.
     """
-    if t == ():
-        return ()
-    order, stack = [], [t]  # every inner node, each before its children
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack += [c for c in node if c]
-    chains = {}  # id(node) -> the binary form of its list of children
-    for node in reversed(order):
+    def chain(node, kids):  # the binary form of node's list of children
         right = None
-        for child in reversed(node):
-            pairs = ((0, chains[id(child)]),) if child else ()
+        for child, kid in zip(reversed(node), reversed(kids)):
+            pairs = ((0, kid),) if child else ()
             right = pairs if right is None else pairs + ((1, right),)
-        chains[id(node)] = right
-    return ((0, chains[id(t)]),)
+        return right
+
+    return ((0, _fold((t,), tuple, chain)[id(t)]),) if t else ()
 
 
 def is_binary(t) -> bool:
@@ -240,22 +293,18 @@ def is_binary(t) -> bool:
 # ---------------------------------------------------------------------------
 
 def _tree_edges(t) -> list[tuple[int, int]]:
-    """Edge list of a canonical/ordered tree, vertices numbered in DFS preorder."""
-    edges = []
-    counter = [0]
-
-    def walk(node, my_id):
-        for child in node:
-            counter[0] += 1
-            cid = counter[0]
-            edges.append((my_id, cid))
-            walk(child, cid)
-
-    walk(t, 0)
-    return edges
+    """Edge list of a canonical/ordered tree, vertices numbered in DFS
+    preorder from an explicit stack; each edge is (parent, child)."""
+    edges, stack = [], [(t, 0)]  # (node, its parent's number)
+    while stack:
+        node, parent = stack.pop()
+        me = len(edges)  # the root comes first, as the pseudo-edge (0, 0)
+        edges.append((parent, me))
+        for child in reversed(node):
+            stack.append((child, me))
+    return edges[1:]
 
 
-@lru_cache(maxsize=None)
 def free_trees(n: int) -> tuple[SimpleGraph, ...]:
     """All unrooted, unlabeled trees on n vertices, as SimpleGraphs.
 

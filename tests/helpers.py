@@ -20,7 +20,7 @@ from bifgraph import (
     TERMINAL, ColoredTree, Diagram, Edge, LawEntry, LawTable, SimpleGraph, Vertex,
     builtin_table, canonical_trees, emit_dot, kind_for_child_count, load_law_table,
     matroid_minor, period_doubling, saddle_node, splits_for_child_count, to_star,
-    tree_to_diagram,
+    tree_size, tree_to_diagram,
 )
 from bifgraph.classes import has_diamond_subgraph
 from bifgraph.graphs import _norm_edge, graph_from_mask
@@ -363,6 +363,75 @@ def cached_ordered_trees(n: int) -> tuple:
     if n < 1:
         return ()
     return tuple(ordered_forests(n - 1))
+
+
+@lru_cache(maxsize=None)
+def _cached_bounded_forests(total: int, slots: int, max_children: int, max_key) -> tuple:
+    """Non-increasing tuples of canonical trees: at most ``slots`` trees whose
+    sizes sum to ``total``, each tree of branching at most ``max_children``,
+    each no larger than ``max_key`` under the (size, structure) order."""
+    if total == 0:
+        return ((),)
+    if slots == 0:
+        return ()
+    out = []
+    for s in range(total, 0, -1):
+        for t in cached_canonical_trees(s, max_children):
+            key = (s, t)
+            if max_key is not None and key > max_key:
+                continue
+            for rest in _cached_bounded_forests(total - s, slots - 1, max_children, key):
+                out.append((t,) + rest)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def cached_canonical_trees(n: int, max_children: int | None = None) -> tuple:
+    """``canonical_trees`` through module-level caches that keep every
+    smaller list between calls."""
+    if n < 1:
+        return ()
+    mc = n if max_children is None else max_children
+    if n == 1:
+        return ((),)
+    return _cached_bounded_forests(n - 1, mc, mc, None)
+
+
+def listed_free_shape_count(k: int, n: int) -> int:
+    """Free shapes with at most k+1 children per node, counted by listing."""
+    return len(cached_canonical_trees(n, k + 1))
+
+
+def chosen_free_shape_counts(k: int, n_max: int) -> list[int]:
+    """Free shapes on n = 1..n_max nodes with at most k+1 children per node:
+    a node's children are a multiset of smaller trees, folded in one tree
+    size at a time by choosing r of the t trees of that size with
+    repetition, C(t + r - 1, r) ways."""
+    m = k + 1
+    trees = [0, 1]
+    # forests[j][total]: multisets of j trees of the sizes folded in so far
+    forests = [[1] + [0] * n_max] + [[0] * (n_max + 1) for _ in range(m)]
+    for size in range(1, n_max):
+        grown = [row[:] for row in forests]
+        for j in range(m):
+            for total, ways in enumerate(forests[j]):
+                for r in range(1, m - j + 1):
+                    if ways and total + r * size <= n_max:
+                        grown[j + r][total + r * size] += ways * comb(trees[size] + r - 1, r)
+        forests = grown
+        trees.append(sum(forests[j][size] for j in range(1, m + 1)))
+    return trees[1:n_max + 1]
+
+
+@lru_cache(maxsize=None)
+def cached_free_trees(n: int) -> tuple:
+    """``free_trees`` over the cached lister, with the recursive edge list."""
+    out = []
+    for t in cached_canonical_trees(n):
+        heavy = tree_size(t[0]) if t else 0
+        if 2 * heavy < n or (2 * heavy == n and t[0] >= t[1:]):
+            out.append(SimpleGraph.from_edges(n, nested_tree_edges(t)))
+    return tuple(out)
 
 
 def distinct_children(trees, children) -> int:
@@ -817,6 +886,32 @@ def nested_slot_tree_size(t) -> int:
 def nested_is_binary(t) -> bool:
     """Whether a slot tree uses only slots 0 and 1, by recursion once per level."""
     return all(s in (0, 1) and nested_is_binary(c) for s, c in t)
+
+
+def nested_strip_slots(t) -> tuple:
+    """Slot tree -> ordered tree, by recursion once per level."""
+    return tuple(nested_strip_slots(c) for _, c in t)
+
+
+def nested_canonical_form(t) -> tuple:
+    """Canonical form of an ordered tree, by recursion once per level."""
+    kids = sorted((nested_canonical_form(c) for c in t),
+                  key=lambda c: (nested_tree_size(c), c), reverse=True)
+    return tuple(kids)
+
+
+def nested_tree_edges(t) -> list:
+    """Edge list of an ordered tree in DFS preorder, by recursion once per level."""
+    edges = []
+
+    def walk(node, my_id):
+        for child in node:
+            cid = len(edges) + 1
+            edges.append((my_id, cid))
+            walk(child, cid)
+
+    walk(t, 0)
+    return edges
 
 
 def dumped_binary_tree(t) -> str:

@@ -297,6 +297,8 @@ def test_classify_disconnected_exits_two(tmp_path, capsys):
     ["matroid", "@array"],
     ["validate", "@dir"],
     ["classify", "@dir"],
+    ["count", "--kary", "x", "3"],
+    ["count", "--husimi", "2=x"],
 ])
 def test_bad_input_exits_two_without_traceback(argv, tmp_path, capsys):
     path = tmp_path / "array.json"
@@ -305,6 +307,16 @@ def test_bad_input_exits_two_without_traceback(argv, tmp_path, capsys):
     assert main([files.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--kary", "x", "3"], "error: --kary: 'x' is not an integer\n"),
+    (["count", "--husimi", "2=x"], "error: --husimi: 'x' is not an integer\n"),
+    (["count", "--cactus", "x"], "error: --cactus: 'x' is not an integer\n"),
+])
+def test_bad_count_integer_is_named_with_its_option(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message
 
 
 def _law_doc(entry=None, **top):

@@ -1,15 +1,21 @@
 """Shape enumeration, counting formula, conversions, free trees."""
 
+import time
+import tracemalloc
+from math import comb
+
 import pytest
 
 from bifgraph import (
     EnumerationLimitError, canonical_form, canonical_trees, count_kary_formula,
     count_shapes, enumerate_shapes, free_trees, is_binary, mary_to_binary,
-    ordered_trees, slot_trees, strip_slots, tree_size,
+    ordered_trees, slot_trees, strip_slots, tree_size, trees,
 )
-from bifgraph.trees import slot_tree_size
+from bifgraph.trees import _count_series, _tree_edges, slot_tree_size
 from helpers import (
-    chain_tree, free_tree_key, keyed_free_trees, nested_is_binary, nested_slot_tree_size,
+    cached_canonical_trees, cached_free_trees, chain_tree, chosen_free_shape_counts,
+    free_tree_key, keyed_free_trees, listed_free_shape_count, nested_canonical_form,
+    nested_is_binary, nested_slot_tree_size, nested_strip_slots, nested_tree_edges,
     nested_tree_size,
 )
 
@@ -45,6 +51,53 @@ def test_count_shapes_agrees_with_enumeration():
             assert count_shapes(k, n, "free") == len(enumerate_shapes(k, n, "free"))
 
 
+@pytest.mark.parametrize("mode", ["plane", "free"])
+@pytest.mark.parametrize("k, n", [(1, 0), (0, 5), (0, 0), (-1, 3), (2, -4)])
+def test_count_shapes_rejects_a_bad_budget_or_size_in_both_modes(k, n, mode):
+    with pytest.raises(ValueError, match="^need k >= 1 and n >= 1$"):
+        count_shapes(k, n, mode)
+
+
+def test_free_shape_counts_match_the_listing_count():
+    for k in range(1, 5):
+        for n in range(1, 14):
+            assert count_shapes(k, n, "free") == listed_free_shape_count(k, n), (k, n)
+
+
+def test_free_shape_counts_build_no_tree(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a free shape count listed trees")
+
+    monkeypatch.setattr(trees, "canonical_trees", refuse)
+    start = time.perf_counter()
+    got = count_shapes(3, 60, "free")
+    assert time.perf_counter() - start < 1.0
+    assert got == chosen_free_shape_counts(3, 60)[-1]
+    for k in (1, 2, 4):
+        assert [count_shapes(k, n, "free") for n in range(1, 41)] == chosen_free_shape_counts(k, 40)
+
+
+def test_trees_module_keeps_nothing_after_a_call():
+    assert not [name for name, fn in vars(trees).items() if hasattr(fn, "cache_clear")]
+    calls = (lambda: count_shapes(3, 17, "free"), lambda: len(canonical_trees(12)),
+             lambda: len(free_trees(12)))
+    tracemalloc.start()
+    try:
+        for call in calls:
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            assert tracemalloc.get_traced_memory()[0] - before < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_plane_count_engine_matches_the_kary_formula(k):
+    rules = {0: [(comb(k + 1, c), ((0, c),)) for c in range(1, k + 2)]}
+    assert _count_series(rules, 80, plane=True) == \
+        [count_kary_formula(k + 1, n) for n in range(1, 81)]
+
+
 def test_free_shapes_respect_child_budget():
     for shape in enumerate_shapes(1, 6, "free"):
         stack = [shape]
@@ -76,6 +129,14 @@ def test_rooted_and_free_tree_counts():
     for n in range(2, 10):
         for g in free_trees(n):
             assert g.n == n and len(g.edges) == n - 1 and g.is_connected()
+
+
+def test_canonical_and_free_trees_match_the_cached_listers():
+    for n in range(14):
+        for mc in (None, 1, 2, 3, 4):
+            assert canonical_trees(n, mc) == cached_canonical_trees(n, mc), (n, mc)
+    for n in range(1, 13):
+        assert free_trees(n) == cached_free_trees(n), n
 
 
 def test_free_trees_are_one_per_centroid_key():
@@ -119,6 +180,31 @@ def test_sizes_and_binary_check_on_a_3000_node_saddle_node_path():
 def test_strip_slots():
     shape = ((0, ()), (2, ((1, ()),)))
     assert strip_slots(shape) == ((), ((),))
+
+
+def test_tree_helpers_match_the_recursive_oracles():
+    for n in range(1, 9):
+        for t in ordered_trees(n) + canonical_trees(n):
+            assert canonical_form(t) == nested_canonical_form(t)
+            assert _tree_edges(t) == nested_tree_edges(t)
+        for t in slot_trees(2, n) + (slot_trees(3, n) if n <= 7 else ()):
+            assert strip_slots(t) == nested_strip_slots(t)
+
+
+def test_tree_helpers_on_a_3000_node_path():
+    slotted = chain_tree(3000).shape()
+    plain = ()
+    for _ in range(2999):
+        plain = (plain,)
+    for t in (strip_slots(slotted), canonical_form(plain)):
+        assert tree_size(t) == 3000
+        while t:
+            (t,) = t  # one child per level down to the leaf
+    assert _tree_edges(plain) == [(i, i + 1) for i in range(2999)]
+    for oracle, t in ((nested_strip_slots, slotted), (nested_canonical_form, plain),
+                      (nested_tree_edges, plain)):
+        with pytest.raises(RecursionError):
+            oracle(t)
 
 
 # -- m-ary to binary ---------------------------------------------------------
