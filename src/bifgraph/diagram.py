@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .laws import (
     SADDLE_NODE, PERIOD_DOUBLING, TYPE_M, JUNCTION,
-    BifurcationKind, LawTable, check_index, is_admissible_star,
+    BifurcationKind, LawTable, allowed_child_multisets, check_index,
 )
 
 
@@ -39,7 +39,18 @@ TERMINAL = _Terminal()
 
 
 class DiagramError(ValueError):
-    """Structural problem in a diagram (dangling reference, bad arity, ...)."""
+    """Structural problem in a diagram (dangling reference, bad arity, ...).
+
+    ``edge_id`` or ``vertex_id`` names the offending edge or vertex, when
+    there is one; ``field`` names its offending field ("ends" or
+    "parent_edge"), and ``slot`` the end of a dangling edge (0 or 1).
+    """
+
+    def __init__(self, message: str, *, edge_id: str | None = None,
+                 vertex_id: str | None = None, field: str | None = None,
+                 slot: int | None = None):
+        super().__init__(message)
+        self.edge_id, self.vertex_id, self.field, self.slot = edge_id, vertex_id, field, slot
 
 
 # ---------------------------------------------------------------------------
@@ -150,28 +161,33 @@ class Diagram:
             raise DiagramError("duplicate vertex ids")
         incident: dict[str, list[Edge]] = {v: [] for v in vertex_by_id}
         for e in self.edges:
-            for end in e.ends:
+            for slot, end in enumerate(e.ends):
                 if end is TERMINAL:
                     continue
                 if end not in incident:
-                    raise DiagramError(f"edge {e.id!r} references missing vertex {end!r}")
+                    raise DiagramError(f"edge {e.id!r} references missing vertex {end!r}",
+                                       edge_id=e.id, field="ends", slot=slot)
                 incident[end].append(e)
         for v in self.vertices:
             inc = [e.id for e in incident[v.id]]
             if not inc:
-                raise DiagramError(f"vertex {v.id!r} has no incident edge")
+                raise DiagramError(f"vertex {v.id!r} has no incident edge", vertex_id=v.id)
             if len(inc) != v.kind.degree:
                 raise DiagramError(
-                    f"vertex {v.id!r} ({v.kind.name}) needs degree {v.kind.degree}, has {len(inc)}")
+                    f"vertex {v.id!r} ({v.kind.name}) needs degree {v.kind.degree}, has {len(inc)}",
+                    vertex_id=v.id)
             if v.kind.name == SADDLE_NODE:
                 if v.parent_edge is not None:
-                    raise DiagramError(f"saddle-node vertex {v.id!r} takes no parent edge")
+                    raise DiagramError(f"saddle-node vertex {v.id!r} takes no parent edge",
+                                       vertex_id=v.id, field="parent_edge")
             else:
                 if v.parent_edge is None:
-                    raise DiagramError(f"vertex {v.id!r} ({v.kind.name}) needs a parent edge")
+                    raise DiagramError(f"vertex {v.id!r} ({v.kind.name}) needs a parent edge",
+                                       vertex_id=v.id, field="parent_edge")
                 if v.parent_edge not in inc:
                     raise DiagramError(
-                        f"parent edge {v.parent_edge!r} is not incident to vertex {v.id!r}")
+                        f"parent edge {v.parent_edge!r} is not incident to vertex {v.id!r}",
+                        vertex_id=v.id, field="parent_edge")
         object.__setattr__(self, "_edge_by_id", edge_by_id)
         object.__setattr__(self, "_vertex_by_id", vertex_by_id)
         object.__setattr__(self, "_incident", incident)
@@ -218,12 +234,28 @@ def check_index_conservation(diagram: Diagram, vertex_id: str) -> ConservationCh
     parented kind the parent index must equal the sum of the child indices.
     """
     v = diagram.vertex(vertex_id)
+    return _conservation(*_star_indices(v, diagram._incident[v.id]))
+
+
+def _star_indices(v: Vertex, incident: list[Edge]) -> tuple[int | None, list[int]]:
+    """(parent index, child indices) at vertex ``v`` from its incident edges
+    with multiplicity: the parent is the first occurrence of the parent
+    edge, and a saddle node has no parent and both its edges as children."""
+    kids = [e.index for e in incident]
     if v.kind.name == SADDLE_NODE:
-        total = sum(e.index for e in diagram.incident_edges(vertex_id))
+        return None, kids
+    for i, e in enumerate(incident):
+        if e.id == v.parent_edge:
+            return kids.pop(i), kids
+
+
+def _conservation(parent: int | None, kids: list[int]) -> ConservationCheck:
+    """Conservation from ``_star_indices``: a saddle node's indices sum to 0,
+    any other vertex's children sum to its parent."""
+    total = sum(kids)
+    if parent is None:
         return ConservationCheck(total == 0, total, 0)
-    parent = diagram.edge(v.parent_edge).index
-    kids = sum(e.index for e in diagram.child_edges(v))
-    return ConservationCheck(parent == kids, parent, kids)
+    return ConservationCheck(parent == total, parent, total)
 
 
 # ---------------------------------------------------------------------------
@@ -433,39 +465,53 @@ class ValidationReport:
 def validate_diagram(diagram: Diagram, k: int, table: LawTable) -> ValidationReport:
     """Full admissibility check against a law table and branching budget k.
 
-    Runs the degree bound (k + 2), per-vertex index conservation, the law
-    lookup per vertex, the junction two-index rule, cycle parity, and (when
-    the diagram is fully period-labeled) period consistency.  Returns every
-    violation found; an empty report means the diagram is admissible.
+    Returns every violation found; an empty report means the diagram is
+    admissible.  Violations come in this order:
+
+    - per vertex, in document order: ``degree_bound`` (degree above k + 2),
+      ``conservation`` (index conservation), ``law`` (the law lookup) and
+      ``junction_two_index`` (the junction two-index rule);
+    - then ``cycle_parity``, one per failing saddle-node cycle;
+    - then ``period`` per period violation when every edge carries a
+      period, or one ``period_partial`` when only some do.
+
+    Each vertex's incident edges are read once.  Each law is looked up once
+    per call: the saddle-node pairs, and the child multisets per (kind,
+    parent index).
     """
     if table.dimension != diagram.dimension:
         raise ValueError(
             f"table dimension {table.dimension} != diagram dimension {diagram.dimension}")
     out: list[Violation] = []
+    saddle_pairs = table.saddle_node_pairs()
+    allowed: dict = {}  # (kind, parent index) -> admissible child multisets
 
     for v in diagram.vertices:
-        deg = diagram.degree(v.id)
-        if deg > k + 2:
+        incident = diagram._incident[v.id]
+        if len(incident) > k + 2:
             out.append(Violation("degree_bound",
-                                 f"vertex {v.id!r} has degree {deg} > k+2 = {k + 2}",
+                                 f"vertex {v.id!r} has degree {len(incident)} > k+2 = {k + 2}",
                                  vertex_id=v.id))
-        cons = check_index_conservation(diagram, v.id)
+        parent, kids = _star_indices(v, incident)
+        cons = _conservation(parent, kids)
         if not cons.ok:
             out.append(Violation("conservation",
                                  f"vertex {v.id!r}: parent side {cons.parent_sum} != "
                                  f"child side {cons.child_sum}", vertex_id=v.id))
-        if v.kind.name == SADDLE_NODE:
-            pair = tuple(sorted(e.index for e in diagram.incident_edges(v.id)))
-            if pair not in table.saddle_node_pairs():
+        kids.sort()
+        star = tuple(kids)
+        if parent is None:
+            if star not in saddle_pairs:
                 out.append(Violation("law",
-                                     f"saddle-node pair {pair} not admissible in "
+                                     f"saddle-node pair {star} not admissible in "
                                      f"dimension {table.dimension}", vertex_id=v.id))
             continue
-        parent = diagram.edge(v.parent_edge).index
-        kids = [e.index for e in diagram.child_edges(v)]
-        if not is_admissible_star(table, v.kind, parent, kids):
+        key = (v.kind, parent)
+        if key not in allowed:
+            allowed[key] = allowed_child_multisets(table, v.kind, parent)
+        if star not in allowed[key]:
             out.append(Violation("law",
-                                 f"vertex {v.id!r}: {parent} -> {tuple(sorted(kids))} not "
+                                 f"vertex {v.id!r}: {parent} -> {star} not "
                                  f"admissible for {v.kind.name} in dimension {table.dimension}",
                                  vertex_id=v.id))
         if v.kind.name == JUNCTION and len(set(kids)) > 2:

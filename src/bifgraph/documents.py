@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .diagram import TERMINAL, Diagram, Edge, Vertex
+from .diagram import TERMINAL, Diagram, DiagramError, Edge, Vertex
 from .graphs import SimpleGraph
 from .laws import (
     COLOR_OF, INDEX_VALUES, JUNCTION, PERIOD_DOUBLING, SADDLE_NODE, TYPE_M, BifurcationKind,
@@ -22,6 +22,13 @@ from .laws import (
 from .matroids import from_bases
 
 SCHEMA_VERSION = "1"
+
+_DIAGRAM_KEYS = frozenset({"schemaVersion", "dimension", "edges", "vertices", "comment"})
+_EDGE_KEYS = frozenset({"id", "index", "period", "endpoints"})
+_VERTEX_KEYS = frozenset({"id", "kind", "parentEdge"})
+
+#: The kinds written as plain strings, each one shared immutable value.
+_STRING_KINDS = {name: BifurcationKind(name) for name in (SADDLE_NODE, PERIOD_DOUBLING)}
 
 
 class SchemaError(ValueError):
@@ -80,8 +87,8 @@ def kind_from_json(raw, path: str) -> BifurcationKind:
     the period check does (and it demands a concrete m).  Errors are
     ``SchemaError``s that name ``path``.
     """
-    if raw in (SADDLE_NODE, PERIOD_DOUBLING):
-        return BifurcationKind(raw)
+    if isinstance(raw, str) and raw in _STRING_KINDS:
+        return _STRING_KINDS[raw]
     if isinstance(raw, dict) and len(raw) == 1:
         (name, param), = raw.items()
         if name in (TYPE_M, JUNCTION):
@@ -106,12 +113,19 @@ def kind_to_json(kind: BifurcationKind):
 # ---------------------------------------------------------------------------
 
 def parse_diagram(source) -> Diagram:
-    """Parse and schema-check a diagram document (JSON text or dict)."""
+    """Parse and schema-check a diagram document (JSON text or dict).
+
+    Checks run in a fixed order and the first failure is raised, as a
+    ``SchemaError`` whose path and message are formatted only then.  A
+    structural error of the diagram (a dangling endpoint, a wrong degree, a
+    bad parent edge) is a ``SchemaError`` at the offending endpoint,
+    vertex or ``parentEdge``.
+    """
     doc = _as_object(source)
-    extra = set(doc) - {"schemaVersion", "dimension", "edges", "vertices", "comment"}
-    _expect(not extra, "$", f"unknown keys {sorted(extra)}")
-    _expect(doc.get("schemaVersion") == SCHEMA_VERSION,
-            "$.schemaVersion", f"must be {SCHEMA_VERSION!r}")
+    if not doc.keys() <= _DIAGRAM_KEYS:
+        raise SchemaError("$", f"unknown keys {sorted(set(doc) - _DIAGRAM_KEYS)}")
+    if doc.get("schemaVersion") != SCHEMA_VERSION:
+        raise SchemaError("$.schemaVersion", f"must be {SCHEMA_VERSION!r}")
     dim = doc.get("dimension")
     _expect(_is_int(dim) and dim >= 1, "$.dimension", "must be an integer >= 1")
     _expect(isinstance(doc.get("edges"), list), "$.edges", "must be a list")
@@ -119,45 +133,66 @@ def parse_diagram(source) -> Diagram:
 
     edges = []
     for i, item in enumerate(doc["edges"]):
-        path = f"$.edges[{i}]"
-        _expect(isinstance(item, dict), path, "must be an object")
-        extra = set(item) - {"id", "index", "period", "endpoints"}
-        _expect(not extra, path, f"unknown keys {sorted(extra)}")
-        _expect(isinstance(item.get("id"), str) and item["id"], f"{path}.id",
-                "must be a nonempty string")
-        _expect(_is_index(item.get("index")), f"{path}.index", "must be -1, 0 or 1")
+        if not isinstance(item, dict):
+            raise SchemaError(f"$.edges[{i}]", "must be an object")
+        if not item.keys() <= _EDGE_KEYS:
+            raise SchemaError(f"$.edges[{i}]", f"unknown keys {sorted(set(item) - _EDGE_KEYS)}")
+        eid = item.get("id")
+        if not (isinstance(eid, str) and eid):
+            raise SchemaError(f"$.edges[{i}].id", "must be a nonempty string")
+        index = item.get("index")
+        if not _is_index(index):
+            raise SchemaError(f"$.edges[{i}].index", "must be -1, 0 or 1")
         period = item.get("period")
-        if period is not None:
-            _expect(_is_int(period) and period >= 1, f"{path}.period",
-                    "must be a positive integer")
+        if period is not None and not (_is_int(period) and period >= 1):
+            raise SchemaError(f"$.edges[{i}].period", "must be a positive integer")
         eps = item.get("endpoints")
-        _expect(isinstance(eps, list) and len(eps) == 2, f"{path}.endpoints",
-                "must be a two-element list")
-        ends = tuple(TERMINAL if e == "terminal" else e for e in eps)
+        if not (isinstance(eps, list) and len(eps) == 2):
+            raise SchemaError(f"$.edges[{i}].endpoints", "must be a two-element list")
+        a, b = eps
+        ends = (TERMINAL if a == "terminal" else a, TERMINAL if b == "terminal" else b)
         for j, e in enumerate(ends):
-            _expect(e is TERMINAL or (isinstance(e, str) and e),
-                    f"{path}.endpoints[{j}]", 'must be a vertex id or "terminal"')
-        edges.append(Edge(item["id"], item["index"], ends, period))
+            if e is not TERMINAL and not (isinstance(e, str) and e):
+                raise SchemaError(f"$.edges[{i}].endpoints[{j}]",
+                                  'must be a vertex id or "terminal"')
+        edges.append(Edge(eid, index, ends, period))
 
     vertices = []
     for i, item in enumerate(doc["vertices"]):
-        path = f"$.vertices[{i}]"
-        _expect(isinstance(item, dict), path, "must be an object")
-        extra = set(item) - {"id", "kind", "parentEdge"}
-        _expect(not extra, path, f"unknown keys {sorted(extra)}")
-        _expect(isinstance(item.get("id"), str) and item["id"], f"{path}.id",
-                "must be a nonempty string")
-        kind = kind_from_json(item.get("kind"), f"{path}.kind")
+        if not isinstance(item, dict):
+            raise SchemaError(f"$.vertices[{i}]", "must be an object")
+        if not item.keys() <= _VERTEX_KEYS:
+            raise SchemaError(f"$.vertices[{i}]",
+                              f"unknown keys {sorted(set(item) - _VERTEX_KEYS)}")
+        vid = item.get("id")
+        if not (isinstance(vid, str) and vid):
+            raise SchemaError(f"$.vertices[{i}].id", "must be a nonempty string")
+        raw = item.get("kind")
+        kind = _STRING_KINDS.get(raw) if isinstance(raw, str) else None
+        if kind is None:
+            kind = kind_from_json(raw, f"$.vertices[{i}].kind")
         parent = item.get("parentEdge")
-        if parent is not None:
-            _expect(isinstance(parent, str), f"{path}.parentEdge", "must be an edge id")
-        vertices.append(Vertex(item["id"], kind, parent))
+        if parent is not None and not isinstance(parent, str):
+            raise SchemaError(f"$.vertices[{i}].parentEdge", "must be an edge id")
+        vertices.append(Vertex(vid, kind, parent))
 
-    eids = [e.id for e in edges]
-    _expect(len(set(eids)) == len(eids), "$.edges", "edge ids must be unique")
-    vids = [v.id for v in vertices]
-    _expect(len(set(vids)) == len(vids), "$.vertices", "vertex ids must be unique")
-    return Diagram(dim, tuple(edges), tuple(vertices))
+    _expect(len({e.id for e in edges}) == len(edges), "$.edges", "edge ids must be unique")
+    _expect(len({v.id for v in vertices}) == len(vertices), "$.vertices",
+            "vertex ids must be unique")
+    try:
+        return Diagram(dim, tuple(edges), tuple(vertices))
+    except DiagramError as exc:
+        raise SchemaError(_structural_path(exc, edges, vertices), str(exc)) from exc
+
+
+def _structural_path(exc: DiagramError, edges: list, vertices: list) -> str:
+    """The JSON path of the edge end, vertex or parent edge that a
+    ``DiagramError`` from a parsed document names."""
+    if exc.edge_id is not None:
+        i = next(i for i, e in enumerate(edges) if e.id == exc.edge_id)
+        return f"$.edges[{i}].endpoints[{exc.slot}]"
+    i = next(i for i, v in enumerate(vertices) if v.id == exc.vertex_id)
+    return f"$.vertices[{i}]" + (".parentEdge" if exc.field == "parent_edge" else "")
 
 
 def emit_diagram(diagram: Diagram) -> str:

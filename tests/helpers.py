@@ -11,18 +11,23 @@ import json
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial
 
 from bifgraph import (
-    TERMINAL, ColoredTree, Diagram, Edge, LawEntry, LawTable, SimpleGraph, Vertex,
-    builtin_table, canonical_trees, emit_dot, kind_for_child_count, load_law_table,
-    matroid_minor, period_doubling, saddle_node, splits_for_child_count, to_star,
-    tree_size, tree_to_diagram,
+    TERMINAL, ColoredTree, ConservationCheck, Diagram, Edge, LawEntry, LawTable, SimpleGraph,
+    ValidationReport, Vertex, Violation, builtin_table, canonical_trees, check_cycle_parity,
+    check_period_consistency, emit_dot, is_admissible_star, kind_for_child_count,
+    load_law_table, matroid_minor, period_doubling, saddle_node, splits_for_child_count,
+    to_star, tree_size, tree_to_diagram, type_m,
 )
 from bifgraph.classes import has_diamond_subgraph
+from bifgraph.documents import (
+    SCHEMA_VERSION, _as_object, _expect, _is_index, _is_int, kind_from_json,
+)
+from bifgraph.laws import JUNCTION, SADDLE_NODE
 from bifgraph.graphs import _norm_edge, graph_from_mask
 from bifgraph.trees import _tree_edges
 
@@ -32,7 +37,6 @@ def star_diagram(parent_index: int, child_indexes, parent_period=None,
     """One bifurcation vertex with terminal far ends everywhere."""
     kind = kind_for_child_count(len(child_indexes))
     if kind.name == "type_m" and m is not None:
-        from bifgraph import type_m
         kind = type_m(m)
     if kind.name == "saddle_node":
         edges = (Edge("p", parent_index, (TERMINAL, "v"), parent_period),
@@ -135,6 +139,55 @@ def random_sn_doubling_diagram(rng: random.Random, max_vertices: int = 9) -> Dia
             parent = rng.choice([e.id for e in edges if name in e.ends])
             vertices.append(Vertex(name, period_doubling(), parent))
     return Diagram(rng.choice((2, 3)), edges, tuple(vertices))
+
+
+def planted_index_fault(rng: random.Random, diagram: Diagram) -> Diagram:
+    """The diagram with one edge, chosen at random, given another index."""
+    edges = list(diagram.edges)
+    i = rng.randrange(len(edges))
+    edges[i] = replace(edges[i], index=rng.choice([c for c in (-1, 0, 1) if c != edges[i].index]))
+    return Diagram(diagram.dimension, tuple(edges), diagram.vertices)
+
+
+def sn_chain(dimension: int, colors) -> Diagram:
+    """Path of saddle-node vertices with the given edge colors, both ends
+    terminal."""
+    n = len(colors)
+    ends = [TERMINAL] + [f"v{i}" for i in range(n - 1)] + [TERMINAL]
+    edges = tuple(Edge(f"e{i}", colors[i], (ends[i], ends[i + 1])) for i in range(n))
+    return Diagram(dimension, edges, tuple(Vertex(f"v{i}", saddle_node()) for i in range(n - 1)))
+
+
+def period_labelled(rng: random.Random, diagram: Diagram) -> Diagram:
+    """A diagram from ``tree_to_diagram`` with lawful periods: the root
+    branch at a random period, one child of each event at its parent's
+    period and the others doubled or multiplied (type_m gets a random m).
+    Vertices are listed parents first, so one pass labels them all."""
+    period = {e.id: rng.choice((1, 2, 3)) for e in diagram.edges if e.ends[0] is TERMINAL}
+    vertices = []
+    for v in diagram.vertices:
+        p = next(period[e.id] for e in diagram.edges if e.ends[1] == v.id)
+        kids = [e.id for e in diagram.edges if e.ends[0] == v.id]
+        if v.kind.name == "type_m":
+            m = rng.randint(3, 5)
+            factors = [1, m, m]
+            v = Vertex(v.id, type_m(m), v.parent_edge)
+        else:  # saddle node, doubling, or a junction's doubling chain
+            factors = [1] + [2 ** i for i in range(1, len(kids))]
+        rng.shuffle(factors)
+        period.update((eid, p * f) for eid, f in zip(kids, factors))
+        vertices.append(v)
+    edges = tuple(replace(e, period=period[e.id]) for e in diagram.edges)
+    return Diagram(diagram.dimension, edges, tuple(vertices))
+
+
+def planted_period_fault(rng: random.Random, diagram: Diagram) -> Diagram:
+    """The diagram with one edge, chosen at random, given another period."""
+    edges = list(diagram.edges)
+    i = rng.randrange(len(edges))
+    edges[i] = replace(edges[i], period=rng.choice([p for p in range(1, 9)
+                                                    if p != edges[i].period]))
+    return Diagram(diagram.dimension, tuple(edges), diagram.vertices)
 
 
 def colored_tree_graph(tree) -> SimpleGraph:
@@ -966,3 +1019,140 @@ def with_stack_room(frames: int, fn, *args):
         return fn(*args)
     finally:
         sys.setrecursionlimit(old)
+
+
+# -- diagram documents and validation before the one-pass rewrite ------------
+
+def eager_parse_diagram(source) -> Diagram:
+    """``parse_diagram`` as it was before the one-pass parser: every check
+    formats its path and message before it is tested, and every kind goes
+    through ``kind_from_json``.  Structural errors stay ``DiagramError``s."""
+    doc = _as_object(source)
+    extra = set(doc) - {"schemaVersion", "dimension", "edges", "vertices", "comment"}
+    _expect(not extra, "$", f"unknown keys {sorted(extra)}")
+    _expect(doc.get("schemaVersion") == SCHEMA_VERSION,
+            "$.schemaVersion", f"must be {SCHEMA_VERSION!r}")
+    dim = doc.get("dimension")
+    _expect(_is_int(dim) and dim >= 1, "$.dimension", "must be an integer >= 1")
+    _expect(isinstance(doc.get("edges"), list), "$.edges", "must be a list")
+    _expect(isinstance(doc.get("vertices"), list), "$.vertices", "must be a list")
+
+    edges = []
+    for i, item in enumerate(doc["edges"]):
+        path = f"$.edges[{i}]"
+        _expect(isinstance(item, dict), path, "must be an object")
+        extra = set(item) - {"id", "index", "period", "endpoints"}
+        _expect(not extra, path, f"unknown keys {sorted(extra)}")
+        _expect(isinstance(item.get("id"), str) and item["id"], f"{path}.id",
+                "must be a nonempty string")
+        _expect(_is_index(item.get("index")), f"{path}.index", "must be -1, 0 or 1")
+        period = item.get("period")
+        if period is not None:
+            _expect(_is_int(period) and period >= 1, f"{path}.period",
+                    "must be a positive integer")
+        eps = item.get("endpoints")
+        _expect(isinstance(eps, list) and len(eps) == 2, f"{path}.endpoints",
+                "must be a two-element list")
+        ends = tuple(TERMINAL if e == "terminal" else e for e in eps)
+        for j, e in enumerate(ends):
+            _expect(e is TERMINAL or (isinstance(e, str) and e),
+                    f"{path}.endpoints[{j}]", 'must be a vertex id or "terminal"')
+        edges.append(Edge(item["id"], item["index"], ends, period))
+
+    vertices = []
+    for i, item in enumerate(doc["vertices"]):
+        path = f"$.vertices[{i}]"
+        _expect(isinstance(item, dict), path, "must be an object")
+        extra = set(item) - {"id", "kind", "parentEdge"}
+        _expect(not extra, path, f"unknown keys {sorted(extra)}")
+        _expect(isinstance(item.get("id"), str) and item["id"], f"{path}.id",
+                "must be a nonempty string")
+        kind = kind_from_json(item.get("kind"), f"{path}.kind")
+        parent = item.get("parentEdge")
+        if parent is not None:
+            _expect(isinstance(parent, str), f"{path}.parentEdge", "must be an edge id")
+        vertices.append(Vertex(item["id"], kind, parent))
+
+    eids = [e.id for e in edges]
+    _expect(len(set(eids)) == len(eids), "$.edges", "edge ids must be unique")
+    vids = [v.id for v in vertices]
+    _expect(len(set(vids)) == len(vids), "$.vertices", "vertex ids must be unique")
+    return Diagram(dim, tuple(edges), tuple(vertices))
+
+
+def stepwise_index_conservation(diagram: Diagram, vertex_id: str) -> ConservationCheck:
+    """``check_index_conservation`` before the one-pass validator, through
+    the diagram's lookups.
+
+    For a saddle node the two incident indices must sum to 0 (both orbit
+    branches sit on one side of the event, nothing on the other).  For every
+    parented kind the parent index must equal the sum of the child indices.
+    """
+    v = diagram.vertex(vertex_id)
+    if v.kind.name == SADDLE_NODE:
+        total = sum(e.index for e in diagram.incident_edges(vertex_id))
+        return ConservationCheck(total == 0, total, 0)
+    parent = diagram.edge(v.parent_edge).index
+    kids = sum(e.index for e in diagram.child_edges(v))
+    return ConservationCheck(parent == kids, parent, kids)
+
+
+def stepwise_validate_diagram(diagram: Diagram, k: int, table: LawTable) -> ValidationReport:
+    """``validate_diagram`` as it was before the one-pass validator: each
+    vertex runs every check as its own lookup, and each law query scans the
+    table again.
+
+    Runs the degree bound (k + 2), per-vertex index conservation, the law
+    lookup per vertex, the junction two-index rule, cycle parity, and (when
+    the diagram is fully period-labeled) period consistency.  Returns every
+    violation found; an empty report means the diagram is admissible.
+    """
+    if table.dimension != diagram.dimension:
+        raise ValueError(
+            f"table dimension {table.dimension} != diagram dimension {diagram.dimension}")
+    out: list[Violation] = []
+
+    for v in diagram.vertices:
+        deg = diagram.degree(v.id)
+        if deg > k + 2:
+            out.append(Violation("degree_bound",
+                                 f"vertex {v.id!r} has degree {deg} > k+2 = {k + 2}",
+                                 vertex_id=v.id))
+        cons = stepwise_index_conservation(diagram, v.id)
+        if not cons.ok:
+            out.append(Violation("conservation",
+                                 f"vertex {v.id!r}: parent side {cons.parent_sum} != "
+                                 f"child side {cons.child_sum}", vertex_id=v.id))
+        if v.kind.name == SADDLE_NODE:
+            pair = tuple(sorted(e.index for e in diagram.incident_edges(v.id)))
+            if pair not in table.saddle_node_pairs():
+                out.append(Violation("law",
+                                     f"saddle-node pair {pair} not admissible in "
+                                     f"dimension {table.dimension}", vertex_id=v.id))
+            continue
+        parent = diagram.edge(v.parent_edge).index
+        kids = [e.index for e in diagram.child_edges(v)]
+        if not is_admissible_star(table, v.kind, parent, kids):
+            out.append(Violation("law",
+                                 f"vertex {v.id!r}: {parent} -> {tuple(sorted(kids))} not "
+                                 f"admissible for {v.kind.name} in dimension {table.dimension}",
+                                 vertex_id=v.id))
+        if v.kind.name == JUNCTION and len(set(kids)) > 2:
+            out.append(Violation("junction_two_index",
+                                 f"junction {v.id!r} uses more than two child indices",
+                                 vertex_id=v.id))
+
+    for cyc in check_cycle_parity(diagram):
+        if not cyc.ok:
+            out.append(Violation("cycle_parity", cyc.reason, edge_ids=cyc.edge_ids))
+
+    try:
+        period = check_period_consistency(diagram)
+    except ValueError as exc:
+        out.append(Violation("period_partial", str(exc)))
+    else:
+        for pv in period.violations:
+            out.append(Violation("period", pv.message,
+                                 vertex_id=pv.vertex_id, edge_ids=pv.edge_pair))
+
+    return ValidationReport(tuple(out))

@@ -1,5 +1,6 @@
 """Diagram domain types and validators."""
 
+import json
 import random
 import time
 from itertools import combinations_with_replacement
@@ -8,15 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bifgraph import (
-    TERMINAL, Diagram, DiagramError, Edge, EigenvalueSpec, Vertex,
+    TERMINAL, ColoredTree, Diagram, DiagramError, Edge, EigenvalueSpec, EnumerationSpec, Vertex,
     builtin_table, check_cycle_parity, check_index_conservation,
-    check_period_consistency, index_from_eigenvalues,
-    junction_periods_consistent, period_doubling, saddle_node, type_m,
-    validate_diagram,
+    check_period_consistency, emit_diagram, enumerate_colored, index_from_eigenvalues,
+    junction_periods_consistent, parse_diagram, period_doubling, saddle_node, tree_to_diagram,
+    type_m, validate_diagram,
 )
 from helpers import (
-    random_sn_doubling_diagram, saddle_node_cycles, searched_junction_periods,
-    sn_cycle, star_diagram,
+    eager_parse_diagram, period_labelled, planted_index_fault, planted_period_fault,
+    random_sn_doubling_diagram, saddle_node_cycles, searched_junction_periods, sn_chain,
+    sn_cycle, star_diagram, stepwise_index_conservation, stepwise_validate_diagram,
 )
 
 
@@ -364,3 +366,124 @@ def test_validity_is_monotone_in_dimension():
                 assert validate_diagram(diagram, 2, builtin_table(d)).ok
                 lifted = Diagram(d + 1, diagram.edges, diagram.vertices)
                 assert validate_diagram(lifted, 2, builtin_table(d + 1)).ok
+
+
+# -- the one-pass parser and validator against the stepwise ones --------------
+
+def _same_as_the_oracles(diagram: Diagram, k: int) -> tuple:
+    """Check parse and validate against the stepwise oracles on ``diagram``
+    and on its emitted document; returns the violation codes."""
+    table = builtin_table(diagram.dimension)
+    report = validate_diagram(diagram, k, table)
+    assert report == stepwise_validate_diagram(diagram, k, table)
+    for v in diagram.vertices:
+        assert check_index_conservation(diagram, v.id) == stepwise_index_conservation(diagram, v.id)
+    text = emit_diagram(diagram)
+    parsed = parse_diagram(text)
+    assert parsed == eager_parse_diagram(text) == parse_diagram(json.loads(text))
+    assert validate_diagram(parsed, k, table) == stepwise_validate_diagram(parsed, k, table)
+    return tuple(v.code for v in report.violations)
+
+
+def _has_junction(tree: ColoredTree) -> bool:
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if len(node.children) >= 4:
+            return True
+        stack += node.children
+    return False
+
+
+def _tree_cases(rng):
+    for d in range(1, 5):
+        for k in range(1, 5):
+            for n in range(1, 7 if k <= 2 else 6):
+                trees = enumerate_colored(EnumerationSpec(k, d, n))
+                junctions = [t for t in trees if _has_junction(t)]
+                for t in (rng.sample(trees, min(12, len(trees)))
+                          + rng.sample(junctions, min(4, len(junctions)))):
+                    diagram = tree_to_diagram(t, d)
+                    yield diagram, k
+                    yield diagram, rng.randint(1, 4)
+                    yield planted_index_fault(rng, diagram), k
+                    yield Diagram(d, tuple(Edge(e.id, rng.choice((-1, 0, 1)), e.ends)
+                                           for e in diagram.edges), diagram.vertices), k
+                    if n >= 3:
+                        labelled = period_labelled(rng, diagram)
+                        yield labelled, k
+                        yield planted_period_fault(rng, labelled), k
+
+
+def _saddle_node_cases(rng):
+    for d in range(1, 5):
+        for n in range(1, 10):
+            alternating = [(-1) ** i for i in range(n)]
+            for colors in (alternating, [0] * n, [rng.choice((-1, 0, 1)) for _ in range(n)]):
+                yield sn_cycle(d, colors), 1
+                yield planted_index_fault(rng, sn_cycle(d, colors)), 1
+                yield sn_chain(d, colors), 1
+                yield planted_index_fault(rng, sn_chain(d, colors)), 1
+
+
+def _special_cases(rng):
+    for d in range(1, 5):
+        yield star_diagram(1, (1, -1, 1), 1, (1, 3, 3), dimension=d), 2  # type_m, m null
+        yield star_diagram(1, (1, -1, 1), 1, (1, 3, 3), dimension=d, m=3), 2
+        yield star_diagram(1, (0, 1), 1, None, dimension=d), 1  # partial periods
+        yield star_diagram(1, (0, 1), None, (1, 2), dimension=d), 1
+        yield star_diagram(0, (-1, 0, 1, 0), dimension=d), 2  # junction, three indices
+        yield star_diagram(0, (-1, 0, 1, 0), dimension=d), 1
+        # a saddle-node loop, a doubling whose parent branch is a loop, and
+        # a parallel saddle pair next to a chain
+        yield Diagram(d, (Edge("e", 0, ("v", "v")),), (Vertex("v", saddle_node()),)), 1
+        yield Diagram(d, (Edge("p", 1, ("v", "v"), 1), Edge("c", 0, ("v", TERMINAL), 2)),
+                      (Vertex("v", period_doubling(), "p"),)), 1
+        yield Diagram(d, (Edge("a", 1, ("u", "w")), Edge("b", -1, ("w", "u")),
+                          Edge("c", 1, (TERMINAL, "x")), Edge("e", 1, ("x", TERMINAL))),
+                      (Vertex("w", saddle_node()), Vertex("u", saddle_node()),
+                       Vertex("x", saddle_node()))), 1
+    for _ in range(200):
+        yield random_sn_doubling_diagram(rng), rng.randint(1, 2)
+
+
+@pytest.mark.parametrize("cases", [_tree_cases, _saddle_node_cases, _special_cases])
+def test_one_pass_parse_and_validate_equal_the_stepwise_oracles(cases):
+    codes = set()
+    for diagram, k in cases(random.Random(13)):
+        codes.update(_same_as_the_oracles(diagram, k))
+    # the generated cases reach every violation code their family can raise
+    assert codes >= {
+        _tree_cases: {"degree_bound", "conservation", "law", "junction_two_index", "period"},
+        _saddle_node_cases: {"conservation", "law", "cycle_parity"},
+        _special_cases: {"conservation", "law", "junction_two_index", "cycle_parity",
+                         "period", "period_partial"},
+    }[cases]
+
+
+_colored_trees = st.recursive(
+    st.builds(ColoredTree, st.sampled_from((-1, 0, 1))),
+    lambda inner: st.builds(ColoredTree, st.sampled_from((-1, 0, 1)),
+                            st.lists(inner, min_size=1, max_size=5).map(tuple)),
+    max_leaves=12)
+
+
+@st.composite
+def _diagrams(draw):
+    d = draw(st.integers(1, 4))
+    diagram = tree_to_diagram(draw(_colored_trees), d)
+    periods = draw(st.sampled_from(("none", "some", "all")))
+    if periods != "none":
+        edges = tuple(Edge(e.id, e.index, e.ends,
+                           draw(st.integers(1, 8) if periods == "all"
+                                else st.none() | st.integers(1, 8)))
+                      for e in diagram.edges)
+        diagram = Diagram(d, edges, diagram.vertices)
+    return diagram
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(_diagrams(), st.randoms(use_true_random=False).map(random_sn_doubling_diagram)),
+       st.integers(1, 4))
+def test_one_pass_validate_equals_the_stepwise_oracle_on_random_diagrams(diagram, k):
+    _same_as_the_oracles(diagram, k)

@@ -1,7 +1,9 @@
 """Diagram/graph/matroid documents, DOT export, fixture."""
 
+import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from bifgraph import (
     nonadmissible_period_fixture, parse_diagram, parse_graph, parse_matroid, parse_tree,
     to_star, validate_diagram,
 )
+from bifgraph.cli import main
 from bifgraph.documents import emit_binary_tree, write_trees_dot, write_trees_json
 from helpers import (
     chain_tree, diagram_trees_dot, dumped_binary_tree, dumped_trees_json, nested_mary_to_binary,
@@ -60,6 +63,69 @@ def test_duplicate_ids_rejected():
     with pytest.raises(SchemaError) as err:
         parse_diagram(json.dumps(doc))
     assert err.value.path == "$.edges"
+
+
+SCHEMA_ERRORS = json.loads(
+    (Path(__file__).parent / "data" / "diagram_schema_errors.json").read_text(encoding="utf-8"))
+
+
+def _run_cli(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+@pytest.mark.parametrize("case", SCHEMA_ERRORS, ids=[c["name"] for c in SCHEMA_ERRORS])
+def test_schema_errors_match_the_recorded_fixture(case, tmp_path):
+    # recorded from the parser that formatted every check's message up front
+    text = case["text"] if "text" in case else json.dumps(case["doc"])
+    with pytest.raises(SchemaError) as err:
+        parse_diagram(text)
+    assert (err.value.path, str(err.value)) == (case["path"], case["message"])
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert _run_cli(["validate", str(path)]) == case["validate"]
+    assert _run_cli(["validate", str(path), "--json"]) == case["validate_json"]
+
+
+_SN_EDGES = [{"id": "a", "index": 1, "endpoints": ["terminal", "v"]},
+             {"id": "b", "index": -1, "endpoints": ["v", "terminal"]}]
+_DOUBLING_EDGES = [{"id": "p", "index": 1, "endpoints": ["terminal", "v"]},
+                   {"id": "c0", "index": 0, "endpoints": ["v", "terminal"]},
+                   {"id": "c1", "index": 1, "endpoints": ["v", "terminal"]}]
+
+
+@pytest.mark.parametrize("edges, vertices, path, message", [
+    (_SN_EDGES[:1] + [{"id": "b", "index": -1, "endpoints": ["v", "w"]}],
+     [{"id": "v", "kind": "saddle_node"}],
+     "$.edges[1].endpoints[1]", "edge 'b' references missing vertex 'w'"),
+    ([{"id": "b", "index": -1, "endpoints": ["w", "v"]}] + _SN_EDGES[:1],
+     [{"id": "v", "kind": "saddle_node"}],
+     "$.edges[0].endpoints[0]", "edge 'b' references missing vertex 'w'"),
+    (_SN_EDGES[:1] + [{"id": "b", "index": -1, "endpoints": ["v", "w"]}],
+     [{"id": "v", "kind": "saddle_node"}, {"id": "w", "kind": "period_doubling"}],
+     "$.vertices[1]", "vertex 'w' (period_doubling) needs degree 3, has 1"),
+    (_SN_EDGES, [{"id": "v", "kind": "saddle_node"}, {"id": "u", "kind": "saddle_node"}],
+     "$.vertices[1]", "vertex 'u' has no incident edge"),
+    (_SN_EDGES, [{"id": "v", "kind": "saddle_node", "parentEdge": "a"}],
+     "$.vertices[0].parentEdge", "saddle-node vertex 'v' takes no parent edge"),
+    (_DOUBLING_EDGES, [{"id": "v", "kind": "period_doubling"}],
+     "$.vertices[0].parentEdge", "vertex 'v' (period_doubling) needs a parent edge"),
+    (_DOUBLING_EDGES + [{"id": "q", "index": 0, "endpoints": ["terminal", "terminal"]}],
+     [{"id": "v", "kind": "period_doubling", "parentEdge": "q"}],
+     "$.vertices[0].parentEdge", "parent edge 'q' is not incident to vertex 'v'"),
+])
+def test_structural_errors_name_their_json_path(edges, vertices, path, message, tmp_path):
+    doc = {"schemaVersion": "1", "dimension": 2, "edges": edges, "vertices": vertices}
+    with pytest.raises(SchemaError) as err:
+        parse_diagram(doc)
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["validate", str(file)], ["validate", str(file), "--json"]):
+        assert _run_cli(argv) == {"stdout": "", "stderr": f"error: {path}: {message}\n",
+                                  "exit": 2}
 
 
 def test_fixture_parses_and_fails_only_on_periods():
