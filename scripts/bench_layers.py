@@ -20,11 +20,23 @@ a 1,200-node saddle-node ring, against ``eager_parse_diagram``;
 ``Diagram`` construction and ``validate_diagram`` (k = 3, against
 ``stepwise_validate_diagram``) on the tree; ``check_cycle_parity`` on the
 ring; ``check_period_consistency`` on a 300-node period-labelled tree.
+
+Topic ``emit``: listing and writing trees, diagrams and graphs.
+``enumerate_colored`` lists k=2 d=4 n=7 plane and k=1 d=4 n=9 free trees;
+``write_trees_json`` (against ``dumped_trees_json``) and
+``write_trees_dot`` (against ``formatted_trees_dot``) write the k=2 d=4
+n=5 plane trees, each writer's text taken from a ``StringIO``;
+``emit_diagram`` (against ``dumped_diagram``) writes the 1,500-node tree
+diagram and ``emit_graph`` (against ``dumped_graph``) its clique graph.
+The last two rows list and write as JSON the two 400-node paths of a law
+table holding only the saddle-node entries, in free mode.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import io
 import json
 import os
 import platform
@@ -40,8 +52,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import bifgraph as bg  # noqa: E402
+from bifgraph.documents import write_trees_dot, write_trees_json  # noqa: E402
 from helpers import (  # noqa: E402
-    eager_parse_diagram, period_labelled, sn_cycle, stepwise_validate_diagram,
+    dumped_diagram, dumped_graph, dumped_trees_json, eager_parse_diagram, formatted_trees_dot,
+    period_labelled, sn_cycle, stepwise_validate_diagram,
 )
 
 RUNS = 5
@@ -101,7 +115,35 @@ def ring(nodes: int) -> bg.Diagram:
     return sn_cycle(2, [(-1) ** i for i in range(nodes)])
 
 
+SADDLE_NODES_ONLY = {"schemaVersion": "1", "dimension": 1, "mode": "replace", "entries": [
+    {"kind": "saddle_node", "parent": 1, "children": [-1]},
+    {"kind": "saddle_node", "parent": -1, "children": [1]}]}
+
+
+def saddle_node_paths(n: int) -> bg.EnumerationSpec:
+    return bg.EnumerationSpec(1, 1, n, "free", bg.load_law_table(SADDLE_NODES_ONLY))
+
+
+def listed(k: int, d: int, n: int, mode: str = "plane") -> tuple:
+    return bg.enumerate_colored(bg.EnumerationSpec(k, d, n, mode))
+
+
+def text_of(write: Callable) -> Callable:
+    """``write(trees, out)`` as a function of the trees that returns the text."""
+    def text(trees) -> str:
+        out = io.StringIO()
+        write(trees, out)
+        return out.getvalue()
+
+    text.__name__ = write.__name__
+    return text
+
+
 def summary(value) -> str:
+    if isinstance(value, str):
+        return f"{len(value)} chars"
+    if type(value) is tuple:  # enumerate_colored
+        return f"{len(value)} trees"
     if isinstance(value, bg.Diagram):
         return f"{len(value.edges)} edges, {len(value.vertices)} vertices"
     if isinstance(value, bg.ValidationReport):
@@ -124,16 +166,37 @@ TOPICS = {
         Row(bg.check_period_consistency, "300-node period-labelled tree",
             lambda: (period_labelled(random.Random(300), tree_diagram(300)),)),
     ),
+    "emit": (
+        Row(bg.enumerate_colored, "k=2 d=4 n=7 plane", lambda: (bg.EnumerationSpec(2, 4, 7),)),
+        Row(bg.enumerate_colored, "k=1 d=4 n=9 free",
+            lambda: (bg.EnumerationSpec(1, 4, 9, "free"),)),
+        Row(text_of(write_trees_json), "k=2 d=4 n=5 plane trees", lambda: (listed(2, 4, 5),),
+            dumped_trees_json),
+        Row(text_of(write_trees_dot), "k=2 d=4 n=5 plane trees", lambda: (listed(2, 4, 5),),
+            text_of(formatted_trees_dot)),
+        Row(bg.emit_diagram, "1,500-node tree", lambda: (tree_diagram(1500),), dumped_diagram),
+        Row(bg.emit_graph, "clique graph of the 1,500-node tree",
+            lambda: (bg.to_clique(tree_diagram(1500)),), dumped_graph),
+        Row(bg.enumerate_colored, "400-node saddle-node paths, free",
+            lambda: (saddle_node_paths(400),)),
+        Row(text_of(write_trees_json), "400-node saddle-node paths, free",
+            lambda: (bg.enumerate_colored(saddle_node_paths(400)),)),
+    ),
 }
 
 
 def time_call(fn, args: tuple) -> tuple[dict, object]:
+    """Time ``RUNS`` calls.  The garbage collector skips the objects alive
+    before each call (``gc.freeze``), as in a fresh process: otherwise the
+    results kept from earlier calls make its passes, and the call, slower."""
     times, results = [], []
     for _ in range(RUNS):
         clear_caches()
+        gc.freeze()
         start = time.perf_counter()
         results.append(fn(*args))
         times.append(time.perf_counter() - start)
+        gc.unfreeze()
     if any(r != results[0] for r in results):
         raise SystemExit(f"{fn.__name__} gave different results on one input")
     return {"median_s": statistics.median(times), "runs_s": times,

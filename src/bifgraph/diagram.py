@@ -38,6 +38,15 @@ class _Terminal:
 TERMINAL = _Terminal()
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, without ``__init__`` and ``__post_init__``: for builders that
+    have already checked what those would.  Pass every field."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 class DiagramError(ValueError):
     """Structural problem in a diagram (dangling reference, bad arity, ...).
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
-from .diagram import TERMINAL, Diagram, DiagramError, Edge, Vertex
+from .diagram import TERMINAL, Diagram, DiagramError, Edge, Vertex, _trusted
 from .graphs import SimpleGraph
 from .laws import (
     COLOR_OF, INDEX_VALUES, JUNCTION, PERIOD_DOUBLING, SADDLE_NODE, TYPE_M, BifurcationKind,
@@ -29,6 +31,7 @@ _VERTEX_KEYS = frozenset({"id", "kind", "parentEdge"})
 
 #: The kinds written as plain strings, each one shared immutable value.
 _STRING_KINDS = {name: BifurcationKind(name) for name in (SADDLE_NODE, PERIOD_DOUBLING)}
+_by_id = attrgetter("id")
 
 
 class SchemaError(ValueError):
@@ -102,12 +105,6 @@ def kind_from_json(raw, path: str) -> BifurcationKind:
     raise SchemaError(path, f"unknown kind {raw!r}")
 
 
-def kind_to_json(kind: BifurcationKind):
-    if kind.name in (SADDLE_NODE, PERIOD_DOUBLING):
-        return kind.name
-    return {kind.name: kind.param}
-
-
 # ---------------------------------------------------------------------------
 # Diagram documents
 # ---------------------------------------------------------------------------
@@ -155,7 +152,7 @@ def parse_diagram(source) -> Diagram:
             if e is not TERMINAL and not (isinstance(e, str) and e):
                 raise SchemaError(f"$.edges[{i}].endpoints[{j}]",
                                   'must be a vertex id or "terminal"')
-        edges.append(Edge(eid, index, ends, period))
+        edges.append(_trusted(Edge, id=eid, index=index, ends=ends, period=period))
 
     vertices = []
     for i, item in enumerate(doc["vertices"]):
@@ -196,25 +193,31 @@ def _structural_path(exc: DiagramError, edges: list, vertices: list) -> str:
 
 
 def emit_diagram(diagram: Diagram) -> str:
-    """Canonical JSON for a diagram: fixed key order, ids sorted."""
-    doc = {
-        "schemaVersion": SCHEMA_VERSION,
-        "dimension": diagram.dimension,
-        "edges": [],
-        "vertices": [],
-    }
-    for e in sorted(diagram.edges, key=lambda e: e.id):
-        item = {"id": e.id, "index": e.index}
-        if e.period is not None:
-            item["period"] = e.period
-        item["endpoints"] = ["terminal" if x is TERMINAL else x for x in e.ends]
-        doc["edges"].append(item)
-    for v in sorted(diagram.vertices, key=lambda v: v.id):
-        item = {"id": v.id, "kind": kind_to_json(v.kind)}
-        if v.parent_edge is not None:
-            item["parentEdge"] = v.parent_edge
-        doc["vertices"].append(item)
-    return json.dumps(doc, indent=2) + "\n"
+    """Canonical JSON for a diagram: fixed key order, ids sorted.  The text
+    is that of ``json.dumps(doc, indent=2)``, written directly."""
+    edges = []
+    for e in sorted(diagram.edges, key=_by_id):
+        period = "" if e.period is None else f'\n      "period": {_scalar(e.period)},'
+        a, b = ('"terminal"' if x is TERMINAL else _scalar(x) for x in e.ends)
+        edges.append(f'{{\n      "id": {_scalar(e.id)},\n      "index": {_scalar(e.index)},'
+                     f'{period}\n      "endpoints": [\n        {a},\n        {b}\n      ]\n    }}')
+    vertices = []
+    for v in sorted(diagram.vertices, key=_by_id):
+        name, param, parent = v.kind.name, v.kind.param, v.parent_edge
+        kind = (f'"{name}"' if name in _STRING_KINDS
+                else f'{{\n        "{name}": {_scalar(param)}\n      }}')
+        parent = "" if parent is None else f',\n      "parentEdge": {_scalar(parent)}'
+        vertices.append(f'{{\n      "id": {_scalar(v.id)},\n      "kind": {kind}{parent}\n    }}')
+    dimension = _scalar(diagram.dimension)
+    return (f'{{\n  "schemaVersion": "{SCHEMA_VERSION}",\n  "dimension": {dimension},\n'
+            f'  "edges": {_json_array(edges)},\n  "vertices": {_json_array(vertices)}\n}}\n')
+
+
+def _scalar(value) -> str:
+    """``json.dumps(value)`` for a scalar; strings and ints skip the encoder's set-up."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return str(value) if type(value) is int else json.dumps(value)
 
 
 def nonadmissible_period_fixture() -> Diagram:
@@ -255,10 +258,12 @@ def parse_graph(source) -> SimpleGraph:
 
 
 def emit_graph(g: SimpleGraph) -> str:
-    doc = {"vertexCount": g.n, "edges": [list(e) for e in g.sorted_edges()]}
+    """Canonical JSON for a graph, in the text of ``json.dumps(doc, indent=2)``."""
+    edges = [f"[\n      {_scalar(u)},\n      {_scalar(v)}\n    ]" for u, v in g.sorted_edges()]
+    text = f'{{\n  "vertexCount": {_scalar(g.n)},\n  "edges": {_json_array(edges)}'
     if g.colors is not None:
-        doc["colors"] = list(g.colors)
-    return json.dumps(doc, indent=2) + "\n"
+        text += f',\n  "colors": {_json_array(list(map(_scalar, g.colors)))}'
+    return text + "\n}\n"
 
 
 def parse_matroid(source):
@@ -373,19 +378,30 @@ def write_trees_dot(trees, out) -> None:
     graph t0, t1, ...: the DOT of ``to_star(tree_to_diagram(tree, d))``
     without building either.  Vertex i is the i-th node in preorder,
     labelled e{i} and colored by its index; each parent links to its
-    children."""
-    for i, tree in enumerate(trees):
-        colors, edges = [], []
-        stack = [(tree, -1)]
+    children, in sorted order."""
+    vertex_lines: list[dict] = []  # [i][color]: the line of vertex i in that color
+    edge_lines: dict = {}  # (u, v): the line of edge u -- v
+    for t, tree in enumerate(trees):
+        lines, edges = [f"graph t{t} {{\n"], []
+        stack = [(tree, -1)]  # (node, its parent's number); the root's (-1, 0) sorts first
         while stack:
             node, parent = stack.pop()
-            if parent >= 0:
-                edges.append((parent, len(colors)))
-            stack += [(c, len(colors)) for c in reversed(node.children)]
-            colors.append(node.color)
+            i = len(lines) - 1
+            if i == len(vertex_lines):
+                vertex_lines.append({c: f'  n{i} [label="e{i}", color={name}];\n'
+                                     for c, name in COLOR_OF.items()})
+            lines.append(vertex_lines[i][node.color])
+            edges.append((parent, i))
+            if node.children:
+                stack += [(c, i) for c in reversed(node.children)]
         edges.sort()
-        out.write(_graph_dot(f"t{i}", len(colors), [f"e{v}" for v in range(len(colors))],
-                             colors, edges))
+        for edge in edges[1:]:
+            line = edge_lines.get(edge)
+            if line is None:
+                line = edge_lines[edge] = "  n%d -- n%d;\n" % edge
+            lines.append(line)
+        lines.append("}\n")
+        out.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------

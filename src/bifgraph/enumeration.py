@@ -27,7 +27,7 @@ from itertools import combinations, product
 from math import comb, factorial, prod
 from operator import attrgetter
 
-from .diagram import TERMINAL, Diagram, Edge, Vertex
+from .diagram import TERMINAL, Diagram, Edge, Vertex, _trusted
 from .laws import (
     INDEX_VALUES, LawTable, builtin_table, check_index, kind_for_child_count,
     splits_for_child_count,
@@ -48,7 +48,9 @@ class ColoredTree:
 
     Equality, hashing and ``shape`` walk the tree with an explicit stack,
     so a tree of any depth answers them; the hash equals the one the
-    dataclass would compute from (color, children, slots).
+    dataclass would compute from (color, children, slots).  The listers
+    build trees with ``_trusted``, skipping the checks of
+    ``__post_init__`` on children they have already checked.
     """
 
     color: int
@@ -193,14 +195,16 @@ def _colored_pools(table: LawTable, arity: int, n: int, plane: bool) -> dict:
                 for slots, colors, sizes in product(slot_sets, tuples, _compositions(size - 1, c)):
                     kid_tuples = product(*(pool[col][s] for s, col in zip(sizes, colors)))
                     if plane:
-                        out += [ColoredTree(color, kids, slots) for kids in kid_tuples]
+                        out += [_trusted(ColoredTree, color=color, children=kids, slots=slots)
+                                for kids in kid_tuples]
                         continue
                     for kids in kid_tuples:
                         kids = tuple(sorted(kids, key=key_of, reverse=True))
                         ids = tuple(map(id, kids))
                         if ids not in seen:
                             seen.add(ids)
-                            tree, keys = ColoredTree(color, kids), tuple(map(key_of, kids))
+                            tree = _trusted(ColoredTree, color=color, children=kids, slots=None)
+                            keys = tuple(map(key_of, kids))
                             key[id(tree)] = (size, tuple(k[1] for k in keys), color, keys)
                             out.append(tree)
             if not plane:
@@ -325,15 +329,13 @@ def tree_to_diagram(tree: ColoredTree, dimension: int) -> Diagram:
     while stack:
         node, upper_end = stack.pop()
         eid = f"e{len(edges)}"
-        if not node.children:
-            edges.append(Edge(eid, node.color, (upper_end, TERMINAL)))
-            continue
-        vid = f"v{eid}"
-        edges.append(Edge(eid, node.color, (upper_end, vid)))
-        kind = node.kind
-        parent = None if kind.name == "saddle_node" else eid
-        vertices.append(Vertex(vid, kind, parent_edge=parent))
-        stack += [(child, vid) for child in reversed(node.children)]
+        vid = f"v{eid}" if node.children else TERMINAL
+        edges.append(_trusted(Edge, id=eid, index=node.color, ends=(upper_end, vid), period=None))
+        if node.children:
+            kind = node.kind
+            parent = None if kind.name == "saddle_node" else eid
+            vertices.append(Vertex(vid, kind, parent_edge=parent))
+            stack += [(child, vid) for child in reversed(node.children)]
     return Diagram(dimension, tuple(edges), tuple(vertices))
 
 

@@ -25,9 +25,9 @@ from bifgraph import (
 )
 from bifgraph.classes import has_diamond_subgraph
 from bifgraph.documents import (
-    SCHEMA_VERSION, _as_object, _expect, _is_index, _is_int, kind_from_json,
+    SCHEMA_VERSION, _as_object, _expect, _graph_dot, _is_index, _is_int, kind_from_json,
 )
-from bifgraph.laws import JUNCTION, SADDLE_NODE
+from bifgraph.laws import JUNCTION, PERIOD_DOUBLING, SADDLE_NODE
 from bifgraph.graphs import _norm_edge, graph_from_mask
 from bifgraph.trees import _tree_edges
 
@@ -902,6 +902,52 @@ def diagram_trees_dot(trees, dimension: int) -> str:
     turned into its star graph and exported by ``emit_dot``."""
     return "".join(emit_dot(to_star(tree_to_diagram(t, dimension)), f"t{i}")
                    for i, t in enumerate(trees))
+
+
+def dumped_diagram(diagram: Diagram) -> str:
+    """``emit_diagram`` as it was: the document built as dicts and written
+    by ``json.dumps(doc, indent=2)``."""
+    doc = {"schemaVersion": SCHEMA_VERSION, "dimension": diagram.dimension,
+           "edges": [], "vertices": []}
+    for e in sorted(diagram.edges, key=lambda e: e.id):
+        item = {"id": e.id, "index": e.index}
+        if e.period is not None:
+            item["period"] = e.period
+        item["endpoints"] = ["terminal" if x is TERMINAL else x for x in e.ends]
+        doc["edges"].append(item)
+    for v in sorted(diagram.vertices, key=lambda v: v.id):
+        kind = v.kind.name if v.kind.name in (SADDLE_NODE, PERIOD_DOUBLING) else {
+            v.kind.name: v.kind.param}
+        item = {"id": v.id, "kind": kind}
+        if v.parent_edge is not None:
+            item["parentEdge"] = v.parent_edge
+        doc["vertices"].append(item)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def dumped_graph(g: SimpleGraph) -> str:
+    """``emit_graph`` as it was, through ``json.dumps(doc, indent=2)``."""
+    doc = {"vertexCount": g.n, "edges": [list(e) for e in g.sorted_edges()]}
+    if g.colors is not None:
+        doc["colors"] = list(g.colors)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def formatted_trees_dot(trees, out) -> None:
+    """``write_trees_dot`` as it was: each tree's preorder colors and sorted
+    edges through the general DOT formatter ``_graph_dot``."""
+    for i, tree in enumerate(trees):
+        colors, edges = [], []
+        stack = [(tree, -1)]
+        while stack:
+            node, parent = stack.pop()
+            if parent >= 0:
+                edges.append((parent, len(colors)))
+            stack += [(c, len(colors)) for c in reversed(node.children)]
+            colors.append(node.color)
+        edges.sort()
+        out.write(_graph_dot(f"t{i}", len(colors), [f"e{v}" for v in range(len(colors))],
+                             colors, edges))
 
 
 def nested_parse_tree(doc) -> tuple:

@@ -3,23 +3,26 @@
 import contextlib
 import io
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bifgraph import (
-    ColoredTree, EnumerationSpec, SchemaError, builtin_table, check_period_consistency,
-    emit_diagram, emit_dot, emit_graph, enumerate_colored, mary_to_binary,
-    nonadmissible_period_fixture, parse_diagram, parse_graph, parse_matroid, parse_tree,
-    to_star, validate_diagram,
+    TERMINAL, ColoredTree, Diagram, DiagramError, Edge, EnumerationSpec, SchemaError,
+    SimpleGraph, Vertex, builtin_table, check_period_consistency, emit_diagram, emit_dot,
+    emit_graph, enumerate_colored, junction, mary_to_binary, nonadmissible_period_fixture,
+    parse_diagram, parse_graph, parse_matroid, parse_tree, period_doubling, saddle_node,
+    to_clique, to_star, tree_to_diagram, type_m, validate_diagram,
 )
 from bifgraph.cli import main
 from bifgraph.documents import emit_binary_tree, write_trees_dot, write_trees_json
 from helpers import (
-    chain_tree, diagram_trees_dot, dumped_binary_tree, dumped_trees_json, nested_mary_to_binary,
-    nested_parse_tree, star_diagram, with_stack_room,
+    chain_tree, diagram_trees_dot, dumped_binary_tree, dumped_diagram, dumped_graph,
+    dumped_trees_json, formatted_trees_dot, nested_mary_to_binary, nested_parse_tree,
+    star_diagram, with_stack_room,
 )
 
 MINIMAL = {
@@ -290,6 +293,101 @@ def test_tree_writers_do_not_recurse():
     tree = chain_tree(150)
     assert with_stack_room(40, _written, write_trees_json, [tree]) == dumped_trees_json([tree])
     assert with_stack_room(40, _written, write_trees_dot, [tree]) == diagram_trees_dot([tree], 1)
+
+
+def test_tree_dot_equals_the_graph_dot_writer_exhaustively():
+    for mode in ("plane", "free"):
+        for k in (1, 2, 3):
+            for d in (1, 2, 3, 4):
+                for n in range(1, 7):
+                    trees = enumerate_colored(EnumerationSpec(k, d, n, mode))
+                    assert (_written(write_trees_dot, trees)
+                            == _written(formatted_trees_dot, trees)), (mode, k, d, n)
+
+
+def test_parsed_and_bridged_edges_are_the_publicly_built_values():
+    """``parse_diagram`` and ``tree_to_diagram`` build edges without the
+    public checks, which still hold for ``Edge(...)``."""
+    with pytest.raises(ValueError):
+        Edge("e", 2, (TERMINAL, TERMINAL))
+    with pytest.raises(DiagramError):
+        Edge("e", 1, (TERMINAL,))
+    with pytest.raises(DiagramError):
+        Edge("e", 1, (TERMINAL, TERMINAL), 0)
+    diagrams = [nonadmissible_period_fixture()]
+    diagrams += [tree_to_diagram(t, 4) for t in enumerate_colored(EnumerationSpec(2, 4, 4))]
+    for d in diagrams:
+        for diagram in (d, parse_diagram(emit_diagram(d))):
+            public = tuple(Edge(e.id, e.index, e.ends, e.period) for e in diagram.edges)
+            assert diagram.edges == public and hash(diagram.edges) == hash(public)
+            assert [vars(e) for e in diagram.edges] == [vars(e) for e in public]
+
+
+_KINDS = st.one_of(st.sampled_from([saddle_node(), period_doubling()]),
+                   st.builds(type_m, st.none() | st.integers(3, 10**20)),
+                   st.builds(junction, st.integers(4, 6)))
+# one id type per diagram, since emission sorts the ids
+_ID_TYPES = st.sampled_from([
+    st.text(min_size=1, max_size=6),
+    st.text(alphabet='a"\\\u00e9\u2192\U0001f600\n/', min_size=1, max_size=4),
+    st.integers(-10**20, 10**20),
+])
+
+
+@st.composite
+def _diagrams(draw) -> Diagram:
+    """Any diagram that constructs: each vertex's degree is its kind's, made
+    of half-edges paired into edges at random, the rest ending in terminals,
+    plus some edges with two terminal ends."""
+    ids = draw(_ID_TYPES)
+    kinds = draw(st.lists(_KINDS, max_size=4))
+    vids = draw(st.lists(ids, min_size=len(kinds), max_size=len(kinds), unique=True))
+    halves = draw(st.permutations([v for v, kind in zip(vids, kinds) for _ in range(kind.degree)]))
+    pairs = draw(st.integers(0, len(halves) // 2))
+    ends = [tuple(halves[2 * i:2 * i + 2]) for i in range(pairs)]
+    ends += [(v, TERMINAL) if draw(st.booleans()) else (TERMINAL, v) for v in halves[2 * pairs:]]
+    ends += [(TERMINAL, TERMINAL)] * draw(st.integers(0, 2))
+    eids = draw(st.lists(ids, min_size=len(ends), max_size=len(ends), unique=True))
+    edges = tuple(Edge(eid, draw(st.sampled_from([-1, 0, 1])), e,
+                       draw(st.none() | st.integers(1, 10**20))) for eid, e in zip(eids, ends))
+    vertices = tuple(
+        Vertex(v, kind, None if kind.name == "saddle_node" else
+               draw(st.sampled_from([e.id for e in edges if v in e.ends])))
+        for v, kind in zip(vids, kinds))
+    return Diagram(draw(st.integers(1, 10**20)), edges, vertices)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_diagrams())
+@example(Diagram(1, (), ()))
+def test_diagram_writer_equals_json_dumps(diagram):
+    assert emit_diagram(diagram) == dumped_diagram(diagram)
+
+
+@st.composite
+def _graphs(draw) -> SimpleGraph:
+    n = draw(st.integers(0, 7))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True)
+                 if n > 1 else st.just([]))
+    colors = draw(st.none() | st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+    return SimpleGraph.from_edges(n, edges, colors)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_graphs())
+@example(SimpleGraph.from_edges(0, []))
+@example(SimpleGraph.from_edges(0, [], []))
+@example(SimpleGraph.from_edges(3, [], [1, 0, -1]))
+def test_graph_writer_equals_json_dumps(g):
+    assert emit_graph(g) == dumped_graph(g)
+
+
+def test_writers_equal_json_dumps_on_enumerated_diagrams():
+    for t in enumerate_colored(EnumerationSpec(3, 4, 5)):
+        d = tree_to_diagram(t, 4)
+        assert emit_diagram(d) == dumped_diagram(d)
+        for g in (to_star(d), to_clique(d)):
+            assert emit_graph(g) == dumped_graph(g)
 
 
 _nested_arrays = st.recursive(st.just([]), lambda inner: st.lists(inner, max_size=5),

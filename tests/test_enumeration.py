@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
@@ -307,6 +308,31 @@ def test_colored_tree_validation():
     assert leaf.kind is None and leaf.size == 1
     node = ColoredTree(1, (ColoredTree(0), ColoredTree(1)), (0, 2))
     assert node.kind.name == "period_doubling" and node.size == 3
+
+
+def _rebuilt(t: ColoredTree) -> ColoredTree:
+    """The same tree built through the public constructor."""
+    return ColoredTree(t.color, tuple(map(_rebuilt, t.children)), t.slots)
+
+
+def test_listed_trees_are_the_publicly_built_values():
+    """The listers build trees without the public checks, which still hold
+    for ``ColoredTree(...)``; the values are the same frozen trees."""
+    with pytest.raises(ValueError):
+        ColoredTree(2)
+    with pytest.raises(ValueError):
+        ColoredTree(1, (ColoredTree(0),), slots=(0, 1))
+    for mode in ("plane", "free"):
+        trees = enumerate_colored(spec(2, 4, 5, mode))
+        for t in trees:
+            public = _rebuilt(t)
+            assert public == t and hash(public) == hash(t) and vars(public) == vars(t)
+            assert public.shape() == t.shape() and repr(public) == repr(t)
+        for name, value in (("color", 0), ("children", ()), ("slots", None)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(trees[-1], name, value)
+        with pytest.raises(FrozenInstanceError):
+            del trees[-1].color
 
 
 def test_tree_to_diagram_shape():
