@@ -1,18 +1,22 @@
 """Per-layer timings from one registry of rows.
 
-Each row of a topic is a registry entry: the function, its input, and
-optionally the oracle from ``tests/helpers.py`` that it must agree with.
-The script times every row of one topic and writes ``BENCH_<topic>.json``:
+Each row of a topic is a registry entry: the function, its input, and the
+oracles from ``tests/helpers.py`` that it must agree with.  The script
+times every row of one topic and writes ``BENCH_<topic>.json``:
 
     python3 scripts/bench_layers.py [--topic validate] [--out BENCH_validate.json]
 
-Inputs are built once, untimed.  Each row is the median (and every run) of
-``RUNS`` calls, with the functools caches of bifgraph and of
-``tests/helpers.py`` emptied before each call.  A row with an oracle is
-followed by the oracle's own row, timed the same way on the same input: the
-oracle is the code the function replaced, so the pair is the before and
-after.  The two results must be equal, and each row records a short
-summary of its result.
+Every row is timed by one rule.  The input is built before every call and
+is not timed, so no call reuses what an earlier one memoised on its input
+(a ``Matroid`` memoises on itself), and the functools caches of bifgraph
+and of ``tests/helpers.py`` are emptied before every call.  One timed first
+call sets how many calls a run averages: as many as last about ``CALL_S``.
+A row records the median (and every run) of ``RUNS`` runs.  A row with
+oracles is followed by each oracle's own row, timed the same way on the
+same input: an oracle is the code the function replaced, so the rows are
+the before and after.  Every call of a row must give the first call's
+result, each oracle must give the function's, and each row records a
+short summary of its result.
 
 Topic ``validate``: diagram documents and validation.  ``parse_diagram``
 runs on the JSON text of a 1,500-node admissible tree in dimension 4 and of
@@ -30,11 +34,39 @@ n=5 plane trees, each writer's text taken from a ``StringIO``;
 diagram and ``emit_graph`` (against ``dumped_graph``) its clique graph.
 The last two rows list and write as JSON the two 400-node paths of a law
 table holding only the saddle-node entries, in free mode.
+
+Topic ``graphs``: the graph and tree-shape catalogs.  ``all_graphs`` (n = 5,
+6) and ``connected_graphs`` (n = 6) against ``swept_all_graphs``, which
+pushes every new orbit representative through each vertex permutation one
+edge bit at a time; the free shape count (k = 3, n = 17 against
+``listed_free_shape_count``, which lists the shapes; n = 60 alone);
+``canonical_trees`` (n = 14, and n = 16 with at most 4 children) and
+``free_trees`` (n = 14) against ``cached_canonical_trees`` and
+``cached_free_trees``, which list through module-level caches.
+
+Topic ``minors``: the two forbidden-minor tests.  ``has_diamond_minor`` on
+the cycles C8 and C10, against the brute-force ``searched_diamond_minor``,
+which finishes only that small, and alone on C2000 and a chain of
+triangles on 2,000 vertices; ``has_vamos_minor`` on the graphic matroid of
+K6 and on the Vamos matroid plus 3 coloops, against the restriction sweep
+``swept_vamos_minor`` that its mask filter replaced and the split search
+``searched_vamos_minor``.
+
+Topic ``cli``: ``bifgraph.cli.main``, which builds only the named
+subcommand's parser, on one command line per subcommand, against
+``through_the_full_parser``, the same call through the parser of every
+subcommand (how every call was parsed before the subcommand table).  Both
+print to a buffer, and must print the same bytes and return the same exit
+code.  The documents a command line names are written to a temporary
+working directory before each call.  The last rows build each
+subcommand's own parser (``single_parser``) and the full parser
+(``build_parser``) alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import io
 import json
@@ -43,32 +75,40 @@ import platform
 import random
 import statistics
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import bifgraph as bg  # noqa: E402
+import helpers  # noqa: E402
+from bifgraph import cli  # noqa: E402
+from bifgraph.diagram import PeriodReport  # noqa: E402
 from bifgraph.documents import write_trees_dot, write_trees_json  # noqa: E402
 from helpers import (  # noqa: E402
-    dumped_diagram, dumped_graph, dumped_trees_json, eager_parse_diagram, formatted_trees_dot,
-    period_labelled, sn_cycle, stepwise_validate_diagram,
+    cached_canonical_trees, cached_free_trees, dumped_diagram, dumped_graph, dumped_trees_json,
+    eager_parse_diagram, formatted_trees_dot, period_labelled, searched_diamond_minor,
+    searched_vamos_minor, sn_cycle, stepwise_validate_diagram, swept_all_graphs,
+    swept_vamos_minor,
 )
 
 RUNS = 5
+CALL_S = 0.01  # about how long one run lasts
 
 
 @dataclass(frozen=True)
 class Row:
-    """One registry entry: ``fn(*args())`` is timed, ``args`` built once."""
+    """One registry entry: ``fn(*args())`` is timed, ``args()`` built
+    before every call."""
 
     fn: Callable
     input: str
     args: Callable[[], tuple]
-    oracle: Callable | None = None
+    oracles: tuple[Callable, ...] = ()
 
 
 def clear_caches() -> None:
@@ -78,6 +118,8 @@ def clear_caches() -> None:
                 if hasattr(fn, "cache_clear"):
                     fn.cache_clear()
 
+
+# -- inputs and adapters: validate and emit ------------------------------------
 
 def admissible_tree(nodes: int, d: int, seed: int) -> bg.ColoredTree:
     """A seeded admissible colored tree with ``nodes`` nodes in dimension
@@ -139,29 +181,123 @@ def text_of(write: Callable) -> Callable:
     return text
 
 
+# -- inputs and adapters: graphs and minors ------------------------------------
+
+def swept_connected_graphs(n: int) -> tuple:
+    return tuple(g for g in swept_all_graphs(n) if g.is_connected())
+
+
+def listed_free_shape_count(k: int, n: int, mode: str) -> int:
+    """``helpers.listed_free_shape_count`` called as ``count_shapes`` is, in
+    free mode."""
+    return helpers.listed_free_shape_count(k, n)
+
+
+def triangle_cactus(n: int) -> bg.SimpleGraph:
+    """A path with a chord (i - 2, i) at every even i: a chain of triangles."""
+    return bg.SimpleGraph.from_edges(
+        n, [(i - 1, i) for i in range(1, n)] + [(i - 2, i) for i in range(2, n, 2)])
+
+
+def vamos_with_coloops(k: int) -> bg.Matroid:
+    base = bg.vamos()
+    extra = tuple(f"z{i}" for i in range(k))
+    return bg.Matroid(base.ground + extra,
+                      lambda s: base.is_independent(s - set(extra)), name="vamos+coloops")
+
+
+# -- inputs and adapters: cli --------------------------------------------------
+
+DOCUMENTS = {
+    "diagram.json": bg.emit_diagram(bg.nonadmissible_period_fixture()),
+    "graph.json": json.dumps({"vertexCount": 4, "edges": [
+        [0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}),
+    "matroid.json": json.dumps({"groundSet": ["a", "b", "c", "d"], "bases": [
+        ["a", "b"], ["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"], ["c", "d"]]}),
+    "tree.json": "[[], [[]], []]",
+}
+
+COMMAND_LINES = (
+    "validate diagram.json --k 1", "enumerate --k 1 --d 4 --n 6",
+    "ratio --k1 1 --k2 2 --d 4 --n-max 10", "share --k 1 --d1 2 --d2 3 --n-max 10",
+    "classify graph.json", "spanning graph.json", "repr diagram.json --star",
+    "matroid matroid.json", "count --kary 3 10", "convert tree.json",
+)
+
+
+def command(line: str) -> Callable[[], tuple]:
+    """The input of a ``cli`` row: the argv of ``line``, once each document
+    it names is written to the working directory."""
+    def args() -> tuple:
+        argv = line.split()
+        for name in DOCUMENTS.keys() & set(argv):
+            Path(name).write_text(DOCUMENTS[name], encoding="utf-8")
+        return (argv,)
+
+    return args
+
+
+class Printed(NamedTuple):
+    code: int
+    out: str
+
+
+def printed(run: Callable) -> Callable:
+    """``run(argv)`` as a function that returns its exit code and stdout."""
+    def call(argv) -> Printed:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(argv)
+        return Printed(code, out.getvalue())
+
+    call.__name__ = run.__name__
+    return call
+
+
+def through_the_full_parser(argv) -> int:
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def single_parser(command) -> str:
+    """One subcommand's parser, built as ``main`` builds it; its name."""
+    return cli._fill(argparse.ArgumentParser(prog=f"bifgraph {command[0]}"), command).prog
+
+
+def build_parser() -> str:
+    """The parser of every subcommand; its name."""
+    return cli.build_parser().prog
+
+
 def summary(value) -> str:
+    if isinstance(value, int):  # a count or a minor test
+        return str(value)
     if isinstance(value, str):
         return f"{len(value)} chars"
-    if type(value) is tuple:  # enumerate_colored
-        return f"{len(value)} trees"
+    if isinstance(value, Printed):
+        return f"exit {value.code}, {len(value.out)} chars"
+    if type(value) is tuple:  # a listing
+        return f"{len(value)} listed"
     if isinstance(value, bg.Diagram):
         return f"{len(value.edges)} edges, {len(value.vertices)} vertices"
     if isinstance(value, bg.ValidationReport):
         return f"{len(value.violations)} violations"
-    if isinstance(value, list):  # check_cycle_parity
-        return f"{len(value)} cycles, {sum(not c.ok for c in value)} failing"
-    return f"{len(value.violations)} period violations"
+    if isinstance(value, PeriodReport):
+        return f"{len(value.violations)} period violations"
+    return f"{len(value)} cycles, {sum(not c.ok for c in value)} failing"  # check_cycle_parity
 
+
+VAMOS_ORACLES = (swept_vamos_minor, searched_vamos_minor)
 
 TOPICS = {
     "validate": (
         Row(bg.parse_diagram, "1,500-node tree document",
-            lambda: (bg.emit_diagram(tree_diagram(1500)),), eager_parse_diagram),
+            lambda: (bg.emit_diagram(tree_diagram(1500)),), (eager_parse_diagram,)),
         Row(bg.parse_diagram, "1,200-node saddle-node ring document",
-            lambda: (bg.emit_diagram(ring(1200)),), eager_parse_diagram),
+            lambda: (bg.emit_diagram(ring(1200)),), (eager_parse_diagram,)),
         Row(bg.Diagram, "1,500-node tree", lambda: diagram_fields(tree_diagram(1500))),
         Row(bg.validate_diagram, "1,500-node tree, k=3",
-            lambda: (tree_diagram(1500), 3, bg.builtin_table(4)), stepwise_validate_diagram),
+            lambda: (tree_diagram(1500), 3, bg.builtin_table(4)), (stepwise_validate_diagram,)),
         Row(bg.check_cycle_parity, "1,200-node saddle-node ring", lambda: (ring(1200),)),
         Row(bg.check_period_consistency, "300-node period-labelled tree",
             lambda: (period_labelled(random.Random(300), tree_diagram(300)),)),
@@ -171,36 +307,80 @@ TOPICS = {
         Row(bg.enumerate_colored, "k=1 d=4 n=9 free",
             lambda: (bg.EnumerationSpec(1, 4, 9, "free"),)),
         Row(text_of(write_trees_json), "k=2 d=4 n=5 plane trees", lambda: (listed(2, 4, 5),),
-            dumped_trees_json),
+            (dumped_trees_json,)),
         Row(text_of(write_trees_dot), "k=2 d=4 n=5 plane trees", lambda: (listed(2, 4, 5),),
-            text_of(formatted_trees_dot)),
-        Row(bg.emit_diagram, "1,500-node tree", lambda: (tree_diagram(1500),), dumped_diagram),
+            (text_of(formatted_trees_dot),)),
+        Row(bg.emit_diagram, "1,500-node tree", lambda: (tree_diagram(1500),), (dumped_diagram,)),
         Row(bg.emit_graph, "clique graph of the 1,500-node tree",
-            lambda: (bg.to_clique(tree_diagram(1500)),), dumped_graph),
+            lambda: (bg.to_clique(tree_diagram(1500)),), (dumped_graph,)),
         Row(bg.enumerate_colored, "400-node saddle-node paths, free",
             lambda: (saddle_node_paths(400),)),
         Row(text_of(write_trees_json), "400-node saddle-node paths, free",
             lambda: (bg.enumerate_colored(saddle_node_paths(400)),)),
     ),
+    "graphs": (
+        Row(bg.all_graphs, "5", lambda: (5,), (swept_all_graphs,)),
+        Row(bg.all_graphs, "6", lambda: (6,), (swept_all_graphs,)),
+        Row(bg.connected_graphs, "6", lambda: (6,), (swept_connected_graphs,)),
+        Row(bg.count_shapes, "3, 17, 'free'", lambda: (3, 17, "free"),
+            (listed_free_shape_count,)),
+        Row(bg.count_shapes, "3, 60, 'free'", lambda: (3, 60, "free")),
+        Row(bg.canonical_trees, "14", lambda: (14,), (cached_canonical_trees,)),
+        Row(bg.canonical_trees, "16, 4", lambda: (16, 4), (cached_canonical_trees,)),
+        Row(bg.free_trees, "14", lambda: (14,), (cached_free_trees,)),
+    ),
+    "minors": (
+        Row(bg.has_diamond_minor, "C8", lambda: (bg.cycle_graph(8),), (searched_diamond_minor,)),
+        Row(bg.has_diamond_minor, "C10", lambda: (bg.cycle_graph(10),),
+            (searched_diamond_minor,)),
+        Row(bg.has_diamond_minor, "C2000", lambda: (bg.cycle_graph(2000),)),
+        Row(bg.has_diamond_minor, "triangle cactus, 2000 vertices",
+            lambda: (triangle_cactus(2000),)),
+        Row(bg.has_vamos_minor, "graphic K6",
+            lambda: (bg.graphic_matroid(bg.complete_graph(6)),), VAMOS_ORACLES),
+        Row(bg.has_vamos_minor, "vamos + 3 coloops", lambda: (vamos_with_coloops(3),),
+            VAMOS_ORACLES),
+    ),
+    "cli": (
+        *(Row(printed(cli.main), line, command(line), (printed(through_the_full_parser),))
+          for line in COMMAND_LINES),
+        *(Row(single_parser, c[0], lambda c=c: (c,)) for c in cli.COMMANDS),
+        Row(build_parser, "all", lambda: ()),
+    ),
 }
 
 
-def time_call(fn, args: tuple) -> tuple[dict, object]:
-    """Time ``RUNS`` calls.  The garbage collector skips the objects alive
-    before each call (``gc.freeze``), as in a fresh process: otherwise the
-    results kept from earlier calls make its passes, and the call, slower."""
-    times, results = [], []
+def timed(fn, args: Callable[[], tuple]) -> tuple[float, object]:
+    """One call on a freshly built input, with the caches emptied.  The
+    garbage collector skips the objects alive before the call
+    (``gc.freeze``), as in a fresh process: otherwise the results kept from
+    earlier calls make its passes, and the call, slower."""
+    inputs = args()
+    clear_caches()
+    gc.freeze()
+    start = time.perf_counter()
+    result = fn(*inputs)
+    elapsed = time.perf_counter() - start
+    gc.unfreeze()
+    return elapsed, result
+
+
+def time_call(fn, args: Callable[[], tuple]) -> tuple[dict, object]:
+    """``RUNS`` runs, each the mean of as many calls as the first call says
+    last about ``CALL_S``; every call must give the first call's result."""
+    first, result = timed(fn, args)
+    calls = max(1, round(CALL_S / first))
+    runs = []
     for _ in range(RUNS):
-        clear_caches()
-        gc.freeze()
-        start = time.perf_counter()
-        results.append(fn(*args))
-        times.append(time.perf_counter() - start)
-        gc.unfreeze()
-    if any(r != results[0] for r in results):
-        raise SystemExit(f"{fn.__name__} gave different results on one input")
-    return {"median_s": statistics.median(times), "runs_s": times,
-            "answer": summary(results[0])}, results[0]
+        total = 0.0
+        for _ in range(calls):
+            elapsed, got = timed(fn, args)
+            if got != result:
+                raise SystemExit(f"{fn.__name__} gave different results on one input")
+            total += elapsed
+        runs.append(total / calls)
+    return {"median_s": statistics.median(runs), "runs_s": runs, "calls": calls,
+            "answer": summary(result)}, result
 
 
 def main() -> None:
@@ -208,23 +388,26 @@ def main() -> None:
     ap.add_argument("--topic", choices=sorted(TOPICS), default="validate")
     ap.add_argument("--out", type=Path)
     args = ap.parse_args()
-    out = args.out or ROOT / f"BENCH_{args.topic}.json"
+    out = (args.out or ROOT / f"BENCH_{args.topic}.json").resolve()
 
     rows = []
-    for row in TOPICS[args.topic]:
-        inputs = row.args()
-        results = []
-        for fn in (row.fn, row.oracle) if row.oracle else (row.fn,):
-            timing, result = time_call(fn, inputs)
-            results.append(result)
-            rows.append({"function": fn.__name__, "input": row.input, **timing})
-            print(f"{fn.__name__:26s} {row.input:38s} {timing['median_s']:9.4f} s"
-                  f"  -> {timing['answer']}")
-        if results[-1] != results[0]:
-            raise SystemExit(f"{row.fn.__name__} differs from {row.oracle.__name__}")
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)  # where the cli rows write their documents
+        for row in TOPICS[args.topic]:
+            results = []
+            for fn in (row.fn, *row.oracles):
+                timing, result = time_call(fn, row.args)
+                results.append(result)
+                rows.append({"function": fn.__name__, "input": row.input, **timing})
+                print(f"{fn.__name__:26s} {row.input:38s} {timing['median_s']:11.6f} s"
+                      f"  -> {timing['answer']}")
+                if result != results[0]:
+                    raise SystemExit(f"{fn.__name__} differs from {row.fn.__name__}"
+                                     f" on {row.input}")
+        os.chdir(ROOT)
     record = {"topic": args.topic, "python": platform.python_version(),
               "platform": platform.platform(), "machine": platform.machine(),
-              "cpus": os.cpu_count(), "runs": RUNS, "rows": rows}
+              "cpus": os.cpu_count(), "runs": RUNS, "call_s": CALL_S, "rows": rows}
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import classes, documents, enumeration, matroids, represent, spanning, trees
 from .diagram import validate_diagram
@@ -31,10 +32,10 @@ def _read(path: str) -> str:
 
 
 def _limit(args) -> int | None:
-    if getattr(args, "limit", None) is not None:
+    if args.limit is not None:
         return args.limit
     env = os.environ.get("BIFGRAPH_LIMIT")
-    return int(env) if env else None
+    return _int("BIFGRAPH_LIMIT", env) if env else None
 
 
 def _table_for(args, dimension: int):
@@ -70,9 +71,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    spec = enumeration.EnumerationSpec(args.k, args.d, args.n,
-                                       TreeMode.coerce(args.mode),
-                                       _table_for(args, args.d), _limit(args))
+    spec = enumeration.EnumerationSpec(args.k, args.d, args.n, args.mode,
+                                       _table_for(args, args.d))
     if args.emit in ("counts", "csv"):
         table = enumeration.CountTable()
         counts = enumeration.count_sequence(args.k, args.d, args.n, spec.mode,
@@ -81,7 +81,7 @@ def cmd_enumerate(args) -> int:
             table.record(args.k, args.d, n, spec.mode, count, "count_sequence")
         sys.stdout.write(table.to_csv())
         return 0
-    colored = enumeration.enumerate_colored(spec)
+    colored = enumeration.enumerate_colored(replace(spec, limit=_limit(args)))
     write = documents.write_trees_json if args.emit == "json" else documents.write_trees_dot
     write(colored, sys.stdout)
     return 0

@@ -216,10 +216,7 @@ class Diagram:
 
     def child_edges(self, vertex: Vertex) -> list[Edge]:
         """Incident edges minus one occurrence of the parent edge."""
-        inc = self.incident_edges(vertex.id)
-        if vertex.parent_edge is not None:
-            inc.pop([e.id for e in inc].index(vertex.parent_edge))
-        return inc
+        return list(_split(vertex, self._incident[vertex.id])[1])
 
     def degree(self, vertex_id: str) -> int:
         return len(self._incident.get(vertex_id, ()))
@@ -243,28 +240,29 @@ def check_index_conservation(diagram: Diagram, vertex_id: str) -> ConservationCh
     parented kind the parent index must equal the sum of the child indices.
     """
     v = diagram.vertex(vertex_id)
-    return _conservation(*_star_indices(v, diagram._incident[v.id]))
+    parent, kids = _split(v, diagram._incident[v.id])
+    return _conservation(parent, [e.index for e in kids])
 
 
-def _star_indices(v: Vertex, incident: list[Edge]) -> tuple[int | None, list[int]]:
-    """(parent index, child indices) at vertex ``v`` from its incident edges
+def _split(v: Vertex, incident: list[Edge]) -> tuple[Edge | None, list[Edge]]:
+    """(parent edge, child edges) at vertex ``v`` from its incident edges
     with multiplicity: the parent is the first occurrence of the parent
-    edge, and a saddle node has no parent and both its edges as children."""
-    kids = [e.index for e in incident]
-    if v.kind.name == SADDLE_NODE:
-        return None, kids
-    for i, e in enumerate(incident):
+    edge; a saddle node has none, and its incident list (not a copy) as kids."""
+    if v.parent_edge is None:
+        return None, incident
+    kids = list(incident)
+    for i, e in enumerate(kids):
         if e.id == v.parent_edge:
             return kids.pop(i), kids
 
 
-def _conservation(parent: int | None, kids: list[int]) -> ConservationCheck:
-    """Conservation from ``_star_indices``: a saddle node's indices sum to 0,
-    any other vertex's children sum to its parent."""
+def _conservation(parent: Edge | None, kids: list[int]) -> ConservationCheck:
+    """Conservation from the parent edge and the child indices: a saddle
+    node's indices sum to 0, any other vertex's children sum to its parent."""
     total = sum(kids)
     if parent is None:
         return ConservationCheck(total == 0, total, 0)
-    return ConservationCheck(parent == total, parent, total)
+    return ConservationCheck(parent.index == total, parent.index, total)
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +413,14 @@ def check_period_consistency(diagram: Diagram) -> PeriodReport:
 
     violations = []
     for v in diagram.vertices:
-        if v.kind.name == SADDLE_NODE:
-            e1, e2 = diagram.incident_edges(v.id)
+        parent, kids = _split(v, diagram._incident[v.id])
+        if parent is None:  # a saddle node
+            e1, e2 = kids
             if e1.period != e2.period:
                 violations.append(PeriodViolation(
                     v.id, (e1.id, e2.id),
                     f"saddle node joins periods {e1.period} and {e2.period}"))
             continue
-        parent = diagram.edge(v.parent_edge)
-        kids = diagram.child_edges(v)
         p = parent.period
         got = sorted(e.period for e in kids)
         if v.kind.name == PERIOD_DOUBLING:
@@ -501,7 +498,8 @@ def validate_diagram(diagram: Diagram, k: int, table: LawTable) -> ValidationRep
             out.append(Violation("degree_bound",
                                  f"vertex {v.id!r} has degree {len(incident)} > k+2 = {k + 2}",
                                  vertex_id=v.id))
-        parent, kids = _star_indices(v, incident)
+        parent, kid_edges = _split(v, incident)
+        kids = [e.index for e in kid_edges]
         cons = _conservation(parent, kids)
         if not cons.ok:
             out.append(Violation("conservation",
@@ -515,12 +513,12 @@ def validate_diagram(diagram: Diagram, k: int, table: LawTable) -> ValidationRep
                                      f"saddle-node pair {star} not admissible in "
                                      f"dimension {table.dimension}", vertex_id=v.id))
             continue
-        key = (v.kind, parent)
+        key = (v.kind, parent.index)
         if key not in allowed:
-            allowed[key] = allowed_child_multisets(table, v.kind, parent)
+            allowed[key] = allowed_child_multisets(table, *key)
         if star not in allowed[key]:
             out.append(Violation("law",
-                                 f"vertex {v.id!r}: {parent} -> {star} not "
+                                 f"vertex {v.id!r}: {parent.index} -> {star} not "
                                  f"admissible for {v.kind.name} in dimension {table.dimension}",
                                  vertex_id=v.id))
         if v.kind.name == JUNCTION and len(set(kids)) > 2:

@@ -475,8 +475,8 @@ def emit_dot(obj, name: str = "g") -> str:
 
 
 def _graph_dot(name: str, n: int, names, colors, edges) -> str:
-    """The one DOT formatter for graphs: vertices n0..n{n-1} with their
-    optional labels and colors, then the edges in the order given."""
+    """DOT of a graph: vertices n0..n{n-1} with optional labels and colors,
+    then the edges in the order given (``write_trees_dot`` has its own)."""
     lines = [f"graph {name} {{"]
     for v in range(n):
         attrs = []

@@ -1,15 +1,21 @@
 """End-to-end checks of the command-line surface."""
 
+import contextlib
+import io
 import json
 import re
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifgraph import emit_diagram, nonadmissible_period_fixture
 from bifgraph.cli import COMMANDS, build_parser, main
+from bifgraph.documents import kind_from_json
 from helpers import star_diagram
 
 
@@ -107,6 +113,22 @@ def test_enumerate_env_limit(capsys, monkeypatch):
     monkeypatch.setenv("BIFGRAPH_LIMIT", "5")
     assert main(["enumerate", "--k", "2", "--d", "4", "--n", "6",
                  "--emit", "json"]) == 2
+
+
+def test_bad_env_limit_exits_two_naming_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("BIFGRAPH_LIMIT", "abc")
+    assert main(["enumerate", "--k", "1", "--d", "1", "--n", "3", "--emit", "json"]) == 2
+    assert capsys.readouterr().err == "error: BIFGRAPH_LIMIT: 'abc' is not an integer\n"
+    # --limit overrides the variable, which is then never read
+    assert main(["enumerate", "--k", "1", "--d", "1", "--n", "3", "--emit", "json",
+                 "--limit", "10"]) == 0
+
+
+def test_counts_ignore_env_limit(capsys, monkeypatch):
+    # counts list nothing, so the cap is not read
+    monkeypatch.setenv("BIFGRAPH_LIMIT", "abc")
+    assert main(["enumerate", "--k", "1", "--d", "1", "--n", "3"]) == 0
+    assert capsys.readouterr().out.startswith("k,d,n,mode,count")
 
 
 def test_enumerate_free_limit_uses_the_colored_count(capsys):
@@ -399,3 +421,66 @@ def test_classify_large_cactus_is_fast(edges, tmp_path, capsys):
     assert time.perf_counter() - start < 2
     facts = json.loads(capsys.readouterr().out)
     assert facts["cactus"] and not facts["diamond_minor"] and not facts["tree"]
+
+
+# -- fuzzing the exit-code contract --------------------------------------------
+
+_KEYS = ("schemaVersion", "dimension", "edges", "vertices", "id", "index", "period",
+         "endpoints", "kind", "parentEdge", "vertexCount", "colors", "groundSet", "bases",
+         "saddle_node", "period_doubling", "type_m", "junction", "terminal", "1")
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 8) | st.text(max_size=4)
+            | st.sampled_from(_KEYS))
+_JSON = st.recursive(_SCALARS, lambda kids: st.lists(kids, max_size=5) | st.dictionaries(
+    st.sampled_from(_KEYS) | st.text(max_size=3), kids, max_size=5), max_leaves=16)
+_DOC_KINDS = ("saddle_node", "period_doubling", {"type_m": None}, {"type_m": 3},
+              {"type_m": 4}, {"junction": 4}, {"junction": 5})
+_POOL = st.sampled_from("abcdef")
+
+
+@st.composite
+def _near_valid_diagrams(draw) -> dict:
+    """A diagram document whose vertices have their kinds' degrees, built
+    from half-edges paired at random and terminal ends, but with ids drawn
+    from a pool of six (so ids may repeat) and indices and periods drawn
+    freely (so periods may be partial)."""
+    kinds = draw(st.lists(st.sampled_from(_DOC_KINDS), max_size=4))
+    vids = draw(st.lists(_POOL, min_size=len(kinds), max_size=len(kinds)))
+    degrees = [kind_from_json(kind, "$").degree for kind in kinds]
+    halves = draw(st.permutations([v for v, degree in zip(vids, degrees) for _ in range(degree)]))
+    pairs = draw(st.integers(0, len(halves) // 2))
+    ends = [halves[2 * i:2 * i + 2] for i in range(pairs)]
+    ends += [draw(st.permutations([v, "terminal"])) for v in halves[2 * pairs:]]
+    ends += [["terminal", "terminal"]] * draw(st.integers(0, 1))
+    eids = draw(st.lists(_POOL, min_size=len(ends), max_size=len(ends)))
+    periods = draw(st.sampled_from([st.none(), st.integers(1, 4), st.none() | st.integers(1, 4)]))
+    edges = []
+    for eid, pair in zip(eids, ends):
+        edge = {"id": eid, "index": draw(st.integers(-1, 1)), "endpoints": list(pair)}
+        period = draw(periods)
+        edges.append(edge if period is None else {**edge, "period": period})
+    vertices = [{"id": v, "kind": kind} if kind == "saddle_node" else {
+        "id": v, "kind": kind,
+        "parentEdge": draw(st.sampled_from([e for e, pair in zip(eids, ends) if v in pair]))}
+        for v, kind in zip(vids, kinds)]
+    return {"schemaVersion": "1", "dimension": draw(st.integers(1, 4)), "edges": edges,
+            "vertices": vertices}
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(_JSON, _near_valid_diagrams()), st.sampled_from([
+    ["validate"], ["validate", "--k", "3"], ["classify"], ["spanning"], ["repr", "--star"],
+    ["repr", "--clique"], ["repr", "--line"], ["matroid"], ["convert"]]))
+def test_every_document_exits_zero_one_or_two(doc, command):
+    """Each subcommand that reads a document, on arbitrary JSON or a
+    near-valid diagram, exits 0, 1 or 2 and prints no traceback.
+
+    Bounds: arbitrary JSON has at most 16 leaves and 5 items per array or
+    object, and its ints lie in -3..8, so a ``vertexCount`` or a ground set
+    stays at desk scale; near-valid diagrams have at most 4 vertices.
+    ``spanning --method brute|tutte`` and ``matroid --vamos-minor`` are left
+    out: they are exponential by design."""
+    err = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command[0], "-", *command[1:]])
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
