@@ -44,13 +44,16 @@ edge bit at a time; the free shape count (k = 3, n = 17 against
 ``free_trees`` (n = 14) against ``cached_canonical_trees`` and
 ``cached_free_trees``, which list through module-level caches.
 
-Topic ``minors``: the two forbidden-minor tests.  ``has_diamond_minor`` on
-the cycles C8 and C10, against the brute-force ``searched_diamond_minor``,
+Topic ``minors``: the two forbidden-minor tests, and the block
+decomposition that the diamond test reads.  ``has_diamond_minor`` on the
+cycles C8 and C10, against the brute-force ``searched_diamond_minor``,
 which finishes only that small, and alone on C2000 and a chain of
-triangles on 2,000 vertices; ``has_vamos_minor`` on the graphic matroid of
-K6 and on the Vamos matroid plus 3 coloops, against the restriction sweep
-``swept_vamos_minor`` that its mask filter replaced and the split search
-``searched_vamos_minor``.
+triangles on 2,000 vertices; ``block_decomposition`` on the same two
+graphs, against ``tracked_block_decomposition``, which tracks the cut
+vertices during the search instead of reading them off the blocks;
+``has_vamos_minor`` on the graphic matroid of K6 and on the Vamos matroid
+plus 3 coloops, against the restriction sweep ``swept_vamos_minor`` that
+its mask filter replaced and the split search ``searched_vamos_minor``.
 
 Topic ``cli``: ``bifgraph.cli.main``, which builds only the named
 subcommand's parser, on one command line per subcommand, against
@@ -93,7 +96,7 @@ from helpers import (  # noqa: E402
     cached_canonical_trees, cached_free_trees, dumped_diagram, dumped_graph, dumped_trees_json,
     eager_parse_diagram, formatted_trees_dot, period_labelled, searched_diamond_minor,
     searched_vamos_minor, sn_cycle, stepwise_validate_diagram, swept_all_graphs,
-    swept_vamos_minor,
+    swept_vamos_minor, tracked_block_decomposition, triangle_cactus,
 )
 
 RUNS = 5
@@ -193,12 +196,6 @@ def listed_free_shape_count(k: int, n: int, mode: str) -> int:
     return helpers.listed_free_shape_count(k, n)
 
 
-def triangle_cactus(n: int) -> bg.SimpleGraph:
-    """A path with a chord (i - 2, i) at every even i: a chain of triangles."""
-    return bg.SimpleGraph.from_edges(
-        n, [(i - 1, i) for i in range(1, n)] + [(i - 2, i) for i in range(2, n, 2)])
-
-
 def vamos_with_coloops(k: int) -> bg.Matroid:
     base = bg.vamos()
     extra = tuple(f"z{i}" for i in range(k))
@@ -282,6 +279,8 @@ def summary(value) -> str:
         return f"{len(value.edges)} edges, {len(value.vertices)} vertices"
     if isinstance(value, bg.ValidationReport):
         return f"{len(value.violations)} violations"
+    if isinstance(value, bg.BlockDecomposition):
+        return f"{len(value.blocks)} blocks, {len(value.cut_vertices)} cut vertices"
     if isinstance(value, PeriodReport):
         return f"{len(value.violations)} period violations"
     return f"{len(value)} cycles, {sum(not c.ok for c in value)} failing"  # check_cycle_parity
@@ -336,6 +335,10 @@ TOPICS = {
         Row(bg.has_diamond_minor, "C2000", lambda: (bg.cycle_graph(2000),)),
         Row(bg.has_diamond_minor, "triangle cactus, 2000 vertices",
             lambda: (triangle_cactus(2000),)),
+        Row(bg.block_decomposition, "C2000", lambda: (bg.cycle_graph(2000),),
+            (tracked_block_decomposition,)),
+        Row(bg.block_decomposition, "triangle cactus, 2000 vertices",
+            lambda: (triangle_cactus(2000),), (tracked_block_decomposition,)),
         Row(bg.has_vamos_minor, "graphic K6",
             lambda: (bg.graphic_matroid(bg.complete_graph(6)),), VAMOS_ORACLES),
         Row(bg.has_vamos_minor, "vamos + 3 coloops", lambda: (vamos_with_coloops(3),),

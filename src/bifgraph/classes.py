@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .graphs import SimpleGraph
 
@@ -28,8 +28,9 @@ class BlockDecomposition:
 
 
 def block_decomposition(g: SimpleGraph) -> BlockDecomposition:
-    """Articulation-point decomposition (depth-first, iterative), with a
-    deterministic block order."""
+    """Blocks by the iterative depth-first search of Hopcroft and Tarjan,
+    in a deterministic order.  The cut vertices are read off the sorted
+    blocks: a vertex is a cut vertex exactly when it lies in two blocks."""
     if not g.is_connected():
         raise ValueError("block decomposition needs a connected graph")
     if g.n == 0:
@@ -39,18 +40,11 @@ def block_decomposition(g: SimpleGraph) -> BlockDecomposition:
                                   SimpleGraph.from_edges(1, []))
 
     adj = [sorted(s) for s in g.adjacency()]
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    timer = 0
+    disc = {0: 0}
+    low = {0: 0}
     edge_stack: list[tuple[int, int]] = []
     raw_blocks: list[list[tuple[int, int]]] = []
-    cuts: set[int] = set()
-    root = 0
-    root_children = 0
-
-    disc[root] = low[root] = timer
-    timer += 1
-    stack = [(root, -1, iter(adj[root]))]
+    stack = [(0, -1, iter(adj[0]))]
     while stack:
         u, pu, it = stack[-1]
         w = next(it, None)
@@ -65,23 +59,16 @@ def block_decomposition(g: SimpleGraph) -> BlockDecomposition:
                         block.append(edge_stack.pop())
                     block.append(edge_stack.pop())
                     raw_blocks.append(block)
-                    if p != root:
-                        cuts.add(p)
             continue
         if w == pu:
             continue
         if w not in disc:
-            if u == root:
-                root_children += 1
-            disc[w] = low[w] = timer
-            timer += 1
+            disc[w] = low[w] = len(disc)
             edge_stack.append((u, w))
             stack.append((w, u, iter(adj[w])))
         elif disc[w] < disc[u]:
             edge_stack.append((u, w))
             low[u] = min(low[u], disc[w])
-    if root_children >= 2:
-        cuts.add(root)
 
     pairs = [(frozenset(v for e in b for v in e),
               frozenset(tuple(sorted(e)) for e in b))
@@ -90,6 +77,11 @@ def block_decomposition(g: SimpleGraph) -> BlockDecomposition:
     blocks = tuple(p[0] for p in pairs)
     block_edges = tuple(p[1] for p in pairs)
 
+    seen: set[int] = set()
+    cuts: set[int] = set()
+    for blk in blocks:
+        cuts |= blk & seen
+        seen |= blk
     b = len(blocks)
     cut_node = {c: b + j for j, c in enumerate(sorted(cuts))}
     tree_edges = [(i, cut_node[v]) for i, blk in enumerate(blocks)
@@ -256,13 +248,7 @@ def cactus_count(polygon_sizes: dict[int, int]) -> int:
 
 
 def double_factorial(m: int) -> int:
-    if m <= 0:
-        return 1
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
+    return prod(range(m, 0, -2))
 
 
 def triangular_cactus_count(nodes: int) -> int:

@@ -88,7 +88,9 @@ def cmd_enumerate(args) -> int:
 
 
 def _print_fractions(values, as_json: bool) -> None:
-    rows = [{"n": i + 1, "value": None if v is None else f"{v.numerator}/{v.denominator}",
+    digits = enumeration._digits
+    rows = [{"n": i + 1,
+             "value": None if v is None else f"{digits(v.numerator)}/{digits(v.denominator)}",
              "approx": None if v is None else float(v)}
             for i, v in enumerate(values)]
     _emit(as_json, rows, "\n".join(["n,value,approx"] + [
@@ -134,8 +136,9 @@ def cmd_spanning(args) -> int:
         count = len(spanning.spanning_enumerate_brute(g))
     else:
         count = spanning.tutte_11(g)
-    _emit(args.json, {"method": args.method, "count": str(count),
-                      "connected": g.is_connected()}, count)
+    digits = enumeration._digits(count)
+    _emit(args.json, {"method": args.method, "count": digits,
+                      "connected": g.is_connected()}, digits)
     return 0
 
 
@@ -186,7 +189,8 @@ def cmd_count(args) -> int:
         value = classes.husimi_count(_parse_sizes("--husimi", args.husimi))
     else:
         value = classes.cactus_count(_parse_sizes("--cactus", args.cactus))
-    _emit(args.json, {"count": str(value)}, value)
+    digits = enumeration._digits(value)
+    _emit(args.json, {"count": digits}, digits)
     return 0
 
 

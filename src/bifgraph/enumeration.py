@@ -22,6 +22,7 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial, prod
@@ -343,6 +344,15 @@ def tree_to_diagram(tree: ColoredTree, dimension: int) -> Diagram:
 # Count bookkeeping
 # ---------------------------------------------------------------------------
 
+def _digits(x: int) -> str:
+    """Decimal text of ``x`` at any length: ``str`` up to the interpreter's
+    int-to-text digit cap, ``Decimal``, which has no cap, past it."""
+    try:
+        return str(x)
+    except ValueError:
+        return format(Decimal(x), "f")
+
+
 @dataclass
 class CountTable:
     """Recorded exact counts keyed by (k, d, n, mode), append-only."""
@@ -366,7 +376,7 @@ class CountTable:
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["k", "d", "n", "mode", "count"])
         for (k, d, n, mode), (count, _) in sorted(self.records.items()):
-            w.writerow([k, d, n, mode, str(count)])
+            w.writerow([k, d, n, mode, _digits(count)])
         return buf.getvalue()
 
     @classmethod
@@ -377,7 +387,9 @@ class CountTable:
             if not row:
                 continue
             k, d, n, mode, count = row
-            table.record(int(k), int(d), int(n), mode, int(count), "csv")
+            # int() stops at the digit cap too; Decimal reads digits of any length
+            count = int(Decimal(count)) if count.isascii() and count.isdigit() else int(count)
+            table.record(int(k), int(d), int(n), mode, count, "csv")
         return table
 
 

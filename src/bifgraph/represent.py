@@ -13,7 +13,6 @@ from itertools import combinations
 from .classes import block_decomposition
 from .diagram import Diagram
 from .graphs import SimpleGraph
-from .laws import SADDLE_NODE
 
 
 def _branch_vertices(diagram: Diagram):
@@ -25,21 +24,17 @@ def _branch_vertices(diagram: Diagram):
 
 
 def to_star(diagram: Diagram) -> SimpleGraph:
-    """Star representation: one vertex per branch; each event joins its
-    bifurcating branch (hub) to every child branch, a saddle node joins its
-    pair.  The output is a tree exactly when the diagram is acyclic.
-    Degenerate loops (an event both of whose slots hold the same branch)
-    contribute no edge."""
+    """Star representation: one vertex per branch; each event joins a hub to
+    every other branch of its ``Diagram.child_edges``: the bifurcating
+    branch to its children, a saddle node's first branch to its second.
+    The output is a tree exactly when the diagram is acyclic.  Degenerate
+    loops (an event both of whose slots hold the same branch) add no edge."""
     pos, colors, names = _branch_vertices(diagram)
     edges = set()
     for v in diagram.vertices:
-        if v.kind.name == SADDLE_NODE:
-            a, b = (e.id for e in diagram.incident_edges(v.id))
-            if a != b:
-                edges.add(tuple(sorted((pos[a], pos[b]))))
-            continue
-        hub = pos[v.parent_edge]
-        for child in diagram.child_edges(v):
+        kids = diagram.child_edges(v)
+        hub = pos[kids[0].id if v.parent_edge is None else v.parent_edge]
+        for child in kids:
             if pos[child.id] != hub:
                 edges.add(tuple(sorted((hub, pos[child.id]))))
     return SimpleGraph.from_edges(len(pos), edges, colors, names)

@@ -177,10 +177,14 @@ def canonical_trees(n: int, max_children: int | None = None) -> tuple:
 
 def canonical_form(t) -> tuple:
     """Canonical (order-free) form of an ordered tree: children sorted by
-    (size, canonical form), largest first."""
+    (size, canonical form), largest first.  Equal forms are built as one
+    object, so equal deep siblings compare by identity."""
+    interned: dict = {}
+
     def form(_, kids):  # kids: (size, canonical form) of each child
         kids.sort(reverse=True)
-        return 1 + sum(size for size, _ in kids), tuple(c for _, c in kids)
+        forms = tuple(f for _, f in kids)
+        return 1 + sum(size for size, _ in kids), interned.setdefault(tuple(map(id, forms)), forms)
 
     return _fold((t,), tuple, form)[id(t)][1]
 

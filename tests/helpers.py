@@ -16,19 +16,22 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial
 
+from hypothesis import strategies as st
+
 from bifgraph import (
     TERMINAL, ColoredTree, ConservationCheck, Diagram, Edge, LawEntry, LawTable, SimpleGraph,
     ValidationReport, Vertex, Violation, builtin_table, canonical_trees, check_cycle_parity,
-    check_period_consistency, emit_dot, is_admissible_star, kind_for_child_count,
+    check_period_consistency, emit_dot, is_admissible_star, junction, kind_for_child_count,
     load_law_table, matroid_minor, period_doubling, saddle_node, splits_for_child_count,
     to_star, tree_size, tree_to_diagram, type_m,
 )
-from bifgraph.classes import has_diamond_subgraph
+from bifgraph.classes import BlockDecomposition, has_diamond_subgraph
 from bifgraph.documents import (
     SCHEMA_VERSION, _as_object, _expect, _graph_dot, _is_index, _is_int, kind_from_json,
 )
 from bifgraph.laws import JUNCTION, PERIOD_DOUBLING, SADDLE_NODE
 from bifgraph.graphs import _norm_edge, graph_from_mask
+from bifgraph.represent import _branch_vertices
 from bifgraph.trees import _tree_edges
 
 
@@ -232,6 +235,18 @@ def labeled_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+
+
+def chunked_digits(x: int) -> str:
+    """Decimal text of a nonnegative int of any length, written from base
+    10**100 chunks, each short enough for ``str``."""
+    chunks = []
+    while True:
+        x, low = divmod(x, 10 ** 100)
+        chunks.append(low)
+        if not x:
+            break
+    return str(chunks[-1]) + "".join(str(c).zfill(100) for c in reversed(chunks[:-1]))
 
 
 # -- colored-tree counts ------------------------------------------------------
@@ -880,6 +895,141 @@ def searched_diamond_minor(g: SimpleGraph) -> bool:
         return any(search(_contract(h, u, v)) for u, v in sorted(h.edges))
 
     return search(g)
+
+
+# -- any diagram that constructs (a hypothesis strategy) -----------------------
+
+_KINDS = st.one_of(st.sampled_from([saddle_node(), period_doubling()]),
+                   st.builds(type_m, st.none() | st.integers(3, 10**20)),
+                   st.builds(junction, st.integers(4, 6)))
+# one id type per diagram, since emission sorts the ids
+_ID_TYPES = st.sampled_from([
+    st.text(min_size=1, max_size=6),
+    st.text(alphabet='a"\\\u00e9\u2192\U0001f600\n/', min_size=1, max_size=4),
+    st.integers(-10**20, 10**20),
+])
+
+
+@st.composite
+def constructible_diagrams(draw) -> Diagram:
+    """Any diagram that constructs: each vertex's degree is its kind's, made
+    of half-edges paired into edges at random, the rest ending in terminals,
+    plus some edges with two terminal ends."""
+    ids = draw(_ID_TYPES)
+    kinds = draw(st.lists(_KINDS, max_size=4))
+    vids = draw(st.lists(ids, min_size=len(kinds), max_size=len(kinds), unique=True))
+    halves = draw(st.permutations([v for v, kind in zip(vids, kinds) for _ in range(kind.degree)]))
+    pairs = draw(st.integers(0, len(halves) // 2))
+    ends = [tuple(halves[2 * i:2 * i + 2]) for i in range(pairs)]
+    ends += [(v, TERMINAL) if draw(st.booleans()) else (TERMINAL, v) for v in halves[2 * pairs:]]
+    ends += [(TERMINAL, TERMINAL)] * draw(st.integers(0, 2))
+    eids = draw(st.lists(ids, min_size=len(ends), max_size=len(ends), unique=True))
+    edges = tuple(Edge(eid, draw(st.sampled_from([-1, 0, 1])), e,
+                       draw(st.none() | st.integers(1, 10**20))) for eid, e in zip(eids, ends))
+    vertices = tuple(
+        Vertex(v, kind, None if kind.name == "saddle_node" else
+               draw(st.sampled_from([e.id for e in edges if v in e.ends])))
+        for v, kind in zip(vids, kinds))
+    return Diagram(draw(st.integers(1, 10**20)), edges, vertices)
+
+
+# -- blocks and stars: the code that reading blocks and one split replaced -----
+
+def triangle_cactus(n: int) -> SimpleGraph:
+    """A path with a chord (i - 2, i) at every even i: a chain of triangles."""
+    return SimpleGraph.from_edges(
+        n, [(i - 1, i) for i in range(1, n)] + [(i - 2, i) for i in range(2, n, 2)])
+
+
+def tracked_block_decomposition(g: SimpleGraph) -> BlockDecomposition:
+    """``block_decomposition`` with the cut vertices tracked during the
+    search: a non-root vertex p is one when it closes a block, the root
+    when it has two or more tree children."""
+    if not g.is_connected():
+        raise ValueError("block decomposition needs a connected graph")
+    if g.n == 0:
+        return BlockDecomposition((), (), frozenset(), SimpleGraph.from_edges(0, []))
+    if g.n == 1:
+        return BlockDecomposition((frozenset({0}),), (frozenset(),), frozenset(),
+                                  SimpleGraph.from_edges(1, []))
+
+    adj = [sorted(s) for s in g.adjacency()]
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    timer = 0
+    edge_stack: list[tuple[int, int]] = []
+    raw_blocks: list[list[tuple[int, int]]] = []
+    cuts: set[int] = set()
+    root = 0
+    root_children = 0
+
+    disc[root] = low[root] = timer
+    timer += 1
+    stack = [(root, -1, iter(adj[root]))]
+    while stack:
+        u, pu, it = stack[-1]
+        w = next(it, None)
+        if w is None:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                low[p] = min(low[p], low[u])
+                if low[u] >= disc[p]:
+                    block = []
+                    while edge_stack[-1] != (p, u):
+                        block.append(edge_stack.pop())
+                    block.append(edge_stack.pop())
+                    raw_blocks.append(block)
+                    if p != root:
+                        cuts.add(p)
+            continue
+        if w == pu:
+            continue
+        if w not in disc:
+            if u == root:
+                root_children += 1
+            disc[w] = low[w] = timer
+            timer += 1
+            edge_stack.append((u, w))
+            stack.append((w, u, iter(adj[w])))
+        elif disc[w] < disc[u]:
+            edge_stack.append((u, w))
+            low[u] = min(low[u], disc[w])
+    if root_children >= 2:
+        cuts.add(root)
+
+    pairs = [(frozenset(v for e in b for v in e),
+              frozenset(tuple(sorted(e)) for e in b))
+             for b in raw_blocks]
+    pairs.sort(key=lambda p: tuple(sorted(p[0])))
+    blocks = tuple(p[0] for p in pairs)
+    block_edges = tuple(p[1] for p in pairs)
+
+    b = len(blocks)
+    cut_node = {c: b + j for j, c in enumerate(sorted(cuts))}
+    tree_edges = [(i, cut_node[v]) for i, blk in enumerate(blocks)
+                  for v in blk if v in cut_node]
+    bct = SimpleGraph.from_edges(b + len(cut_node), tree_edges)
+    return BlockDecomposition(blocks, block_edges, frozenset(cuts), bct)
+
+
+def branched_to_star(diagram: Diagram) -> SimpleGraph:
+    """``to_star`` with a branch of its own for saddle nodes, which join
+    their two incident branches; every other event joins its parent edge
+    to each of ``Diagram.child_edges``."""
+    pos, colors, names = _branch_vertices(diagram)
+    edges = set()
+    for v in diagram.vertices:
+        if v.kind.name == SADDLE_NODE:
+            a, b = (e.id for e in diagram.incident_edges(v.id))
+            if a != b:
+                edges.add(tuple(sorted((pos[a], pos[b]))))
+            continue
+        hub = pos[v.parent_edge]
+        for child in diagram.child_edges(v):
+            if pos[child.id] != hub:
+                edges.add(tuple(sorted((hub, pos[child.id]))))
+    return SimpleGraph.from_edges(len(pos), edges, colors, names)
 
 
 # -- emission: the per-object paths the streaming writers replaced -------------

@@ -15,8 +15,10 @@ from bifgraph import (
     is_block_graph_by_obstructions, is_cactus, is_chordal, is_claw_free,
     path_graph, star_graph, triangular_cactus_count,
 )
+from bifgraph.classes import double_factorial
 from helpers import (
     labeled_graphs, random_connected_graph, random_graph, searched_diamond_minor,
+    tracked_block_decomposition, triangle_cactus,
 )
 
 TWO_TRIANGLES = SimpleGraph.from_edges(
@@ -66,6 +68,27 @@ def test_block_cut_tree_joins_each_block_to_its_cut_vertices():
 def test_block_decomposition_needs_connected():
     with pytest.raises(ValueError):
         block_decomposition(SimpleGraph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_block_decomposition_equals_the_tracking_oracle(n):
+    # every labeled connected graph: every field, the block order included
+    for edges in labeled_graphs(n):
+        g = SimpleGraph.from_edges(n, edges)
+        if g.is_connected():
+            assert block_decomposition(g) == tracked_block_decomposition(g), edges
+
+
+def test_block_decomposition_equals_the_tracking_oracle_on_large_graphs():
+    for g, cuts in ((cycle_graph(2000), set()), (triangle_cactus(2000), set(range(2, 2000, 2)))):
+        dec = block_decomposition(g)
+        assert dec == tracked_block_decomposition(g)
+        assert dec.cut_vertices == cuts
+
+
+def test_block_graph_by_obstructions_needs_connected():
+    with pytest.raises(ValueError):
+        is_block_graph_by_obstructions(SimpleGraph.from_edges(4, [(0, 1), (2, 3)]))
 
 
 def test_detector_examples():
@@ -185,6 +208,11 @@ def test_triangular_cactus_examples():
     assert triangular_cactus_count(7) == 735
     with pytest.raises(ValueError):
         triangular_cactus_count(4)
+
+
+def test_double_factorial():
+    assert [double_factorial(m) for m in range(-3, 10)] == [
+        1, 1, 1, 1, 1, 2, 3, 8, 15, 48, 105, 384, 945]
 
 
 def test_triangular_cactus_equals_pure_triangle_cactus_spec():

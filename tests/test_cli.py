@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bifgraph import emit_diagram, nonadmissible_period_fixture
+from bifgraph import count_kary_formula, emit_diagram, nonadmissible_period_fixture
 from bifgraph.cli import COMMANDS, build_parser, main
 from bifgraph.documents import kind_from_json
-from helpers import star_diagram
+from helpers import chunked_digits, star_diagram
 
 
 DATA = Path(__file__).parent / "data"
@@ -141,6 +141,17 @@ def test_enumerate_free_limit_uses_the_colored_count(capsys):
 # stdout recorded with the memoized top-down plane counts and the
 # enumeration-backed free counts that preceded the bottom-up table
 COUNT_CASES = json.loads((DATA / "count_cli.json").read_text())
+
+
+@pytest.mark.parametrize("n, digits", [(5192, 4300), (5193, 4301)])
+def test_count_prints_counts_on_both_sides_of_the_digit_cap(n, digits, capsys):
+    # str(int) stops at sys.get_int_max_str_digits(), 4,300 digits by default
+    want = chunked_digits(count_kary_formula(3, n))
+    assert len(want) == digits
+    assert main(["count", "--kary", "3", str(n)]) == 0
+    assert capsys.readouterr().out == want + "\n"
+    assert main(["count", "--kary", "3", str(n), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"count": want}
 
 
 @pytest.mark.parametrize("case", COUNT_CASES, ids=[" ".join(c["argv"]) for c in COUNT_CASES])

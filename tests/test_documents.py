@@ -12,17 +12,17 @@ from hypothesis import strategies as st
 
 from bifgraph import (
     TERMINAL, ColoredTree, Diagram, DiagramError, Edge, EnumerationSpec, SchemaError,
-    SimpleGraph, Vertex, builtin_table, check_period_consistency, emit_diagram, emit_dot,
+    SimpleGraph, builtin_table, check_period_consistency, emit_diagram, emit_dot,
     emit_graph, enumerate_colored, junction, mary_to_binary, nonadmissible_period_fixture,
     parse_diagram, parse_graph, parse_matroid, parse_tree, period_doubling, saddle_node,
-    to_clique, to_star, tree_to_diagram, type_m, validate_diagram,
+    to_clique, to_star, tree_to_diagram, validate_diagram,
 )
 from bifgraph.cli import main
 from bifgraph.documents import emit_binary_tree, write_trees_dot, write_trees_json
 from helpers import (
-    chain_tree, diagram_trees_dot, dumped_binary_tree, dumped_diagram, dumped_graph,
-    dumped_trees_json, formatted_trees_dot, nested_mary_to_binary, nested_parse_tree,
-    star_diagram, with_stack_room,
+    chain_tree, constructible_diagrams, diagram_trees_dot, dumped_binary_tree, dumped_diagram,
+    dumped_graph, dumped_trees_json, formatted_trees_dot, nested_mary_to_binary,
+    nested_parse_tree, star_diagram, with_stack_room,
 )
 
 MINIMAL = {
@@ -323,42 +323,8 @@ def test_parsed_and_bridged_edges_are_the_publicly_built_values():
             assert [vars(e) for e in diagram.edges] == [vars(e) for e in public]
 
 
-_KINDS = st.one_of(st.sampled_from([saddle_node(), period_doubling()]),
-                   st.builds(type_m, st.none() | st.integers(3, 10**20)),
-                   st.builds(junction, st.integers(4, 6)))
-# one id type per diagram, since emission sorts the ids
-_ID_TYPES = st.sampled_from([
-    st.text(min_size=1, max_size=6),
-    st.text(alphabet='a"\\\u00e9\u2192\U0001f600\n/', min_size=1, max_size=4),
-    st.integers(-10**20, 10**20),
-])
-
-
-@st.composite
-def _diagrams(draw) -> Diagram:
-    """Any diagram that constructs: each vertex's degree is its kind's, made
-    of half-edges paired into edges at random, the rest ending in terminals,
-    plus some edges with two terminal ends."""
-    ids = draw(_ID_TYPES)
-    kinds = draw(st.lists(_KINDS, max_size=4))
-    vids = draw(st.lists(ids, min_size=len(kinds), max_size=len(kinds), unique=True))
-    halves = draw(st.permutations([v for v, kind in zip(vids, kinds) for _ in range(kind.degree)]))
-    pairs = draw(st.integers(0, len(halves) // 2))
-    ends = [tuple(halves[2 * i:2 * i + 2]) for i in range(pairs)]
-    ends += [(v, TERMINAL) if draw(st.booleans()) else (TERMINAL, v) for v in halves[2 * pairs:]]
-    ends += [(TERMINAL, TERMINAL)] * draw(st.integers(0, 2))
-    eids = draw(st.lists(ids, min_size=len(ends), max_size=len(ends), unique=True))
-    edges = tuple(Edge(eid, draw(st.sampled_from([-1, 0, 1])), e,
-                       draw(st.none() | st.integers(1, 10**20))) for eid, e in zip(eids, ends))
-    vertices = tuple(
-        Vertex(v, kind, None if kind.name == "saddle_node" else
-               draw(st.sampled_from([e.id for e in edges if v in e.ends])))
-        for v, kind in zip(vids, kinds))
-    return Diagram(draw(st.integers(1, 10**20)), edges, vertices)
-
-
 @settings(deadline=None, max_examples=300)
-@given(_diagrams())
+@given(constructible_diagrams())
 @example(Diagram(1, (), ()))
 def test_diagram_writer_equals_json_dumps(diagram):
     assert emit_diagram(diagram) == dumped_diagram(diagram)

@@ -17,7 +17,7 @@ from bifgraph import (
 from bifgraph.cli import main
 from bifgraph.enumeration import _orderings
 from helpers import (
-    cached_colored_trees, cached_ordered_trees, cached_slot_trees, chain_tree,
+    cached_colored_trees, cached_ordered_trees, cached_slot_trees, chain_tree, chunked_digits,
     distinct_children, plain_tree, plane_count, random_law_table,
 )
 
@@ -353,6 +353,15 @@ def test_count_table_roundtrip():
     assert back.get(1, 4, 3, "plane") == 18
     with pytest.raises(ValueError):
         table.record(1, 4, 3, "plane", 99)
+
+
+def test_count_table_roundtrip_of_a_5000_digit_count():
+    count = 7 * 10 ** 4999 + 12345
+    table = CountTable()
+    table.record(1, 4, 3, "plane", count, "dp")
+    text = table.to_csv()
+    assert text.splitlines()[1] == "1,4,3,plane," + chunked_digits(count)
+    assert CountTable.from_csv(text).get(1, 4, 3, "plane") == count
 
 
 def test_a_deep_tree_reports_its_size_and_converts():

@@ -3,16 +3,18 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 from bifgraph import (
-    EnumerationSpec, SimpleGraph, all_graphs, block_intersection_graph,
+    Diagram, Edge, EnumerationSpec, SimpleGraph, Vertex, all_graphs, block_intersection_graph,
     complete_graph, connected_graphs, cycle_graph, enumerate_colored, free_trees, graphs_isomorphic,
     is_block_graph, is_claw_free, line_graph, path_graph, star_graph,
-    to_clique, to_star, tree_to_diagram,
+    saddle_node, to_clique, to_star, tree_to_diagram,
 )
 from bifgraph.laws import SADDLE_NODE
 from helpers import (
-    canonical_mask, colored_tree_graph, random_connected_graph, star_diagram, swept_all_graphs,
+    branched_to_star, canonical_mask, colored_tree_graph, constructible_diagrams,
+    random_connected_graph, star_diagram, swept_all_graphs,
 )
 
 
@@ -57,6 +59,14 @@ def test_star_of_acyclic_diagram_is_tree():
         s = to_star(d)
         assert len(s.edges) == s.n - 1 and s.is_connected()
         assert graphs_isomorphic(s, colored_tree_graph(t), respect_colors=True)
+
+
+@settings(deadline=None, max_examples=300)
+@given(constructible_diagrams())
+@example(Diagram(1, (Edge("a", 1, ("v", "v")),), (Vertex("v", saddle_node()),)))
+def test_star_equals_the_two_branch_oracle(diagram):
+    # saddle nodes, self-loops among them, through the one child split
+    assert to_star(diagram) == branched_to_star(diagram)
 
 
 # -- line graphs -------------------------------------------------------------

@@ -9,6 +9,7 @@ from bifgraph import (
     path_graph, spanning_count_edges, spanning_count_kirchhoff,
     spanning_enumerate_brute, tutte_11,
 )
+from bifgraph.spanning import _int_det
 from helpers import random_connected_graph
 
 
@@ -88,3 +89,9 @@ def test_multigraph_determinant():
     assert spanning_count_edges(2, [(0, 1), (0, 1), (0, 1)]) == 3
     # loops never matter
     assert spanning_count_edges(2, [(0, 1), (1, 1)]) == 1
+
+
+def test_int_det_swaps_rows_and_stops_at_a_zero_pivot():
+    assert _int_det([[0, 1], [1, 0]]) == -1
+    # vertex 1 is isolated: its Laplacian row is zero, so no pivot exists
+    assert spanning_count_edges(4, [(0, 2), (2, 3)]) == 0

@@ -207,6 +207,18 @@ def test_tree_helpers_on_a_3000_node_path():
             oracle(t)
 
 
+def test_canonical_form_of_a_root_over_two_separately_built_3000_node_paths():
+    def path():
+        t = ()
+        for _ in range(2999):
+            t = (t,)
+        return t
+
+    form = canonical_form((path(), path()))
+    assert len(form) == 2 and form[0] is form[1]  # one object, compared by identity
+    assert tree_size(form) == 6001
+
+
 # -- m-ary to binary ---------------------------------------------------------
 
 def test_star_becomes_right_chain():
