@@ -46,7 +46,7 @@ edge bit at a time; the free shape count (k = 3, n = 17 against
 
 Topic ``minors``: the two forbidden-minor tests, and the block
 decomposition that the diamond test reads.  ``has_diamond_minor`` on the
-cycles C8 and C10, against the brute-force ``searched_diamond_minor``,
+cycles C8 and C9, against the brute-force ``searched_diamond_minor``,
 which finishes only that small, and alone on C2000 and a chain of
 triangles on 2,000 vertices; ``block_decomposition`` on the same two
 graphs, against ``tracked_block_decomposition``, which tracks the cut
@@ -54,6 +54,12 @@ vertices during the search instead of reading them off the blocks;
 ``has_vamos_minor`` on the graphic matroid of K6 and on the Vamos matroid
 plus 3 coloops, against the restriction sweep ``swept_vamos_minor`` that
 its mask filter replaced and the split search ``searched_vamos_minor``.
+
+Topic ``spanning``: the spanning-tree counts.  ``tutte_11`` on K6 and on
+two disjoint copies of C5, against ``relabeled_tutte_11``, which relabels
+each component and each contraction to consecutive vertices;
+``spanning_count_kirchhoff`` on K30, and on two disjoint copies of K15,
+where the connectivity check answers before any determinant.
 
 Topic ``cli``: ``bifgraph.cli.main``, which builds only the named
 subcommand's parser, on one command line per subcommand, against
@@ -93,10 +99,11 @@ from bifgraph import cli  # noqa: E402
 from bifgraph.diagram import PeriodReport  # noqa: E402
 from bifgraph.documents import write_trees_dot, write_trees_json  # noqa: E402
 from helpers import (  # noqa: E402
-    cached_canonical_trees, cached_free_trees, dumped_diagram, dumped_graph, dumped_trees_json,
-    eager_parse_diagram, formatted_trees_dot, period_labelled, searched_diamond_minor,
-    searched_vamos_minor, sn_cycle, stepwise_validate_diagram, swept_all_graphs,
-    swept_vamos_minor, tracked_block_decomposition, triangle_cactus,
+    cached_canonical_trees, cached_free_trees, disjoint_union, dumped_diagram, dumped_graph,
+    dumped_trees_json, eager_parse_diagram, formatted_trees_dot, period_labelled,
+    relabeled_tutte_11, searched_diamond_minor, searched_vamos_minor, sn_cycle,
+    stepwise_validate_diagram, swept_all_graphs, swept_vamos_minor, tracked_block_decomposition,
+    triangle_cactus,
 )
 
 RUNS = 5
@@ -330,8 +337,7 @@ TOPICS = {
     ),
     "minors": (
         Row(bg.has_diamond_minor, "C8", lambda: (bg.cycle_graph(8),), (searched_diamond_minor,)),
-        Row(bg.has_diamond_minor, "C10", lambda: (bg.cycle_graph(10),),
-            (searched_diamond_minor,)),
+        Row(bg.has_diamond_minor, "C9", lambda: (bg.cycle_graph(9),), (searched_diamond_minor,)),
         Row(bg.has_diamond_minor, "C2000", lambda: (bg.cycle_graph(2000),)),
         Row(bg.has_diamond_minor, "triangle cactus, 2000 vertices",
             lambda: (triangle_cactus(2000),)),
@@ -343,6 +349,14 @@ TOPICS = {
             lambda: (bg.graphic_matroid(bg.complete_graph(6)),), VAMOS_ORACLES),
         Row(bg.has_vamos_minor, "vamos + 3 coloops", lambda: (vamos_with_coloops(3),),
             VAMOS_ORACLES),
+    ),
+    "spanning": (
+        Row(bg.tutte_11, "K6", lambda: (bg.complete_graph(6),), (relabeled_tutte_11,)),
+        Row(bg.tutte_11, "C5 + C5",
+            lambda: (disjoint_union(bg.cycle_graph(5), bg.cycle_graph(5)),), (relabeled_tutte_11,)),
+        Row(bg.spanning_count_kirchhoff, "K30", lambda: (bg.complete_graph(30),)),
+        Row(bg.spanning_count_kirchhoff, "K15 + K15",
+            lambda: (disjoint_union(bg.complete_graph(15), bg.complete_graph(15)),)),
     ),
     "cli": (
         *(Row(printed(cli.main), line, command(line), (printed(through_the_full_parser),))

@@ -290,12 +290,17 @@ def main(argv=None) -> int:
         if extra:  # the full parser reports these as bifgraph's own error
             args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: the flush at exit goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (ValueError, EnumerationLimitError, OSError) as exc:
         # SchemaError, DiagramError and UsageError are ValueErrors too;
         # OSError covers missing, unreadable and directory paths
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -65,15 +65,27 @@ def _is_element_list(value) -> bool:
 
 def _as_doc(source):
     """A dict as it is, anything else parsed as JSON text; text that is not
-    JSON, or is nested too deeply to parse, is a ``SchemaError`` at ``$``."""
+    JSON, or is nested too deeply to parse, is a ``SchemaError`` at ``$``.
+    Text with an integer literal too long for ``int`` is read again with
+    that literal an infinite float, so the check of its field names it."""
     if isinstance(source, dict):
         return source
+    for parse_int in (None, _int_or_inf):
+        try:
+            return json.loads(str(source), parse_int=parse_int)
+        except json.JSONDecodeError as exc:
+            raise SchemaError("$", f"not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise SchemaError("$", "JSON nested too deeply to parse") from None
+        except ValueError:  # over sys.get_int_max_str_digits()
+            continue
+
+
+def _int_or_inf(literal: str):
     try:
-        return json.loads(str(source))
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise SchemaError("$", "JSON nested too deeply to parse") from None
+        return int(literal)
+    except ValueError:
+        return float(literal)
 
 
 def _as_object(source) -> dict:

@@ -169,9 +169,9 @@ def _colored_pools(table: LawTable, arity: int, n: int, plane: bool) -> dict:
     Plane trees come in the order child count, slots, color tuple, size
     composition, then the product of the child pools.  Free trees keep their
     children, and each pool, sorted by the key (size, shape, color, child
-    keys), built once per tree from its children's keys; reorderings of one
-    child multiset are merged by the ids of the sorted children.  Every tree
-    of a pool is one object, shared by each larger tree that holds it.
+    keys), built once per tree from its children's keys; a child multiset
+    is taken once, in the order whose keys (led by sizes) do not increase.
+    Every tree of a pool is one object, shared by each larger tree that holds it.
     """
     rules = {color: [] for color in INDEX_VALUES}  # (c children, color tuples)
     for color, rs in rules.items():
@@ -186,26 +186,27 @@ def _colored_pools(table: LawTable, arity: int, n: int, plane: bool) -> dict:
     def key_of(t):
         return key[id(t)]
 
+    def falling(seq) -> bool:
+        return all(a >= b for a, b in zip(seq, seq[1:]))
+
     for size in range(2, n + 1):
         for color in INDEX_VALUES:
-            out, seen = [], set()
+            out = []
             for c, tuples in rules[color]:
                 if c >= size:
                     break
                 slot_sets = combinations(range(arity), c) if plane else (None,)
-                for slots, colors, sizes in product(slot_sets, tuples, _compositions(size - 1, c)):
+                compositions = [s for s in _compositions(size - 1, c) if plane or falling(s)]
+                for slots, colors, sizes in product(slot_sets, tuples, compositions):
                     kid_tuples = product(*(pool[col][s] for s, col in zip(sizes, colors)))
                     if plane:
                         out += [_trusted(ColoredTree, color=color, children=kids, slots=slots)
                                 for kids in kid_tuples]
                         continue
                     for kids in kid_tuples:
-                        kids = tuple(sorted(kids, key=key_of, reverse=True))
-                        ids = tuple(map(id, kids))
-                        if ids not in seen:
-                            seen.add(ids)
+                        keys = tuple(map(key_of, kids))
+                        if falling(keys):
                             tree = _trusted(ColoredTree, color=color, children=kids, slots=None)
-                            keys = tuple(map(key_of, kids))
                             key[id(tree)] = (size, tuple(k[1] for k in keys), color, keys)
                             out.append(tree)
             if not plane:

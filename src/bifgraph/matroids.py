@@ -232,8 +232,6 @@ def has_vamos_minor(m: Matroid) -> bool:
     ground sets of at most 15 elements.
     """
     size = len(m.ground)
-    if size < 8:
-        return False
     if size > 15:
         raise ValueError("vamos-minor search is limited to 15 ground elements")
     for csize in range(min(size - 8, m.rank - 4) + 1):

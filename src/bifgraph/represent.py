@@ -68,9 +68,7 @@ def line_graph(g: SimpleGraph) -> SimpleGraph:
 def block_intersection_graph(g: SimpleGraph) -> SimpleGraph:
     """Intersection graph of the biconnected components: one vertex per
     block, adjacent when two blocks share a cut vertex.  Always a block
-    graph."""
-    if not g.is_connected():
-        raise ValueError("block intersection graph needs a connected input")
+    graph.  ``block_decomposition`` rejects a disconnected input."""
     dec = block_decomposition(g)
     out = set()
     for i, j in combinations(range(len(dec.blocks)), 2):

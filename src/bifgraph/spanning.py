@@ -9,6 +9,7 @@ fraction-free integer elimination rather than floating-point eigenvalues.
 from __future__ import annotations
 
 from itertools import combinations
+from math import prod
 
 from .graphs import SimpleGraph
 
@@ -78,10 +79,7 @@ def laplacian(g: SimpleGraph) -> list[list[int]]:
 def spanning_count_edges(n: int, edges) -> int:
     """Spanning-tree count of a multigraph given as an edge list (parallel
     edges allowed, loops ignored), via the reduced-Laplacian determinant."""
-    if n <= 1:
-        return 1
-    minor = [row[1:] for row in _laplacian(n, edges)[1:]]
-    return _int_det(minor)
+    return _int_det([row[1:] for row in _laplacian(n, edges)[1:]])
 
 
 def spanning_count_kirchhoff(g: SimpleGraph) -> int:
@@ -105,26 +103,17 @@ def spanning_enumerate_brute(g: SimpleGraph) -> list[tuple[tuple[int, int], ...]
 
 
 def _span_dc(n: int, edges: tuple) -> int:
-    """Spanning-tree count by deletion-contraction on a multigraph; loops
-    contribute a factor of one and are dropped."""
+    """Spanning-tree count by deletion-contraction on a multigraph with n
+    vertices, whatever their labels: contracting (u, v) renames v to u.
+    Loops contribute a factor of one and are dropped."""
     edges = tuple(e for e in edges if e[0] != e[1])
     if n == 1:
         return 1
     if not edges:
         return 0
-    u, v = edges[0]
-    rest = edges[1:]
-    deleted = _span_dc(n, rest)
-    # contract (u, v): relabel v -> u and compact
-    keep = [x for x in range(n) if x != v]
-    pos = {x: i for i, x in enumerate(keep)}
-    merged = []
-    for a, b in rest:
-        a2 = u if a == v else a
-        b2 = u if b == v else b
-        merged.append((pos[a2], pos[b2]))
-    contracted = _span_dc(n - 1, tuple(merged))
-    return deleted + contracted
+    (u, v), rest = edges[0], edges[1:]
+    return _span_dc(n, rest) + _span_dc(
+        n - 1, tuple((u if a == v else a, u if b == v else b) for a, b in rest))
 
 
 def tutte_11(g: SimpleGraph) -> int:
@@ -133,8 +122,6 @@ def tutte_11(g: SimpleGraph) -> int:
     per-component counts otherwise."""
     if len(g.edges) > 20:
         raise ValueError("deletion-contraction recursion is limited to 20 edges")
-    total = 1
-    for comp in g.components():
-        sub = g.induced(comp)
-        total *= _span_dc(sub.n, tuple(sub.sorted_edges()))
-    return total
+    edges = g.sorted_edges()
+    return prod(_span_dc(len(comp), tuple(e for e in edges if e[0] in comp))
+                for comp in g.components())

@@ -32,6 +32,7 @@ from bifgraph.documents import (
 from bifgraph.laws import JUNCTION, PERIOD_DOUBLING, SADDLE_NODE
 from bifgraph.graphs import _norm_edge, graph_from_mask
 from bifgraph.represent import _branch_vertices
+from bifgraph.spanning import _int_det, _laplacian
 from bifgraph.trees import _tree_edges
 
 
@@ -1352,3 +1353,49 @@ def stepwise_validate_diagram(diagram: Diagram, k: int, table: LawTable) -> Vali
                                  vertex_id=pv.vertex_id, edge_ids=pv.edge_pair))
 
     return ValidationReport(tuple(out))
+
+
+# -- spanning counts: the guard, compaction and relabeling the math covers -----
+
+def disjoint_union(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
+    """g beside h, with h's vertices numbered after g's."""
+    return SimpleGraph.from_edges(g.n + h.n, [*g.edges, *((u + g.n, v + g.n) for u, v in h.edges)])
+
+
+def guarded_spanning_count_edges(n: int, edges) -> int:
+    """``spanning_count_edges`` with the n <= 1 case answered up front."""
+    if n <= 1:
+        return 1
+    return _int_det([row[1:] for row in _laplacian(n, edges)[1:]])
+
+
+def compacted_span_dc(n: int, edges: tuple) -> int:
+    """Deletion-contraction on vertices 0..n-1, relabeled back to 0..n-2
+    after each contraction."""
+    edges = tuple(e for e in edges if e[0] != e[1])
+    if n == 1:
+        return 1
+    if not edges:
+        return 0
+    u, v = edges[0]
+    rest = edges[1:]
+    deleted = compacted_span_dc(n, rest)
+    keep = [x for x in range(n) if x != v]
+    pos = {x: i for i, x in enumerate(keep)}
+    merged = []
+    for a, b in rest:
+        a2 = u if a == v else a
+        b2 = u if b == v else b
+        merged.append((pos[a2], pos[b2]))
+    return deleted + compacted_span_dc(n - 1, tuple(merged))
+
+
+def relabeled_tutte_11(g: SimpleGraph) -> int:
+    """``tutte_11`` with each component relabeled by ``SimpleGraph.induced``."""
+    if len(g.edges) > 20:
+        raise ValueError("deletion-contraction recursion is limited to 20 edges")
+    total = 1
+    for comp in g.components():
+        sub = g.induced(comp)
+        total *= compacted_span_dc(sub.n, tuple(sub.sorted_edges()))
+    return total

@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bifgraph
 from bifgraph import count_kary_formula, emit_diagram, nonadmissible_period_fixture
 from bifgraph.cli import COMMANDS, build_parser, main
 from bifgraph.documents import kind_from_json
@@ -350,6 +353,51 @@ def test_bad_input_exits_two_without_traceback(argv, tmp_path, capsys):
 def test_bad_count_integer_is_named_with_its_option(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == message
+
+
+def test_closed_stdout_exits_141_silently():
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(bifgraph.__file__).parent.parent)}
+    try:
+        done = subprocess.run([sys.executable, "-m", "bifgraph.cli", "count", "--kary", "3", "10"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == b""
+
+
+def _long_literal(text: str, field: str, digits: int = 5000) -> str:
+    """``text`` with the value 1 of ``field`` written as ``digits`` nines."""
+    old = f'"{field}": 1'
+    assert text.count(old) == 1
+    return text.replace(old, f'"{field}": ' + "9" * digits)
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("validate", _long_literal(emit_diagram(star_diagram(1, (0, 1), 1, dimension=2)), "period"),
+     "error: $.edges[2].period: must be a positive integer\n"),
+    ("classify", _long_literal('{"vertexCount": 1, "edges": []}', "vertexCount"),
+     "error: $.vertexCount: must be an integer >= 0\n"),
+], ids=["period", "vertexCount"])
+def test_over_long_integer_literal_names_its_path(command, text, message, tmp_path, capsys):
+    # longer than sys.get_int_max_str_digits(), which is never raised
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == message
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_over_long_integer_in_a_comment_still_parses(tmp_path, capsys):
+    doc = json.loads(emit_diagram(star_diagram(1, (0, 1), dimension=2)))
+    path = tmp_path / "commented.json"
+    path.write_text(_long_literal(json.dumps({**doc, "comment": 1}), "comment"))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("valid: ")
 
 
 def _law_doc(entry=None, **top):

@@ -263,6 +263,17 @@ def test_vamos_minor_ground_size_guard():
         has_vamos_minor(graphic_matroid(complete_graph(7)))
 
 
+def test_no_vamos_minor_on_fewer_than_eight_elements():
+    # the contraction sizes range(min(size - 8, rank - 4) + 1) are empty
+    for n in range(8):
+        for r in range(n + 1):
+            assert not has_vamos_minor(Matroid(tuple(range(n)), lambda s, r=r: len(s) <= r))
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            if len(g.edges) < 8:
+                assert not has_vamos_minor(graphic_matroid(g))
+
+
 def test_no_vamos_minor_in_uniform_paving():
     # rank-4 matroid on nine elements with every 4-subset independent:
     # every eight-element minor has zero dependent quadruples

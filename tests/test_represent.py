@@ -105,7 +105,7 @@ def test_block_intersection_of_tree():
 
 
 def test_block_intersection_needs_connected_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="block decomposition needs a connected graph"):
         block_intersection_graph(SimpleGraph.from_edges(4, [(0, 1), (2, 3)]))
 
 

@@ -3,14 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bifgraph import (
-    SimpleGraph, complete_graph, connected_graphs, cycle_graph, laplacian,
+    SimpleGraph, all_graphs, complete_graph, connected_graphs, cycle_graph, laplacian,
     path_graph, spanning_count_edges, spanning_count_kirchhoff,
     spanning_enumerate_brute, tutte_11,
 )
 from bifgraph.spanning import _int_det
-from helpers import random_connected_graph
+from helpers import (
+    disjoint_union, guarded_spanning_count_edges, random_connected_graph, relabeled_tutte_11,
+)
 
 
 def test_examples():
@@ -95,3 +99,35 @@ def test_int_det_swaps_rows_and_stops_at_a_zero_pivot():
     assert _int_det([[0, 1], [1, 0]]) == -1
     # vertex 1 is isolated: its Laplacian row is zero, so no pivot exists
     assert spanning_count_edges(4, [(0, 2), (2, 3)]) == 0
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_counts_equal_the_relabeling_oracles_on_every_graph(n):
+    for g in all_graphs(n):
+        assert tutte_11(g) == relabeled_tutte_11(g)
+        assert spanning_count_edges(g.n, g.edges) == guarded_spanning_count_edges(g.n, g.edges)
+
+
+def test_counts_equal_the_relabeling_oracles_on_disjoint_unions():
+    small = [g for n in range(4) for g in all_graphs(n)]
+    for g in small:
+        for h in small:
+            union = disjoint_union(g, h)
+            assert tutte_11(union) == relabeled_tutte_11(union) == tutte_11(g) * tutte_11(h)
+            assert (spanning_count_edges(union.n, union.edges)
+                    == guarded_spanning_count_edges(union.n, union.edges))
+
+
+@st.composite
+def _multigraphs(draw):
+    n = draw(st.integers(0, 6))
+    vertex = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=10)) if n else []
+    return n, edges
+
+
+@given(_multigraphs())
+def test_edge_count_equals_the_guarded_oracle_on_multigraphs(graph):
+    # parallel edges and loops included
+    n, edges = graph
+    assert spanning_count_edges(n, edges) == guarded_spanning_count_edges(n, edges)
