@@ -50,16 +50,14 @@ def _trusted(cls, **fields):
 class DiagramError(ValueError):
     """Structural problem in a diagram (dangling reference, bad arity, ...).
 
-    ``edge_id`` or ``vertex_id`` names the offending edge or vertex, when
-    there is one; ``field`` names its offending field ("ends" or
-    "parent_edge"), and ``slot`` the end of a dangling edge (0 or 1).
+    ``where`` is the JSON path suffix of the offending value in the
+    diagram's document form, such as ``.edges[2].endpoints[1]`` or
+    ``.vertices[0].parentEdge``; empty when no diagram locates it.
     """
 
-    def __init__(self, message: str, *, edge_id: str | None = None,
-                 vertex_id: str | None = None, field: str | None = None,
-                 slot: int | None = None):
+    def __init__(self, message: str, where: str = ""):
         super().__init__(message)
-        self.edge_id, self.vertex_id, self.field, self.slot = edge_id, vertex_id, field, slot
+        self.where = where
 
 
 # ---------------------------------------------------------------------------
@@ -161,42 +159,42 @@ class Diagram:
 
     def __post_init__(self):
         if self.dimension < 1:
-            raise DiagramError("dimension must be >= 1")
+            raise DiagramError("dimension must be >= 1", ".dimension")
         edge_by_id = {e.id: e for e in self.edges}
         if len(edge_by_id) != len(self.edges):
-            raise DiagramError("duplicate edge ids")
+            raise DiagramError("edge ids must be unique", ".edges")
         vertex_by_id = {v.id: v for v in self.vertices}
         if len(vertex_by_id) != len(self.vertices):
-            raise DiagramError("duplicate vertex ids")
+            raise DiagramError("vertex ids must be unique", ".vertices")
         incident: dict[str, list[Edge]] = {v: [] for v in vertex_by_id}
-        for e in self.edges:
+        for i, e in enumerate(self.edges):
             for slot, end in enumerate(e.ends):
                 if end is TERMINAL:
                     continue
                 if end not in incident:
                     raise DiagramError(f"edge {e.id!r} references missing vertex {end!r}",
-                                       edge_id=e.id, field="ends", slot=slot)
+                                       f".edges[{i}].endpoints[{slot}]")
                 incident[end].append(e)
-        for v in self.vertices:
+        for i, v in enumerate(self.vertices):
             inc = [e.id for e in incident[v.id]]
             if not inc:
-                raise DiagramError(f"vertex {v.id!r} has no incident edge", vertex_id=v.id)
+                raise DiagramError(f"vertex {v.id!r} has no incident edge", f".vertices[{i}]")
             if len(inc) != v.kind.degree:
                 raise DiagramError(
                     f"vertex {v.id!r} ({v.kind.name}) needs degree {v.kind.degree}, has {len(inc)}",
-                    vertex_id=v.id)
+                    f".vertices[{i}]")
             if v.kind.name == SADDLE_NODE:
                 if v.parent_edge is not None:
                     raise DiagramError(f"saddle-node vertex {v.id!r} takes no parent edge",
-                                       vertex_id=v.id, field="parent_edge")
+                                       f".vertices[{i}].parentEdge")
             else:
                 if v.parent_edge is None:
                     raise DiagramError(f"vertex {v.id!r} ({v.kind.name}) needs a parent edge",
-                                       vertex_id=v.id, field="parent_edge")
+                                       f".vertices[{i}].parentEdge")
                 if v.parent_edge not in inc:
                     raise DiagramError(
                         f"parent edge {v.parent_edge!r} is not incident to vertex {v.id!r}",
-                        vertex_id=v.id, field="parent_edge")
+                        f".vertices[{i}].parentEdge")
         object.__setattr__(self, "_edge_by_id", edge_by_id)
         object.__setattr__(self, "_vertex_by_id", vertex_by_id)
         object.__setattr__(self, "_incident", incident)
@@ -325,30 +323,24 @@ def check_cycle_parity(diagram: Diagram) -> list[CycleCheck]:
 
     Only those cycles are constrained, and because a saddle node has degree
     exactly 2 each one is a whole connected component: one linear walk
-    finds them all.  In dimension <= 2 such a cycle must have even length
-    with the two nonzero indices alternating; in dimension >= 3 an odd
-    cycle passes only when every edge has index 0 (even cycles are
+    finds them all.  In dimension <= 2 such a cycle must carry indices +-1
+    that alternate around it, which forces even length; in dimension >= 3
+    an odd cycle passes only when every edge has index 0 (even cycles are
     unconstrained here -- the per-vertex laws still apply separately).
     """
     results = []
     for eids, vids in _saddle_node_cycles(diagram):
         colors = [diagram.edge(eid).index for eid in eids]
-        odd = len(colors) % 2 == 1
         if diagram.dimension <= 2:
-            alternating = (not odd and all(abs(c) == 1 for c in colors)
-                           and all(colors[i] != colors[(i + 1) % len(colors)]
-                                   for i in range(len(colors))))
-            results.append(CycleCheck(
-                eids, vids, alternating,
-                "even alternating" if alternating else "saddle-node cycle must alternate +1/-1 with even length"))
+            ok = all(a == -b != 0 for a, b in zip(colors, colors[1:] + colors[:1]))
+            reason = ("even alternating" if ok
+                      else "saddle-node cycle must alternate +1/-1 with even length")
+        elif len(colors) % 2:
+            ok = not any(colors)
+            reason = "odd all-zero" if ok else "odd saddle-node cycle must be all index 0"
         else:
-            if odd:
-                ok = all(c == 0 for c in colors)
-                results.append(CycleCheck(
-                    eids, vids, ok,
-                    "odd all-zero" if ok else "odd saddle-node cycle must be all index 0"))
-            else:
-                results.append(CycleCheck(eids, vids, True, "even"))
+            ok, reason = True, "even"
+        results.append(CycleCheck(eids, vids, ok, reason))
     return results
 
 
@@ -414,36 +406,25 @@ def check_period_consistency(diagram: Diagram) -> PeriodReport:
     violations = []
     for v in diagram.vertices:
         parent, kids = _split(v, diagram._incident[v.id])
-        if parent is None:  # a saddle node
-            e1, e2 = kids
-            if e1.period != e2.period:
-                violations.append(PeriodViolation(
-                    v.id, (e1.id, e2.id),
-                    f"saddle node joins periods {e1.period} and {e2.period}"))
-            continue
-        p = parent.period
-        got = sorted(e.period for e in kids)
-        if v.kind.name == PERIOD_DOUBLING:
-            want = sorted((p, 2 * p))
-            if got != want:
-                violations.append(PeriodViolation(
-                    v.id, (parent.id, kids[0].id),
-                    f"doubling from period {p} must yield {{{p}, {2 * p}}}, got {got}"))
-        elif v.kind.name == TYPE_M:
-            m = v.kind.param
-            if m is None:
-                violations.append(PeriodViolation(
-                    v.id, (parent.id, kids[0].id),
-                    f"vertex {v.id!r}: type_m multiplier required to check periods"))
-            elif got != sorted((p, m * p, m * p)):
-                violations.append(PeriodViolation(
-                    v.id, (parent.id, kids[0].id),
-                    f"m-fold split from period {p} must yield {{{p}, {m}p x2}}, got {got}"))
+        if parent is None:  # a saddle node: its first edge stands as the parent
+            parent, kids = kids[0], kids[1:]
+        p, got = parent.period, sorted(e.period for e in kids)
+        name, m = v.kind.name, v.kind.param
+        if name == SADDLE_NODE:
+            problem = None if got == [p] else f"saddle node joins periods {p} and {got[0]}"
+        elif name == PERIOD_DOUBLING:
+            problem = (None if got == [p, 2 * p] else
+                       f"doubling from period {p} must yield {{{p}, {2 * p}}}, got {got}")
+        elif name == TYPE_M and m is None:
+            problem = f"vertex {v.id!r}: type_m multiplier required to check periods"
+        elif name == TYPE_M:
+            problem = (None if got == [p, m * p, m * p] else
+                       f"m-fold split from period {p} must yield {{{p}, {m}p x2}}, got {got}")
         else:  # junction
-            if not junction_periods_consistent(p, got):
-                violations.append(PeriodViolation(
-                    v.id, (parent.id, kids[0].id),
-                    f"junction periods {got} admit no decomposition from period {p}"))
+            problem = (None if junction_periods_consistent(p, got) else
+                       f"junction periods {got} admit no decomposition from period {p}")
+        if problem is not None:
+            violations.append(PeriodViolation(v.id, (parent.id, kids[0].id), problem))
     return PeriodReport(True, not violations, tuple(violations))
 
 

@@ -126,9 +126,9 @@ def parse_diagram(source) -> Diagram:
 
     Checks run in a fixed order and the first failure is raised, as a
     ``SchemaError`` whose path and message are formatted only then.  A
-    structural error of the diagram (a dangling endpoint, a wrong degree, a
-    bad parent edge) is a ``SchemaError`` at the offending endpoint,
-    vertex or ``parentEdge``.
+    structural error of the diagram (a repeated id, a dangling endpoint, a
+    wrong degree, a bad parent edge) is ``Diagram``'s own, as a
+    ``SchemaError`` at the path its ``DiagramError`` names.
     """
     doc = _as_object(source)
     if not doc.keys() <= _DIAGRAM_KEYS:
@@ -185,23 +185,10 @@ def parse_diagram(source) -> Diagram:
             raise SchemaError(f"$.vertices[{i}].parentEdge", "must be an edge id")
         vertices.append(Vertex(vid, kind, parent))
 
-    _expect(len({e.id for e in edges}) == len(edges), "$.edges", "edge ids must be unique")
-    _expect(len({v.id for v in vertices}) == len(vertices), "$.vertices",
-            "vertex ids must be unique")
     try:
         return Diagram(dim, tuple(edges), tuple(vertices))
     except DiagramError as exc:
-        raise SchemaError(_structural_path(exc, edges, vertices), str(exc)) from exc
-
-
-def _structural_path(exc: DiagramError, edges: list, vertices: list) -> str:
-    """The JSON path of the edge end, vertex or parent edge that a
-    ``DiagramError`` from a parsed document names."""
-    if exc.edge_id is not None:
-        i = next(i for i, e in enumerate(edges) if e.id == exc.edge_id)
-        return f"$.edges[{i}].endpoints[{exc.slot}]"
-    i = next(i for i, v in enumerate(vertices) if v.id == exc.vertex_id)
-    return f"$.vertices[{i}]" + (".parentEdge" if exc.field == "parent_edge" else "")
+        raise SchemaError("$" + exc.where, str(exc)) from exc
 
 
 def emit_diagram(diagram: Diagram) -> str:

@@ -152,17 +152,16 @@ ALL_ZERO = "all_zero"
 
 
 def _junction_children(family: str, parent: int, n: int) -> tuple[int, ...] | None:
-    if n < 4:
-        return None
+    """The children that ``family`` gives a junction of n >= 4, or None."""
     if family == DOUBLING:
         return tuple(sorted((parent,) + (0,) * (n - 1)))
     if family == MULTIPLYING:
-        if n % 2 == 1 and n >= 5:
+        if n % 2 == 1:
             k = (n - 1) // 2
             return tuple(sorted((parent,) * (k + 1) + (-parent,) * k))
         return None
     if family == ALL_ZERO:
-        if n % 3 == 0 and n >= 6:
+        if n % 3 == 0:
             return (0,) * n
         return None
     raise ValueError(f"unknown junction family {family!r}")

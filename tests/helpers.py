@@ -21,15 +21,17 @@ from hypothesis import strategies as st
 from bifgraph import (
     TERMINAL, ColoredTree, ConservationCheck, Diagram, Edge, LawEntry, LawTable, SimpleGraph,
     ValidationReport, Vertex, Violation, builtin_table, canonical_trees, check_cycle_parity,
-    check_period_consistency, emit_dot, is_admissible_star, junction, kind_for_child_count,
-    load_law_table, matroid_minor, period_doubling, saddle_node, splits_for_child_count,
-    to_star, tree_size, tree_to_diagram, type_m,
+    check_period_consistency, emit_dot, is_admissible_star, junction,
+    junction_periods_consistent, kind_for_child_count, load_law_table, matroid_minor,
+    period_doubling, saddle_node, splits_for_child_count, to_star, tree_size,
+    tree_to_diagram, type_m,
 )
 from bifgraph.classes import BlockDecomposition, has_diamond_subgraph
 from bifgraph.documents import (
     SCHEMA_VERSION, _as_object, _expect, _graph_dot, _is_index, _is_int, kind_from_json,
 )
-from bifgraph.laws import JUNCTION, PERIOD_DOUBLING, SADDLE_NODE
+from bifgraph.diagram import CycleCheck, PeriodReport, PeriodViolation, _saddle_node_cycles
+from bifgraph.laws import JUNCTION, PERIOD_DOUBLING, SADDLE_NODE, TYPE_M
 from bifgraph.graphs import _norm_edge, graph_from_mask
 from bifgraph.represent import _branch_vertices
 from bifgraph.spanning import _int_det, _laplacian
@@ -1353,6 +1355,75 @@ def stepwise_validate_diagram(diagram: Diagram, k: int, table: LawTable) -> Vali
                                  vertex_id=pv.vertex_id, edge_ids=pv.edge_pair))
 
     return ValidationReport(tuple(out))
+
+
+# -- cycle and period rules before each check built its result once ---------
+
+def branched_cycle_parity(diagram: Diagram) -> list[CycleCheck]:
+    """``check_cycle_parity`` as three branches, with the odd-length test
+    spelled out in dimension <= 2."""
+    results = []
+    for eids, vids in _saddle_node_cycles(diagram):
+        colors = [diagram.edge(eid).index for eid in eids]
+        odd = len(colors) % 2 == 1
+        if diagram.dimension <= 2:
+            alternating = (not odd and all(abs(c) == 1 for c in colors)
+                           and all(colors[i] != colors[(i + 1) % len(colors)]
+                                   for i in range(len(colors))))
+            results.append(CycleCheck(
+                eids, vids, alternating,
+                "even alternating" if alternating
+                else "saddle-node cycle must alternate +1/-1 with even length"))
+        elif odd:
+            ok = all(c == 0 for c in colors)
+            results.append(CycleCheck(
+                eids, vids, ok,
+                "odd all-zero" if ok else "odd saddle-node cycle must be all index 0"))
+        else:
+            results.append(CycleCheck(eids, vids, True, "even"))
+    return results
+
+
+def branched_period_consistency(diagram: Diagram) -> PeriodReport:
+    """``check_period_consistency`` with one append per rule and the
+    expected periods sorted, through the diagram's lookups."""
+    labels = [e.period for e in diagram.edges]
+    if all(p is None for p in labels):
+        return PeriodReport(False, True, ())
+    if any(p is None for p in labels):
+        raise ValueError("partial period labeling is ambiguous: label all edges or none")
+    violations = []
+    for v in diagram.vertices:
+        if v.kind.name == SADDLE_NODE:
+            e1, e2 = diagram.incident_edges(v.id)
+            if e1.period != e2.period:
+                violations.append(PeriodViolation(
+                    v.id, (e1.id, e2.id),
+                    f"saddle node joins periods {e1.period} and {e2.period}"))
+            continue
+        parent, kids = diagram.edge(v.parent_edge), diagram.child_edges(v)
+        p = parent.period
+        got = sorted(e.period for e in kids)
+        if v.kind.name == PERIOD_DOUBLING:
+            if got != sorted((p, 2 * p)):
+                violations.append(PeriodViolation(
+                    v.id, (parent.id, kids[0].id),
+                    f"doubling from period {p} must yield {{{p}, {2 * p}}}, got {got}"))
+        elif v.kind.name == TYPE_M:
+            m = v.kind.param
+            if m is None:
+                violations.append(PeriodViolation(
+                    v.id, (parent.id, kids[0].id),
+                    f"vertex {v.id!r}: type_m multiplier required to check periods"))
+            elif got != sorted((p, m * p, m * p)):
+                violations.append(PeriodViolation(
+                    v.id, (parent.id, kids[0].id),
+                    f"m-fold split from period {p} must yield {{{p}, {m}p x2}}, got {got}"))
+        elif not junction_periods_consistent(p, got):
+            violations.append(PeriodViolation(
+                v.id, (parent.id, kids[0].id),
+                f"junction periods {got} admit no decomposition from period {p}"))
+    return PeriodReport(True, not violations, tuple(violations))
 
 
 # -- spanning counts: the guard, compaction and relabeling the math covers -----

@@ -1,0 +1,53 @@
+"""Argument checks across the public API, and small branches that no other
+test reaches."""
+
+import pytest
+
+from bifgraph import (
+    BifurcationKind, ColoredTree, CountTable, EigenvalueSpec, LawTable, Matroid, SimpleGraph,
+    all_graphs, builtin_table, complete_graph, count_kary_formula, graphs_isomorphic,
+    husimi_count, kind_for_child_count, ratio_sequence, share_sequence, tutte_11,
+)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: husimi_count({2: -1}), "multiplicities are nonnegative"),
+    (lambda: ratio_sequence(2, 1, 4, 3), "need k_low <= k_high"),
+    (lambda: share_sequence(1, 3, 2, 3), "need d_low <= d_high"),
+    (lambda: CountTable().record(1, 2, 3, "plane", -1), "counts are nonnegative"),
+    (lambda: SimpleGraph.from_edges(2, [(0, 0)]), "self-loop at vertex 0"),
+    (lambda: SimpleGraph.from_edges(2, [(0, 1)], colors=[1]), "colors length"),
+    (lambda: SimpleGraph.from_edges(2, [(0, 1)], names=["a"]), "names length"),
+    (lambda: all_graphs(7), "limited to 6 vertices"),
+    (lambda: EigenvalueSpec(complex_pairs=((0.0, 1.0),)), "modulus must be positive"),
+    (lambda: BifurcationKind("fold"), "unknown bifurcation kind 'fold'"),
+    (lambda: BifurcationKind("saddle_node", 3), "saddle_node takes no parameter"),
+    (lambda: LawTable(0, frozenset()), "dimension must be >= 1"),
+    (lambda: builtin_table(0), "dimension must be >= 1"),
+    (lambda: Matroid(["a", "a"], lambda s: True), "must be distinct"),
+    (lambda: tutte_11(complete_graph(7)), "limited to 20 edges"),
+    (lambda: count_kary_formula(3, 0), "need n >= 1"),
+    (lambda: kind_for_child_count(0), "child count must be >= 1"),
+])
+def test_bad_arguments_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_count_csv_skips_blank_rows():
+    table = CountTable.from_csv("k,d,n,mode,count\n\n1,2,3,plane,5\n")
+    assert table.records == {(1, 2, 3, "plane"): (5, "csv")}
+
+
+def test_relabeling_moves_the_colors_with_the_vertices():
+    g = SimpleGraph.from_edges(3, [(0, 1)], colors=[1, 0, -1])
+    assert g.relabeled([2, 0, 1]) == SimpleGraph.from_edges(3, [(2, 0)], colors=[0, -1, 1])
+
+
+def test_colored_and_uncolored_graphs_differ_when_colors_count():
+    g = SimpleGraph.from_edges(3, [(0, 1)], colors=[1, 0, -1])
+    assert not graphs_isomorphic(g, SimpleGraph.from_edges(3, [(0, 1)]), respect_colors=True)
+
+
+def test_colored_tree_is_not_equal_to_another_type():
+    assert (ColoredTree(0) == 0) is False

@@ -3,7 +3,8 @@
 import json
 import random
 import time
-from itertools import combinations_with_replacement
+from dataclasses import replace
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from bifgraph import (
     type_m, validate_diagram,
 )
 from helpers import (
+    branched_cycle_parity, branched_period_consistency, constructible_diagrams,
     eager_parse_diagram, period_labelled, planted_index_fault, planted_period_fault,
     random_sn_doubling_diagram, saddle_node_cycles, searched_junction_periods, sn_chain,
     sn_cycle, star_diagram, stepwise_index_conservation, stepwise_validate_diagram,
@@ -487,3 +489,47 @@ def _diagrams(draw):
        st.integers(1, 4))
 def test_one_pass_validate_equals_the_stepwise_oracle_on_random_diagrams(diagram, k):
     _same_as_the_oracles(diagram, k)
+
+
+# -- the cycle and period rules against their three-branch forms --------------
+
+def test_cycle_rule_equals_the_branched_rule_on_every_short_cycle():
+    reasons = set()
+    for d in range(1, 5):
+        for length in range(1, 8):
+            for colors in product((-1, 0, 1), repeat=length):
+                cycle = sn_cycle(d, colors)
+                checks = check_cycle_parity(cycle)
+                assert checks == branched_cycle_parity(cycle), (d, colors)
+                reasons.update(c.reason for c in checks)
+    assert len(reasons) == 5  # every outcome of both dimension ranges
+
+
+@st.composite
+def _period_cases(draw):
+    """A tree's diagram with lawful periods, or any diagram that
+    constructs, with up to three edges then given another period or none."""
+    if draw(st.booleans()):
+        tree = tree_to_diagram(draw(_colored_trees), draw(st.integers(1, 4)))
+        diagram = period_labelled(draw(st.randoms(use_true_random=False)), tree)
+    else:
+        diagram = draw(constructible_diagrams())
+    edges = list(diagram.edges)
+    if edges:
+        for i in draw(st.lists(st.integers(0, len(edges) - 1), max_size=3)):
+            edges[i] = replace(edges[i], period=draw(st.sampled_from((None, 1, 2, 3, 4, 6, 8))))
+    return Diagram(diagram.dimension, tuple(edges), diagram.vertices)
+
+
+def _period_outcome(check, diagram):
+    try:
+        return check(diagram)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_period_cases())
+def test_period_rule_equals_the_branched_rule(diagram):
+    assert (_period_outcome(check_period_consistency, diagram)
+            == _period_outcome(branched_period_consistency, diagram))

@@ -11,11 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bifgraph import (
-    TERMINAL, ColoredTree, Diagram, DiagramError, Edge, EnumerationSpec, SchemaError,
-    SimpleGraph, builtin_table, check_period_consistency, emit_diagram, emit_dot,
-    emit_graph, enumerate_colored, junction, mary_to_binary, nonadmissible_period_fixture,
-    parse_diagram, parse_graph, parse_matroid, parse_tree, period_doubling, saddle_node,
-    to_clique, to_star, tree_to_diagram, validate_diagram,
+    TERMINAL, BifurcationKind, ColoredTree, Diagram, DiagramError, Edge, EnumerationSpec,
+    SchemaError, SimpleGraph, Vertex, builtin_table, check_period_consistency, emit_diagram,
+    emit_dot, emit_graph, enumerate_colored, junction, mary_to_binary,
+    nonadmissible_period_fixture, parse_diagram, parse_graph, parse_matroid, parse_tree,
+    period_doubling, saddle_node, to_clique, to_star, tree_to_diagram, validate_diagram,
 )
 from bifgraph.cli import main
 from bifgraph.documents import emit_binary_tree, write_trees_dot, write_trees_json
@@ -99,7 +99,7 @@ _DOUBLING_EDGES = [{"id": "p", "index": 1, "endpoints": ["terminal", "v"]},
                    {"id": "c1", "index": 1, "endpoints": ["v", "terminal"]}]
 
 
-@pytest.mark.parametrize("edges, vertices, path, message", [
+_STRUCTURAL_FAULTS = [
     (_SN_EDGES[:1] + [{"id": "b", "index": -1, "endpoints": ["v", "w"]}],
      [{"id": "v", "kind": "saddle_node"}],
      "$.edges[1].endpoints[1]", "edge 'b' references missing vertex 'w'"),
@@ -118,7 +118,10 @@ _DOUBLING_EDGES = [{"id": "p", "index": 1, "endpoints": ["terminal", "v"]},
     (_DOUBLING_EDGES + [{"id": "q", "index": 0, "endpoints": ["terminal", "terminal"]}],
      [{"id": "v", "kind": "period_doubling", "parentEdge": "q"}],
      "$.vertices[0].parentEdge", "parent edge 'q' is not incident to vertex 'v'"),
-])
+]
+
+
+@pytest.mark.parametrize("edges, vertices, path, message", _STRUCTURAL_FAULTS)
 def test_structural_errors_name_their_json_path(edges, vertices, path, message, tmp_path):
     doc = {"schemaVersion": "1", "dimension": 2, "edges": edges, "vertices": vertices}
     with pytest.raises(SchemaError) as err:
@@ -129,6 +132,26 @@ def test_structural_errors_name_their_json_path(edges, vertices, path, message, 
     for argv in (["validate", str(file)], ["validate", str(file), "--json"]):
         assert _run_cli(argv) == {"stdout": "", "stderr": f"error: {path}: {message}\n",
                                   "exit": 2}
+
+
+@pytest.mark.parametrize("edges, vertices, path, message", _STRUCTURAL_FAULTS + [
+    (_SN_EDGES + _SN_EDGES[1:], [{"id": "v", "kind": "saddle_node"}],
+     "$.edges", "edge ids must be unique"),
+    (_SN_EDGES, [{"id": "v", "kind": "saddle_node"}] * 2,
+     "$.vertices", "vertex ids must be unique"),
+])
+def test_built_diagrams_locate_their_structural_errors(edges, vertices, path, message):
+    """``Diagram`` itself names the path that ``parse_diagram`` reports."""
+    doc = {"schemaVersion": "1", "dimension": 2, "edges": edges, "vertices": vertices}
+    with pytest.raises(SchemaError) as parsed:
+        parse_diagram(doc)
+    assert parsed.value.path == path
+    ends = [tuple(TERMINAL if x == "terminal" else x for x in e["endpoints"]) for e in edges]
+    with pytest.raises(DiagramError) as built:
+        Diagram(2, tuple(Edge(e["id"], e["index"], end) for e, end in zip(edges, ends)),
+                tuple(Vertex(v["id"], BifurcationKind(v["kind"]), v.get("parentEdge"))
+                      for v in vertices))
+    assert ("$" + built.value.where, str(built.value)) == (path, message)
 
 
 def test_fixture_parses_and_fails_only_on_periods():
