@@ -16,7 +16,7 @@ from .diagram import (
 )
 from .laws import (
     COLOR_OF, INDEX_VALUES, BifurcationKind, LawEntry, LawTable,
-    allowed_child_multisets, allowed_splits, builtin_table, is_admissible_star,
+    allowed_child_multisets, builtin_table, is_admissible_star,
     junction, kind_for_child_count, period_doubling,
     saddle_node, splits_for_child_count, type_m,
 )

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .laws import (
     SADDLE_NODE, PERIOD_DOUBLING, TYPE_M, JUNCTION,
-    BifurcationKind, LawTable, allowed_child_multisets, check_index,
+    BifurcationKind, LawTable, check_index, splits_for_child_count,
 )
 
 
@@ -463,15 +463,15 @@ def validate_diagram(diagram: Diagram, k: int, table: LawTable) -> ValidationRep
       period, or one ``period_partial`` when only some do.
 
     Each vertex's incident edges are read once.  Each law is looked up once
-    per call: the saddle-node pairs, and the child multisets per (kind,
-    parent index).
+    per call: the saddle-node pairs, and the child multisets per (child
+    count, parent index).
     """
     if table.dimension != diagram.dimension:
         raise ValueError(
             f"table dimension {table.dimension} != diagram dimension {diagram.dimension}")
     out: list[Violation] = []
     saddle_pairs = table.saddle_node_pairs()
-    allowed: dict = {}  # (kind, parent index) -> admissible child multisets
+    allowed: dict = {}  # (child count, parent index) -> admissible child multisets
 
     for v in diagram.vertices:
         incident = diagram._incident[v.id]
@@ -494,9 +494,9 @@ def validate_diagram(diagram: Diagram, k: int, table: LawTable) -> ValidationRep
                                      f"saddle-node pair {star} not admissible in "
                                      f"dimension {table.dimension}", vertex_id=v.id))
             continue
-        key = (v.kind, parent.index)
+        key = (len(kids), parent.index)
         if key not in allowed:
-            allowed[key] = allowed_child_multisets(table, *key)
+            allowed[key] = splits_for_child_count(table, *key)
         if star not in allowed[key]:
             out.append(Violation("law",
                                  f"vertex {v.id!r}: {parent.index} -> {star} not "

@@ -259,7 +259,13 @@ def count_sequence(k: int, d: int, n_max: int, mode=TreeMode.PLANE,
     """Exact numbers of admissible colored trees on n = 1..n_max nodes: each
     law rule (root color, child colors M, c children) is a rule of the count
     engine, weighted by C(k+1, c) times the orderings of M in plane mode."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
     table = table if table is not None else builtin_table(d)
+    if table.dimension != d:
+        raise ValueError(f"table dimension {table.dimension} != d = {d}")
     plane = TreeMode.coerce(mode) is TreeMode.PLANE
     rules = {color: [] for color in INDEX_VALUES}  # (weight, ((h, m), ...))
     for color, rs in rules.items():
@@ -334,9 +340,8 @@ def tree_to_diagram(tree: ColoredTree, dimension: int) -> Diagram:
         vid = f"v{eid}" if node.children else TERMINAL
         edges.append(_trusted(Edge, id=eid, index=node.color, ends=(upper_end, vid), period=None))
         if node.children:
-            kind = node.kind
-            parent = None if kind.name == "saddle_node" else eid
-            vertices.append(Vertex(vid, kind, parent_edge=parent))
+            parent = None if len(node.children) == 1 else eid
+            vertices.append(Vertex(vid, node.kind, parent_edge=parent))
             stack += [(child, vid) for child in reversed(node.children)]
     return Diagram(dimension, tuple(edges), tuple(vertices))
 

@@ -1,5 +1,5 @@
 """Admissibility laws for orbit-index colorings, organized as queryable
-tables keyed by bifurcation kind and parent index.
+tables keyed by child count, which implies the bifurcation kind, and parent index.
 
 Each rule in the dimension-specific catalogs lives in exactly one table
 entry; junction rules are generated on demand from the two decomposition
@@ -126,18 +126,15 @@ class LawEntry:
         elif sum(self.children) != self.parent:
             raise ValueError(
                 f"children {self.children} do not conserve parent index {self.parent}")
-        _check_forbidden(self.kind, self.parent, self.children)
-
-
-def _check_forbidden(kind: str, parent: int, children: tuple[int, ...]) -> None:
-    # a 0-index orbit never splits 0 -> (0,0) in a period doubling
-    if kind == PERIOD_DOUBLING and parent == 0 and children == (0, 0):
-        raise ValueError("period doubling 0 -> (0,0) is never admissible")
-    # +-1 -> (0, +-1, 0) is impossible for period multiplication in any dimension
-    if kind == TYPE_M and parent in (-1, 1) and sorted(children) == sorted((0, parent, 0)):
-        raise ValueError(f"type_m {parent} -> (0,{parent},0) is never admissible")
-    if kind == JUNCTION and len(set(children)) > 2:
-        raise ValueError("junction children may use at most two distinct indices")
+        # a 0-index orbit never splits 0 -> (0,0) in a period doubling
+        if self.kind == PERIOD_DOUBLING and self.parent == 0 and self.children == (0, 0):
+            raise ValueError("period doubling 0 -> (0,0) is never admissible")
+        # +-1 -> (0, +-1, 0) is impossible for period multiplication in any dimension
+        if (self.kind == TYPE_M and self.parent in (-1, 1)
+                and self.children == tuple(sorted((0, 0, self.parent)))):
+            raise ValueError(f"type_m {self.parent} -> (0,{self.parent},0) is never admissible")
+        if self.kind == JUNCTION and len(set(self.children)) > 2:
+            raise ValueError("junction children may use at most two distinct indices")
 
 
 # Junction decomposition families.  Each family generates, for a given child
@@ -160,11 +157,8 @@ def _junction_children(family: str, parent: int, n: int) -> tuple[int, ...] | No
             k = (n - 1) // 2
             return tuple(sorted((parent,) * (k + 1) + (-parent,) * k))
         return None
-    if family == ALL_ZERO:
-        if n % 3 == 0:
-            return (0,) * n
-        return None
-    raise ValueError(f"unknown junction family {family!r}")
+    # ALL_ZERO, the one family left: LawTable admits no other name
+    return (0,) * n if n % 3 == 0 else None
 
 
 @dataclass(frozen=True)
@@ -184,36 +178,36 @@ class LawTable:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
+        for family, parent in self.junction_families:
+            if family not in (DOUBLING, MULTIPLYING, ALL_ZERO):
+                raise ValueError(f"unknown junction family {family!r}")
+            check_index(parent)
 
     def saddle_node_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(tuple(sorted((e.parent, e.children[0])))
                          for e in self.entries if e.kind == SADDLE_NODE)
 
 
-def allowed_splits(table: LawTable, kind: BifurcationKind, parent: int) -> frozenset[LawEntry]:
-    """Every admissible child multiset for the given kind and parent index.
+def splits_for_child_count(table: LawTable, c: int, parent: int) -> frozenset[tuple[int, ...]]:
+    """Every admissible child multiset for a node with c children and the
+    given parent index; the kind follows from c.
 
-    An empty set means the parent index cannot undergo this bifurcation in
-    the table's dimension.
+    An empty set means the parent index cannot split this way in the
+    table's dimension.
     """
+    if c < 1:
+        raise ValueError("child count must be >= 1")
     check_index(parent)
-    if kind.name == JUNCTION:
-        n = kind.param
-        found = {e for e in table.entries
-                 if e.kind == JUNCTION and e.parent == parent and len(e.children) == n}
-        for family, p in table.junction_families:
-            if p != parent:
-                continue
-            children = _junction_children(family, p, n)
-            if children is not None:
-                found.add(LawEntry(JUNCTION, parent, children))
-        return frozenset(found)
-    wanted = kind.name
-    return frozenset(e for e in table.entries if e.kind == wanted and e.parent == parent)
+    found = {e.children for e in table.entries if e.parent == parent and len(e.children) == c}
+    if c >= 4:
+        found.update(_junction_children(family, parent, c)
+                     for family, p in table.junction_families if p == parent)
+        found.discard(None)
+    return frozenset(found)
 
 
 def allowed_child_multisets(table: LawTable, kind: BifurcationKind, parent: int) -> frozenset[tuple[int, ...]]:
-    return frozenset(e.children for e in allowed_splits(table, kind, parent))
+    return splits_for_child_count(table, kind.child_count, parent)
 
 
 def is_admissible_star(table: LawTable, kind: BifurcationKind, parent: int, children) -> bool:
@@ -225,17 +219,19 @@ def is_admissible_star(table: LawTable, kind: BifurcationKind, parent: int, chil
     return kids in allowed_child_multisets(table, kind, parent)
 
 
-def splits_for_child_count(table: LawTable, c: int, parent: int) -> frozenset[tuple[int, ...]]:
-    """Admissible child multisets for a tree node with c children (kind
-    implied by arity)."""
-    return allowed_child_multisets(table, kind_for_child_count(c), parent)
-
-
 # ---------------------------------------------------------------------------
 # Built-in tables
 # ---------------------------------------------------------------------------
 
-def _builtin_parts(d: int):
+@lru_cache(maxsize=None)
+def builtin_table(d: int) -> LawTable:
+    """The built-in admissibility table for phase-space dimension d.
+
+    Tables are nested in d and stabilize at d = 4: higher dimensions add no
+    further rules.
+    """
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
     entries: list[LawEntry] = [LawEntry(SADDLE_NODE, 1, (-1,), (1,)),
                                LawEntry(SADDLE_NODE, -1, (1,), (1,)),
                                LawEntry(PERIOD_DOUBLING, 1, (0, 1), (1, 2))]
@@ -253,17 +249,4 @@ def _builtin_parts(d: int):
         entries += [LawEntry(TYPE_M, 0, (0, 0, 0), (1, "m", "m")),
                     LawEntry(TYPE_M, 0, (0, -1, 1), (1, "m", "m"))]
         families.append((ALL_ZERO, 0))
-    return frozenset(entries), frozenset(families)
-
-
-@lru_cache(maxsize=None)
-def builtin_table(d: int) -> LawTable:
-    """The built-in admissibility table for phase-space dimension d.
-
-    Tables are nested in d and stabilize at d = 4: higher dimensions add no
-    further rules.
-    """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    entries, families = _builtin_parts(min(d, 4))
-    return LawTable(d, entries, families)
+    return LawTable(d, frozenset(entries), frozenset(families))

@@ -31,7 +31,9 @@ from bifgraph.documents import (
     SCHEMA_VERSION, _as_object, _expect, _graph_dot, _is_index, _is_int, kind_from_json,
 )
 from bifgraph.diagram import CycleCheck, PeriodReport, PeriodViolation, _saddle_node_cycles
-from bifgraph.laws import JUNCTION, PERIOD_DOUBLING, SADDLE_NODE, TYPE_M
+from bifgraph.laws import (
+    JUNCTION, PERIOD_DOUBLING, SADDLE_NODE, TYPE_M, _junction_children, check_index,
+)
 from bifgraph.graphs import _norm_edge, graph_from_mask
 from bifgraph.represent import _branch_vertices
 from bifgraph.spanning import _int_det, _laplacian
@@ -320,6 +322,26 @@ def random_law_table(rng: random.Random, mode: str) -> LawTable:
         "schemaVersion": "1", "dimension": rng.randint(1, 4), "mode": mode,
         "entries": [{"kind": _kind_json(e.kind, len(e.children)), "parent": e.parent,
                      "children": list(e.children)} for e in entries]})
+
+
+def kind_keyed_child_multisets(table: LawTable, kind, parent: int) -> frozenset:
+    """The kind-keyed lookup that ``splits_for_child_count`` replaced: the
+    entries of the kind and parent, plus for a junction one checked
+    ``LawEntry`` per generated family rule."""
+    check_index(parent)
+    if kind.name == JUNCTION:
+        n = kind.param
+        found = {e for e in table.entries
+                 if e.kind == JUNCTION and e.parent == parent and len(e.children) == n}
+        for family, p in table.junction_families:
+            if p != parent:
+                continue
+            children = _junction_children(family, p, n)
+            if children is not None:
+                found.add(LawEntry(JUNCTION, parent, children))
+        return frozenset(e.children for e in found)
+    return frozenset(e.children for e in table.entries
+                     if e.kind == kind.name and e.parent == parent)
 
 
 # -- listing: the cached recursive listers the by-size pass replaced ---------

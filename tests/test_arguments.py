@@ -4,9 +4,10 @@ test reaches."""
 import pytest
 
 from bifgraph import (
-    BifurcationKind, ColoredTree, CountTable, EigenvalueSpec, LawTable, Matroid, SimpleGraph,
-    all_graphs, builtin_table, complete_graph, count_kary_formula, graphs_isomorphic,
-    husimi_count, kind_for_child_count, ratio_sequence, share_sequence, tutte_11,
+    BifurcationKind, ColoredTree, CountTable, Diagram, DiagramError, EigenvalueSpec, LawTable,
+    Matroid, SimpleGraph, all_graphs, builtin_table, complete_graph, count_kary_formula,
+    count_sequence, graphs_isomorphic, husimi_count, kind_for_child_count, ratio_sequence,
+    share_sequence, tutte_11,
 )
 
 
@@ -23,15 +24,28 @@ from bifgraph import (
     (lambda: BifurcationKind("fold"), "unknown bifurcation kind 'fold'"),
     (lambda: BifurcationKind("saddle_node", 3), "saddle_node takes no parameter"),
     (lambda: LawTable(0, frozenset()), "dimension must be >= 1"),
+    (lambda: LawTable(2, frozenset(), frozenset({("bogus", 1)})),
+     "unknown junction family 'bogus'"),
+    (lambda: LawTable(2, frozenset(), frozenset({("doubling", 2)})),
+     "orbit index must be -1, 0 or \\+1, got 2"),
     (lambda: builtin_table(0), "dimension must be >= 1"),
     (lambda: Matroid(["a", "a"], lambda s: True), "must be distinct"),
     (lambda: tutte_11(complete_graph(7)), "limited to 20 edges"),
     (lambda: count_kary_formula(3, 0), "need n >= 1"),
     (lambda: kind_for_child_count(0), "child count must be >= 1"),
+    (lambda: count_sequence(0, 2, 5), "need k >= 1, got 0"),
+    (lambda: count_sequence(1, 2, -3), "need n_max >= 0, got -3"),
+    (lambda: count_sequence(1, 2, 6, table=builtin_table(4)), "table dimension 4 != d = 2"),
 ])
 def test_bad_arguments_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_a_diagram_of_dimension_zero_is_located_at_its_dimension():
+    with pytest.raises(DiagramError, match="dimension must be >= 1") as err:
+        Diagram(0, (), ())
+    assert err.value.where == ".dimension"
 
 
 def test_count_csv_skips_blank_rows():

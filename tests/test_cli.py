@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bifgraph
@@ -325,6 +325,10 @@ def test_classify_disconnected_exits_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--k", "0", "--d", "4", "--n", "3"],
+    ["ratio", "--k1", "0", "--k2", "1", "--d", "4", "--n-max", "5"],
+    ["ratio", "--k1", "1", "--k2", "2", "--d", "4", "--n-max", "-3"],
+    ["share", "--k", "0", "--d1", "1", "--d2", "2", "--n-max", "4"],
+    ["share", "--k", "1", "--d1", "1", "--d2", "2", "--n-max", "-3"],
     ["count", "--husimi", "1=2"],
     ["count", "--kary", "1", "3"],
     ["count", "--cactus", "x"],
@@ -543,3 +547,57 @@ def test_every_document_exits_zero_one_or_two(doc, command):
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([command[0], "-", *command[1:]])
     assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+
+
+_FLAG_SUBCOMMANDS = {c[0]: c[3] for c in COMMANDS
+                     if c[0] in ("enumerate", "ratio", "share", "count")}
+
+
+@st.composite
+def _flag_argv(draw) -> list:
+    """An argv for a subcommand that reads no document, built from its row
+    of ``cli.COMMANDS``: ints in -2..8 (``--n-max`` up to 40), each spec's
+    choices, and size specs with sizes 1..5 and counts -1..3.  One argument
+    of a required group is given, and each optional one or not.
+    ``--law-table`` names a document, so it is left out."""
+    name = draw(st.sampled_from(sorted(_FLAG_SUBCOMMANDS)))
+    arguments = _FLAG_SUBCOMMANDS[name]
+    group = [a for a in arguments if a[2]]
+    chosen = draw(st.sampled_from(group)) if group else None
+    values = {}
+    for argument in arguments:
+        flags, options, one_of = argument
+        options = dict(options)
+        flag = flags[0]
+        if flag == "--law-table" or (one_of and argument is not chosen):
+            continue
+        if not (one_of or options.get("required") or draw(st.booleans())):
+            continue
+        if options.get("action") == "store_true":
+            values[flag] = []
+        elif "choices" in options:
+            values[flag] = [draw(st.sampled_from(options["choices"]))]
+        elif options.get("metavar") == "SPEC":
+            pairs = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(-1, 3)), max_size=4))
+            values[flag] = [",".join(f"{size}={count}" for size, count in pairs)]
+        else:
+            high = 40 if flag == "--n-max" else 8
+            values[flag] = [str(draw(st.integers(-2, high)))
+                            for _ in range(options.get("nargs", 1))]
+    # listing trees of 5 or more nodes at k = 8 reaches six-figure counts
+    assume(values.get("--emit") not in (["json"], ["dot"]) or int(values["--n"][0]) <= 4)
+    return [name] + [word for flag, rest in values.items() for word in (flag, *rest)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(_flag_argv())
+def test_every_flag_value_exits_zero_or_two(argv):
+    """Each subcommand that reads no document exits 0 or 2 on any value of
+    its flags and prints no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the value itself
+            code = exc.code
+    assert code in (0, 2) and "Traceback" not in err.getvalue(), (argv, err.getvalue())

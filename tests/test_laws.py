@@ -1,13 +1,17 @@
 """Law-table content and invariants."""
 
+import random
+
 import pytest
 
 from bifgraph import (
     LawEntry, SchemaError, allowed_child_multisets, builtin_table, is_admissible_star,
-    junction, period_doubling, splits_for_child_count, type_m,
+    junction, kind_for_child_count, period_doubling, splits_for_child_count, type_m,
     load_law_table,
 )
 from bifgraph.laws import JUNCTION, PERIOD_DOUBLING, SADDLE_NODE, TYPE_M
+
+from helpers import kind_keyed_child_multisets, random_law_table
 
 
 def test_saddle_node_pairs_by_dimension():
@@ -125,6 +129,21 @@ def test_splits_for_child_count_routes_by_arity():
     assert splits_for_child_count(t4, 2, 1) == {(0, 1)}
     assert splits_for_child_count(t4, 3, 0) == {(0, 0, 0), (-1, 0, 1)}
     assert splits_for_child_count(t4, 6, 0) == {(0,) * 6}
+
+
+def test_child_count_lookup_equals_the_kind_keyed_lookup():
+    rng = random.Random("kind-keyed lookup")
+    tables = [builtin_table(d) for d in range(1, 6)]
+    tables += [random_law_table(rng, mode) for mode in ("extend", "replace") for _ in range(50)]
+    for table in tables:
+        for parent in (-1, 0, 1):
+            for c in range(1, 10):
+                kind = kind_for_child_count(c)
+                want = kind_keyed_child_multisets(table, kind, parent)
+                assert splits_for_child_count(table, c, parent) == want, (table, c, parent)
+                assert allowed_child_multisets(table, kind, parent) == want
+            assert (allowed_child_multisets(table, type_m(None), parent)
+                    == allowed_child_multisets(table, type_m(5), parent))
 
 
 def test_load_law_table_extend():
