@@ -54,6 +54,11 @@ vertices during the search instead of reading them off the blocks;
 ``has_vamos_minor`` on the graphic matroid of K6 and on the Vamos matroid
 plus 3 coloops, against the restriction sweep ``swept_vamos_minor`` that
 its mask filter replaced and the split search ``searched_vamos_minor``.
+The coloops are added once through a ``Matroid`` oracle on frozensets, as
+a user writes one, and once through ``from_bases``, whose oracle answers
+on masks.  ``from_bases`` itself, with the rank of what it builds, runs on
+the bases of the Vamos matroid with 0 and 3 coloops, against
+``set_from_bases``, which checks basis exchange and answers on frozensets.
 
 Topic ``spanning``: the spanning-tree counts.  ``tutte_11`` on K6 and on
 two disjoint copies of C5, against ``relabeled_tutte_11``, which relabels
@@ -101,9 +106,9 @@ from bifgraph.documents import write_trees_dot, write_trees_json  # noqa: E402
 from helpers import (  # noqa: E402
     cached_canonical_trees, cached_free_trees, disjoint_union, dumped_diagram, dumped_graph,
     dumped_trees_json, eager_parse_diagram, formatted_trees_dot, period_labelled,
-    relabeled_tutte_11, searched_diamond_minor, searched_vamos_minor, sn_cycle,
+    relabeled_tutte_11, searched_diamond_minor, searched_vamos_minor, set_from_bases, sn_cycle,
     stepwise_validate_diagram, swept_all_graphs, swept_vamos_minor, tracked_block_decomposition,
-    triangle_cactus,
+    triangle_cactus, vamos_bases,
 )
 
 RUNS = 5
@@ -208,6 +213,16 @@ def vamos_with_coloops(k: int) -> bg.Matroid:
     extra = tuple(f"z{i}" for i in range(k))
     return bg.Matroid(base.ground + extra,
                       lambda s: base.is_independent(s - set(extra)), name="vamos+coloops")
+
+
+def rank_of_built(build: Callable) -> Callable:
+    """``build(ground, bases)`` as a function that returns the rank of the
+    matroid it builds."""
+    def rank(ground, bases) -> int:
+        return build(ground, bases).rank
+
+    rank.__name__ = build.__name__
+    return rank
 
 
 # -- inputs and adapters: cli --------------------------------------------------
@@ -349,6 +364,12 @@ TOPICS = {
             lambda: (bg.graphic_matroid(bg.complete_graph(6)),), VAMOS_ORACLES),
         Row(bg.has_vamos_minor, "vamos + 3 coloops", lambda: (vamos_with_coloops(3),),
             VAMOS_ORACLES),
+        Row(bg.has_vamos_minor, "vamos + 3 coloops, from bases",
+            lambda: (bg.from_bases(*vamos_bases(3)),), VAMOS_ORACLES),
+        Row(rank_of_built(bg.from_bases), "vamos bases", lambda: vamos_bases(0),
+            (rank_of_built(set_from_bases),)),
+        Row(rank_of_built(bg.from_bases), "vamos + 3 coloops bases", lambda: vamos_bases(3),
+            (rank_of_built(set_from_bases),)),
     ),
     "spanning": (
         Row(bg.tutte_11, "K6", lambda: (bg.complete_graph(6),), (relabeled_tutte_11,)),

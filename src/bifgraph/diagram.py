@@ -466,6 +466,8 @@ def validate_diagram(diagram: Diagram, k: int, table: LawTable) -> ValidationRep
     per call: the saddle-node pairs, and the child multisets per (child
     count, parent index).
     """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     if table.dimension != diagram.dimension:
         raise ValueError(
             f"table dimension {table.dimension} != diagram dimension {diagram.dimension}")

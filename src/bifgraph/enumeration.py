@@ -280,8 +280,10 @@ def count_sequence(k: int, d: int, n_max: int, mode=TreeMode.PLANE,
 def count_colored(k: int, d: int, n: int, mode=TreeMode.PLANE,
                   table: LawTable | None = None) -> int:
     """Exact number of admissible colored trees on n nodes (0 for n < 1):
-    the last entry of ``count_sequence``, in either mode."""
-    return count_sequence(k, d, n, mode, table)[-1] if n >= 1 else 0
+    the last entry of ``count_sequence``, in either mode, which checks the
+    arguments for every n."""
+    counts = count_sequence(k, d, max(n, 0), mode, table)
+    return counts[-1] if counts else 0
 
 
 # ---------------------------------------------------------------------------

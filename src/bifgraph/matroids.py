@@ -18,19 +18,29 @@ class Matroid:
     """Ground set plus a memoized independence oracle.
 
     Each ground element owns one bit, and queries are memoised by the int
-    mask of the set.  The oracle receives a frozenset, built only when the
-    memo misses.  A minor from ``matroid_minor`` keeps its parent's bits,
+    mask of the set.  The oracle given here receives a frozenset, built
+    only when the memo misses; the built-in matroids answer on the mask
+    itself.  A minor from ``matroid_minor`` keeps its parent's bits,
     oracle and memo: its query of a mask is the parent's query of that mask
     together with the contracted mask, so every minor of one matroid shares
     one memo.
     """
 
     def __init__(self, ground, indep, name: str = "matroid"):
-        self.ground = tuple(ground)
-        self._bit = {e: 1 << i for i, e in enumerate(self.ground)}
-        if len(self._bit) != len(self.ground):
+        ground = tuple(ground)
+
+        def on_mask(mask: int) -> bool:
+            return bool(indep(frozenset(e for i, e in enumerate(ground) if mask >> i & 1)))
+
+        self._fill(ground, on_mask, name)
+
+    def _fill(self, ground: tuple, indep, name: str) -> None:
+        """Set up a matroid whose oracle ``indep`` answers on the mask with
+        bit i for ``ground[i]``."""
+        self.ground = ground
+        self._bit = {e: 1 << i for i, e in enumerate(ground)}
+        if len(self._bit) != len(ground):
             raise ValueError("ground set elements must be distinct")
-        self._elements = self.ground  # decodes a mask for the oracle
         self._contracted = 0
         self._indep = indep
         self._memo: dict[int, bool] = {0: True}
@@ -42,7 +52,7 @@ class Matroid:
         minor = object.__new__(Matroid)
         minor.ground = tuple(ground)
         minor._bit = {e: self._bit[e] for e in minor.ground}
-        minor._elements, minor._indep, minor._memo = self._elements, self._indep, self._memo
+        minor._indep, minor._memo = self._indep, self._memo
         minor._contracted = self._contracted | contracted
         minor.name = name
         return minor
@@ -61,8 +71,7 @@ class Matroid:
         mask |= self._contracted
         got = self._memo.get(mask)
         if got is None:
-            chosen = frozenset(e for i, e in enumerate(self._elements) if mask >> i & 1)
-            got = self._memo[mask] = bool(self._indep(chosen))
+            got = self._memo[mask] = self._indep(mask)
         return got
 
     def _rank(self, mask: int) -> int:
@@ -102,9 +111,18 @@ class Matroid:
         return f"Matroid({self.name}, |E|={len(self.ground)})"
 
 
+def _on_masks(ground, indep, name: str) -> Matroid:
+    """A matroid whose oracle ``indep`` answers on the mask with bit i for
+    ``ground[i]``."""
+    m = object.__new__(Matroid)
+    m._fill(tuple(ground), indep, name)
+    return m
+
+
 def graphic_matroid(g) -> Matroid:
     """Edges of a graph, independent exactly when they form a forest."""
-    return Matroid(tuple(g.sorted_edges()), partial(_is_forest, g.n), name="graphic")
+    edges = tuple(g.sorted_edges())
+    return _on_masks(edges, partial(_is_forest, g.n, edges), "graphic")
 
 
 def from_bases(ground, bases) -> Matroid:
@@ -120,27 +138,30 @@ def from_bases(ground, bases) -> Matroid:
     sizes = {len(b) for b in basis_sets}
     if len(sizes) != 1:
         raise ValueError("bases must share one size")
+    bit = {e: 1 << i for i, e in enumerate(ground)}
+    masks = [sum(bit[e] for e in b) for b in basis_sets]
     # Exchange axiom: for bases B1, B2 and x in B1 - B2, some y in B2 - B1
     # makes B1 - x + y a basis.  fills[B - x] holds every y that completes
     # B - x to a basis (x among them), so B2 must meet fills[B1 - x].
-    fills: dict[frozenset, set] = {}
-    drops = []
-    for b in basis_sets:
-        row = []
-        for x in b:
-            fill = fills.setdefault(b - {x}, set())
-            fill.add(x)
-            row.append(fill)
-        drops.append(row)
-    for i, row in enumerate(drops):
-        for j, b2 in enumerate(basis_sets):
-            if any(fill.isdisjoint(b2) for fill in row):
-                raise ValueError(f"bases[{i}] and bases[{j}] break the basis exchange axiom")
+    fills: dict[int, int] = {}
+    for b in masks:
+        for x in bit.values():
+            if b & x:
+                fills[b ^ x] = fills.get(b ^ x, 0) | x
+    # document order: the oracle's scan stops at the first basis holding the set
+    distinct = tuple(dict.fromkeys(masks))
+    if any(not fill & b for fill in set(fills.values()) for b in distinct):
+        # name the first failing pair in (i, j) order
+        for i, b1 in enumerate(masks):
+            row = [fills[b1 ^ x] for x in bit.values() if b1 & x]
+            for j, b2 in enumerate(masks):
+                if any(not fill & b2 for fill in row):
+                    raise ValueError(f"bases[{i}] and bases[{j}] break the basis exchange axiom")
 
-    def indep(subset: frozenset) -> bool:
-        return any(subset <= b for b in basis_sets)
+    def indep(mask: int) -> bool:
+        return any(mask & b == mask for b in distinct)
 
-    return Matroid(ground, indep, name="tabulated")
+    return _on_masks(ground, indep, "tabulated")
 
 
 VAMOS_GROUND = ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2")
@@ -155,20 +176,21 @@ VAMOS_CIRCUIT_QUADS = tuple(frozenset(q) for q in (
     ("b1", "b2", "d1", "d2"),
 ))
 
+_VAMOS_QUAD_MASKS = frozenset(sum(1 << VAMOS_GROUND.index(e) for e in q)
+                              for q in VAMOS_CIRCUIT_QUADS)
+
+
+def _vamos_independent(mask: int) -> bool:
+    """Independence in the Vamos matroid of a mask over ``VAMOS_GROUND``."""
+    size = mask.bit_count()
+    return size < 4 or size == 4 and mask not in _VAMOS_QUAD_MASKS
+
 
 def vamos() -> Matroid:
     """The rank-4 matroid on eight elements (two per diamond vertex) whose
     dependent quadruples are exactly the five diamond-edge pair unions.
     Representable over no field."""
-
-    def indep(subset: frozenset) -> bool:
-        if len(subset) > 4:
-            return False
-        if len(subset) == 4:
-            return subset not in VAMOS_CIRCUIT_QUADS
-        return True
-
-    return Matroid(VAMOS_GROUND, indep, name="vamos")
+    return _on_masks(VAMOS_GROUND, _vamos_independent, "vamos")
 
 
 def matroid_minor(m: Matroid, delete=(), contract=()) -> Matroid:

@@ -39,21 +39,24 @@ def _int_det(mat: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _is_forest(n: int, edges) -> bool:
-    """True when the edges on vertices 0..n-1 close no cycle (union-find)."""
+def _is_forest(n: int, edges, mask: int | None = None) -> bool:
+    """True when the edges on vertices 0..n-1 close no cycle (union-find);
+    with ``mask``, only the edges ``edges[i]`` whose bit i is set."""
+    if mask is None:
+        mask = (1 << len(edges)) - 1
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        u, v = edges[low.bit_length() - 1]
+        # find both roots, halving the paths: targets bind left to right
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
             return False
-        parent[ru] = rv
+        parent[u] = v
     return True
 
 

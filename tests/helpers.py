@@ -12,16 +12,16 @@ import random
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial
 
 from hypothesis import strategies as st
 
 from bifgraph import (
-    TERMINAL, ColoredTree, ConservationCheck, Diagram, Edge, LawEntry, LawTable, SimpleGraph,
-    ValidationReport, Vertex, Violation, builtin_table, canonical_trees, check_cycle_parity,
-    check_period_consistency, emit_dot, is_admissible_star, junction,
+    TERMINAL, ColoredTree, ConservationCheck, Diagram, Edge, LawEntry, LawTable, Matroid,
+    SimpleGraph, ValidationReport, Vertex, Violation, builtin_table, canonical_trees,
+    check_cycle_parity, check_period_consistency, emit_dot, is_admissible_star, junction,
     junction_periods_consistent, kind_for_child_count, load_law_table, matroid_minor,
     period_doubling, saddle_node, splits_for_child_count, to_star, tree_size,
     tree_to_diagram, type_m,
@@ -35,6 +35,7 @@ from bifgraph.laws import (
     JUNCTION, PERIOD_DOUBLING, SADDLE_NODE, TYPE_M, _junction_children, check_index,
 )
 from bifgraph.graphs import _norm_edge, graph_from_mask
+from bifgraph.matroids import VAMOS_CIRCUIT_QUADS, VAMOS_GROUND
 from bifgraph.represent import _branch_vertices
 from bifgraph.spanning import _int_det, _laplacian
 from bifgraph.trees import _tree_edges
@@ -764,6 +765,100 @@ def swept_vamos_minor(m) -> bool:
                        for eight in combinations(minor.ground, 8)):
                     return True
     return False
+
+
+# -- the frozenset oracles the built-in matroids answered with ------------------
+
+def listed_is_forest(n: int, edges) -> bool:
+    """True when the listed edges on vertices 0..n-1 close no cycle: the
+    union-find that took an edge list, with a find function."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def graphic_set_oracle(g: SimpleGraph):
+    """The graphic oracle on a frozenset of edges."""
+    return partial(listed_is_forest, g.n)
+
+
+def tabulated_set_oracle(bases):
+    """The tabulated oracle on a frozenset: a subset of some listed basis."""
+    basis_sets = [frozenset(b) for b in bases]
+    return lambda subset: any(subset <= b for b in basis_sets)
+
+
+def vamos_set_oracle(subset: frozenset) -> bool:
+    """The Vamos oracle on a frozenset: at most four elements, and no
+    circuit quadruple."""
+    if len(subset) > 4:
+        return False
+    if len(subset) == 4:
+        return subset not in VAMOS_CIRCUIT_QUADS
+    return True
+
+
+def set_exchange_check(bases) -> None:
+    """The basis-exchange check on frozensets: every (basis, dropped element)
+    fill set against every basis, in (i, j) order; ValueError naming the
+    first failing pair."""
+    basis_sets = [frozenset(b) for b in bases]
+    fills: dict[frozenset, set] = {}
+    drops = []
+    for b in basis_sets:
+        row = []
+        for x in b:
+            fill = fills.setdefault(b - {x}, set())
+            fill.add(x)
+            row.append(fill)
+        drops.append(row)
+    for i, row in enumerate(drops):
+        for j, b2 in enumerate(basis_sets):
+            if any(fill.isdisjoint(b2) for fill in row):
+                raise ValueError(f"bases[{i}] and bases[{j}] break the basis exchange axiom")
+
+
+def set_from_bases(ground, bases) -> Matroid:
+    """``from_bases`` on frozensets: the same checks and messages, the
+    exchange check of ``set_exchange_check``, and the tabulated frozenset
+    oracle behind the public ``Matroid``."""
+    ground = tuple(ground)
+    basis_sets = [frozenset(b) for b in bases]
+    if not basis_sets:
+        raise ValueError("need at least one basis")
+    stray = frozenset().union(*basis_sets) - set(ground)
+    if stray:
+        raise ValueError(f"basis elements not in the ground set: {', '.join(sorted(map(repr, stray)))}")
+    if len({len(b) for b in basis_sets}) != 1:
+        raise ValueError("bases must share one size")
+    set_exchange_check(basis_sets)
+    return Matroid(ground, tabulated_set_oracle(basis_sets), name="tabulated")
+
+
+def vamos_bases(coloops: int = 0) -> tuple[tuple, list]:
+    """Ground set and bases of the Vamos matroid plus ``coloops`` coloops
+    ``z0``, ``z1``, ...: every four-set but the circuit quadruples, with
+    the coloops added."""
+    extra = tuple(f"z{i}" for i in range(coloops))
+    bases = [b + extra for b in combinations(VAMOS_GROUND, 4)
+             if frozenset(b) not in VAMOS_CIRCUIT_QUADS]
+    return VAMOS_GROUND + extra, bases
+
+
+def mask_subset(ground, mask: int) -> frozenset:
+    """The elements ``ground[i]`` whose bit i is set in ``mask``."""
+    return frozenset(e for i, e in enumerate(ground) if mask >> i & 1)
 
 
 # -- free trees keyed by their centroid-rooted canonical form -------------------

@@ -5,9 +5,9 @@ import pytest
 
 from bifgraph import (
     BifurcationKind, ColoredTree, CountTable, Diagram, DiagramError, EigenvalueSpec, LawTable,
-    Matroid, SimpleGraph, all_graphs, builtin_table, complete_graph, count_kary_formula,
-    count_sequence, graphs_isomorphic, husimi_count, kind_for_child_count, ratio_sequence,
-    share_sequence, tutte_11,
+    Matroid, SimpleGraph, all_graphs, builtin_table, complete_graph, count_colored,
+    count_kary_formula, count_sequence, graphs_isomorphic, husimi_count, kind_for_child_count,
+    nonadmissible_period_fixture, ratio_sequence, share_sequence, tutte_11, validate_diagram,
 )
 
 
@@ -36,6 +36,9 @@ from bifgraph import (
     (lambda: count_sequence(0, 2, 5), "need k >= 1, got 0"),
     (lambda: count_sequence(1, 2, -3), "need n_max >= 0, got -3"),
     (lambda: count_sequence(1, 2, 6, table=builtin_table(4)), "table dimension 4 != d = 2"),
+    (lambda: count_colored(-5, 99, 0), "need k >= 1, got -5"),
+    (lambda: validate_diagram(nonadmissible_period_fixture(), -3, builtin_table(2)),
+     "need k >= 1, got -3"),
 ])
 def test_bad_arguments_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):

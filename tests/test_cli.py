@@ -339,11 +339,13 @@ def test_classify_disconnected_exits_two(tmp_path, capsys):
     ["classify", "@dir"],
     ["count", "--kary", "x", "3"],
     ["count", "--husimi", "2=x"],
+    ["validate", "@valid", "--k", "0"],
+    ["validate", "@valid", "--k", "-3"],
 ])
-def test_bad_input_exits_two_without_traceback(argv, tmp_path, capsys):
+def test_bad_input_exits_two_without_traceback(argv, tmp_path, valid_file, capsys):
     path = tmp_path / "array.json"
     path.write_text("[1,2]")
-    files = {"@array": str(path), "@dir": str(tmp_path)}
+    files = {"@array": str(path), "@dir": str(tmp_path), "@valid": valid_file}
     assert main([files.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -5,6 +5,8 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifgraph import (
     Matroid, SimpleGraph, complete_graph, connected_graphs, cycle_graph,
@@ -13,7 +15,9 @@ from bifgraph import (
 )
 from bifgraph.matroids import VAMOS_CIRCUIT_QUADS, VAMOS_GROUND, _vamos_candidates
 from helpers import (
-    is_vamos_restriction, random_connected_graph, searched_vamos_minor, swept_vamos_minor,
+    graphic_set_oracle, is_vamos_restriction, labeled_graphs, listed_is_forest, mask_subset,
+    random_connected_graph, random_graph, searched_vamos_minor, set_from_bases,
+    swept_vamos_minor, tabulated_set_oracle, vamos_bases, vamos_set_oracle,
 )
 
 
@@ -209,18 +213,137 @@ def _satisfies_exchange(bases) -> bool:
                for b1 in bs for b2 in bs for x in b1 - b2)
 
 
+def _outcome(build, ground, bases):
+    """None when ``build(ground, bases)`` accepts, else its ValueError text."""
+    try:
+        build(ground, bases)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 @pytest.mark.parametrize("ground, r", [("abcd", 2), ("abcde", 2), ("abcde", 3)])
 def test_from_bases_accepts_exactly_the_exchange_families(ground, r):
-    # every nonempty family of r-subsets, against the axiom as written
+    # every nonempty family of r-subsets, against the axiom as written and
+    # against the frozenset check, message for message
     subsets = ["".join(c) for c in combinations(ground, r)]
     for mask in range(1, 1 << len(subsets)):
         bases = [b for i, b in enumerate(subsets) if mask >> i & 1]
-        try:
-            from_bases(ground, bases)
-            accepted = True
-        except ValueError:
-            accepted = False
-        assert accepted == _satisfies_exchange(bases), bases
+        got = _outcome(from_bases, ground, bases)
+        assert got == _outcome(set_from_bases, ground, bases), bases
+        assert (got is None) == _satisfies_exchange(bases), bases
+
+
+def _graphic_bases(g: SimpleGraph) -> list:
+    """The maximal forests of g, each edge written as the string 'u-v'."""
+    edges = g.sorted_edges()
+    rank = g.n - len(g.components())
+    return [[f"{u}-{v}" for u, v in b] for b in combinations(edges, rank)
+            if listed_is_forest(g.n, b)]
+
+
+@st.composite
+def _bases_documents(draw):
+    """(ground, bases) of a matroid: the maximal forests of a graph on at
+    most five vertices, plus coloops and loops, up to 15 elements in all,
+    with the ground set, the bases and each basis shuffled."""
+    rng = draw(st.randoms(use_true_random=True))
+    g = random_graph(rng, rng.randint(1, 5), rng.random())
+    bases = _graphic_bases(g)
+    ground = [f"{u}-{v}" for u, v in g.sorted_edges()]
+    extra = rng.randint(0, 15 - len(ground))
+    coloops = [f"z{i}" for i in range(rng.randint(0, extra))]
+    loops = [f"x{i}" for i in range(extra - len(coloops))]
+    ground += coloops + loops
+    bases = [rng.sample(b + coloops, len(b) + len(coloops)) for b in bases]
+    rng.shuffle(ground)
+    rng.shuffle(bases)
+    return ground, bases
+
+
+@st.composite
+def _families(draw):
+    """(ground, bases) near the valid documents: a valid document with one
+    basis dropped or repeated, or a random family of r-subsets with
+    repeats; now and then a basis of another size, an element outside the
+    ground set, a repeated ground element or no basis at all."""
+    rng = draw(st.randoms(use_true_random=True))
+    if rng.random() < 0.4:
+        ground, bases = draw(_bases_documents())
+        i = rng.randrange(len(bases))
+        if len(bases) > 1 and rng.random() < 0.8:
+            return ground, bases[:i] + bases[i + 1:]
+        return ground, bases + [bases[i]]
+    ground = rng.sample("abcdefg", rng.randint(1, 7))
+    if rng.random() < 0.05:
+        ground.append(ground[-1])
+    pool = "abcdefgh" if rng.random() < 0.05 else ground
+    r = rng.randint(0, min(4, len(pool)))
+    count = rng.randint(1, 14) if rng.random() < 0.97 else 0
+    return ground, [rng.sample(pool, r - (r > 0 and rng.random() < 0.03))
+                    for _ in range(count)]
+
+
+@settings(deadline=None, max_examples=400)
+@given(_families())
+def test_from_bases_rejects_like_the_frozenset_check(doc):
+    ground, bases = doc
+    assert _outcome(from_bases, ground, bases) == _outcome(set_from_bases, ground, bases)
+
+
+def _assert_same_oracle(m, set_oracle, masks) -> None:
+    for mask in masks:
+        assert m._indep(mask) == set_oracle(mask_subset(m.ground, mask)), (m, mask)
+
+
+def test_mask_oracles_equal_the_set_oracles_exhaustively():
+    # every set of the graphic matroid of every graph on at most five
+    # vertices and of random graphs on six and seven vertices with at most
+    # 12 edges, of the bases documents of the same matroids, and of the
+    # Vamos matroid with up to four coloops
+    rng = random.Random(20)
+    graphs = [SimpleGraph.from_edges(n, edges) for n in range(1, 6)
+              for edges in labeled_graphs(n)]
+    for _ in range(12):
+        n = rng.choice((6, 7))
+        pairs = list(combinations(range(n), 2))
+        graphs.append(SimpleGraph.from_edges(n, rng.sample(pairs, rng.randint(7, 12))))
+    cases = [(graphic_matroid(g), graphic_set_oracle(g)) for g in graphs]
+    cases.append((vamos(), vamos_set_oracle))
+    for coloops in range(5):
+        ground, bases = vamos_bases(coloops)
+        cases.append((from_bases(ground, bases), tabulated_set_oracle(bases)))
+    for g in graphs:
+        ground = [f"{u}-{v}" for u, v in g.sorted_edges()]
+        bases = _graphic_bases(g)
+        cases.append((from_bases(ground, bases), tabulated_set_oracle(bases)))
+    assert max(len(m.ground) for m, _ in cases) == 12
+    for m, set_oracle in cases:
+        _assert_same_oracle(m, set_oracle, range(1 << len(m.ground)))
+
+
+@st.composite
+def _mask_matroids(draw):
+    """(built-in matroid, its frozenset oracle) on up to 15 elements: the
+    graphic matroid of a random graph, a bases document, or the Vamos
+    matroid plus up to seven coloops."""
+    kind = draw(st.sampled_from(["graphic", "bases", "vamos"]))
+    if kind == "graphic":
+        n = draw(st.integers(1, 7))
+        pairs = list(combinations(range(n), 2))
+        g = SimpleGraph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True,
+                                                     max_size=15)) if pairs else [])
+        return graphic_matroid(g), graphic_set_oracle(g)
+    ground, bases = (draw(_bases_documents()) if kind == "bases"
+                     else vamos_bases(draw(st.integers(0, 7))))
+    return from_bases(ground, bases), tabulated_set_oracle(bases)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_mask_matroids(), st.randoms(use_true_random=False))
+def test_mask_oracles_equal_the_set_oracles(case, rng):
+    m, set_oracle = case
+    _assert_same_oracle(m, set_oracle, [rng.getrandbits(len(m.ground)) for _ in range(64)])
 
 
 def test_vamos_minor_examples():
