@@ -66,6 +66,13 @@ each component and each contraction to consecutive vertices;
 ``spanning_count_kirchhoff`` on K30, and on two disjoint copies of K15,
 where the connectivity check answers before any determinant.
 
+Topic ``count``: the count engine.  ``count_sequence`` in plane mode for
+k=1 d=4 at n = 100, 220 and 1,000, k=2 d=4 at n = 200 and k=2 d=2 at
+n = 400, and in free mode for k=2 d=4 at n = 400, each against
+``per_color_count_sequence``, the engine that filled one series per color
+before colors with equal series were merged into one class.  In d = 2 no
+two colors merge.
+
 Topic ``cli``: ``bifgraph.cli.main``, which builds only the named
 subcommand's parser, on one command line per subcommand, against
 ``through_the_full_parser``, the same call through the parser of every
@@ -105,10 +112,10 @@ from bifgraph.diagram import PeriodReport  # noqa: E402
 from bifgraph.documents import write_trees_dot, write_trees_json  # noqa: E402
 from helpers import (  # noqa: E402
     cached_canonical_trees, cached_free_trees, disjoint_union, dumped_diagram, dumped_graph,
-    dumped_trees_json, eager_parse_diagram, formatted_trees_dot, period_labelled,
-    relabeled_tutte_11, searched_diamond_minor, searched_vamos_minor, set_from_bases, sn_cycle,
-    stepwise_validate_diagram, swept_all_graphs, swept_vamos_minor, tracked_block_decomposition,
-    triangle_cactus, vamos_bases,
+    dumped_trees_json, eager_parse_diagram, formatted_trees_dot, per_color_count_sequence,
+    period_labelled, relabeled_tutte_11, searched_diamond_minor, searched_vamos_minor,
+    set_from_bases, sn_cycle, stepwise_validate_diagram, swept_all_graphs, swept_vamos_minor,
+    tracked_block_decomposition, triangle_cactus, vamos_bases,
 )
 
 RUNS = 5
@@ -295,6 +302,8 @@ def summary(value) -> str:
         return f"{len(value)} chars"
     if isinstance(value, Printed):
         return f"exit {value.code}, {len(value.out)} chars"
+    if type(value) is list and value and type(value[-1]) is int:  # a count sequence
+        return f"{len(value)} counts, the last of {value[-1].bit_length()} bits"
     if type(value) is tuple:  # a listing
         return f"{len(value)} listed"
     if isinstance(value, bg.Diagram):
@@ -379,6 +388,11 @@ TOPICS = {
         Row(bg.spanning_count_kirchhoff, "K15 + K15",
             lambda: (disjoint_union(bg.complete_graph(15), bg.complete_graph(15)),)),
     ),
+    "count": tuple(
+        Row(bg.count_sequence, f"k={k} d={d} n={n} {mode}", lambda a=(k, d, n, mode): a,
+            (per_color_count_sequence,))
+        for k, d, n, mode in ((1, 4, 100, "plane"), (1, 4, 220, "plane"), (1, 4, 1000, "plane"),
+                              (2, 4, 200, "plane"), (2, 4, 400, "free"), (2, 2, 400, "plane"))),
     "cli": (
         *(Row(printed(cli.main), line, command(line), (printed(through_the_full_parser),))
           for line in COMMAND_LINES),

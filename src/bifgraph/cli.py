@@ -87,14 +87,35 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+def _approx(v) -> float | None:
+    """The nearest float to a Fraction, or None beyond the float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return None
+
+
+def _json_row(n: int, value: str | None, approx: float | None) -> str:
+    """One row of ``_print_fractions`` in the text ``json.dumps`` gives it
+    as a member of a list, at indent 2 with sorted keys."""
+    value = "null" if value is None else f'"{value}"'
+    approx = "null" if approx is None else repr(approx)
+    return f'  {{\n    "approx": {approx},\n    "n": {n},\n    "value": {value}\n  }}'
+
+
 def _print_fractions(values, as_json: bool) -> None:
+    """One row per n: the exact value "p/q" and its nearest float ``approx``,
+    both null where the value is None; ``approx`` alone is null where the
+    value is beyond the float range.  JSON is written directly, in the text
+    of ``json.dumps(rows, indent=2, sort_keys=True)``."""
     digits = enumeration._digits
-    rows = [{"n": i + 1,
-             "value": None if v is None else f"{digits(v.numerator)}/{digits(v.denominator)}",
-             "approx": None if v is None else float(v)}
-            for i, v in enumerate(values)]
-    _emit(as_json, rows, "\n".join(["n,value,approx"] + [
-        f"{r['n']},{r['value']},{r['approx']}" for r in rows]))
+    rows = [(n, None, None) if v is None else
+            (n, f"{digits(v.numerator)}/{digits(v.denominator)}", _approx(v))
+            for n, v in enumerate(values, start=1)]
+    if as_json:
+        print("[\n" + ",\n".join(_json_row(*row) for row in rows) + "\n]" if rows else "[]")
+    else:
+        print("\n".join(["n,value,approx"] + [f"{n},{v},{a}" for n, v, a in rows]))
 
 
 def cmd_ratio(args) -> int:

@@ -254,11 +254,24 @@ def shape_coverage(spec: EnumerationSpec) -> tuple[int, int]:
 # Exact counts: law rules for the count engine
 # ---------------------------------------------------------------------------
 
+def _count_rules(k: int, table: LawTable, n_max: int, plane: bool) -> dict:
+    """The count engine's rules: each law rule (root color, child colors M,
+    c children) with c <= min(k+1, n_max-1), weighted by C(k+1, c) times the
+    orderings of M in plane mode."""
+    rules = {color: [] for color in INDEX_VALUES}  # (weight, ((h, m), ...))
+    for color, rs in rules.items():
+        for c in range(1, min(k + 1, n_max - 1) + 1):
+            for mset in splits_for_child_count(table, c, color):
+                parts = tuple(sorted(Counter(mset).items()))
+                orderings = factorial(c) // prod(factorial(m) for _, m in parts)
+                rs.append((comb(k + 1, c) * orderings if plane else 1, parts))
+    return rules
+
+
 def count_sequence(k: int, d: int, n_max: int, mode=TreeMode.PLANE,
                    table: LawTable | None = None) -> list[int]:
-    """Exact numbers of admissible colored trees on n = 1..n_max nodes: each
-    law rule (root color, child colors M, c children) is a rule of the count
-    engine, weighted by C(k+1, c) times the orderings of M in plane mode."""
+    """Exact numbers of admissible colored trees on n = 1..n_max nodes, from
+    the count engine on the law table's rules (``_count_rules``)."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if n_max < 0:
@@ -267,14 +280,7 @@ def count_sequence(k: int, d: int, n_max: int, mode=TreeMode.PLANE,
     if table.dimension != d:
         raise ValueError(f"table dimension {table.dimension} != d = {d}")
     plane = TreeMode.coerce(mode) is TreeMode.PLANE
-    rules = {color: [] for color in INDEX_VALUES}  # (weight, ((h, m), ...))
-    for color, rs in rules.items():
-        for c in range(1, min(k + 1, n_max - 1) + 1):
-            for mset in splits_for_child_count(table, c, color):
-                parts = tuple(sorted(Counter(mset).items()))
-                orderings = factorial(c) // prod(factorial(m) for _, m in parts)
-                rs.append((comb(k + 1, c) * orderings if plane else 1, parts))
-    return _count_series(rules, n_max, plane)
+    return _count_series(_count_rules(k, table, n_max, plane), n_max, plane)
 
 
 def count_colored(k: int, d: int, n: int, mode=TreeMode.PLANE,

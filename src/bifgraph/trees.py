@@ -18,6 +18,7 @@ A leaf is the empty tuple in every carrier.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from itertools import combinations, product
 from math import comb
@@ -195,8 +196,48 @@ def canonical_form(t) -> tuple:
 
 def _coefficient(s: list[int], t: list[int], n: int, j: int = 1) -> int:
     """Coefficient n of S(x^j) * T(x), where S has no constant term; reads
-    s[1..n // j] and t[0..n - j]."""
+    s[1..n // j] and t[0..n - j].  A square S(x)^2 takes each cross term
+    s_i s_(n-i) once and doubles it."""
+    if s is t and j == 1:
+        cross = 2 * sum(map(mul, s[1:(n + 1) // 2], s[n - 1:n // 2:-1]))
+        return cross + s[n // 2] ** 2 if n % 2 == 0 else cross
     return sum(map(mul, s[1:n // j + 1], t[n - j::-j]))
+
+
+def _quotient(rs: list, rep: dict, plane: bool) -> tuple:
+    """A root's rules with each child h replaced by ``rep[h]``, sorted, the
+    weights of equal parts summed.  In plane mode the factors of one class
+    combine into one power, since A_h^m A_g^l = A^(m+l) when A_h = A_g; in
+    free mode they stay separate factors, since MSET_m(A) MSET_l(A) is not
+    MSET_(m+l)(A)."""
+    out: dict = {}
+    for weight, parts in rs:
+        if plane:
+            kids: dict = {}
+            for h, m in parts:
+                kids[rep[h]] = kids.get(rep[h], 0) + m
+            parts = tuple(sorted(kids.items()))
+        else:
+            parts = tuple(sorted((rep[h], m) for h, m in parts))
+        out[parts] = out.get(parts, 0) + weight
+    return tuple(sorted((weight, parts) for parts, weight in out.items()))
+
+
+def _classes(rules: dict, plane: bool) -> tuple[dict, dict]:
+    """``{root: representative}`` of the coarsest stable partition of the
+    roots, in which two roots share a class when their rules, with every
+    child replaced by its class (``_quotient``), are equal; and those rules
+    of each representative.  Refined from one class until no class splits;
+    each representative is its class's least root."""
+    roots = sorted(rules)
+    rep = {root: roots[0] for root in roots}
+    while True:
+        groups: dict = {}
+        for root in roots:
+            groups.setdefault((rep[root], _quotient(rules[root], rep, plane)), []).append(root)
+        if len(groups) == len(set(rep.values())):
+            return rep, {root: quotient for root, quotient in groups}
+        rep = {root: members[0] for members in groups.values() for root in members}
 
 
 def _count_series(rules: dict, n_max: int, plane: bool) -> list[int]:
@@ -204,12 +245,24 @@ def _count_series(rules: dict, n_max: int, plane: bool) -> list[int]:
     is a leaf or has children by one of its ``rules[root]``, each
     ``(weight, ((child, multiplicity), ...))`` with sorted children.
 
+    Roots of one class of ``_classes`` have equal series A_root: every root
+    counts 1 at n = 1, and if the roots of each class agree below n, the
+    rules of two roots of a class, read over classes, give equal products
+    and so equal coefficients at n.  So one series is filled per class, over
+    the rules of its representative read over classes (``_quotient``), and
+    the total is the sum of class size times class series.  In dimension
+    d >= 3 the built-in tables are unchanged when every index is negated, so
+    -1 and +1 share a class, and 0 joins them when nodes have at most two
+    children.
+
     ``a[root][n]`` is filled in order of n: a rule adds its weight times
     coefficient n-1 of a product with one factor per child h of multiplicity
     m, ``A_h^m`` in plane mode and ``MSET_m(A_h)`` in free mode, from m Z_m(x)
     = sum_j A_h(x^j) Z_{m-j}(x).  No series has a constant term, so
     coefficient n-1 reads only trees of fewer nodes.
     """
+    rep, rules = _classes(rules, plane)
+    size = Counter(rep.values())
     keys = [parts for rs in rules.values() for _, parts in rs]
     a = {root: [0, 1] for root in rules}
     # series[parts]: the product of the factors (h, m) in parts; the factor
@@ -231,7 +284,7 @@ def _count_series(rules: dict, n_max: int, plane: bool) -> list[int]:
             series[parts].append(_coefficient(series[parts[-1:]], series[parts[:-1]], n))
         for root, rs in rules.items():
             a[root].append(sum(weight * series[parts][n] for weight, parts in rs))
-    return [sum(a[root][n] for root in rules) for n in range(1, n_max + 1)]
+    return [sum(size[root] * a[root][n] for root in rules) for n in range(1, n_max + 1)]
 
 
 def count_shapes(k: int, n: int, mode=TreeMode.PLANE) -> int:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial
+from operator import mul
 
 from hypothesis import strategies as st
 
@@ -31,6 +32,7 @@ from bifgraph.documents import (
     SCHEMA_VERSION, _as_object, _expect, _graph_dot, _is_index, _is_int, kind_from_json,
 )
 from bifgraph.diagram import CycleCheck, PeriodReport, PeriodViolation, _saddle_node_cycles
+from bifgraph.enumeration import _count_rules
 from bifgraph.laws import (
     JUNCTION, PERIOD_DOUBLING, SADDLE_NODE, TYPE_M, _junction_children, check_index,
 )
@@ -297,6 +299,45 @@ def plane_count(k: int, d: int, n: int, table: LawTable | None = None) -> int:
     return sum(_plane_trees(table, k + 1, n, c) for c in (-1, 0, 1))
 
 
+def _coefficient(s: list[int], t: list[int], n: int, j: int = 1) -> int:
+    """Coefficient n of S(x^j) * T(x), where S has no constant term."""
+    return sum(map(mul, s[1:n // j + 1], t[n - j::-j]))
+
+
+def per_color_count_series(rules: dict, n_max: int, plane: bool) -> list[int]:
+    """The count engine before it merged roots into classes: one series per
+    root, every rule read as written, products and powers over the roots
+    themselves.  See ``trees._count_series`` for the rules' format."""
+    keys = [parts for rs in rules.values() for _, parts in rs]
+    a = {root: [0, 1] for root in rules}
+    series = {((h, 1),): a[h] for h in rules}
+    series.update({((h, 0),): [1] + [0] * n_max for h in rules})
+    powers = sorted({(h, j) for parts in keys for h, m in parts for j in range(2, m + 1)})
+    products = sorted({parts[:i] for parts in keys for i in range(2, len(parts) + 1)}, key=len)
+    series.update({key: [0] for key in [((h, m),) for h, m in powers] + products})
+    for n in range(1, n_max):
+        for h, m in powers:
+            if plane:
+                got = _coefficient(a[h], series[((h, m - 1),)], n)
+            else:
+                got = sum(_coefficient(a[h], series[((h, m - j),)], n, j)
+                          for j in range(1, m + 1)) // m
+            series[((h, m),)].append(got)
+        for parts in products:
+            series[parts].append(_coefficient(series[parts[-1:]], series[parts[:-1]], n))
+        for root, rs in rules.items():
+            a[root].append(sum(weight * series[parts][n] for weight, parts in rs))
+    return [sum(a[root][n] for root in rules) for n in range(1, n_max + 1)]
+
+
+def per_color_count_sequence(k: int, d: int, n_max: int, mode: str = "plane",
+                             table: LawTable | None = None) -> list[int]:
+    """``count_sequence`` on the per-color engine ``per_color_count_series``."""
+    table = table if table is not None else builtin_table(d)
+    plane = mode == "plane"
+    return per_color_count_series(_count_rules(k, table, n_max, plane), n_max, plane)
+
+
 def _kind_json(kind: str, c: int):
     return kind if kind in ("saddle_node", "period_doubling") else {kind: c}
 
@@ -315,14 +356,25 @@ def legal_law_entries() -> list:
     return out
 
 
+def law_table_of(d: int, mode: str, entries) -> LawTable:
+    """The law-table document of ``entries`` in dimension d, loaded in
+    ``extend`` or ``replace`` mode."""
+    return load_law_table({
+        "schemaVersion": "1", "dimension": d, "mode": mode,
+        "entries": [{"kind": _kind_json(e.kind, len(e.children)), "parent": e.parent,
+                     "children": list(e.children)} for e in entries]})
+
+
 def random_law_table(rng: random.Random, mode: str) -> LawTable:
     """A law-table document of random legal entries (up to five children),
     loaded in ``extend`` or ``replace`` mode."""
     entries = rng.sample(legal_law_entries(), rng.randint(2, 12))
-    return load_law_table({
-        "schemaVersion": "1", "dimension": rng.randint(1, 4), "mode": mode,
-        "entries": [{"kind": _kind_json(e.kind, len(e.children)), "parent": e.parent,
-                     "children": list(e.children)} for e in entries]})
+    return law_table_of(rng.randint(1, 4), mode, entries)
+
+
+def negated(entry: LawEntry) -> LawEntry:
+    """The law entry with every index negated; legal whenever ``entry`` is."""
+    return LawEntry(entry.kind, -entry.parent, tuple(sorted(-c for c in entry.children)))
 
 
 def kind_keyed_child_multisets(table: LawTable, kind, parent: int) -> frozenset:

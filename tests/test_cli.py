@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import bifgraph
 from bifgraph import count_kary_formula, emit_diagram, nonadmissible_period_fixture
-from bifgraph.cli import COMMANDS, build_parser, main
+from bifgraph.cli import COMMANDS, _print_fractions, build_parser, main
 from bifgraph.documents import kind_from_json
 from helpers import chunked_digits, star_diagram
 
@@ -229,6 +230,36 @@ def test_ratio_and_share(capsys):
                  "--n-max", "2", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows[1]["value"] == "2/3"
+
+
+# (value, its nearest float or None beyond the float range)
+FRACTION_ROWS = [
+    (Fraction(1, 3), 1 / 3), (None, None), (Fraction(10**400, 3), None),
+    (Fraction(3, 10**400), 0.0), (Fraction(10**5000 + 1, 7), None),
+    (Fraction(10**300, 7), 10**300 / 7), (Fraction(5, 2), 2.5),
+]
+
+
+@pytest.mark.parametrize("rows", [[], FRACTION_ROWS[1:2], FRACTION_ROWS[:1], FRACTION_ROWS])
+def test_fraction_rows_are_the_bytes_of_json_dumps(rows, capsys):
+    _print_fractions([v for v, _ in rows], True)
+    want = [{"n": n, "approx": approx,
+             "value": None if v is None else
+             f"{chunked_digits(v.numerator)}/{chunked_digits(v.denominator)}"}
+            for n, (v, approx) in enumerate(rows, start=1)]
+    assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+def _reject(constant):
+    raise ValueError(f"not strict JSON: {constant}")
+
+
+def test_a_ratio_beyond_the_float_range_prints_exactly_with_a_null_approx(capsys):
+    _print_fractions([Fraction(10**400, 3)], True)
+    (row,) = json.loads(capsys.readouterr().out, parse_constant=_reject)
+    assert row == {"n": 1, "value": f"{10**400}/3", "approx": None}
+    _print_fractions([Fraction(10**400, 3)], False)
+    assert capsys.readouterr().out == f"n,value,approx\n1,{10**400}/3,None\n"
 
 
 def test_classify(capsys, graph_file):

@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifgraph import (
     ColoredTree, CountTable, EnumerationSpec, builtin_table, count_colored,
@@ -15,10 +17,12 @@ from bifgraph import (
     ratio_sequence, share_sequence, slot_trees, tree_to_diagram, validate_diagram,
 )
 from bifgraph.cli import main
-from bifgraph.enumeration import _orderings
+from bifgraph.enumeration import _count_rules, _orderings
+from bifgraph.trees import _classes
 from helpers import (
     cached_colored_trees, cached_ordered_trees, cached_slot_trees, chain_tree, chunked_digits,
-    distinct_children, plain_tree, plane_count, random_law_table,
+    distinct_children, law_table_of, legal_law_entries, negated, per_color_count_sequence,
+    plain_tree, plane_count, random_law_table,
 )
 
 
@@ -127,6 +131,91 @@ def test_count_sequence_on_random_law_tables(mode):
         assert count_sequence(k, d, 6, "free", table) == [
             len(enumerate_colored(EnumerationSpec(k, d, n, "free", table)))
             for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_count_sequence_equals_the_per_color_engine(k, d):
+    assert count_sequence(k, d, 120) == per_color_count_sequence(k, d, 120)
+    assert count_sequence(k, d, 40, "free") == per_color_count_sequence(k, d, 40, "free")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_builtin_classes_pair_minus_one_with_one_from_dimension_three(k, d):
+    """The built-in tables are unchanged by negating every index from d = 3
+    on, so -1 and +1 count once there; below d = 3 no two colors merge.
+    With at most two children (k = 1) from d = 3 on, 0 joins them too: each
+    color has a saddle-node rule with one child and a doubling rule with
+    two, so all three series are equal."""
+    want = {-1: -1, 0: -1 if d >= 3 and k == 1 else 0, 1: -1 if d >= 3 else 1}
+    for plane in (True, False):
+        assert _classes(_count_rules(k, builtin_table(d), k + 2, plane), plane)[0] == want
+
+
+def symmetric_law_table(rng: random.Random):
+    """Random entries and their negations: in extend mode over a built-in
+    table of dimension >= 3, which is itself symmetric, or in replace mode."""
+    entries = set(rng.sample(legal_law_entries(), rng.randint(1, 8)))
+    entries |= set(map(negated, entries))
+    if rng.random() < 0.5:
+        return law_table_of(rng.randint(3, 5), "extend", entries), entries
+    return law_table_of(rng.randint(1, 5), "replace", entries), entries
+
+
+def broken_law_table(rng: random.Random):
+    """A symmetric table with one entry of parent -1 or +1 added without its
+    negation, or, in replace mode, removed."""
+    table, entries = symmetric_law_table(rng)
+    sided = sorted((e for e in entries if e.parent), key=str)
+    if table.junction_families or not sided:  # extend mode keeps the built-in entries
+        entries = entries | {rng.choice([e for e in legal_law_entries()
+                                         if e.parent and negated(e) not in table.entries])}
+    else:
+        entries = entries - {rng.choice(sided)}
+    broken = law_table_of(table.dimension, "extend" if table.junction_families else "replace",
+                          entries)
+    assert set(map(negated, broken.entries)) != broken.entries
+    return broken
+
+
+def assert_engines_agree(k: int, table, n_plane: int, n_free: int) -> None:
+    d = table.dimension
+    assert count_sequence(k, d, n_plane, "plane", table) == \
+        per_color_count_sequence(k, d, n_plane, "plane", table)
+    assert count_sequence(k, d, n_free, "free", table) == \
+        per_color_count_sequence(k, d, n_free, "free", table)
+
+
+def test_count_sequence_equals_the_per_color_engine_on_random_law_tables():
+    rng = random.Random("per-color engine")
+    for i in range(60):
+        k = rng.randint(1, 4)
+        if i % 3 == 0:
+            table = random_law_table(rng, rng.choice(["extend", "replace"]))
+        elif i % 3 == 1:
+            table, _ = symmetric_law_table(rng)
+            for plane in (True, False):
+                rep, _ = _classes(_count_rules(k, table, 30, plane), plane)
+                assert rep[1] == rep[-1]
+        else:
+            table = broken_law_table(rng)
+        assert_engines_agree(k, table, 60, 20)
+
+
+@st.composite
+def _law_tables(draw):
+    entries = draw(st.sets(st.sampled_from(legal_law_entries()), max_size=10))
+    if draw(st.booleans()):
+        entries |= set(map(negated, entries))
+    return law_table_of(draw(st.integers(1, 5)), draw(st.sampled_from(["extend", "replace"])),
+                        entries)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 4), _law_tables())
+def test_count_sequence_equals_the_per_color_engine_by_hypothesis(k, table):
+    assert_engines_agree(k, table, 30, 12)
 
 
 def test_listers_match_the_cached_recursive_listers():
