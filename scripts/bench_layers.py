@@ -27,9 +27,9 @@ ring; ``check_period_consistency`` on a 300-node period-labelled tree.
 
 Topic ``emit``: listing and writing trees, diagrams and graphs.
 ``enumerate_colored`` lists k=2 d=4 n=7 plane and k=1 d=4 n=9 free trees;
-``write_trees_json`` (against ``dumped_trees_json``) and
-``write_trees_dot`` (against ``formatted_trees_dot``) write the k=2 d=4
-n=5 plane trees, each writer's text taken from a ``StringIO``;
+``trees_json`` (against ``dumped_trees_json``) and ``trees_dot``
+(against ``formatted_trees_dot``) write the k=2 d=4 n=5 plane trees, each
+generator's chunks joined into its text;
 ``emit_diagram`` (against ``dumped_diagram``) writes the 1,500-node tree
 diagram and ``emit_graph`` (against ``dumped_graph``) its clique graph.
 The last two rows list and write as JSON the two 400-node paths of a law
@@ -76,12 +76,12 @@ two colors merge.
 Topic ``cli``: ``bifgraph.cli.main``, which builds only the named
 subcommand's parser, on one command line per subcommand, against
 ``through_the_full_parser``, the same call through the parser of every
-subcommand (how every call was parsed before the subcommand table).  Both
-print to a buffer, and must print the same bytes and return the same exit
-code.  The documents a command line names are written to a temporary
-working directory before each call.  The last rows build each
-subcommand's own parser (``single_parser``) and the full parser
-(``build_parser``) alone.
+subcommand (how every call was parsed before the subcommand table), run
+by ``cli._run`` as ``main`` runs it.  Both print to a buffer, and must
+print the same bytes and return the same exit code.  The documents a
+command line names are written to a temporary working directory before
+each call.  The last rows build each subcommand's own parser
+(``single_parser``) and the full parser (``build_parser``) alone.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ import bifgraph as bg  # noqa: E402
 import helpers  # noqa: E402
 from bifgraph import cli  # noqa: E402
 from bifgraph.diagram import PeriodReport  # noqa: E402
-from bifgraph.documents import write_trees_dot, write_trees_json  # noqa: E402
+from bifgraph.documents import trees_dot, trees_json  # noqa: E402
 from helpers import (  # noqa: E402
     cached_canonical_trees, cached_free_trees, disjoint_union, dumped_diagram, dumped_graph,
     dumped_trees_json, eager_parse_diagram, formatted_trees_dot, per_color_count_sequence,
@@ -192,14 +192,12 @@ def listed(k: int, d: int, n: int, mode: str = "plane") -> tuple:
     return bg.enumerate_colored(bg.EnumerationSpec(k, d, n, mode))
 
 
-def text_of(write: Callable) -> Callable:
-    """``write(trees, out)`` as a function of the trees that returns the text."""
+def text_of(chunks: Callable) -> Callable:
+    """``chunks(trees)`` as a function of the trees that returns the joined text."""
     def text(trees) -> str:
-        out = io.StringIO()
-        write(trees, out)
-        return out.getvalue()
+        return "".join(chunks(trees))
 
-    text.__name__ = write.__name__
+    text.__name__ = chunks.__name__
     return text
 
 
@@ -281,8 +279,7 @@ def printed(run: Callable) -> Callable:
 
 
 def through_the_full_parser(argv) -> int:
-    args = cli.build_parser().parse_args(argv)
-    return args.func(args)
+    return cli._run(cli.build_parser().parse_args(argv))
 
 
 def single_parser(command) -> str:
@@ -336,16 +333,16 @@ TOPICS = {
         Row(bg.enumerate_colored, "k=2 d=4 n=7 plane", lambda: (bg.EnumerationSpec(2, 4, 7),)),
         Row(bg.enumerate_colored, "k=1 d=4 n=9 free",
             lambda: (bg.EnumerationSpec(1, 4, 9, "free"),)),
-        Row(text_of(write_trees_json), "k=2 d=4 n=5 plane trees", lambda: (listed(2, 4, 5),),
+        Row(text_of(trees_json), "k=2 d=4 n=5 plane trees", lambda: (listed(2, 4, 5),),
             (dumped_trees_json,)),
-        Row(text_of(write_trees_dot), "k=2 d=4 n=5 plane trees", lambda: (listed(2, 4, 5),),
+        Row(text_of(trees_dot), "k=2 d=4 n=5 plane trees", lambda: (listed(2, 4, 5),),
             (text_of(formatted_trees_dot),)),
         Row(bg.emit_diagram, "1,500-node tree", lambda: (tree_diagram(1500),), (dumped_diagram,)),
         Row(bg.emit_graph, "clique graph of the 1,500-node tree",
             lambda: (bg.to_clique(tree_diagram(1500)),), (dumped_graph,)),
         Row(bg.enumerate_colored, "400-node saddle-node paths, free",
             lambda: (saddle_node_paths(400),)),
-        Row(text_of(write_trees_json), "400-node saddle-node paths, free",
+        Row(text_of(trees_json), "400-node saddle-node paths, free",
             lambda: (bg.enumerate_colored(saddle_node_paths(400)),)),
     ),
     "graphs": (

@@ -4,6 +4,9 @@ Every subcommand is deterministic (identical inputs and flags give
 byte-identical output) and exits nonzero on validation failure, 2 on
 schema/usage errors.  The environment variable BIFGRAPH_LIMIT caps explicit
 enumeration sizes; --limit overrides it.
+
+A handler ``cmd_*(args)`` writes nothing: it returns its exit code and its
+stdout, a ``str`` or an iterable of ``str`` chunks.  Only ``_run`` writes stdout.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 
 from . import classes, documents, enumeration, matroids, represent, spanning, trees
@@ -48,29 +52,28 @@ def _table_for(args, dimension: int):
     return builtin_table(dimension)
 
 
-def _emit(as_json: bool, payload, text) -> None:
-    """Print ``payload`` as indented JSON with sorted keys, or else ``text``."""
-    print(json.dumps(payload, indent=2, sort_keys=True) if as_json else text)
+def _shown(as_json: bool, payload, text: str) -> str:
+    """``payload`` as indented JSON with sorted keys, or else ``text``; then a newline."""
+    return (json.dumps(payload, indent=2, sort_keys=True) if as_json else text) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[int, str]:
     diagram = documents.parse_diagram(_read(args.file))
-    table = _table_for(args, diagram.dimension)
-    report = validate_diagram(diagram, args.k, table)
+    report = validate_diagram(diagram, args.k, _table_for(args, diagram.dimension))
     lines = [f"violation [{v.code}] {v.message}" for v in report.violations] or [
         f"valid: member of the admissible family (k={args.k}, d={diagram.dimension})"]
-    _emit(args.json, {"valid": report.ok,
-                      "violations": [{"code": v.code, "message": v.message,
-                                      "vertexId": v.vertex_id, "edgeIds": list(v.edge_ids)}
-                                     for v in report.violations]}, "\n".join(lines))
-    return 0 if report.ok else 1
+    return 0 if report.ok else 1, _shown(
+        args.json, {"valid": report.ok,
+                    "violations": [{"code": v.code, "message": v.message,
+                                    "vertexId": v.vertex_id, "edgeIds": list(v.edge_ids)}
+                                   for v in report.violations]}, "\n".join(lines))
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple[int, str | Iterable[str]]:
     spec = enumeration.EnumerationSpec(args.k, args.d, args.n, args.mode,
                                        _table_for(args, args.d))
     if args.emit in ("counts", "csv"):
@@ -79,12 +82,9 @@ def cmd_enumerate(args) -> int:
                                             spec.resolved_table())
         for n, count in enumerate(counts, start=1):
             table.record(args.k, args.d, n, spec.mode, count, "count_sequence")
-        sys.stdout.write(table.to_csv())
-        return 0
+        return 0, table.to_csv()
     colored = enumeration.enumerate_colored(replace(spec, limit=_limit(args)))
-    write = documents.write_trees_json if args.emit == "json" else documents.write_trees_dot
-    write(colored, sys.stdout)
-    return 0
+    return 0, (documents.trees_json if args.emit == "json" else documents.trees_dot)(colored)
 
 
 def _approx(v) -> float | None:
@@ -96,14 +96,14 @@ def _approx(v) -> float | None:
 
 
 def _json_row(n: int, value: str | None, approx: float | None) -> str:
-    """One row of ``_print_fractions`` in the text ``json.dumps`` gives it
+    """One row of ``_fractions`` in the text ``json.dumps`` gives it
     as a member of a list, at indent 2 with sorted keys."""
     value = "null" if value is None else f'"{value}"'
     approx = "null" if approx is None else repr(approx)
     return f'  {{\n    "approx": {approx},\n    "n": {n},\n    "value": {value}\n  }}'
 
 
-def _print_fractions(values, as_json: bool) -> None:
+def _fractions(values, as_json: bool) -> str:
     """One row per n: the exact value "p/q" and its nearest float ``approx``,
     both null where the value is None; ``approx`` alone is null where the
     value is beyond the float range.  JSON is written directly, in the text
@@ -113,27 +113,24 @@ def _print_fractions(values, as_json: bool) -> None:
             (n, f"{digits(v.numerator)}/{digits(v.denominator)}", _approx(v))
             for n, v in enumerate(values, start=1)]
     if as_json:
-        print("[\n" + ",\n".join(_json_row(*row) for row in rows) + "\n]" if rows else "[]")
-    else:
-        print("\n".join(["n,value,approx"] + [f"{n},{v},{a}" for n, v, a in rows]))
+        return "[\n" + ",\n".join(_json_row(*row) for row in rows) + "\n]\n" if rows else "[]\n"
+    return "\n".join(["n,value,approx"] + [f"{n},{v},{a}" for n, v, a in rows]) + "\n"
 
 
-def cmd_ratio(args) -> int:
+def cmd_ratio(args) -> tuple[int, str]:
     values = enumeration.ratio_sequence(args.k1, args.k2, args.d, args.n_max,
                                         TreeMode.coerce(args.mode),
                                         _table_for(args, args.d))
-    _print_fractions(values, args.json)
-    return 0
+    return 0, _fractions(values, args.json)
 
 
-def cmd_share(args) -> int:
+def cmd_share(args) -> tuple[int, str]:
     values = enumeration.share_sequence(args.k, args.d1, args.d2, args.n_max,
                                         TreeMode.coerce(args.mode))
-    _print_fractions(values, args.json)
-    return 0
+    return 0, _fractions(values, args.json)
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[int, str]:
     g = documents.parse_graph(_read(args.file))
     if not g.is_connected():
         raise UsageError("classify needs a connected graph")
@@ -144,12 +141,11 @@ def cmd_classify(args) -> int:
         "claw_free": classes.is_claw_free(g),
         "diamond_minor": classes.has_diamond_minor(g),
     }
-    _emit(args.json, facts, "\n".join(f"{key}: {str(facts[key]).lower()}"
-                                      for key in sorted(facts)))
-    return 0
+    return 0, _shown(args.json, facts, "\n".join(f"{key}: {str(facts[key]).lower()}"
+                                                for key in sorted(facts)))
 
 
-def cmd_spanning(args) -> int:
+def cmd_spanning(args) -> tuple[int, str]:
     g = documents.parse_graph(_read(args.file))
     if args.method == "kirchhoff":
         count = spanning.spanning_count_kirchhoff(g)
@@ -158,36 +154,29 @@ def cmd_spanning(args) -> int:
     else:
         count = spanning.tutte_11(g)
     digits = enumeration._digits(count)
-    _emit(args.json, {"method": args.method, "count": digits,
-                      "connected": g.is_connected()}, digits)
-    return 0
+    return 0, _shown(args.json, {"method": args.method, "count": digits,
+                                 "connected": g.is_connected()}, digits)
 
 
-def cmd_repr(args) -> int:
+def cmd_repr(args) -> tuple[int, str]:
     if args.line:
-        g = documents.parse_graph(_read(args.file))
-        out = represent.line_graph(g)
+        out = represent.line_graph(documents.parse_graph(_read(args.file)))
     else:
         diagram = documents.parse_diagram(_read(args.file))
         out = represent.to_star(diagram) if args.star else represent.to_clique(diagram)
-    if args.emit == "json":
-        sys.stdout.write(documents.emit_graph(out))
-    else:
-        sys.stdout.write(documents.emit_dot(out))
-    return 0
+    return 0, (documents.emit_graph if args.emit == "json" else documents.emit_dot)(out)
 
 
-def cmd_matroid(args) -> int:
+def cmd_matroid(args) -> tuple[int, str]:
     m = documents.parse_matroid(_read(args.file))
     if args.vamos_minor:
         found = matroids.has_vamos_minor(m)
-        _emit(args.json, {"vamosMinor": found, "representable": None if not found else False},
-              "vamos minor present: non-representable over any field"
-              if found else "no vamos minor found")
-        return 1 if found else 0
-    _emit(args.json, {"groundSize": len(m.ground), "rank": m.rank},
-          f"ground size {len(m.ground)}, rank {m.rank}")
-    return 0
+        return 1 if found else 0, _shown(
+            args.json, {"vamosMinor": found, "representable": None if not found else False},
+            "vamos minor present: non-representable over any field"
+            if found else "no vamos minor found")
+    return 0, _shown(args.json, {"groundSize": len(m.ground), "rank": m.rank},
+                     f"ground size {len(m.ground)}, rank {m.rank}")
 
 
 def _int(option: str, text: str) -> int:
@@ -202,7 +191,7 @@ def _parse_sizes(option: str, text: str) -> dict[int, int]:
     return {_int(option, size): _int(option, count) for size, count in pairs}
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> tuple[int, str]:
     if args.kary:
         k, n = (_int("--kary", x) for x in args.kary)
         value = trees.count_kary_formula(k, n)
@@ -211,14 +200,12 @@ def cmd_count(args) -> int:
     else:
         value = classes.cactus_count(_parse_sizes("--cactus", args.cactus))
     digits = enumeration._digits(value)
-    _emit(args.json, {"count": digits}, digits)
-    return 0
+    return 0, _shown(args.json, {"count": digits}, digits)
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args) -> tuple[int, str]:
     tree = documents.parse_tree(_read(args.file))
-    sys.stdout.write(documents.emit_binary_tree(trees.mary_to_binary(tree)))
-    return 0
+    return 0, documents.emit_binary_tree(trees.mary_to_binary(tree))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _run(args) -> int:
+    """Call the parsed subcommand's handler and write its stdout; its exit code."""
+    code, out = args.func(args)
+    (sys.stdout.write if isinstance(out, str) else sys.stdout.writelines)(out)
+    return code
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # a named subcommand gets a parser of its own, which prints what the full
@@ -311,7 +305,7 @@ def main(argv=None) -> int:
         if extra:  # the full parser reports these as bifgraph's own error
             args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code = _run(args)
         sys.stdout.flush()
     except BrokenPipeError:  # the reader closed stdout: the flush at exit goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -11,6 +11,7 @@ inputs always produce byte-identical output.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -331,9 +332,9 @@ def emit_binary_tree(t) -> str:
 # Colored trees (enumerate --emit json|dot)
 # ---------------------------------------------------------------------------
 
-def write_trees_json(trees, out) -> None:
-    """Write colored trees to ``out``, one at a time, with the text of
-    ``json.dumps(docs, indent=2, sort_keys=True)`` plus a newline, where a
+def trees_json(trees) -> Iterator[str]:
+    """Colored trees in the text of ``json.dumps(docs, indent=2, sort_keys=True)``
+    plus a newline, one chunk per tree and then the closing one, where a
     tree's doc is {"children": [...], "color": c} and "slots" in plane mode.
 
     The text of each distinct subtree is built once and kept by ``id()``:
@@ -342,9 +343,9 @@ def write_trees_json(trees, out) -> None:
     memo: dict = {}  # id(subtree) -> (subtree, its text indented as a child)
     sep = "[\n  "
     for tree in trees:
-        out.write(sep + _tree_text(tree, memo).replace("\n", "\n  "))
+        yield sep + _tree_text(tree, memo).replace("\n", "\n  ")
         sep = ",\n  "
-    out.write("[]\n" if sep == "[\n  " else "\n]\n")
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
 def _tree_text(root, memo: dict) -> str:
@@ -372,12 +373,11 @@ def _json_array(items: list) -> str:
     return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
-def write_trees_dot(trees, out) -> None:
-    """Write each colored tree's star representation to ``out`` as a DOT
-    graph t0, t1, ...: the DOT of ``to_star(tree_to_diagram(tree, d))``
-    without building either.  Vertex i is the i-th node in preorder,
-    labelled e{i} and colored by its index; each parent links to its
-    children, in sorted order."""
+def trees_dot(trees) -> Iterator[str]:
+    """Each colored tree's star representation as a DOT graph t0, t1, ...,
+    one chunk per tree: the DOT of ``to_star(tree_to_diagram(tree, d))``
+    without building either.  Vertex i is the i-th node in preorder, labelled
+    e{i} and colored by its index; each parent links to its children, sorted."""
     vertex_lines: list[dict] = []  # [i][color]: the line of vertex i in that color
     edge_lines: dict = {}  # (u, v): the line of edge u -- v
     for t, tree in enumerate(trees):
@@ -400,7 +400,7 @@ def write_trees_dot(trees, out) -> None:
                 line = edge_lines[edge] = "  n%d -- n%d;\n" % edge
             lines.append(line)
         lines.append("}\n")
-        out.write("".join(lines))
+        yield "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +475,7 @@ def emit_dot(obj, name: str = "g") -> str:
 
 def _graph_dot(name: str, n: int, names, colors, edges) -> str:
     """DOT of a graph: vertices n0..n{n-1} with optional labels and colors,
-    then the edges in the order given (``write_trees_dot`` has its own)."""
+    then the edges in the order given (``trees_dot`` has its own)."""
     lines = [f"graph {name} {{"]
     for v in range(n):
         attrs = []

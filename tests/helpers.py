@@ -1255,9 +1255,9 @@ def dumped_graph(g: SimpleGraph) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def formatted_trees_dot(trees, out) -> None:
-    """``write_trees_dot`` as it was: each tree's preorder colors and sorted
-    edges through the general DOT formatter ``_graph_dot``."""
+def formatted_trees_dot(trees):
+    """``trees_dot`` as it was: each tree's preorder colors and sorted
+    edges through the general DOT formatter ``_graph_dot``, one chunk per tree."""
     for i, tree in enumerate(trees):
         colors, edges = [], []
         stack = [(tree, -1)]
@@ -1268,8 +1268,8 @@ def formatted_trees_dot(trees, out) -> None:
             stack += [(c, len(colors)) for c in reversed(node.children)]
             colors.append(node.color)
         edges.sort()
-        out.write(_graph_dot(f"t{i}", len(colors), [f"e{v}" for v in range(len(colors))],
-                             colors, edges))
+        yield _graph_dot(f"t{i}", len(colors), [f"e{v}" for v in range(len(colors))],
+                         colors, edges)
 
 
 def nested_parse_tree(doc) -> tuple:

@@ -7,7 +7,8 @@ from bifgraph import (
     BifurcationKind, ColoredTree, CountTable, Diagram, DiagramError, EigenvalueSpec, LawTable,
     Matroid, SimpleGraph, all_graphs, builtin_table, complete_graph, count_colored,
     count_kary_formula, count_sequence, graphs_isomorphic, husimi_count, kind_for_child_count,
-    nonadmissible_period_fixture, ratio_sequence, share_sequence, tutte_11, validate_diagram,
+    nonadmissible_period_fixture, ratio_sequence, share_sequence, splits_for_child_count, tutte_11,
+    validate_diagram,
 )
 
 
@@ -33,6 +34,8 @@ from bifgraph import (
     (lambda: tutte_11(complete_graph(7)), "limited to 20 edges"),
     (lambda: count_kary_formula(3, 0), "need n >= 1"),
     (lambda: kind_for_child_count(0), "child count must be >= 1"),
+    pytest.param(lambda: splits_for_child_count(builtin_table(2), 0, 1),
+                 "child count must be >= 1", id="splits_for_child_count-child count must be >= 1"),
     (lambda: count_sequence(0, 2, 5), "need k >= 1, got 0"),
     (lambda: count_sequence(1, 2, -3), "need n_max >= 0, got -3"),
     (lambda: count_sequence(1, 2, 6, table=builtin_table(4)), "table dimension 4 != d = 2"),

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 import bifgraph
 from bifgraph import count_kary_formula, emit_diagram, nonadmissible_period_fixture
-from bifgraph.cli import COMMANDS, _print_fractions, build_parser, main
+from bifgraph.cli import COMMANDS, _fractions, _run, build_parser, main
 from bifgraph.documents import kind_from_json
-from helpers import chunked_digits, star_diagram
+from helpers import chunked_digits, diagram_trees_dot, dumped_trees_json, star_diagram
 
 
 DATA = Path(__file__).parent / "data"
@@ -177,6 +177,27 @@ def test_enumerate_emit_output_is_unchanged(case, capsys, monkeypatch):
     assert capsys.readouterr().out == case["stdout"]
 
 
+class CountedWrites(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("emit", ["json", "dot"])
+def test_listed_trees_are_written_as_a_stream(emit, monkeypatch):
+    # at least one write per tree: joining the chunks before writing fails this
+    trees = bifgraph.enumerate_colored(bifgraph.EnumerationSpec(2, 4, 5))
+    assert len(trees) == 1587
+    out = CountedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["enumerate", "--k", "2", "--d", "4", "--n", "5", "--emit", emit]) == 0
+    assert out.writes >= len(trees)
+    want = dumped_trees_json(trees) if emit == "json" else diagram_trees_dot(trees, 4)
+    assert out.getvalue() == want
+
+
 # stdout, stderr and exit code of help and usage errors, recorded with the
 # parent of the subcommand table, when every call built the full parser
 USAGE_CASES = json.loads((DATA / "cli_usage.json").read_text())
@@ -192,8 +213,7 @@ def _outcome(run, argv, capsys):
 
 
 def _through_the_full_parser(argv):
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    return _run(build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("case", USAGE_CASES,
@@ -241,25 +261,23 @@ FRACTION_ROWS = [
 
 
 @pytest.mark.parametrize("rows", [[], FRACTION_ROWS[1:2], FRACTION_ROWS[:1], FRACTION_ROWS])
-def test_fraction_rows_are_the_bytes_of_json_dumps(rows, capsys):
-    _print_fractions([v for v, _ in rows], True)
+def test_fraction_rows_are_the_bytes_of_json_dumps(rows):
+    text = _fractions([v for v, _ in rows], True)
     want = [{"n": n, "approx": approx,
              "value": None if v is None else
              f"{chunked_digits(v.numerator)}/{chunked_digits(v.denominator)}"}
             for n, (v, approx) in enumerate(rows, start=1)]
-    assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 def _reject(constant):
     raise ValueError(f"not strict JSON: {constant}")
 
 
-def test_a_ratio_beyond_the_float_range_prints_exactly_with_a_null_approx(capsys):
-    _print_fractions([Fraction(10**400, 3)], True)
-    (row,) = json.loads(capsys.readouterr().out, parse_constant=_reject)
+def test_a_ratio_beyond_the_float_range_prints_exactly_with_a_null_approx():
+    (row,) = json.loads(_fractions([Fraction(10**400, 3)], True), parse_constant=_reject)
     assert row == {"n": 1, "value": f"{10**400}/3", "approx": None}
-    _print_fractions([Fraction(10**400, 3)], False)
-    assert capsys.readouterr().out == f"n,value,approx\n1,{10**400}/3,None\n"
+    assert _fractions([Fraction(10**400, 3)], False) == f"n,value,approx\n1,{10**400}/3,None\n"
 
 
 def test_classify(capsys, graph_file):
@@ -392,13 +410,18 @@ def test_bad_count_integer_is_named_with_its_option(argv, message, capsys):
     assert capsys.readouterr().err == message
 
 
-def test_closed_stdout_exits_141_silently():
+# the second breaks inside the streamed writes of ``_run``
+@pytest.mark.parametrize("argv", [
+    ["count", "--kary", "3", "10"],
+    ["enumerate", "--k", "2", "--d", "4", "--n", "5", "--emit", "dot"],
+], ids=" ".join)
+def test_closed_stdout_exits_141_silently(argv):
     # the read end is closed before the child starts, so its first write fails
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = {**os.environ, "PYTHONPATH": str(Path(bifgraph.__file__).parent.parent)}
     try:
-        done = subprocess.run([sys.executable, "-m", "bifgraph.cli", "count", "--kary", "3", "10"],
+        done = subprocess.run([sys.executable, "-m", "bifgraph.cli", *argv],
                               stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
     finally:
         os.close(write_end)

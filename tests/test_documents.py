@@ -18,7 +18,7 @@ from bifgraph import (
     period_doubling, saddle_node, to_clique, to_star, tree_to_diagram, validate_diagram,
 )
 from bifgraph.cli import main
-from bifgraph.documents import emit_binary_tree, write_trees_dot, write_trees_json
+from bifgraph.documents import emit_binary_tree, trees_dot, trees_json
 from helpers import (
     chain_tree, constructible_diagrams, diagram_trees_dot, dumped_binary_tree, dumped_diagram,
     dumped_graph, dumped_trees_json, formatted_trees_dot, nested_mary_to_binary,
@@ -284,9 +284,7 @@ def test_documents_roundtrip_over_enumerated_diagrams():
 
 
 def _written(write, trees) -> str:
-    out = io.StringIO()
-    write(trees, out)
-    return out.getvalue()
+    return "".join(write(trees))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -295,8 +293,8 @@ def test_tree_writers_equal_the_per_object_oracles(mode, k):
     for d in (1, 2, 3, 4):
         for n in range(1, (5 if k == 3 else 6) + 1):
             trees = enumerate_colored(EnumerationSpec(k, d, n, mode))
-            assert _written(write_trees_json, trees) == dumped_trees_json(trees), (d, n)
-            assert _written(write_trees_dot, trees) == diagram_trees_dot(trees, d), (d, n)
+            assert _written(trees_json, trees) == dumped_trees_json(trees), (d, n)
+            assert _written(trees_dot, trees) == diagram_trees_dot(trees, d), (d, n)
 
 
 def test_tree_writers_take_any_iterable_of_trees():
@@ -306,16 +304,16 @@ def test_tree_writers_take_any_iterable_of_trees():
         for color in (1, -1, 0, 1):
             yield ColoredTree(color, (ColoredTree(-color), ColoredTree(color)), None)
 
-    assert _written(write_trees_json, fresh()) == dumped_trees_json(list(fresh()))
-    assert _written(write_trees_dot, fresh()) == diagram_trees_dot(list(fresh()), 4)
-    assert _written(write_trees_json, []) == "[]\n"
-    assert _written(write_trees_dot, []) == ""
+    assert _written(trees_json, fresh()) == dumped_trees_json(list(fresh()))
+    assert _written(trees_dot, fresh()) == diagram_trees_dot(list(fresh()), 4)
+    assert _written(trees_json, []) == "[]\n"
+    assert _written(trees_dot, []) == ""
 
 
 def test_tree_writers_do_not_recurse():
     tree = chain_tree(150)
-    assert with_stack_room(40, _written, write_trees_json, [tree]) == dumped_trees_json([tree])
-    assert with_stack_room(40, _written, write_trees_dot, [tree]) == diagram_trees_dot([tree], 1)
+    assert with_stack_room(40, _written, trees_json, [tree]) == dumped_trees_json([tree])
+    assert with_stack_room(40, _written, trees_dot, [tree]) == diagram_trees_dot([tree], 1)
 
 
 def test_tree_dot_equals_the_graph_dot_writer_exhaustively():
@@ -324,7 +322,7 @@ def test_tree_dot_equals_the_graph_dot_writer_exhaustively():
             for d in (1, 2, 3, 4):
                 for n in range(1, 7):
                     trees = enumerate_colored(EnumerationSpec(k, d, n, mode))
-                    assert (_written(write_trees_dot, trees)
+                    assert (_written(trees_dot, trees)
                             == _written(formatted_trees_dot, trees)), (mode, k, d, n)
 
 
