@@ -11,12 +11,17 @@ is not timed, so no call reuses what an earlier one memoised on its input
 (a ``Matroid`` memoises on itself), and the functools caches of bifgraph
 and of ``tests/helpers.py`` are emptied before every call.  One timed first
 call sets how many calls a run averages: as many as last about ``CALL_S``.
-A row records the median (and every run) of ``RUNS`` runs.  A row with
-oracles is followed by each oracle's own row, timed the same way on the
-same input: an oracle is the code the function replaced, so the rows are
-the before and after.  Every call of a row must give the first call's
-result, each oracle must give the function's, and each row records a
-short summary of its result.
+A row records the median (and every run) of ``RUNS`` runs, in seconds as
+measured (``median_s``, ``runs_s``) and at the reference speed of
+``benchmarks/run.py`` (``median_ref_s``): each run divided by the mean time
+of its calibration loop just before and just after it (``calibration_s``),
+times ``CALIBRATION_S``.  A shared host's speed drifts, so only the
+reference-speed values compare between records taken at different times.
+A row with oracles is followed by each oracle's own row, timed the same
+way on the same input: an oracle is the code the function replaced, so the
+rows are the before and after.  Every call of a row must give the first
+call's result, each oracle must give the function's, and each row records
+a short summary of its result.
 
 Topic ``validate``: diagram documents and validation.  ``parse_diagram``
 runs on the JSON text of a 1,500-node admissible tree in dimension 4 and of
@@ -82,6 +87,18 @@ print the same bytes and return the same exit code.  The documents a
 command line names are written to a temporary working directory before
 each call.  The last rows build each subcommand's own parser
 (``single_parser``) and the full parser (``build_parser``) alone.
+
+Topic ``import``: cold start.  Each row is one fresh ``python`` process
+that imports bifgraph from ``src/`` (``PYTHONPATH=src``) and writes
+bytecode, which the untimed first call leaves in place: ``pass`` alone
+(the interpreter's floor), ``import bifgraph``, the benchmark's set-up
+(``import bifgraph`` and ``builtin_table(d)`` for d = 1..4), and
+``bifgraph count --kary 3 10`` and ``bifgraph validate`` on a small
+diagram through ``python -m bifgraph.cli``.  With ``--against DIR``, a
+checkout of another commit, each row is followed by the same process on
+``DIR/src``, which must give the same exit code and stdout:
+
+    python3 scripts/bench_layers.py --topic import --against ../parent
 """
 
 from __future__ import annotations
@@ -95,21 +112,23 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "benchmarks")]
 
 import bifgraph as bg  # noqa: E402
 import helpers  # noqa: E402
 from bifgraph import cli  # noqa: E402
 from bifgraph.diagram import PeriodReport  # noqa: E402
 from bifgraph.documents import trees_dot, trees_json  # noqa: E402
+from run import CALIBRATION_S, calibration_loop  # noqa: E402
 from helpers import (  # noqa: E402
     cached_canonical_trees, cached_free_trees, disjoint_union, dumped_diagram, dumped_graph,
     dumped_trees_json, eager_parse_diagram, formatted_trees_dot, per_color_count_sequence,
@@ -249,16 +268,17 @@ COMMAND_LINES = (
 )
 
 
-def command(line: str) -> Callable[[], tuple]:
-    """The input of a ``cli`` row: the argv of ``line``, once each document
-    it names is written to the working directory."""
-    def args() -> tuple:
-        argv = line.split()
-        for name in DOCUMENTS.keys() & set(argv):
-            Path(name).write_text(DOCUMENTS[name], encoding="utf-8")
-        return (argv,)
+def written(argv: Sequence[str]) -> Sequence[str]:
+    """``argv``, once each document it names is written to the working
+    directory."""
+    for name in DOCUMENTS.keys() & set(argv):
+        Path(name).write_text(DOCUMENTS[name], encoding="utf-8")
+    return argv
 
-    return args
+
+def command(line: str) -> Callable[[], tuple]:
+    """The input of a ``cli`` row: the argv of ``line``."""
+    return lambda: (written(line.split()),)
 
 
 class Printed(NamedTuple):
@@ -290,6 +310,35 @@ def single_parser(command) -> str:
 def build_parser() -> str:
     """The parser of every subcommand; its name."""
     return cli.build_parser().prog
+
+
+# -- inputs and adapters: import ----------------------------------------------
+
+SETUP = "import bifgraph\nfor d in (1, 2, 3, 4):\n    bifgraph.builtin_table(d)"
+
+PROCESSES = (
+    ("pass", ("-c", "pass")),
+    ("import bifgraph", ("-c", "import bifgraph")),
+    ("import bifgraph; builtin_table(d), d = 1..4", ("-c", SETUP)),
+    ("bifgraph count --kary 3 10", ("-m", "bifgraph.cli", "count", "--kary", "3", "10")),
+    ("bifgraph validate diagram.json", ("-m", "bifgraph.cli", "validate", "diagram.json")),
+)
+
+
+def fresh_python(src: Path, name: str = "python") -> Callable:
+    """``python *argv`` as a function of argv that returns the exit code
+    and stdout of a fresh interpreter importing bifgraph from ``src`` and
+    writing bytecode."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = str(src)
+
+    def python(*argv) -> Printed:
+        done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                              timeout=60)
+        return Printed(done.returncode, done.stdout)
+
+    python.__name__ = name
+    return python
 
 
 def summary(value) -> str:
@@ -396,6 +445,8 @@ TOPICS = {
         *(Row(single_parser, c[0], lambda c=c: (c,)) for c in cli.COMMANDS),
         Row(build_parser, "all", lambda: ()),
     ),
+    "import": tuple(Row(fresh_python(ROOT / "src"), label, lambda argv=argv: written(argv))
+                    for label, argv in PROCESSES),
 }
 
 
@@ -414,12 +465,21 @@ def timed(fn, args: Callable[[], tuple]) -> tuple[float, object]:
     return elapsed, result
 
 
+def calibration() -> float:
+    """Seconds of one run of the calibration loop of ``benchmarks/run.py``."""
+    start = time.perf_counter()
+    calibration_loop()
+    return time.perf_counter() - start
+
+
 def time_call(fn, args: Callable[[], tuple]) -> tuple[dict, object]:
     """``RUNS`` runs, each the mean of as many calls as the first call says
-    last about ``CALL_S``; every call must give the first call's result."""
+    last about ``CALL_S`` and each with the mean calibration time around it;
+    every call must give the first call's result."""
     first, result = timed(fn, args)
     calls = max(1, round(CALL_S / first))
-    runs = []
+    means, calibrations = [], []
+    before = calibration()
     for _ in range(RUNS):
         total = 0.0
         for _ in range(calls):
@@ -427,8 +487,14 @@ def time_call(fn, args: Callable[[], tuple]) -> tuple[dict, object]:
             if got != result:
                 raise SystemExit(f"{fn.__name__} gave different results on one input")
             total += elapsed
-        runs.append(total / calls)
-    return {"median_s": statistics.median(runs), "runs_s": runs, "calls": calls,
+        after = calibration()
+        means.append(total / calls)
+        calibrations.append((before + after) / 2)
+        before = after
+    return {"median_s": statistics.median(means),
+            "median_ref_s": statistics.median(
+                mean / c * CALIBRATION_S for mean, c in zip(means, calibrations)),
+            "runs_s": means, "calibration_s": calibrations, "calls": calls,
             "answer": summary(result)}, result
 
 
@@ -436,27 +502,37 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--topic", choices=sorted(TOPICS), default="validate")
     ap.add_argument("--out", type=Path)
+    ap.add_argument("--against", type=Path, metavar="DIR",
+                    help="topic import: also run each row on DIR/src, a checkout of another commit")
     args = ap.parse_args()
     out = (args.out or ROOT / f"BENCH_{args.topic}.json").resolve()
+    topic = TOPICS[args.topic]
+    if args.against:
+        if args.topic != "import":
+            ap.error("--against applies to topic import only")
+        against = args.against.resolve()
+        other = fresh_python(against / "src", f"python on {against.name}")
+        topic = tuple(replace(row, oracles=(other,)) for row in topic)
 
     rows = []
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)  # where the cli rows write their documents
-        for row in TOPICS[args.topic]:
+        for row in topic:
             results = []
             for fn in (row.fn, *row.oracles):
                 timing, result = time_call(fn, row.args)
                 results.append(result)
                 rows.append({"function": fn.__name__, "input": row.input, **timing})
                 print(f"{fn.__name__:26s} {row.input:38s} {timing['median_s']:11.6f} s"
-                      f"  -> {timing['answer']}")
+                      f" {timing['median_ref_s']:11.6f} ref s  -> {timing['answer']}")
                 if result != results[0]:
                     raise SystemExit(f"{fn.__name__} differs from {row.fn.__name__}"
                                      f" on {row.input}")
         os.chdir(ROOT)
     record = {"topic": args.topic, "python": platform.python_version(),
               "platform": platform.platform(), "machine": platform.machine(),
-              "cpus": os.cpu_count(), "runs": RUNS, "call_s": CALL_S, "rows": rows}
+              "cpus": os.cpu_count(), "runs": RUNS, "call_s": CALL_S,
+              "calibration_ref_s": CALIBRATION_S, "rows": rows}
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
 

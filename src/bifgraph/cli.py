@@ -18,6 +18,8 @@ import sys
 from collections.abc import Iterable
 from dataclasses import replace
 
+# every library module, imported up front: benchmarks/tracing.py wraps each
+# layer it finds in sys.modules once bifgraph.cli is imported
 from . import classes, documents, enumeration, matroids, represent, spanning, trees
 from .diagram import validate_diagram
 from .laws import builtin_table
