@@ -40,14 +40,21 @@ diagram and ``emit_graph`` (against ``dumped_graph``) its clique graph.
 The last two rows list and write as JSON the two 400-node paths of a law
 table holding only the saddle-node entries, in free mode.
 
-Topic ``graphs``: the graph and tree-shape catalogs.  ``all_graphs`` (n = 5,
-6) and ``connected_graphs`` (n = 6) against ``swept_all_graphs``, which
-pushes every new orbit representative through each vertex permutation one
-edge bit at a time; the free shape count (k = 3, n = 17 against
-``listed_free_shape_count``, which lists the shapes; n = 60 alone);
-``canonical_trees`` (n = 14, and n = 16 with at most 4 children) and
+Topic ``graphs``: the graph and tree-shape catalogs, and the intersection
+graphs.  ``all_graphs`` (n = 5, 6) and ``connected_graphs`` (n = 6) against
+``swept_all_graphs``, which pushes every new orbit representative through
+each vertex permutation one edge bit at a time; the free shape count (k = 3,
+n = 17 against ``listed_free_shape_count``, which lists the shapes; n = 60
+alone); ``canonical_trees`` (n = 14, and n = 16 with at most 4 children) and
 ``free_trees`` (n = 14) against ``cached_canonical_trees`` and
-``cached_free_trees``, which list through module-level caches.
+``cached_free_trees``, which list through module-level caches.  The
+intersection graphs pair the members at each shared point; their oracles
+test every pair: ``line_graph`` on a 1,000-vertex path plus 500 seeded
+random chords against ``pairwise_line_graph``, and alone on an 8,000-vertex
+path plus 4,000 chords; ``block_intersection_graph`` on a 4,000-vertex path
+against ``pairwise_block_intersection_graph``; ``to_clique`` on the
+1,500-node tree diagram against ``looped_to_clique``, which adds each pair to
+a set.
 
 Topic ``minors``: the two forbidden-minor tests, and the block
 decomposition that the diamond test reads.  ``has_diamond_minor`` on the
@@ -131,7 +138,8 @@ from bifgraph.documents import trees_dot, trees_json  # noqa: E402
 from run import CALIBRATION_S, calibration_loop  # noqa: E402
 from helpers import (  # noqa: E402
     cached_canonical_trees, cached_free_trees, disjoint_union, dumped_diagram, dumped_graph,
-    dumped_trees_json, eager_parse_diagram, formatted_trees_dot, per_color_count_sequence,
+    dumped_trees_json, eager_parse_diagram, formatted_trees_dot, looped_to_clique,
+    pairwise_block_intersection_graph, pairwise_line_graph, per_color_count_sequence,
     period_labelled, relabeled_tutte_11, searched_diamond_minor, searched_vamos_minor,
     set_from_bases, sn_cycle, stepwise_validate_diagram, swept_all_graphs, swept_vamos_minor,
     tracked_block_decomposition, triangle_cactus, vamos_bases,
@@ -224,6 +232,13 @@ def text_of(chunks: Callable) -> Callable:
 
 def swept_connected_graphs(n: int) -> tuple:
     return tuple(g for g in swept_all_graphs(n) if g.is_connected())
+
+
+def path_with_chords(n: int) -> bg.SimpleGraph:
+    """A path on n vertices plus n/2 chords between seeded random vertices."""
+    rng = random.Random(n)
+    chords = [rng.sample(range(n), 2) for _ in range(n // 2)]
+    return bg.SimpleGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)] + chords)
 
 
 def listed_free_shape_count(k: int, n: int, mode: str) -> int:
@@ -356,6 +371,8 @@ def summary(value) -> str:
         return f"{len(value.edges)} edges, {len(value.vertices)} vertices"
     if isinstance(value, bg.ValidationReport):
         return f"{len(value.violations)} violations"
+    if isinstance(value, bg.SimpleGraph):
+        return f"{value.n} vertices, {len(value.edges)} edges"
     if isinstance(value, bg.BlockDecomposition):
         return f"{len(value.blocks)} blocks, {len(value.cut_vertices)} cut vertices"
     if isinstance(value, PeriodReport):
@@ -404,6 +421,12 @@ TOPICS = {
         Row(bg.canonical_trees, "14", lambda: (14,), (cached_canonical_trees,)),
         Row(bg.canonical_trees, "16, 4", lambda: (16, 4), (cached_canonical_trees,)),
         Row(bg.free_trees, "14", lambda: (14,), (cached_free_trees,)),
+        Row(bg.line_graph, "path 1000 + 500 chords", lambda: (path_with_chords(1000),),
+            (pairwise_line_graph,)),
+        Row(bg.line_graph, "path 8000 + 4000 chords", lambda: (path_with_chords(8000),)),
+        Row(bg.block_intersection_graph, "path 4000", lambda: (bg.path_graph(4000),),
+            (pairwise_block_intersection_graph,)),
+        Row(bg.to_clique, "1,500-node tree", lambda: (tree_diagram(1500),), (looped_to_clique,)),
     ),
     "minors": (
         Row(bg.has_diamond_minor, "C8", lambda: (bg.cycle_graph(8),), (searched_diamond_minor,)),

@@ -85,21 +85,23 @@ class SimpleGraph:
 
     def induced(self, vertices) -> "SimpleGraph":
         """Induced subgraph, relabeled to 0..len(vertices)-1 in sorted order."""
-        vs = sorted(vertices)
-        pos = {v: i for i, v in enumerate(vs)}
-        es = [(pos[u], pos[v]) for u, v in self.edges if u in pos and v in pos]
-        cols = tuple(self.colors[v] for v in vs) if self.colors else None
-        return SimpleGraph.from_edges(len(vs), es, cols)
+        return self._renumbered(sorted(vertices))
 
     def relabeled(self, perm) -> "SimpleGraph":
         """Apply vertex permutation ``perm`` (perm[old] = new)."""
-        es = [(perm[u], perm[v]) for u, v in self.edges]
-        cols = None
-        if self.colors is not None:
-            cols = [0] * self.n
-            for old, new in enumerate(perm):
-                cols[new] = self.colors[old]
-        return SimpleGraph.from_edges(self.n, es, cols)
+        old = [0] * self.n
+        for v, new in enumerate(perm):
+            old[new] = v
+        return self._renumbered(old)
+
+    def _renumbered(self, old) -> "SimpleGraph":
+        """The subgraph induced on the vertices ``old``, vertex old[i]
+        becoming i, with its colors and names."""
+        pos = {v: i for i, v in enumerate(old)}
+        es = [(pos[u], pos[v]) for u, v in self.edges if u in pos and v in pos]
+        return SimpleGraph.from_edges(
+            len(old), es, None if self.colors is None else [self.colors[v] for v in old],
+            None if self.names is None else [self.names[v] for v in old])
 
 
 def path_graph(n: int) -> SimpleGraph:
@@ -171,32 +173,29 @@ def graphs_isomorphic(g1: SimpleGraph, g2: SimpleGraph, respect_colors: bool = F
     order = sorted(range(n), key=lambda v: (freq[l1[v]], -len(adj1[v])))
     cands = {v: [w for w in range(n) if l2[w] == l1[v]] for v in order}
 
+    # backtrack on an explicit stack: level i walks the candidates of order[i]
+    if n == 0:
+        return True
     mapping: dict[int, int] = {}
     used: set[int] = set()
-
-    def extend(i: int) -> bool:
-        if i == n:
+    stack = [iter(cands[order[0]])]
+    while stack:
+        v = order[len(stack) - 1]
+        for w in stack[-1]:
+            if w not in used and all((u in adj1[v]) == (mu in adj2[w])
+                                     for u, mu in mapping.items()):
+                break
+        else:
+            stack.pop()
+            if stack:
+                used.discard(mapping.pop(order[len(stack) - 1]))
+            continue
+        mapping[v] = w
+        used.add(w)
+        if len(stack) == n:
             return True
-        v = order[i]
-        for w in cands[v]:
-            if w in used:
-                continue
-            ok = True
-            for u, mu in mapping.items():
-                if ((u in adj1[v]) != (mu in adj2[w])):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    return extend(0)
+        stack.append(iter(cands[order[len(stack)]]))
+    return False
 
 
 def graph_from_mask(n: int, mask: int) -> SimpleGraph:

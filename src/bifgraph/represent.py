@@ -44,34 +44,31 @@ def to_clique(diagram: Diagram) -> SimpleGraph:
     """Clique representation: same vertices as the star form, but each event
     contributes a complete graph on all of its incident branches."""
     pos, colors, names = _branch_vertices(diagram)
-    edges = set()
-    for v in diagram.vertices:
-        incident = sorted({pos[e.id] for e in diagram.incident_edges(v.id)})
-        for a, b in combinations(incident, 2):
-            edges.add((a, b))
+    edges = (pair for v in diagram.vertices
+             for pair in combinations({pos[e.id] for e in diagram.incident_edges(v.id)}, 2))
     return SimpleGraph.from_edges(len(pos), edges, colors, names)
 
 
 def line_graph(g: SimpleGraph) -> SimpleGraph:
     """Line graph: one vertex per edge of g, adjacent when the edges share
-    an endpoint."""
+    an endpoint.  Each vertex of g pairs the edges listed at it."""
     es = g.sorted_edges()
-    pos = {e: i for i, e in enumerate(es)}
-    out = set()
-    for (e1, e2) in combinations(es, 2):
-        if set(e1) & set(e2):
-            out.add((pos[e1], pos[e2]))
-    names = tuple(f"{u}-{v}" for u, v in es)
-    return SimpleGraph.from_edges(len(es), out, names=names)
+    at = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(es):
+        at[u].append(i)
+        at[v].append(i)
+    out = (pair for ids in at for pair in combinations(ids, 2))
+    return SimpleGraph.from_edges(len(es), out, names=[f"{u}-{v}" for u, v in es])
 
 
 def block_intersection_graph(g: SimpleGraph) -> SimpleGraph:
     """Intersection graph of the biconnected components: one vertex per
     block, adjacent when two blocks share a cut vertex.  Always a block
-    graph.  ``block_decomposition`` rejects a disconnected input."""
+    graph.  Each cut vertex pairs its neighbours in the block-cut tree,
+    the blocks that hold it.  ``block_decomposition`` rejects a
+    disconnected input."""
     dec = block_decomposition(g)
-    out = set()
-    for i, j in combinations(range(len(dec.blocks)), 2):
-        if dec.blocks[i] & dec.blocks[j]:
-            out.add((i, j))
-    return SimpleGraph.from_edges(len(dec.blocks), out)
+    b = len(dec.blocks)
+    tree = dec.block_cut_tree.adjacency()
+    return SimpleGraph.from_edges(b, (pair for c in range(b, len(tree))
+                                      for pair in combinations(tree[c], 2)))

@@ -27,7 +27,7 @@ from bifgraph import (
     period_doubling, saddle_node, splits_for_child_count, to_star, tree_size,
     tree_to_diagram, type_m,
 )
-from bifgraph.classes import BlockDecomposition, has_diamond_subgraph
+from bifgraph.classes import BlockDecomposition, block_decomposition, has_diamond_subgraph
 from bifgraph.documents import (
     SCHEMA_VERSION, _as_object, _expect, _graph_dot, _is_index, _is_int, kind_from_json,
 )
@@ -36,7 +36,7 @@ from bifgraph.enumeration import _count_rules
 from bifgraph.laws import (
     JUNCTION, PERIOD_DOUBLING, SADDLE_NODE, TYPE_M, _junction_children, check_index,
 )
-from bifgraph.graphs import _norm_edge, graph_from_mask
+from bifgraph.graphs import _norm_edge, _refine_labels, graph_from_mask
 from bifgraph.matroids import VAMOS_CIRCUIT_QUADS, VAMOS_GROUND
 from bifgraph.represent import _branch_vertices
 from bifgraph.spanning import _int_det, _laplacian
@@ -1639,3 +1639,88 @@ def relabeled_tutte_11(g: SimpleGraph) -> int:
         sub = g.induced(comp)
         total *= compacted_span_dc(sub.n, tuple(sub.sorted_edges()))
     return total
+
+
+# -- intersection graphs by testing every pair; isomorphism by recursion -------
+
+def looped_to_clique(diagram: Diagram) -> SimpleGraph:
+    """``to_clique`` adding each pair of an event's branches to a set."""
+    pos, colors, names = _branch_vertices(diagram)
+    edges = set()
+    for v in diagram.vertices:
+        incident = sorted({pos[e.id] for e in diagram.incident_edges(v.id)})
+        for a, b in combinations(incident, 2):
+            edges.add((a, b))
+    return SimpleGraph.from_edges(len(pos), edges, colors, names)
+
+
+def pairwise_line_graph(g: SimpleGraph) -> SimpleGraph:
+    """``line_graph`` testing every pair of edges for a shared endpoint."""
+    es = g.sorted_edges()
+    pos = {e: i for i, e in enumerate(es)}
+    out = set()
+    for (e1, e2) in combinations(es, 2):
+        if set(e1) & set(e2):
+            out.add((pos[e1], pos[e2]))
+    names = tuple(f"{u}-{v}" for u, v in es)
+    return SimpleGraph.from_edges(len(es), out, names=names)
+
+
+def pairwise_block_intersection_graph(g: SimpleGraph) -> SimpleGraph:
+    """``block_intersection_graph`` testing every pair of blocks for a
+    shared vertex."""
+    dec = block_decomposition(g)
+    out = set()
+    for i, j in combinations(range(len(dec.blocks)), 2):
+        if dec.blocks[i] & dec.blocks[j]:
+            out.add((i, j))
+    return SimpleGraph.from_edges(len(dec.blocks), out)
+
+
+def recursive_graphs_isomorphic(g1: SimpleGraph, g2: SimpleGraph,
+                                respect_colors: bool = False) -> bool:
+    """``graphs_isomorphic`` backtracking by recursion, one call per
+    mapped vertex."""
+    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
+        return False
+    l1 = _refine_labels(g1, respect_colors)
+    l2 = _refine_labels(g2, respect_colors)
+    if sorted(l1) != sorted(l2):
+        return False
+    if respect_colors and (g1.colors is None) != (g2.colors is None):
+        return False
+
+    adj1 = g1.adjacency()
+    adj2 = g2.adjacency()
+    n = g1.n
+    # map most-constrained vertices first: rare label class, high degree
+    freq = Counter(l1)
+    order = sorted(range(n), key=lambda v: (freq[l1[v]], -len(adj1[v])))
+    cands = {v: [w for w in range(n) if l2[w] == l1[v]] for v in order}
+
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def extend(i: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        for w in cands[v]:
+            if w in used:
+                continue
+            ok = True
+            for u, mu in mapping.items():
+                if ((u in adj1[v]) != (mu in adj2[w])):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            mapping[v] = w
+            used.add(w)
+            if extend(i + 1):
+                return True
+            del mapping[v]
+            used.discard(w)
+        return False
+
+    return extend(0)

@@ -64,6 +64,20 @@ def test_relabeling_moves_the_colors_with_the_vertices():
     assert g.relabeled([2, 0, 1]) == SimpleGraph.from_edges(3, [(2, 0)], colors=[0, -1, 1])
 
 
+def test_induced_and_relabeled_keep_the_names():
+    g = SimpleGraph.from_edges(3, [(0, 1), (1, 2)], colors=[1, 0, -1], names=["a", "b", "c"])
+    assert g.induced([1, 2]) == SimpleGraph.from_edges(2, [(0, 1)], colors=[0, -1],
+                                                        names=["b", "c"])
+    assert g.relabeled([2, 0, 1]) == SimpleGraph.from_edges(
+        3, [(2, 0), (0, 1)], colors=[0, -1, 1], names=["b", "c", "a"])
+
+
+def test_induced_and_relabeled_keep_empty_colors_and_names():
+    g = SimpleGraph.from_edges(0, [], colors=(), names=())
+    assert g.induced([]) == g
+    assert g.relabeled([]) == g
+
+
 def test_colored_and_uncolored_graphs_differ_when_colors_count():
     g = SimpleGraph.from_edges(3, [(0, 1)], colors=[1, 0, -1])
     assert not graphs_isomorphic(g, SimpleGraph.from_edges(3, [(0, 1)]), respect_colors=True)

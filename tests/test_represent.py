@@ -13,9 +13,25 @@ from bifgraph import (
 )
 from bifgraph.laws import SADDLE_NODE
 from helpers import (
-    branched_to_star, canonical_mask, colored_tree_graph, constructible_diagrams,
-    random_connected_graph, star_diagram, swept_all_graphs,
+    branched_to_star, canonical_mask, colored_tree_graph, constructible_diagrams, disjoint_union,
+    looped_to_clique, pairwise_block_intersection_graph, pairwise_line_graph,
+    random_connected_graph, recursive_graphs_isomorphic, star_diagram, swept_all_graphs,
+    triangle_cactus, with_stack_room,
 )
+
+
+def path_with_chords(n: int, chords: int, seed: int) -> SimpleGraph:
+    """A path on n vertices plus seeded random chords spanning 2 to 5
+    steps, so that it splits into many blocks."""
+    rng = random.Random(seed)
+    starts = (rng.randrange(n - 5) for _ in range(chords))
+    return SimpleGraph.from_edges(
+        n, [(i, i + 1) for i in range(n - 1)] + [(i, i + rng.randint(2, 5)) for i in starts])
+
+
+LARGE_GRAPHS = pytest.mark.parametrize(
+    "g", [path_with_chords(600, 300, 11), triangle_cactus(2000)],
+    ids=["path 600 + chords", "triangle cactus 2000"])
 
 
 def test_saddle_node_becomes_single_edge():
@@ -69,6 +85,22 @@ def test_star_equals_the_two_branch_oracle(diagram):
     assert to_star(diagram) == branched_to_star(diagram)
 
 
+@settings(deadline=None, max_examples=300)
+@given(constructible_diagrams())
+@example(Diagram(1, (Edge("a", 1, ("v", "v")),), (Vertex("v", saddle_node()),)))
+def test_clique_equals_the_looped_oracle(diagram):
+    assert to_clique(diagram) == looped_to_clique(diagram)
+
+
+def test_clique_equals_the_looped_oracle_on_every_listed_tree():
+    for k in (1, 2):
+        for d in range(1, 5):
+            for n in range(1, 6):
+                for t in enumerate_colored(EnumerationSpec(k, d, n)):
+                    diagram = tree_to_diagram(t, d)
+                    assert to_clique(diagram) == looped_to_clique(diagram)
+
+
 # -- line graphs -------------------------------------------------------------
 
 def test_line_graph_examples():
@@ -85,7 +117,38 @@ def test_line_graph_of_trees_is_claw_free_block_graph():
             assert is_claw_free(lg)
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_line_graph_equals_the_pairwise_oracle_on_every_small_graph(n):
+    # == compares the edge names too
+    for g in all_graphs(n):
+        assert line_graph(g) == pairwise_line_graph(g)
+
+
+def test_line_graph_equals_the_pairwise_oracle_on_disjoint_unions():
+    graphs = all_graphs(3) + all_graphs(4)
+    for g in graphs:
+        for h in graphs:
+            union = disjoint_union(g, h)
+            assert line_graph(union) == pairwise_line_graph(union)
+
+
+@LARGE_GRAPHS
+def test_line_graph_equals_the_pairwise_oracle_at_scale(g):
+    assert line_graph(g) == pairwise_line_graph(g)
+
+
 # -- block intersection graph ------------------------------------------------
+
+@pytest.mark.parametrize("n", range(7))
+def test_block_intersection_equals_the_pairwise_oracle_on_every_small_graph(n):
+    for g in connected_graphs(n):
+        assert block_intersection_graph(g) == pairwise_block_intersection_graph(g)
+
+
+@LARGE_GRAPHS
+def test_block_intersection_equals_the_pairwise_oracle_at_scale(g):
+    assert block_intersection_graph(g) == pairwise_block_intersection_graph(g)
+
 
 def test_block_intersection_examples():
     assert block_intersection_graph(cycle_graph(3)).n == 1
@@ -134,6 +197,28 @@ def test_isomorphism_agrees_with_canonical_masks():
         for _ in range(200):
             a, b = rng.choice(graphs), rng.choice(graphs)
             assert graphs_isomorphic(a, b) == (canonical_mask(a) == canonical_mask(b))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_isomorphism_equals_the_recursive_oracle_on_every_pair(n):
+    # the second graph relabeled, so that equal classes reach the backtracking
+    rng = random.Random(n)
+    for a in all_graphs(n):
+        for h in all_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            b = h.relabeled(perm)
+            assert graphs_isomorphic(a, b) == recursive_graphs_isomorphic(a, b)
+            a2 = SimpleGraph.from_edges(n, a.edges, colors=[v % 2 for v in range(n)])
+            b2 = SimpleGraph.from_edges(n, b.edges, colors=[perm.index(v) % 2 for v in range(n)])
+            assert (graphs_isomorphic(a2, b2, respect_colors=True)
+                    == recursive_graphs_isomorphic(a2, b2, respect_colors=True))
+
+
+def test_isomorphism_of_long_paths_does_not_recurse_per_vertex():
+    p = path_graph(60)
+    q = p.relabeled(list(range(30, 60)) + list(range(30)))
+    assert with_stack_room(40, graphs_isomorphic, p, q)
 
 
 @pytest.mark.parametrize("n", range(7))
