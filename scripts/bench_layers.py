@@ -19,9 +19,11 @@ times ``CALIBRATION_S``.  A shared host's speed drifts, so only the
 reference-speed values compare between records taken at different times.
 A row with oracles is followed by each oracle's own row, timed the same
 way on the same input: an oracle is the code the function replaced, so the
-rows are the before and after.  Every call of a row must give the first
-call's result, each oracle must give the function's, and each row records
-a short summary of its result.
+rows are the before and after.  The function and its oracles take turns
+run by run, so each run of one has a run of each other next to it, under
+the same drift of the machine's speed.  Every call of a row must give the
+first call's result, each oracle must give the function's, and each row
+records a short summary of its result.
 
 Topic ``validate``: diagram documents and validation.  ``parse_diagram``
 runs on the JSON text of a 1,500-node admissible tree in dimension 4 and of
@@ -31,14 +33,17 @@ a 1,200-node saddle-node ring, against ``eager_parse_diagram``;
 ring; ``check_period_consistency`` on a 300-node period-labelled tree.
 
 Topic ``emit``: listing and writing trees, diagrams and graphs.
-``enumerate_colored`` lists k=2 d=4 n=7 plane and k=1 d=4 n=9 free trees;
+``enumerate_colored`` lists k=2 d=4 n=7 plane and k=1 d=4 n=9 free trees,
+against ``cached_colored_trees``, the recursive lister that keeps every
+smaller list in module-level caches;
 ``trees_json`` (against ``dumped_trees_json``) and ``trees_dot``
 (against ``formatted_trees_dot``) write the k=2 d=4 n=5 plane trees, each
 generator's chunks joined into its text;
 ``emit_diagram`` (against ``dumped_diagram``) writes the 1,500-node tree
 diagram and ``emit_graph`` (against ``dumped_graph``) its clique graph.
-The last two rows list and write as JSON the two 400-node paths of a law
-table holding only the saddle-node entries, in free mode.
+The last three rows list the two 3,000-node paths of a law table holding
+only the saddle-node entries, in free mode, and list and write as JSON its
+two 400-node paths.
 
 Topic ``graphs``: the graph and tree-shape catalogs, and the intersection
 graphs.  ``all_graphs`` (n = 5, 6) and ``connected_graphs`` (n = 6) against
@@ -47,7 +52,9 @@ each vertex permutation one edge bit at a time; the free shape count (k = 3,
 n = 17 against ``listed_free_shape_count``, which lists the shapes; n = 60
 alone); ``canonical_trees`` (n = 14, and n = 16 with at most 4 children) and
 ``free_trees`` (n = 14) against ``cached_canonical_trees`` and
-``cached_free_trees``, which list through module-level caches.  The
+``cached_free_trees``, which list through module-level caches;
+``slot_trees`` (arity 3, n = 9) against ``cached_slot_trees``, the cached
+recursive lister.  The
 intersection graphs pair the members at each shared point; their oracles
 test every pair: ``line_graph`` on a 1,000-vertex path plus 500 seeded
 random chords against ``pairwise_line_graph``, and alone on an 8,000-vertex
@@ -137,8 +144,9 @@ from bifgraph.diagram import PeriodReport  # noqa: E402
 from bifgraph.documents import trees_dot, trees_json  # noqa: E402
 from run import CALIBRATION_S, calibration_loop  # noqa: E402
 from helpers import (  # noqa: E402
-    cached_canonical_trees, cached_free_trees, disjoint_union, dumped_diagram, dumped_graph,
-    dumped_trees_json, eager_parse_diagram, formatted_trees_dot, looped_to_clique,
+    cached_canonical_trees, cached_colored_trees, cached_free_trees, cached_slot_trees,
+    disjoint_union, dumped_diagram, dumped_graph, dumped_trees_json, eager_parse_diagram,
+    formatted_trees_dot, looped_to_clique,
     pairwise_block_intersection_graph, pairwise_line_graph, per_color_count_sequence,
     period_labelled, relabeled_tutte_11, searched_diamond_minor, searched_vamos_minor,
     set_from_bases, sn_cycle, stepwise_validate_diagram, swept_all_graphs, swept_vamos_minor,
@@ -396,9 +404,10 @@ TOPICS = {
             lambda: (period_labelled(random.Random(300), tree_diagram(300)),)),
     ),
     "emit": (
-        Row(bg.enumerate_colored, "k=2 d=4 n=7 plane", lambda: (bg.EnumerationSpec(2, 4, 7),)),
+        Row(bg.enumerate_colored, "k=2 d=4 n=7 plane", lambda: (bg.EnumerationSpec(2, 4, 7),),
+            (cached_colored_trees,)),
         Row(bg.enumerate_colored, "k=1 d=4 n=9 free",
-            lambda: (bg.EnumerationSpec(1, 4, 9, "free"),)),
+            lambda: (bg.EnumerationSpec(1, 4, 9, "free"),), (cached_colored_trees,)),
         Row(text_of(trees_json), "k=2 d=4 n=5 plane trees", lambda: (listed(2, 4, 5),),
             (dumped_trees_json,)),
         Row(text_of(trees_dot), "k=2 d=4 n=5 plane trees", lambda: (listed(2, 4, 5),),
@@ -406,6 +415,8 @@ TOPICS = {
         Row(bg.emit_diagram, "1,500-node tree", lambda: (tree_diagram(1500),), (dumped_diagram,)),
         Row(bg.emit_graph, "clique graph of the 1,500-node tree",
             lambda: (bg.to_clique(tree_diagram(1500)),), (dumped_graph,)),
+        Row(bg.enumerate_colored, "3,000-node saddle-node paths, free",
+            lambda: (saddle_node_paths(3000),)),
         Row(bg.enumerate_colored, "400-node saddle-node paths, free",
             lambda: (saddle_node_paths(400),)),
         Row(text_of(trees_json), "400-node saddle-node paths, free",
@@ -421,6 +432,7 @@ TOPICS = {
         Row(bg.canonical_trees, "14", lambda: (14,), (cached_canonical_trees,)),
         Row(bg.canonical_trees, "16, 4", lambda: (16, 4), (cached_canonical_trees,)),
         Row(bg.free_trees, "14", lambda: (14,), (cached_free_trees,)),
+        Row(bg.slot_trees, "3, 9", lambda: (3, 9), (cached_slot_trees,)),
         Row(bg.line_graph, "path 1000 + 500 chords", lambda: (path_with_chords(1000),),
             (pairwise_line_graph,)),
         Row(bg.line_graph, "path 8000 + 4000 chords", lambda: (path_with_chords(8000),)),
@@ -495,30 +507,38 @@ def calibration() -> float:
     return time.perf_counter() - start
 
 
-def time_call(fn, args: Callable[[], tuple]) -> tuple[dict, object]:
-    """``RUNS`` runs, each the mean of as many calls as the first call says
-    last about ``CALL_S`` and each with the mean calibration time around it;
-    every call must give the first call's result."""
-    first, result = timed(fn, args)
-    calls = max(1, round(CALL_S / first))
-    means, calibrations = [], []
+def time_row(row: Row) -> list[dict]:
+    """The timing record of the row's function and of each of its oracles:
+    ``RUNS`` runs each, taken in turn run by run, each run the mean of as
+    many calls as the first call says last about ``CALL_S`` and each with
+    the mean calibration time around it.  Every call must give its first
+    call's result, and each oracle's first call the function's."""
+    fns = (row.fn, *row.oracles)
+    firsts = [timed(fn, row.args) for fn in fns]
+    for fn, (_, result) in zip(fns, firsts):
+        if result != firsts[0][1]:
+            raise SystemExit(f"{fn.__name__} differs from {row.fn.__name__} on {row.input}")
+    calls = [max(1, round(CALL_S / first)) for first, _ in firsts]
+    means, calibrations = [[] for _ in fns], [[] for _ in fns]
     before = calibration()
     for _ in range(RUNS):
-        total = 0.0
-        for _ in range(calls):
-            elapsed, got = timed(fn, args)
-            if got != result:
-                raise SystemExit(f"{fn.__name__} gave different results on one input")
-            total += elapsed
-        after = calibration()
-        means.append(total / calls)
-        calibrations.append((before + after) / 2)
-        before = after
-    return {"median_s": statistics.median(means),
-            "median_ref_s": statistics.median(
-                mean / c * CALIBRATION_S for mean, c in zip(means, calibrations)),
-            "runs_s": means, "calibration_s": calibrations, "calls": calls,
-            "answer": summary(result)}, result
+        for i, fn in enumerate(fns):
+            total = 0.0
+            for _ in range(calls[i]):
+                elapsed, got = timed(fn, row.args)
+                if got != firsts[i][1]:
+                    raise SystemExit(f"{fn.__name__} gave different results on one input")
+                total += elapsed
+            after = calibration()
+            means[i].append(total / calls[i])
+            calibrations[i].append((before + after) / 2)
+            before = after
+    return [{"median_s": statistics.median(runs),
+             "median_ref_s": statistics.median(
+                 mean / c * CALIBRATION_S for mean, c in zip(runs, around)),
+             "runs_s": runs, "calibration_s": around, "calls": n_calls,
+             "answer": summary(result)}
+            for runs, around, n_calls, (_, result) in zip(means, calibrations, calls, firsts)]
 
 
 def main() -> None:
@@ -541,16 +561,10 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)  # where the cli rows write their documents
         for row in topic:
-            results = []
-            for fn in (row.fn, *row.oracles):
-                timing, result = time_call(fn, row.args)
-                results.append(result)
+            for fn, timing in zip((row.fn, *row.oracles), time_row(row)):
                 rows.append({"function": fn.__name__, "input": row.input, **timing})
                 print(f"{fn.__name__:26s} {row.input:38s} {timing['median_s']:11.6f} s"
                       f" {timing['median_ref_s']:11.6f} ref s  -> {timing['answer']}")
-                if result != results[0]:
-                    raise SystemExit(f"{fn.__name__} differs from {row.fn.__name__}"
-                                     f" on {row.input}")
         os.chdir(ROOT)
     record = {"topic": args.topic, "python": platform.python_version(),
               "platform": platform.platform(), "machine": platform.machine(),

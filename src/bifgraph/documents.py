@@ -19,8 +19,8 @@ from operator import attrgetter
 from .diagram import TERMINAL, Diagram, DiagramError, Edge, Vertex, _trusted
 from .graphs import SimpleGraph
 from .laws import (
-    COLOR_OF, INDEX_VALUES, JUNCTION, PERIOD_DOUBLING, SADDLE_NODE, TYPE_M, BifurcationKind,
-    LawEntry, LawTable, builtin_table,
+    COLOR_OF, INDEX_VALUES, JUNCTION, TYPE_M, BifurcationKind, LawEntry, LawTable,
+    builtin_table, period_doubling, saddle_node,
 )
 from .matroids import from_bases
 
@@ -31,7 +31,7 @@ _EDGE_KEYS = frozenset({"id", "index", "period", "endpoints"})
 _VERTEX_KEYS = frozenset({"id", "kind", "parentEdge"})
 
 #: The kinds written as plain strings, each one shared immutable value.
-_STRING_KINDS = {name: BifurcationKind(name) for name in (SADDLE_NODE, PERIOD_DOUBLING)}
+_STRING_KINDS = {kind.name: kind for kind in (saddle_node(), period_doubling())}
 _by_id = attrgetter("id")
 
 

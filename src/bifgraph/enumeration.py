@@ -11,9 +11,10 @@ Two counting conventions are supported and never mixed: PLANE trees give
 children distinct positions among k+1 slots (the convention matched by the
 k-ary counting formula), FREE trees identify reorderings of children.
 Explicit enumeration is capped, and fills one table of trees by size and
-root color inside each call, keeping nothing between calls.  Counting
-builds no tree: the law table becomes the rules of the bottom-up count
-engine in ``trees``, which serves both modes and the shape counts too.
+root color inside each call, keeping nothing between calls.  The law table
+is read once, into the rules of the bottom-up count engine in ``trees``
+(``_count_rules``), which counts them without building a tree; the lister
+``trees._pools`` builds the trees they describe.  Both serve shapes too.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, product
 from math import comb, factorial, prod
 from operator import attrgetter
 
@@ -34,7 +34,7 @@ from .laws import (
     splits_for_child_count,
 )
 from .trees import (
-    EnumerationLimitError, TreeMode, _compositions, _count_series, _fold, count_kary_formula,
+    EnumerationLimitError, TreeMode, _count_series, _fold, _pools, count_kary_formula,
     count_shapes,
 )
 
@@ -153,66 +153,20 @@ class EnumerationSpec:
 # Explicit enumeration
 # ---------------------------------------------------------------------------
 
-def _orderings(mset) -> list[tuple]:
-    """The distinct orderings of a multiset, in lexicographic order: each
-    distinct value in turn, followed by every ordering of the rest."""
-    rest = sorted(mset)
-    return [(v,) + tail for i, v in enumerate(rest) if i == 0 or v != rest[i - 1]
-            for tail in _orderings(rest[:i] + rest[i + 1:])] if rest else [()]
+def _colored_pools(table: LawTable, k: int, n: int, plane: bool) -> dict:
+    """``pool[color][size]``: every admissible ``ColoredTree`` with that root
+    color and size, at most k+1 children per node, listed by ``_pools`` over
+    the count engine's rules of the table (``_count_rules``)."""
+    def colored(color, slots, tuples):
+        if slots == ():  # a leaf, through the constructor: see below
+            return [ColoredTree(color)]
+        return [_trusted(ColoredTree, color=color, children=kids, slots=slots) for kids in tuples]
 
+    # The leaves come first: were the first tree of a process built through
+    # its ``__dict__``, CPython would stop sharing attribute keys between
+    # trees, and each later one would take a larger dict and build slower.
 
-def _colored_pools(table: LawTable, arity: int, n: int, plane: bool) -> dict:
-    """``pool[color][size]``: every admissible tree with that root color and
-    size, for size 1..n and at most ``arity`` children per node, filled in
-    order of size within this one call.
-
-    Plane trees come in the order child count, slots, color tuple, size
-    composition, then the product of the child pools.  Free trees keep their
-    children, and each pool, sorted by the key (size, shape, color, child
-    keys), built once per tree from its children's keys; a child multiset
-    is taken once, in the order whose keys (led by sizes) do not increase.
-    Every tree of a pool is one object, shared by each larger tree that holds it.
-    """
-    rules = {color: [] for color in INDEX_VALUES}  # (c children, color tuples)
-    for color, rs in rules.items():
-        for c in range(1, min(arity, n - 1) + 1):
-            tuples = sorted({p for mset in splits_for_child_count(table, c, color)
-                             for p in _orderings(mset)})
-            if tuples:
-                rs.append((c, tuples))
-    pool = {color: [(), (ColoredTree(color),)] for color in INDEX_VALUES}
-    key = {id(pool[color][1][0]): (1, (), color, ()) for color in INDEX_VALUES}
-
-    def key_of(t):
-        return key[id(t)]
-
-    def falling(seq) -> bool:
-        return all(a >= b for a, b in zip(seq, seq[1:]))
-
-    for size in range(2, n + 1):
-        for color in INDEX_VALUES:
-            out = []
-            for c, tuples in rules[color]:
-                if c >= size:
-                    break
-                slot_sets = combinations(range(arity), c) if plane else (None,)
-                compositions = [s for s in _compositions(size - 1, c) if plane or falling(s)]
-                for slots, colors, sizes in product(slot_sets, tuples, compositions):
-                    kid_tuples = product(*(pool[col][s] for s, col in zip(sizes, colors)))
-                    if plane:
-                        out += [_trusted(ColoredTree, color=color, children=kids, slots=slots)
-                                for kids in kid_tuples]
-                        continue
-                    for kids in kid_tuples:
-                        keys = tuple(map(key_of, kids))
-                        if falling(keys):
-                            tree = _trusted(ColoredTree, color=color, children=kids, slots=None)
-                            key[id(tree)] = (size, tuple(k[1] for k in keys), color, keys)
-                            out.append(tree)
-            if not plane:
-                out.sort(key=key_of)
-            pool[color].append(tuple(out))
-    return pool
+    return _pools(_count_rules(k, table, n, plane), k + 1, n, plane, colored)
 
 
 def enumerate_colored(spec: EnumerationSpec) -> tuple[ColoredTree, ...]:
@@ -227,7 +181,7 @@ def enumerate_colored(spec: EnumerationSpec) -> tuple[ColoredTree, ...]:
     total = count_colored(spec.k, spec.d, spec.n, spec.mode, table)
     if total > limit:
         raise EnumerationLimitError(f"{total} colored trees exceed limit {limit}")
-    pool = _colored_pools(table, spec.k + 1, spec.n, spec.mode is TreeMode.PLANE)
+    pool = _colored_pools(table, spec.k, spec.n, spec.mode is TreeMode.PLANE)
     return tuple(t for color in INDEX_VALUES for t in pool[color][spec.n])
 
 

@@ -66,16 +66,21 @@ class BifurcationKind:
         return 2 if self.name == SADDLE_NODE else self.child_count + 1
 
 
+#: The kinds without a parameter, by child count: each is one shared value.
+_SHARED_KINDS = {1: BifurcationKind(SADDLE_NODE), 2: BifurcationKind(PERIOD_DOUBLING),
+                 3: BifurcationKind(TYPE_M)}
+
+
 def saddle_node() -> BifurcationKind:
-    return BifurcationKind(SADDLE_NODE)
+    return _SHARED_KINDS[1]
 
 
 def period_doubling() -> BifurcationKind:
-    return BifurcationKind(PERIOD_DOUBLING)
+    return _SHARED_KINDS[2]
 
 
 def type_m(m: int | None = None) -> BifurcationKind:
-    return BifurcationKind(TYPE_M, m)
+    return _SHARED_KINDS[3] if m is None else BifurcationKind(TYPE_M, m)
 
 
 def junction(n: int) -> BifurcationKind:
@@ -84,12 +89,8 @@ def junction(n: int) -> BifurcationKind:
 
 def kind_for_child_count(c: int) -> BifurcationKind:
     """Kind implied by the number of children at a tree node."""
-    if c == 1:
-        return saddle_node()
-    if c == 2:
-        return period_doubling()
-    if c == 3:
-        return type_m()
+    if c in _SHARED_KINDS:
+        return _SHARED_KINDS[c]
     if c >= 4:
         return junction(c)
     raise ValueError("child count must be >= 1")

@@ -22,7 +22,7 @@ from collections import Counter
 from enum import Enum
 from itertools import combinations, product
 from math import comb
-from operator import mul
+from operator import ge, mul
 
 from .graphs import SimpleGraph
 
@@ -88,19 +88,69 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def slot_trees(arity: int, n: int) -> tuple:
-    """All slot trees on n nodes where each node has ``arity`` child positions,
-    filled in order of size: child count, slots, size composition, then the
-    product of the smaller lists, each subtree one shared object."""
-    pool = [(), ((),)]
+def _shape_rules(arity: int, n: int) -> dict:
+    """The count engine's rules of shapes: one root, with c = 1..min(arity, n - 1) children."""
+    return {0: [(1, ((0, c),)) for c in range(1, min(arity, n - 1) + 1)]}
+
+
+def _pools(rules: dict, arity: int, n: int, plane: bool, node) -> dict:
+    """``pool[root][size]`` for size 1..n, filled in order of size within
+    this one call: every tree whose nodes are leaves or have children by one
+    of the count engine's ``rules[root]`` (``_count_series``), weights aside.
+    ``node(root, slots, kid_tuples)`` builds the trees of one root, slots
+    (None in free mode, ``()`` at a leaf) and iterable of child tuples.
+
+    Plane trees come in the order of heads (child count, slots among
+    ``arity``, then child roots, each a distinct ordering of a rule's
+    multiset), size composition, then the product of the child pools.  Free
+    trees keep their children, and each pool, sorted by the key (size,
+    shape, root, child keys), built once per tree from its children's keys;
+    a child multiset is taken once, in the order whose keys (led by sizes)
+    do not increase.  Every tree of a pool is one object, shared by each
+    larger tree that holds it."""
+    heads = {}  # root: its sorted (child count, slots, child roots)
+    for root, rs in rules.items():
+        tuples = []
+        for _, parts in rs:
+            orderings = {()}
+            for h in [h for h, m in parts for _ in range(m)]:  # one more h at each position
+                orderings = {t[:i] + (h,) + t[i:] for t in orderings for i in range(len(t) + 1)}
+            tuples += orderings
+        heads[root] = sorted((len(t), slots, t) for t in tuples
+                             for slots in (combinations(range(arity), len(t)) if plane else [None]))
+    pool = {root: [(), tuple(node(root, (), [()]))] for root in rules}
+    key = {id(pool[root][1][0]): (1, (), root, ()) for root in rules}
+
+    def falling(seq) -> bool:
+        return all(map(ge, seq, seq[1:]))
+
     for size in range(2, n + 1):
-        pool.append(tuple(
-            tuple(zip(slots, kids))
-            for c in range(1, min(arity, size - 1) + 1)
-            for slots in combinations(range(arity), c)
-            for sizes in _compositions(size - 1, c)
-            for kids in product(*(pool[s] for s in sizes))))
-    return pool[n] if n >= 1 else ()
+        for root, root_heads in heads.items():
+            out = []
+            for c, slots, kid_roots in root_heads:
+                if c >= size:
+                    break
+                for sizes in _compositions(size - 1, c):
+                    kid_tuples = product(*(pool[h][s] for s, h in zip(sizes, kid_roots)))
+                    if plane:
+                        out += node(root, slots, kid_tuples)
+                    elif falling(sizes):
+                        kept = [(kids, keys) for kids in kid_tuples
+                                if falling(keys := tuple([key[id(t)] for t in kids]))]
+                        for tree, (_, keys) in zip(node(root, None, [k for k, _ in kept]), kept):
+                            key[id(tree)] = (size, tuple(k[1] for k in keys), root, keys)
+                            out.append(tree)
+            if not plane:
+                out.sort(key=lambda t: key[id(t)])
+            pool[root].append(tuple(out))
+    return pool
+
+
+def slot_trees(arity: int, n: int) -> tuple:
+    """All slot trees on n nodes of ``arity`` child positions: ``_pools`` over ``_shape_rules``."""
+    pool = _pools(_shape_rules(arity, n), arity, n, True,
+                  lambda _, slots, kid_tuples: [tuple(zip(slots, kids)) for kids in kid_tuples])
+    return pool[0][n] if n >= 1 else ()
 
 
 def slot_tree_size(t) -> int:
@@ -294,8 +344,7 @@ def count_shapes(k: int, n: int, mode=TreeMode.PLANE) -> int:
         raise ValueError("need k >= 1 and n >= 1")
     if TreeMode.coerce(mode) is TreeMode.PLANE:
         return count_kary_formula(k + 1, n)
-    rules = {0: [(1, ((0, c),)) for c in range(1, min(k + 1, n - 1) + 1)]}
-    return _count_series(rules, n, plane=False)[-1]
+    return _count_series(_shape_rules(k + 1, n), n, plane=False)[-1]
 
 
 def enumerate_shapes(k: int, n: int, mode=TreeMode.PLANE, limit: int | None = None) -> tuple:

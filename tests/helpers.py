@@ -399,6 +399,16 @@ def kind_keyed_child_multisets(table: LawTable, kind, parent: int) -> frozenset:
 
 # -- listing: the cached recursive listers the by-size pass replaced ---------
 
+def recursive_orderings(mset) -> list[tuple]:
+    """The distinct orderings of a multiset, in lexicographic order: each
+    distinct value in turn, followed by every ordering of the rest.  How the
+    colored lister ordered each law rule's child colors before it read the
+    count engine's rules (``trees._pools``)."""
+    rest = sorted(mset)
+    return [(v,) + tail for i, v in enumerate(rest) if i == 0 or v != rest[i - 1]
+            for tail in recursive_orderings(rest[:i] + rest[i + 1:])] if rest else [()]
+
+
 def _compositions(total: int, parts: int):
     """Ordered tuples of positive integers of length ``parts`` summing to total."""
     if parts == 0:

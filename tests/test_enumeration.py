@@ -17,12 +17,12 @@ from bifgraph import (
     ratio_sequence, share_sequence, slot_trees, tree_to_diagram, validate_diagram,
 )
 from bifgraph.cli import main
-from bifgraph.enumeration import _count_rules, _orderings
-from bifgraph.trees import _classes
+from bifgraph.enumeration import _count_rules
+from bifgraph.trees import _classes, _pools
 from helpers import (
     cached_colored_trees, cached_ordered_trees, cached_slot_trees, chain_tree, chunked_digits,
     distinct_children, law_table_of, legal_law_entries, negated, per_color_count_sequence,
-    plain_tree, plane_count, random_law_table,
+    plain_tree, plane_count, random_law_table, recursive_orderings,
 )
 
 
@@ -305,7 +305,77 @@ def test_multiset_orderings_match_the_distinct_permutations(c):
     rng = random.Random(c)
     for mset in combinations_with_replacement((-1, 0, 1), c):
         shuffled = rng.sample(mset, c)
-        assert _orderings(shuffled) == sorted(set(permutations(mset)))
+        assert recursive_orderings(shuffled) == sorted(set(permutations(mset)))
+
+
+def pairs(root, slots, kid_tuples):
+    """A ``node`` builder for ``_pools``: each tree as its (root, children) pair."""
+    return [(root, kids) for kids in kid_tuples]
+
+
+def listed_child_roots(rules: dict, arity: int, plane: bool) -> dict:
+    """``{root: [child roots]}`` of every tree that ``_pools`` lists over
+    ``rules`` whose children are all leaves, in the order listed; in plane
+    mode only the trees whose children fill the first slots."""
+    seen = {root: [] for root in rules}
+
+    def node(root, slots, kid_tuples):
+        trees = pairs(root, slots, kid_tuples)
+        if slots is None or slots == tuple(range(len(slots))):
+            seen[root] += [tuple(r for r, _ in kids) for _, kids in trees
+                           if kids and not any(grandkids for _, grandkids in kids)]
+        return trees
+
+    _pools(rules, arity, arity + 1, plane, node)
+    return seen
+
+
+def budgets_and_tables():
+    """(k, table): each built-in table (d = 1..5) with k = 1..4, then 25
+    seeded random law tables in each table mode, with k drawn from 1..4."""
+    for d in range(1, 6):
+        for k in range(1, 5):
+            yield k, builtin_table(d)
+    for table_mode in ("extend", "replace"):
+        rng = random.Random(f"child tuples {table_mode}")
+        for _ in range(25):
+            yield rng.randint(1, 4), random_law_table(rng, table_mode)
+
+
+def test_the_lister_takes_each_rule_in_its_distinct_orderings():
+    """Over the count engine's rules of either mode, the plane lister gives
+    a root's children, in its first slots, the union of the orderings of its
+    rules' child multisets, sorted by count and then colors; the free lister
+    gives each multiset once, in non-increasing order."""
+    def by_count(tuples):
+        return sorted(tuples, key=lambda t: (len(t), t))
+
+    for k, table in budgets_and_tables():
+        for mode_rules in (True, False):
+            rules = _count_rules(k, table, k + 2, mode_rules)
+            plane = listed_child_roots(rules, k + 1, True)
+            free = listed_child_roots(rules, k + 1, False)
+            for root, rs in rules.items():
+                msets = [tuple(h for h, m in parts for _ in range(m)) for _, parts in rs]
+                assert plane[root] == by_count(
+                    {p for mset in msets for p in recursive_orderings(mset)}), (k, table, root)
+                assert free[root] == by_count(tuple(sorted(m, reverse=True)) for m in msets)
+
+
+def test_one_rule_table_two_readers():
+    """Counting and listing read the law table through the same rules
+    (``_count_rules``): over them the lister lists as many trees at each
+    size n = 1..6 as the count engine counts."""
+    for mode in ("plane", "free"):
+        plane = mode == "plane"
+        rng = random.Random(f"two readers {mode}")
+        tables = [(k, builtin_table(d)) for k in (1, 2, 3) for d in range(1, 6)]
+        tables += [(rng.randint(1, 3), random_law_table(rng, table_mode))
+                   for table_mode in ("extend", "replace") for _ in range(25)]
+        for k, table in tables:
+            pool = _pools(_count_rules(k, table, 6, plane), k + 1, 6, plane, pairs)
+            assert [sum(len(pool[root][n]) for root in pool) for n in range(1, 7)] == \
+                count_sequence(k, table.dimension, 6, mode, table), (mode, k, table)
 
 
 def test_count_colored_is_the_last_sequence_entry():

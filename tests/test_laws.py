@@ -5,9 +5,9 @@ import random
 import pytest
 
 from bifgraph import (
-    LawEntry, SchemaError, allowed_child_multisets, builtin_table, is_admissible_star,
-    junction, kind_for_child_count, period_doubling, splits_for_child_count, type_m,
-    load_law_table,
+    BifurcationKind, LawEntry, SchemaError, allowed_child_multisets, builtin_table,
+    is_admissible_star, junction, kind_for_child_count, parse_diagram, period_doubling,
+    saddle_node, splits_for_child_count, type_m, load_law_table,
 )
 from bifgraph.laws import JUNCTION, PERIOD_DOUBLING, SADDLE_NODE, TYPE_M
 
@@ -121,6 +121,30 @@ def test_forbidden_entries_rejected():
 def test_entry_arity_must_match_its_kind(kind, parent, children):
     with pytest.raises(ValueError, match=f"'{kind}' law entry cannot have {len(children)}"):
         LawEntry(kind, parent, children)
+
+
+def test_kinds_without_a_parameter_are_one_shared_value_each():
+    """``saddle_node()``, ``period_doubling()``, ``type_m()`` and
+    ``kind_for_child_count(1..3)`` return one shared value each, equal to and
+    hashed like the kind built afresh, which the diagram reader shares too;
+    a junction, or ``type_m`` with a given m, is built afresh."""
+    for c, make, name in ((1, saddle_node, SADDLE_NODE), (2, period_doubling, PERIOD_DOUBLING),
+                          (3, type_m, TYPE_M)):
+        fresh = BifurcationKind(name)
+        assert make() is make() is kind_for_child_count(c)
+        assert make() == fresh and hash(make()) == hash(fresh)
+    for c in range(4, 9):
+        assert kind_for_child_count(c) == junction(c) == BifurcationKind(JUNCTION, c)
+        assert hash(kind_for_child_count(c)) == hash(BifurcationKind(JUNCTION, c))
+    assert type_m(5) == type_m(5) == BifurcationKind(TYPE_M, 5) and type_m(5) is not type_m(5)
+    for c in (0, -1):
+        with pytest.raises(ValueError, match="^child count must be >= 1$"):
+            kind_for_child_count(c)
+    diagram = parse_diagram({"schemaVersion": "1", "dimension": 2, "edges": [
+        {"id": "a", "index": 1, "endpoints": ["terminal", "v"]},
+        {"id": "b", "index": -1, "endpoints": ["v", "terminal"]}],
+        "vertices": [{"id": "v", "kind": "saddle_node"}]})
+    assert diagram.vertices[0].kind is saddle_node()
 
 
 def test_splits_for_child_count_routes_by_arity():

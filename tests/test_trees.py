@@ -11,12 +11,12 @@ from bifgraph import (
     count_shapes, enumerate_shapes, free_trees, is_binary, mary_to_binary,
     ordered_trees, slot_trees, strip_slots, tree_size, trees,
 )
-from bifgraph.trees import _count_series, _tree_edges, slot_tree_size
+from bifgraph.trees import _count_series, _pools, _tree_edges, slot_tree_size
 from helpers import (
-    cached_canonical_trees, cached_free_trees, chain_tree, chosen_free_shape_counts,
-    free_tree_key, keyed_free_trees, listed_free_shape_count, nested_canonical_form,
-    nested_is_binary, nested_slot_tree_size, nested_strip_slots, nested_tree_edges,
-    nested_tree_size,
+    cached_canonical_trees, cached_free_trees, cached_slot_trees, chain_tree,
+    chosen_free_shape_counts, free_tree_key, keyed_free_trees, listed_free_shape_count,
+    nested_canonical_form, nested_is_binary, nested_slot_tree_size, nested_strip_slots,
+    nested_tree_edges, nested_tree_size,
 )
 
 
@@ -96,6 +96,26 @@ def test_plane_count_engine_matches_the_kary_formula(k):
     rules = {0: [(comb(k + 1, c), ((0, c),)) for c in range(1, k + 2)]}
     assert _count_series(rules, 80, plane=True) == \
         [count_kary_formula(k + 1, n) for n in range(1, 81)]
+
+
+def test_shape_rules_feed_the_free_count_and_the_slot_lister(monkeypatch):
+    """``count_shapes`` in free mode and ``slot_trees`` read the same rules
+    (``_shape_rules``): the count engine sums them, the lister ``_pools``
+    lists them, and in free mode it lists the canonical trees."""
+    rules_of = trees._shape_rules
+    read = []
+    monkeypatch.setattr(trees, "_shape_rules", lambda *args: read.append(args) or rules_of(*args))
+    for k in range(1, 5):
+        assert [count_shapes(k, n, "free") for n in range(1, 41)] == \
+            chosen_free_shape_counts(k, 40)
+    assert read == [(k + 1, n) for k in range(1, 5) for n in range(1, 41)]
+    read.clear()
+    for arity in range(1, 5):
+        for n in range(0, 9):
+            assert slot_trees(arity, n) == cached_slot_trees(arity, n)
+            free = _pools(rules_of(arity, n), arity, n, False, lambda _, s, kid_tuples: kid_tuples)
+            assert sorted(free[0][n] if n else ()) == sorted(canonical_trees(n, arity))
+    assert read == [(arity, n) for arity in range(1, 5) for n in range(0, 9)]
 
 
 def test_free_shapes_respect_child_budget():
