@@ -29,8 +29,13 @@ Topic ``validate``: diagram documents and validation.  ``parse_diagram``
 runs on the JSON text of a 1,500-node admissible tree in dimension 4 and of
 a 1,200-node saddle-node ring, against ``eager_parse_diagram``;
 ``Diagram`` construction and ``validate_diagram`` (k = 3, against
-``stepwise_validate_diagram``) on the tree; ``check_cycle_parity`` on the
-ring; ``check_period_consistency`` on a 300-node period-labelled tree.
+``stepwise_validate_diagram``) on the tree; ``to_star`` on the tree, against
+``branched_to_star``; ``check_cycle_parity`` on the ring;
+``check_period_consistency`` on a 300-node period-labelled tree; the law
+lookups ``splits_for_child_count`` of every child count up to 8 and parent
+index in dimension 4, against the kind-keyed lookup
+``kind_keyed_child_multisets`` it replaced, given the kind each child count
+names.
 
 Topic ``emit``: listing and writing trees, diagrams and graphs.
 ``enumerate_colored`` lists k=2 d=4 n=7 plane and k=1 d=4 n=9 free trees,
@@ -54,7 +59,14 @@ alone); ``canonical_trees`` (n = 14, and n = 16 with at most 4 children) and
 ``free_trees`` (n = 14) against ``cached_canonical_trees`` and
 ``cached_free_trees``, which list through module-level caches;
 ``slot_trees`` (arity 3, n = 9) against ``cached_slot_trees``, the cached
-recursive lister.  The
+recursive lister; ``canonical_trees`` of the one 3,000-node path (at most
+one child), whose row compares the sizes of the trees listed.
+``graphs_isomorphic`` on two seeded relabelings of a 300-vertex path plus
+150 chords, against ``recursive_graphs_isomorphic``, which backtracks by
+recursion, and alone on a 600-vertex path and a seeded relabeling of it,
+where colour refinement takes one round per vertex.  The search maps the
+unrelabeled path from one end; between two relabelings of the path it
+backtracks over the path's mirror images and ran for minutes.  The
 intersection graphs pair the members at each shared point; their oracles
 test every pair: ``line_graph`` on a 1,000-vertex path plus 500 seeded
 random chords against ``pairwise_line_graph``, and alone on an 8,000-vertex
@@ -144,11 +156,12 @@ from bifgraph.diagram import PeriodReport  # noqa: E402
 from bifgraph.documents import trees_dot, trees_json  # noqa: E402
 from run import CALIBRATION_S, calibration_loop  # noqa: E402
 from helpers import (  # noqa: E402
-    cached_canonical_trees, cached_colored_trees, cached_free_trees, cached_slot_trees,
-    disjoint_union, dumped_diagram, dumped_graph, dumped_trees_json, eager_parse_diagram,
-    formatted_trees_dot, looped_to_clique,
-    pairwise_block_intersection_graph, pairwise_line_graph, per_color_count_sequence,
-    period_labelled, relabeled_tutte_11, searched_diamond_minor, searched_vamos_minor,
+    branched_to_star, cached_canonical_trees, cached_colored_trees, cached_free_trees,
+    cached_slot_trees, disjoint_union, dumped_diagram, dumped_graph, dumped_trees_json,
+    eager_parse_diagram, formatted_trees_dot, kind_keyed_child_multisets, looped_to_clique,
+    pairwise_block_intersection_graph, pairwise_line_graph,
+    per_color_count_sequence, period_labelled, recursive_graphs_isomorphic,
+    relabeled_tutte_11, searched_diamond_minor, searched_vamos_minor,
     set_from_bases, sn_cycle, stepwise_validate_diagram, swept_all_graphs, swept_vamos_minor,
     tracked_block_decomposition, triangle_cactus, vamos_bases,
 )
@@ -214,6 +227,21 @@ def ring(nodes: int) -> bg.Diagram:
     return sn_cycle(2, [(-1) ** i for i in range(nodes)])
 
 
+LOOKUPS = [(c, parent) for c in range(1, 9) for parent in (-1, 0, 1)]
+
+
+def every_split(table: bg.LawTable) -> dict:
+    """``splits_for_child_count`` on every (child count, parent) of ``LOOKUPS``."""
+    return {key: bg.splits_for_child_count(table, *key) for key in LOOKUPS}
+
+
+def kind_keyed_every_split(table: bg.LawTable) -> dict:
+    """``every_split`` through ``kind_keyed_child_multisets``, given the
+    kind each child count names."""
+    return {(c, parent): kind_keyed_child_multisets(table, bg.kind_for_child_count(c), parent)
+            for c, parent in LOOKUPS}
+
+
 SADDLE_NODES_ONLY = {"schemaVersion": "1", "dimension": 1, "mode": "replace", "entries": [
     {"kind": "saddle_node", "parent": 1, "children": [-1]},
     {"kind": "saddle_node", "parent": -1, "children": [1]}]}
@@ -247,6 +275,23 @@ def path_with_chords(n: int) -> bg.SimpleGraph:
     rng = random.Random(n)
     chords = [rng.sample(range(n), 2) for _ in range(n // 2)]
     return bg.SimpleGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)] + chords)
+
+
+def relabeled(g: bg.SimpleGraph, seed: int) -> bg.SimpleGraph:
+    """g with its vertices renumbered by a seeded random permutation."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return bg.SimpleGraph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def sizes_of(lister: Callable) -> Callable:
+    """``lister(*args)`` as a function that returns the size of each tree
+    it lists: two separately built deep trees cannot be compared."""
+    def sizes(*args) -> tuple:
+        return tuple(map(bg.tree_size, lister(*args)))
+
+    sizes.__name__ = lister.__name__
+    return sizes
 
 
 def listed_free_shape_count(k: int, n: int, mode: str) -> int:
@@ -383,6 +428,8 @@ def summary(value) -> str:
         return f"{value.n} vertices, {len(value.edges)} edges"
     if isinstance(value, bg.BlockDecomposition):
         return f"{len(value.blocks)} blocks, {len(value.cut_vertices)} cut vertices"
+    if isinstance(value, dict):  # every law lookup
+        return f"{len(value)} lookups, {sum(map(len, value.values()))} child multisets"
     if isinstance(value, PeriodReport):
         return f"{len(value.violations)} period violations"
     return f"{len(value)} cycles, {sum(not c.ok for c in value)} failing"  # check_cycle_parity
@@ -399,9 +446,12 @@ TOPICS = {
         Row(bg.Diagram, "1,500-node tree", lambda: diagram_fields(tree_diagram(1500))),
         Row(bg.validate_diagram, "1,500-node tree, k=3",
             lambda: (tree_diagram(1500), 3, bg.builtin_table(4)), (stepwise_validate_diagram,)),
+        Row(bg.to_star, "1,500-node tree", lambda: (tree_diagram(1500),), (branched_to_star,)),
         Row(bg.check_cycle_parity, "1,200-node saddle-node ring", lambda: (ring(1200),)),
         Row(bg.check_period_consistency, "300-node period-labelled tree",
             lambda: (period_labelled(random.Random(300), tree_diagram(300)),)),
+        Row(every_split, "builtin_table(4), c <= 8", lambda: (bg.builtin_table(4),),
+            (kind_keyed_every_split,)),
     ),
     "emit": (
         Row(bg.enumerate_colored, "k=2 d=4 n=7 plane", lambda: (bg.EnumerationSpec(2, 4, 7),),
@@ -433,6 +483,12 @@ TOPICS = {
         Row(bg.canonical_trees, "16, 4", lambda: (16, 4), (cached_canonical_trees,)),
         Row(bg.free_trees, "14", lambda: (14,), (cached_free_trees,)),
         Row(bg.slot_trees, "3, 9", lambda: (3, 9), (cached_slot_trees,)),
+        Row(sizes_of(bg.canonical_trees), "3000, 1", lambda: (3000, 1)),
+        Row(bg.graphs_isomorphic, "relabeled path 300 + 150 chords, twice",
+            lambda: (relabeled(path_with_chords(300), 1), relabeled(path_with_chords(300), 2)),
+            (recursive_graphs_isomorphic,)),
+        Row(bg.graphs_isomorphic, "path 600 and a relabeling",
+            lambda: (bg.path_graph(600), relabeled(bg.path_graph(600), 1))),
         Row(bg.line_graph, "path 1000 + 500 chords", lambda: (path_with_chords(1000),),
             (pairwise_line_graph,)),
         Row(bg.line_graph, "path 8000 + 4000 chords", lambda: (path_with_chords(8000),)),

@@ -144,7 +144,8 @@ class Vertex:
 @dataclass(frozen=True)
 class Diagram:
     """Orbit branches and bifurcation events, indexed once at construction
-    so that every lookup below is a dictionary access.
+    (each vertex's incident edges, parent edge and child edges) so that
+    every lookup below is a dictionary access.
 
     Construction checks that every edge end names a vertex (or TERMINAL)
     and that each vertex has exactly its kind's degree, with a parent edge
@@ -175,8 +176,9 @@ class Diagram:
                     raise DiagramError(f"edge {e.id!r} references missing vertex {end!r}",
                                        f".edges[{i}].endpoints[{slot}]")
                 incident[end].append(e)
+        parted: dict[str, tuple[Edge | None, list[Edge]]] = {}
         for i, v in enumerate(self.vertices):
-            inc = [e.id for e in incident[v.id]]
+            inc = incident[v.id]
             if not inc:
                 raise DiagramError(f"vertex {v.id!r} has no incident edge", f".vertices[{i}]")
             if len(inc) != v.kind.degree:
@@ -187,17 +189,22 @@ class Diagram:
                 if v.parent_edge is not None:
                     raise DiagramError(f"saddle-node vertex {v.id!r} takes no parent edge",
                                        f".vertices[{i}].parentEdge")
-            else:
-                if v.parent_edge is None:
-                    raise DiagramError(f"vertex {v.id!r} ({v.kind.name}) needs a parent edge",
-                                       f".vertices[{i}].parentEdge")
-                if v.parent_edge not in inc:
-                    raise DiagramError(
-                        f"parent edge {v.parent_edge!r} is not incident to vertex {v.id!r}",
-                        f".vertices[{i}].parentEdge")
+                parted[v.id] = None, inc
+                continue
+            if v.parent_edge is None:
+                raise DiagramError(f"vertex {v.id!r} ({v.kind.name}) needs a parent edge",
+                                   f".vertices[{i}].parentEdge")
+            kids = inc.copy()  # minus the parent's first occurrence: a loop keeps one
+            try:
+                parted[v.id] = kids.pop(kids.index(edge_by_id.get(v.parent_edge))), kids
+            except ValueError:
+                raise DiagramError(
+                    f"parent edge {v.parent_edge!r} is not incident to vertex {v.id!r}",
+                    f".vertices[{i}].parentEdge") from None
         object.__setattr__(self, "_edge_by_id", edge_by_id)
         object.__setattr__(self, "_vertex_by_id", vertex_by_id)
         object.__setattr__(self, "_incident", incident)
+        object.__setattr__(self, "_parted", parted)
 
     # -- lookups ----------------------------------------------------------
 
@@ -214,7 +221,7 @@ class Diagram:
 
     def child_edges(self, vertex: Vertex) -> list[Edge]:
         """Incident edges minus one occurrence of the parent edge."""
-        return list(_split(vertex, self._incident[vertex.id])[1])
+        return list(self._parted[vertex.id][1])
 
     def degree(self, vertex_id: str) -> int:
         return len(self._incident.get(vertex_id, ()))
@@ -237,21 +244,8 @@ def check_index_conservation(diagram: Diagram, vertex_id: str) -> ConservationCh
     branches sit on one side of the event, nothing on the other).  For every
     parented kind the parent index must equal the sum of the child indices.
     """
-    v = diagram.vertex(vertex_id)
-    parent, kids = _split(v, diagram._incident[v.id])
+    parent, kids = diagram._parted[vertex_id]
     return _conservation(parent, [e.index for e in kids])
-
-
-def _split(v: Vertex, incident: list[Edge]) -> tuple[Edge | None, list[Edge]]:
-    """(parent edge, child edges) at vertex ``v`` from its incident edges
-    with multiplicity: the parent is the first occurrence of the parent
-    edge; a saddle node has none, and its incident list (not a copy) as kids."""
-    if v.parent_edge is None:
-        return None, incident
-    kids = list(incident)
-    for i, e in enumerate(kids):
-        if e.id == v.parent_edge:
-            return kids.pop(i), kids
 
 
 def _conservation(parent: Edge | None, kids: list[int]) -> ConservationCheck:
@@ -294,7 +288,7 @@ def _saddle_node_cycles(diagram: Diagram):
         seen.add(start)
         # Walk one way round; a walk that leaves the saddle nodes is
         # repeated the other way round only to mark the whole component.
-        for edge in diagram.incident_edges(start):
+        for edge in diagram._incident[start]:
             u, eids, vids = start, [], [start]
             while True:
                 eids.append(edge.id)
@@ -304,7 +298,7 @@ def _saddle_node_cycles(diagram: Diagram):
                     break
                 seen.add(u)
                 vids.append(u)
-                first, second = diagram.incident_edges(u)
+                first, second = diagram._incident[u]
                 edge = second if first.id == edge.id else first
             if u != start:
                 continue
@@ -405,7 +399,7 @@ def check_period_consistency(diagram: Diagram) -> PeriodReport:
 
     violations = []
     for v in diagram.vertices:
-        parent, kids = _split(v, diagram._incident[v.id])
+        parent, kids = diagram._parted[v.id]
         if parent is None:  # a saddle node: its first edge stands as the parent
             parent, kids = kids[0], kids[1:]
         p, got = parent.period, sorted(e.period for e in kids)
@@ -481,7 +475,7 @@ def validate_diagram(diagram: Diagram, k: int, table: LawTable) -> ValidationRep
             out.append(Violation("degree_bound",
                                  f"vertex {v.id!r} has degree {len(incident)} > k+2 = {k + 2}",
                                  vertex_id=v.id))
-        parent, kid_edges = _split(v, incident)
+        parent, kid_edges = diagram._parted[v.id]
         kids = [e.index for e in kid_edges]
         cons = _conservation(parent, kids)
         if not cons.ok:

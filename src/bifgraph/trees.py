@@ -223,7 +223,10 @@ def canonical_trees(n: int, max_children: int | None = None) -> tuple:
     if n < 1:
         return ()
     mc = n if max_children is None else max_children
-    return _forests({}, n - 1, mc, mc, None)
+    memo: dict = {}
+    for total in range(n - 1):  # smallest first, so the recursion stays shallow
+        _forests(memo, total, mc, mc, None)
+    return _forests(memo, n - 1, mc, mc, None)
 
 
 def canonical_form(t) -> tuple:

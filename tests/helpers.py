@@ -1195,10 +1195,23 @@ def tracked_block_decomposition(g: SimpleGraph) -> BlockDecomposition:
     return BlockDecomposition(blocks, block_edges, frozenset(cuts), bct)
 
 
+def split_incident(v: Vertex, incident: list[Edge]) -> tuple[Edge | None, list[Edge]]:
+    """(parent edge, child edges) at vertex ``v`` from its incident edges
+    with multiplicity, as ``Diagram`` once split them on every call: the
+    parent is the first occurrence of the parent edge; a saddle node has
+    none, and its incident list (not a copy) as kids."""
+    if v.parent_edge is None:
+        return None, incident
+    kids = list(incident)
+    for i, e in enumerate(kids):
+        if e.id == v.parent_edge:
+            return kids.pop(i), kids
+
+
 def branched_to_star(diagram: Diagram) -> SimpleGraph:
     """``to_star`` with a branch of its own for saddle nodes, which join
     their two incident branches; every other event joins its parent edge
-    to each of ``Diagram.child_edges``."""
+    to each of its children, split by ``split_incident``."""
     pos, colors, names = _branch_vertices(diagram)
     edges = set()
     for v in diagram.vertices:
@@ -1208,7 +1221,7 @@ def branched_to_star(diagram: Diagram) -> SimpleGraph:
                 edges.add(tuple(sorted((pos[a], pos[b]))))
             continue
         hub = pos[v.parent_edge]
-        for child in diagram.child_edges(v):
+        for child in split_incident(v, diagram.incident_edges(v.id))[1]:
             if pos[child.id] != hub:
                 edges.add(tuple(sorted((hub, pos[child.id]))))
     return SimpleGraph.from_edges(len(pos), edges, colors, names)
@@ -1471,7 +1484,7 @@ def stepwise_index_conservation(diagram: Diagram, vertex_id: str) -> Conservatio
         total = sum(e.index for e in diagram.incident_edges(vertex_id))
         return ConservationCheck(total == 0, total, 0)
     parent = diagram.edge(v.parent_edge).index
-    kids = sum(e.index for e in diagram.child_edges(v))
+    kids = sum(e.index for e in split_incident(v, diagram.incident_edges(vertex_id))[1])
     return ConservationCheck(parent == kids, parent, kids)
 
 
@@ -1509,7 +1522,7 @@ def stepwise_validate_diagram(diagram: Diagram, k: int, table: LawTable) -> Vali
                                      f"dimension {table.dimension}", vertex_id=v.id))
             continue
         parent = diagram.edge(v.parent_edge).index
-        kids = [e.index for e in diagram.child_edges(v)]
+        kids = [e.index for e in split_incident(v, diagram.incident_edges(v.id))[1]]
         if not is_admissible_star(table, v.kind, parent, kids):
             out.append(Violation("law",
                                  f"vertex {v.id!r}: {parent} -> {tuple(sorted(kids))} not "
@@ -1580,7 +1593,7 @@ def branched_period_consistency(diagram: Diagram) -> PeriodReport:
                     v.id, (e1.id, e2.id),
                     f"saddle node joins periods {e1.period} and {e2.period}"))
             continue
-        parent, kids = diagram.edge(v.parent_edge), diagram.child_edges(v)
+        parent, kids = split_incident(v, diagram.incident_edges(v.id))
         p = parent.period
         got = sorted(e.period for e in kids)
         if v.kind.name == PERIOD_DOUBLING:

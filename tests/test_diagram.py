@@ -20,8 +20,10 @@ from helpers import (
     branched_cycle_parity, branched_period_consistency, constructible_diagrams,
     eager_parse_diagram, period_labelled, planted_index_fault, planted_period_fault,
     random_sn_doubling_diagram, saddle_node_cycles, searched_junction_periods, sn_chain,
-    sn_cycle, star_diagram, stepwise_index_conservation, stepwise_validate_diagram,
+    sn_cycle, split_incident, star_diagram, stepwise_index_conservation,
+    stepwise_validate_diagram,
 )
+from bifgraph.diagram import _conservation
 
 
 # -- orbit index ------------------------------------------------------------
@@ -116,6 +118,24 @@ def test_lookups_keep_multiplicity_and_order():
         d.edge("nowhere")
     with pytest.raises(KeyError):
         d.vertex("nowhere")
+    _split_as_the_oracle_splits(d)
+
+
+def _split_as_the_oracle_splits(d: Diagram):
+    """Each vertex's stored split holds the oracle's edges, in its order,
+    and the lookups hand out copies of it."""
+    for v in d.vertices:
+        parent, kids = split_incident(v, d.incident_edges(v.id))
+        got = d.child_edges(v)
+        assert len(got) == len(kids) and all(a is b for a, b in zip(got, kids))
+        assert check_index_conservation(d, v.id) == _conservation(parent, [e.index for e in kids])
+        got.clear()
+        assert d.child_edges(v) == kids and len(d.incident_edges(v.id)) == v.kind.degree
+
+
+@given(constructible_diagrams())
+def test_the_stored_split_is_the_oracle_split(d):
+    _split_as_the_oracle_splits(d)
 
 
 # -- cycle parity -----------------------------------------------------------

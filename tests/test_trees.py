@@ -159,6 +159,14 @@ def test_canonical_and_free_trees_match_the_cached_listers():
         assert free_trees(n) == cached_free_trees(n), n
 
 
+def test_canonical_trees_list_the_3000_node_path():
+    # the memo fills smallest first, so the recursion is as deep as the child bound
+    (t,) = canonical_trees(3000, 1)
+    assert tree_size(t) == 3000
+    while t:
+        (t,) = t  # one child per level down to the leaf
+
+
 def test_free_trees_are_one_per_centroid_key():
     counts = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
     for n in range(1, 13):
