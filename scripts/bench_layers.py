@@ -105,7 +105,9 @@ before colors with equal series were merged into one class.  In d = 2 no
 two colors merge.
 
 Topic ``cli``: ``bifgraph.cli.main``, which builds only the named
-subcommand's parser, on one command line per subcommand, against
+subcommand's parser, on one command line per subcommand and on
+``enumerate --k 1 --d 4 --n 220``, the largest counts job of the
+benchmark's ``counting`` workload, which writes 220 count rows, against
 ``through_the_full_parser``, the same call through the parser of every
 subcommand (how every call was parsed before the subcommand table), run
 by ``cli._run`` as ``main`` runs it.  Both print to a buffer, and must
@@ -330,6 +332,7 @@ DOCUMENTS = {
 
 COMMAND_LINES = (
     "validate diagram.json --k 1", "enumerate --k 1 --d 4 --n 6",
+    "enumerate --k 1 --d 4 --n 220",
     "ratio --k1 1 --k2 2 --d 4 --n-max 10", "share --k 1 --d1 2 --d2 3 --n-max 10",
     "classify graph.json", "spanning graph.json", "repr diagram.json --star",
     "matroid matroid.json", "count --kary 3 10", "convert tree.json",

@@ -23,7 +23,7 @@ _EXPORTS = {
     "trees": """EnumerationLimitError TreeMode canonical_form canonical_trees
         count_kary_formula count_shapes enumerate_shapes free_trees is_binary
         mary_to_binary ordered_trees slot_trees strip_slots tree_size""",
-    "enumeration": """ColoredTree CountTable EnumerationSpec count_colored count_sequence
+    "enumeration": """ColoredTree EnumerationSpec count_colored count_sequence
         enumerate_colored project_uncolored ratio_lower_bound ratio_sequence
         shape_coverage share_sequence tree_to_diagram""",
     "graphs": """SimpleGraph all_graphs complete_graph connected_graphs cycle_graph

@@ -17,6 +17,7 @@ import os
 import sys
 from collections.abc import Iterable
 from dataclasses import replace
+from decimal import Decimal
 
 # every library module, imported up front: benchmarks/tracing.py wraps each
 # layer it finds in sys.modules once bifgraph.cli is imported
@@ -54,6 +55,14 @@ def _table_for(args, dimension: int):
     return builtin_table(dimension)
 
 
+def _digits(x: int) -> str:
+    """Decimal text of ``x``: ``str(x)``, or ``Decimal`` past the int-to-text digit cap."""
+    try:
+        return str(x)
+    except ValueError:
+        return format(Decimal(x), "f")
+
+
 def _shown(as_json: bool, payload, text: str) -> str:
     """``payload`` as indented JSON with sorted keys, or else ``text``; then a newline."""
     return (json.dumps(payload, indent=2, sort_keys=True) if as_json else text) + "\n"
@@ -78,13 +87,12 @@ def cmd_validate(args) -> tuple[int, str]:
 def cmd_enumerate(args) -> tuple[int, str | Iterable[str]]:
     spec = enumeration.EnumerationSpec(args.k, args.d, args.n, args.mode,
                                        _table_for(args, args.d))
-    if args.emit in ("counts", "csv"):
-        table = enumeration.CountTable()
+    if args.emit in ("counts", "csv"):  # ints and a mode name: no field needs CSV quoting
         counts = enumeration.count_sequence(args.k, args.d, args.n, spec.mode,
                                             spec.resolved_table())
-        for n, count in enumerate(counts, start=1):
-            table.record(args.k, args.d, n, spec.mode, count, "count_sequence")
-        return 0, table.to_csv()
+        return 0, "k,d,n,mode,count\n" + "".join(
+            f"{args.k},{args.d},{n},{spec.mode.value},{_digits(count)}\n"
+            for n, count in enumerate(counts, start=1))
     colored = enumeration.enumerate_colored(replace(spec, limit=_limit(args)))
     return 0, (documents.trees_json if args.emit == "json" else documents.trees_dot)(colored)
 
@@ -110,9 +118,8 @@ def _fractions(values, as_json: bool) -> str:
     both null where the value is None; ``approx`` alone is null where the
     value is beyond the float range.  JSON is written directly, in the text
     of ``json.dumps(rows, indent=2, sort_keys=True)``."""
-    digits = enumeration._digits
     rows = [(n, None, None) if v is None else
-            (n, f"{digits(v.numerator)}/{digits(v.denominator)}", _approx(v))
+            (n, f"{_digits(v.numerator)}/{_digits(v.denominator)}", _approx(v))
             for n, v in enumerate(values, start=1)]
     if as_json:
         return "[\n" + ",\n".join(_json_row(*row) for row in rows) + "\n]\n" if rows else "[]\n"
@@ -155,7 +162,7 @@ def cmd_spanning(args) -> tuple[int, str]:
         count = len(spanning.spanning_enumerate_brute(g))
     else:
         count = spanning.tutte_11(g)
-    digits = enumeration._digits(count)
+    digits = _digits(count)
     return 0, _shown(args.json, {"method": args.method, "count": digits,
                                  "connected": g.is_connected()}, digits)
 
@@ -201,7 +208,7 @@ def cmd_count(args) -> tuple[int, str]:
         value = classes.husimi_count(_parse_sizes("--husimi", args.husimi))
     else:
         value = classes.cactus_count(_parse_sizes("--cactus", args.cactus))
-    digits = enumeration._digits(value)
+    digits = _digits(value)
     return 0, _shown(args.json, {"count": digits}, digits)
 
 

@@ -19,11 +19,8 @@ is read once, into the rules of the bottom-up count engine in ``trees``
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import Counter
-from dataclasses import dataclass, field
-from decimal import Decimal
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 from operator import attrgetter
@@ -308,61 +305,8 @@ def tree_to_diagram(tree: ColoredTree, dimension: int) -> Diagram:
     return Diagram(dimension, tuple(edges), tuple(vertices))
 
 
-# ---------------------------------------------------------------------------
-# Count bookkeeping
-# ---------------------------------------------------------------------------
-
-def _digits(x: int) -> str:
-    """Decimal text of ``x`` at any length: ``str`` up to the interpreter's
-    int-to-text digit cap, ``Decimal``, which has no cap, past it."""
-    try:
-        return str(x)
-    except ValueError:
-        return format(Decimal(x), "f")
-
-
-@dataclass
-class CountTable:
-    """Recorded exact counts keyed by (k, d, n, mode), append-only."""
-
-    records: dict = field(default_factory=dict)
-
-    def record(self, k: int, d: int, n: int, mode, count: int, provenance: str = "") -> None:
-        if count < 0:
-            raise ValueError("counts are nonnegative")
-        key = (k, d, n, TreeMode.coerce(mode).value)
-        if key in self.records and self.records[key][0] != count:
-            raise ValueError(f"conflicting count for {key}")
-        self.records.setdefault(key, (count, provenance))
-
-    def get(self, k: int, d: int, n: int, mode) -> int | None:
-        got = self.records.get((k, d, n, TreeMode.coerce(mode).value))
-        return got[0] if got else None
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["k", "d", "n", "mode", "count"])
-        for (k, d, n, mode), (count, _) in sorted(self.records.items()):
-            w.writerow([k, d, n, mode, _digits(count)])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "CountTable":
-        table = cls()
-        rows = list(csv.reader(io.StringIO(text)))
-        for row in rows[1:]:
-            if not row:
-                continue
-            k, d, n, mode, count = row
-            # int() stops at the digit cap too; Decimal reads digits of any length
-            count = int(Decimal(count)) if count.isascii() and count.isdigit() else int(count)
-            table.record(int(k), int(d), int(n), mode, count, "csv")
-        return table
-
-
 __all__ = [
-    "ColoredTree", "EnumerationSpec", "CountTable", "DEFAULT_LIST_LIMIT",
+    "ColoredTree", "EnumerationSpec", "DEFAULT_LIST_LIMIT",
     "enumerate_colored", "project_uncolored", "count_colored", "count_sequence",
     "ratio_sequence", "share_sequence", "ratio_lower_bound", "shape_coverage",
     "tree_to_diagram", "count_shapes", "count_kary_formula", "TreeMode",

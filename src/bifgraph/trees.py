@@ -207,7 +207,8 @@ def _forests(memo: dict, total: int, slots: int, max_children: int, max_key) -> 
     out = memo.get(key)
     if out is None:
         out = []
-        for s in range(total, 0, -1):
+        # the other slots - 1 trees are no larger than s, so s >= ceil(total / slots)
+        for s in range(total, -(-total // slots) - 1, -1):
             for t in _forests(memo, s - 1, max_children, max_children, None):
                 bound = (s, t)
                 if max_key is None or bound <= max_key:

@@ -7,6 +7,8 @@ is confirmed by a second, dumber computation.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 import sys
@@ -255,6 +257,18 @@ def chunked_digits(x: int) -> str:
         if not x:
             break
     return str(chunks[-1]) + "".join(str(c).zfill(100) for c in reversed(chunks[:-1]))
+
+
+def csv_written_counts(k: int, d: int, mode: str, counts) -> str:
+    """``enumerate --emit counts`` text as the replaced ``CountTable.to_csv``
+    wrote it: the header, then a row for each n = 1.. through ``csv.writer``,
+    each count in ``chunked_digits``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["k", "d", "n", "mode", "count"])
+    writer.writerows([k, d, n, mode, chunked_digits(count)]
+                     for n, count in enumerate(counts, start=1))
+    return buf.getvalue()
 
 
 # -- colored-tree counts ------------------------------------------------------

@@ -4,7 +4,7 @@ test reaches."""
 import pytest
 
 from bifgraph import (
-    BifurcationKind, ColoredTree, CountTable, Diagram, DiagramError, EigenvalueSpec, LawTable,
+    BifurcationKind, ColoredTree, Diagram, DiagramError, EigenvalueSpec, LawTable,
     Matroid, SimpleGraph, all_graphs, builtin_table, complete_graph, count_colored,
     count_kary_formula, count_sequence, graphs_isomorphic, husimi_count, kind_for_child_count,
     nonadmissible_period_fixture, ratio_sequence, share_sequence, splits_for_child_count, tutte_11,
@@ -16,7 +16,6 @@ from bifgraph import (
     (lambda: husimi_count({2: -1}), "multiplicities are nonnegative"),
     (lambda: ratio_sequence(2, 1, 4, 3), "need k_low <= k_high"),
     (lambda: share_sequence(1, 3, 2, 3), "need d_low <= d_high"),
-    (lambda: CountTable().record(1, 2, 3, "plane", -1), "counts are nonnegative"),
     (lambda: SimpleGraph.from_edges(2, [(0, 0)]), "self-loop at vertex 0"),
     (lambda: SimpleGraph.from_edges(2, [(0, 1)], colors=[1]), "colors length"),
     (lambda: SimpleGraph.from_edges(2, [(0, 1)], names=["a"]), "names length"),
@@ -52,11 +51,6 @@ def test_a_diagram_of_dimension_zero_is_located_at_its_dimension():
     with pytest.raises(DiagramError, match="dimension must be >= 1") as err:
         Diagram(0, (), ())
     assert err.value.where == ".dimension"
-
-
-def test_count_csv_skips_blank_rows():
-    table = CountTable.from_csv("k,d,n,mode,count\n\n1,2,3,plane,5\n")
-    assert table.records == {(1, 2, 3, "plane"): (5, "csv")}
 
 
 def test_relabeling_moves_the_colors_with_the_vertices():

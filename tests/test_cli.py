@@ -17,10 +17,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bifgraph
-from bifgraph import count_kary_formula, emit_diagram, nonadmissible_period_fixture
+from bifgraph import (
+    count_kary_formula, count_sequence, emit_diagram, load_law_table,
+    nonadmissible_period_fixture,
+)
 from bifgraph.cli import COMMANDS, _fractions, _run, build_parser, main
 from bifgraph.documents import kind_from_json
-from helpers import chunked_digits, diagram_trees_dot, dumped_trees_json, star_diagram
+from helpers import (
+    chunked_digits, csv_written_counts, diagram_trees_dot, dumped_trees_json, star_diagram,
+)
 
 
 DATA = Path(__file__).parent / "data"
@@ -163,6 +168,40 @@ def test_count_output_is_unchanged(case, capsys, monkeypatch):
     monkeypatch.chdir(Path(__file__).parent.parent)  # argv names tests/data/...
     assert main(case["argv"]) == case["exit"]
     assert capsys.readouterr().out == case["stdout"]
+
+
+@pytest.mark.parametrize("mode", ["plane", "free"])
+@pytest.mark.parametrize("k, d", [(k, d) for k in (1, 2, 3) for d in (1, 2, 3, 4)])
+def test_enumerate_counts_equal_the_csv_writer_rows(k, d, mode, capsys):
+    for n in (1, 12):
+        assert main(["enumerate", "--k", str(k), "--d", str(d), "--n", str(n),
+                     "--mode", mode]) == 0
+        want = csv_written_counts(k, d, mode, count_sequence(k, d, n, mode))
+        assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("emit", ["counts", "csv"])
+def test_enumerate_counts_of_a_replace_table_equal_the_csv_writer_rows(emit, capsys):
+    path = DATA / "replace_table.json"
+    counts = count_sequence(2, 3, 12, "free", load_law_table(path.read_text()))
+    assert main(["enumerate", "--k", "2", "--d", "3", "--n", "12", "--mode", "free",
+                 "--law-table", str(path), "--emit", emit]) == 0
+    assert capsys.readouterr().out == csv_written_counts(2, 3, "free", counts)
+
+
+def test_enumerate_counts_print_the_same_rows_past_a_lowered_digit_cap(capsys):
+    argv = ["enumerate", "--k", "1", "--d", "4", "--n", "950"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the lowest cap the interpreter allows
+    try:
+        assert main(argv) == 0
+        capped = capsys.readouterr().out
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert capped == plain == csv_written_counts(1, 4, "plane", count_sequence(1, 4, 950))
+    assert len(plain.splitlines()[-1].rpartition(",")[2]) > 640
 
 
 # stdout recorded with the parent of the streaming writers: json.dumps of

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifgraph import (
-    ColoredTree, CountTable, EnumerationSpec, builtin_table, count_colored,
+    ColoredTree, EnumerationSpec, builtin_table, count_colored,
     count_sequence, count_shapes, enumerate_colored, enumerate_shapes,
     load_law_table, ordered_trees, project_uncolored, ratio_lower_bound,
     ratio_sequence, share_sequence, slot_trees, tree_to_diagram, validate_diagram,
@@ -20,7 +20,7 @@ from bifgraph.cli import main
 from bifgraph.enumeration import _count_rules
 from bifgraph.trees import _classes, _pools
 from helpers import (
-    cached_colored_trees, cached_ordered_trees, cached_slot_trees, chain_tree, chunked_digits,
+    cached_colored_trees, cached_ordered_trees, cached_slot_trees, chain_tree,
     distinct_children, law_table_of, legal_law_entries, negated, per_color_count_sequence,
     plain_tree, plane_count, random_law_table, recursive_orderings,
 )
@@ -500,27 +500,6 @@ def test_tree_to_diagram_shape():
     assert len(d.edges) == 3 and len(d.vertices) == 1
     assert d.vertices[0].kind.name == "period_doubling"
     assert validate_diagram(d, 1, builtin_table(2)).ok
-
-
-def test_count_table_roundtrip():
-    table = CountTable()
-    table.record(1, 4, 3, "plane", 18, "dp")
-    table.record(2, 4, 3, "plane", 45, "dp")
-    text = table.to_csv()
-    assert text.splitlines()[0] == "k,d,n,mode,count"
-    back = CountTable.from_csv(text)
-    assert back.get(1, 4, 3, "plane") == 18
-    with pytest.raises(ValueError):
-        table.record(1, 4, 3, "plane", 99)
-
-
-def test_count_table_roundtrip_of_a_5000_digit_count():
-    count = 7 * 10 ** 4999 + 12345
-    table = CountTable()
-    table.record(1, 4, 3, "plane", count, "dp")
-    text = table.to_csv()
-    assert text.splitlines()[1] == "1,4,3,plane," + chunked_digits(count)
-    assert CountTable.from_csv(text).get(1, 4, 3, "plane") == count
 
 
 def test_a_deep_tree_reports_its_size_and_converts():
