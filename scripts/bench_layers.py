@@ -23,7 +23,12 @@ rows are the before and after.  The function and its oracles take turns
 run by run, so each run of one has a run of each other next to it, under
 the same drift of the machine's speed.  Every call of a row must give the
 first call's result, each oracle must give the function's, and each row
-records a short summary of its result.
+records a short summary of its result.  After its timed runs, each
+function and oracle makes one more call, untimed, on a freshly built input
+with the caches emptied, traced by ``tracemalloc`` from just before to just
+after it: ``retained_bytes`` is what the call left allocated, its result
+included, once the garbage collector has run.  No timed call runs under
+``tracemalloc``.
 
 Topic ``validate``: diagram documents and validation.  ``parse_diagram``
 runs on the JSON text of a 1,500-node admissible tree in dimension 4 and of
@@ -144,6 +149,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -559,6 +565,21 @@ def timed(fn, args: Callable[[], tuple]) -> tuple[float, object]:
     return elapsed, result
 
 
+def retained(fn, args: Callable[[], tuple]) -> int:
+    """Bytes that one call on a freshly built input, with the caches
+    emptied, leaves allocated (its result included), by ``tracemalloc``
+    traced around the call alone."""
+    inputs = args()
+    clear_caches()
+    gc.collect()
+    tracemalloc.start()
+    result = fn(*inputs)  # alive until measured: what it holds counts
+    gc.collect()
+    size = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    return size
+
+
 def calibration() -> float:
     """Seconds of one run of the calibration loop of ``benchmarks/run.py``."""
     start = time.perf_counter()
@@ -571,7 +592,8 @@ def time_row(row: Row) -> list[dict]:
     ``RUNS`` runs each, taken in turn run by run, each run the mean of as
     many calls as the first call says last about ``CALL_S`` and each with
     the mean calibration time around it.  Every call must give its first
-    call's result, and each oracle's first call the function's."""
+    call's result, and each oracle's first call the function's.  Then one
+    untimed call of each records the bytes it retains."""
     fns = (row.fn, *row.oracles)
     firsts = [timed(fn, row.args) for fn in fns]
     for fn, (_, result) in zip(fns, firsts):
@@ -596,8 +618,9 @@ def time_row(row: Row) -> list[dict]:
              "median_ref_s": statistics.median(
                  mean / c * CALIBRATION_S for mean, c in zip(runs, around)),
              "runs_s": runs, "calibration_s": around, "calls": n_calls,
-             "answer": summary(result)}
-            for runs, around, n_calls, (_, result) in zip(means, calibrations, calls, firsts)]
+             "retained_bytes": retained(fn, row.args), "answer": summary(result)}
+            for fn, runs, around, n_calls, (_, result)
+            in zip(fns, means, calibrations, calls, firsts)]
 
 
 def main() -> None:
@@ -623,7 +646,8 @@ def main() -> None:
             for fn, timing in zip((row.fn, *row.oracles), time_row(row)):
                 rows.append({"function": fn.__name__, "input": row.input, **timing})
                 print(f"{fn.__name__:26s} {row.input:38s} {timing['median_s']:11.6f} s"
-                      f" {timing['median_ref_s']:11.6f} ref s  -> {timing['answer']}")
+                      f" {timing['median_ref_s']:11.6f} ref s"
+                      f" {timing['retained_bytes'] / 1e6:9.3f} MB  -> {timing['answer']}")
         os.chdir(ROOT)
     record = {"topic": args.topic, "python": platform.python_version(),
               "platform": platform.platform(), "machine": platform.machine(),

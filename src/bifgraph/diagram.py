@@ -23,28 +23,15 @@ from .laws import (
 
 
 class _Terminal:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "TERMINAL"
+
+    def __reduce__(self):
+        return "TERMINAL"  # pickle and copy resolve the one instance by name
 
 
 #: Marker for a branch end that reaches the boundary of the parameter window.
 TERMINAL = _Terminal()
-
-
-def _trusted(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
-    given, without ``__init__`` and ``__post_init__``: for builders that
-    have already checked what those would.  Pass every field."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 class DiagramError(ValueError):
@@ -113,7 +100,7 @@ def index_from_eigenvalues(spec: EigenvalueSpec) -> IndexResult:
 # Diagram structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """An orbit branch: orbit index color, optional minimal period, and the
     two ends (vertex ids or TERMINAL)."""
@@ -131,7 +118,7 @@ class Edge:
             raise DiagramError(f"edge {self.id!r} period must be a positive integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     """A bifurcation event.  Saddle nodes are symmetric (no parent); every
     other kind designates one incident edge as the bifurcating branch."""

@@ -16,7 +16,7 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
-from .diagram import TERMINAL, Diagram, DiagramError, Edge, Vertex, _trusted
+from .diagram import TERMINAL, Diagram, DiagramError, Edge, Vertex
 from .graphs import SimpleGraph
 from .laws import (
     COLOR_OF, INDEX_VALUES, JUNCTION, TYPE_M, BifurcationKind, LawEntry, LawTable,
@@ -165,7 +165,7 @@ def parse_diagram(source) -> Diagram:
             if e is not TERMINAL and not (isinstance(e, str) and e):
                 raise SchemaError(f"$.edges[{i}].endpoints[{j}]",
                                   'must be a vertex id or "terminal"')
-        edges.append(_trusted(Edge, id=eid, index=index, ends=ends, period=period))
+        edges.append(Edge(eid, index, ends, period))
 
     vertices = []
     for i, item in enumerate(doc["vertices"]):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from operator import attrgetter
 
-from .diagram import TERMINAL, Diagram, Edge, Vertex, _trusted
+from .diagram import TERMINAL, Diagram, Edge, Vertex
 from .laws import (
     INDEX_VALUES, LawTable, builtin_table, check_index, kind_for_child_count,
     splits_for_child_count,
@@ -39,16 +39,14 @@ DEFAULT_LIST_LIMIT = 1_000_000
 _children = attrgetter("children")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColoredTree:
     """Rooted tree with orbit-index colors; ``slots`` gives the child
     positions in plane mode and is None in free mode.
 
     Equality, hashing and ``shape`` walk the tree with an explicit stack,
     so a tree of any depth answers them; the hash equals the one the
-    dataclass would compute from (color, children, slots).  The listers
-    build trees with ``_trusted``, skipping the checks of
-    ``__post_init__`` on children they have already checked.
+    dataclass would compute from (color, children, slots).
     """
 
     color: int
@@ -154,14 +152,8 @@ def _colored_pools(table: LawTable, k: int, n: int, plane: bool) -> dict:
     """``pool[color][size]``: every admissible ``ColoredTree`` with that root
     color and size, at most k+1 children per node, listed by ``_pools`` over
     the count engine's rules of the table (``_count_rules``)."""
-    def colored(color, slots, tuples):
-        if slots == ():  # a leaf, through the constructor: see below
-            return [ColoredTree(color)]
-        return [_trusted(ColoredTree, color=color, children=kids, slots=slots) for kids in tuples]
-
-    # The leaves come first: were the first tree of a process built through
-    # its ``__dict__``, CPython would stop sharing attribute keys between
-    # trees, and each later one would take a larger dict and build slower.
+    def colored(color, slots, tuples):  # a leaf comes with slots () and keeps None
+        return [ColoredTree(color, kids, slots or None) for kids in tuples]
 
     return _pools(_count_rules(k, table, n, plane), k + 1, n, plane, colored)
 
@@ -297,7 +289,7 @@ def tree_to_diagram(tree: ColoredTree, dimension: int) -> Diagram:
         node, upper_end = stack.pop()
         eid = f"e{len(edges)}"
         vid = f"v{eid}" if node.children else TERMINAL
-        edges.append(_trusted(Edge, id=eid, index=node.color, ends=(upper_end, vid), period=None))
+        edges.append(Edge(eid, node.color, (upper_end, vid)))
         if node.children:
             parent = None if len(node.children) == 1 else eid
             vertices.append(Vertex(vid, node.kind, parent_edge=parent))

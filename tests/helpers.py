@@ -13,7 +13,7 @@ import json
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial
@@ -1381,6 +1381,12 @@ def dumped_binary_tree(t) -> str:
                 "right": conv(kids[1]) if 1 in kids else None}
 
     return json.dumps(conv(t), indent=2) + "\n"
+
+
+def field_values(x) -> tuple:
+    """The class and the field values of a dataclass instance, children
+    kept as they are (``dataclasses.astuple`` would recurse into them)."""
+    return type(x), *(getattr(x, f.name) for f in fields(x))
 
 
 def chain_tree(n: int) -> ColoredTree:

@@ -1,8 +1,11 @@
 """Diagram/graph/matroid documents, DOT export, fixture."""
 
 import contextlib
+import copy
 import io
 import json
+import pickle
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 from pathlib import Path
 
@@ -21,7 +24,7 @@ from bifgraph.cli import main
 from bifgraph.documents import emit_binary_tree, trees_dot, trees_json
 from helpers import (
     chain_tree, constructible_diagrams, diagram_trees_dot, dumped_binary_tree, dumped_diagram,
-    dumped_graph, dumped_trees_json, formatted_trees_dot, nested_mary_to_binary,
+    dumped_graph, dumped_trees_json, field_values, formatted_trees_dot, nested_mary_to_binary,
     nested_parse_tree, star_diagram, with_stack_room,
 )
 
@@ -327,8 +330,9 @@ def test_tree_dot_equals_the_graph_dot_writer_exhaustively():
 
 
 def test_parsed_and_bridged_edges_are_the_publicly_built_values():
-    """``parse_diagram`` and ``tree_to_diagram`` build edges without the
-    public checks, which still hold for ``Edge(...)``."""
+    """``parse_diagram`` and ``tree_to_diagram`` build edges through the
+    public constructor, which rejects a bad index, end count or period; the
+    edges equal those that ``Edge(...)`` builds, field by field."""
     with pytest.raises(ValueError):
         Edge("e", 2, (TERMINAL, TERMINAL))
     with pytest.raises(DiagramError):
@@ -341,7 +345,42 @@ def test_parsed_and_bridged_edges_are_the_publicly_built_values():
         for diagram in (d, parse_diagram(emit_diagram(d))):
             public = tuple(Edge(e.id, e.index, e.ends, e.period) for e in diagram.edges)
             assert diagram.edges == public and hash(diagram.edges) == hash(public)
-            assert [vars(e) for e in diagram.edges] == [vars(e) for e in public]
+            assert [*map(field_values, diagram.edges)] == [*map(field_values, public)]
+
+
+def test_terminal_survives_pickling_and_copying():
+    """``TERMINAL`` is one object after pickling at every protocol and after
+    ``copy``, so an unpickled diagram's edges still end at it."""
+    assert copy.copy(TERMINAL) is TERMINAL and copy.deepcopy(TERMINAL) is TERMINAL
+    fx = nonadmissible_period_fixture()
+    report = validate_diagram(fx, 1, builtin_table(2))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(TERMINAL, protocol)) is TERMINAL
+        back = pickle.loads(pickle.dumps(fx, protocol))
+        assert back.edges == fx.edges and emit_diagram(back) == emit_diagram(fx)
+        assert validate_diagram(back, 1, builtin_table(2)) == report
+
+
+def test_trees_edges_and_vertices_are_slotted_values():
+    """Trees, edges and vertices hold their fields in slots, with no
+    ``__dict__``, stay frozen, and pickle and deep-copy to equal values
+    with equal hashes."""
+    tree = ColoredTree(1, (ColoredTree(0), ColoredTree(1)), (0, 1))
+    diagram = tree_to_diagram(tree, 2)
+    for value, name in ((tree, "color"), (diagram.edges[0], "index"),
+                        (diagram.vertices[0], "parent_edge")):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+    for mode in ("plane", "free"):
+        trees = enumerate_colored(EnumerationSpec(2, 4, 5, mode))
+        diagrams = [tree_to_diagram(t, 4) for t in trees]
+        diagrams += [parse_diagram(emit_diagram(d)) for d in diagrams]
+        for values in (trees, diagrams):
+            copies = [pickle.loads(pickle.dumps(values, protocol))
+                      for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+            for other in (*copies, copy.deepcopy(values)):
+                assert other == values and list(map(hash, other)) == list(map(hash, values))
 
 
 @settings(deadline=None, max_examples=300)

@@ -21,8 +21,8 @@ from bifgraph.enumeration import _count_rules
 from bifgraph.trees import _classes, _pools
 from helpers import (
     cached_colored_trees, cached_ordered_trees, cached_slot_trees, chain_tree,
-    distinct_children, law_table_of, legal_law_entries, negated, per_color_count_sequence,
-    plain_tree, plane_count, random_law_table, recursive_orderings,
+    distinct_children, field_values, law_table_of, legal_law_entries, negated,
+    per_color_count_sequence, plain_tree, plane_count, random_law_table, recursive_orderings,
 )
 
 
@@ -475,8 +475,9 @@ def _rebuilt(t: ColoredTree) -> ColoredTree:
 
 
 def test_listed_trees_are_the_publicly_built_values():
-    """The listers build trees without the public checks, which still hold
-    for ``ColoredTree(...)``; the values are the same frozen trees."""
+    """The listers build trees through the public constructor, which
+    rejects a bad color or slots; listed and rebuilt trees are the same
+    frozen values, field by field."""
     with pytest.raises(ValueError):
         ColoredTree(2)
     with pytest.raises(ValueError):
@@ -485,7 +486,7 @@ def test_listed_trees_are_the_publicly_built_values():
         trees = enumerate_colored(spec(2, 4, 5, mode))
         for t in trees:
             public = _rebuilt(t)
-            assert public == t and hash(public) == hash(t) and vars(public) == vars(t)
+            assert public == t and hash(public) == hash(t) and field_values(public) == field_values(t)
             assert public.shape() == t.shape() and repr(public) == repr(t)
         for name, value in (("color", 0), ("children", ()), ("slots", None)):
             with pytest.raises(FrozenInstanceError):
