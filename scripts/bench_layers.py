@@ -87,14 +87,22 @@ which finishes only that small, and alone on C2000 and a chain of
 triangles on 2,000 vertices; ``block_decomposition`` on the same two
 graphs, against ``tracked_block_decomposition``, which tracks the cut
 vertices during the search instead of reading them off the blocks;
-``has_vamos_minor`` on the graphic matroid of K6 and on the Vamos matroid
-plus 3 coloops, against the restriction sweep ``swept_vamos_minor`` that
-its mask filter replaced and the split search ``searched_vamos_minor``.
+``has_vamos_minor`` on the graphic matroid of K6, of a seeded 11-edge
+graph on 6 vertices (the shape of the benchmark's slowest ``structures``
+jobs) and on the Vamos matroid plus 3 coloops, against
+``contracted_vamos_minor``, which lists each contraction's triples and
+quadruples again (the search before the subset levels), the restriction
+sweep ``swept_vamos_minor`` and the split search ``searched_vamos_minor``.
 The coloops are added once through a ``Matroid`` oracle on frozensets, as
 a user writes one, and once through ``from_bases``, whose oracle answers
-on masks.  ``from_bases`` itself, with the rank of what it builds, runs on
-the bases of the Vamos matroid with 0 and 3 coloops, against
-``set_from_bases``, which checks basis exchange and answers on frozensets.
+on masks.  On the uniform matroid U(7,15) from ``from_bases`` (6,435
+bases) it runs against ``contracted_vamos_minor`` alone: the other two
+take minutes there.  ``from_bases`` itself, with the rank of what it
+builds, runs on the bases of the Vamos matroid with 0 and 3 coloops and of
+U(7,15), against ``set_from_bases``, which checks basis exchange and
+answers on frozensets, and ``scanned_from_bases``, which tests every fill
+against every basis mask and scans the bases on each query (the version
+before the holder bitsets).
 
 Topic ``spanning``: the spanning-tree counts.  ``tutte_11`` on K6 and on
 two disjoint copies of C5, against ``relabeled_tutte_11``, which relabels
@@ -151,6 +159,7 @@ import tempfile
 import time
 import tracemalloc
 from dataclasses import dataclass, replace
+from itertools import combinations
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -165,11 +174,11 @@ from bifgraph.documents import trees_dot, trees_json  # noqa: E402
 from run import CALIBRATION_S, calibration_loop  # noqa: E402
 from helpers import (  # noqa: E402
     branched_to_star, cached_canonical_trees, cached_colored_trees, cached_free_trees,
-    cached_slot_trees, disjoint_union, dumped_diagram, dumped_graph, dumped_trees_json,
-    eager_parse_diagram, formatted_trees_dot, kind_keyed_child_multisets, looped_to_clique,
-    pairwise_block_intersection_graph, pairwise_line_graph,
+    cached_slot_trees, contracted_vamos_minor, disjoint_union, dumped_diagram, dumped_graph,
+    dumped_trees_json, eager_parse_diagram, formatted_trees_dot, kind_keyed_child_multisets,
+    looped_to_clique, pairwise_block_intersection_graph, pairwise_line_graph,
     per_color_count_sequence, period_labelled, recursive_graphs_isomorphic,
-    relabeled_tutte_11, searched_diamond_minor, searched_vamos_minor,
+    relabeled_tutte_11, scanned_from_bases, searched_diamond_minor, searched_vamos_minor,
     set_from_bases, sn_cycle, stepwise_validate_diagram, swept_all_graphs, swept_vamos_minor,
     tracked_block_decomposition, triangle_cactus, vamos_bases,
 )
@@ -315,6 +324,18 @@ def vamos_with_coloops(k: int) -> bg.Matroid:
                       lambda s: base.is_independent(s - set(extra)), name="vamos+coloops")
 
 
+def uniform_bases(r: int, n: int) -> tuple:
+    """Ground set and bases of the uniform matroid U(r, n): every r-set."""
+    return tuple(range(n)), list(combinations(range(n), r))
+
+
+def graphic_on_six(edges: int, seed: int) -> bg.Matroid:
+    """Graphic matroid of ``edges`` seeded random edges of K6; K6 is
+    5-edge-connected, so at least 11 of them span it."""
+    pairs = list(combinations(range(6), 2))
+    return bg.graphic_matroid(bg.SimpleGraph.from_edges(6, random.Random(seed).sample(pairs, edges)))
+
+
 def rank_of_built(build: Callable) -> Callable:
     """``build(ground, bases)`` as a function that returns the rank of the
     matroid it builds."""
@@ -444,7 +465,7 @@ def summary(value) -> str:
     return f"{len(value)} cycles, {sum(not c.ok for c in value)} failing"  # check_cycle_parity
 
 
-VAMOS_ORACLES = (swept_vamos_minor, searched_vamos_minor)
+VAMOS_ORACLES = (contracted_vamos_minor, swept_vamos_minor, searched_vamos_minor)
 
 TOPICS = {
     "validate": (
@@ -517,14 +538,19 @@ TOPICS = {
             lambda: (triangle_cactus(2000),), (tracked_block_decomposition,)),
         Row(bg.has_vamos_minor, "graphic K6",
             lambda: (bg.graphic_matroid(bg.complete_graph(6)),), VAMOS_ORACLES),
+        Row(bg.has_vamos_minor, "graphic, 11 edges on 6 vertices",
+            lambda: (graphic_on_six(11, 11),), VAMOS_ORACLES),
         Row(bg.has_vamos_minor, "vamos + 3 coloops", lambda: (vamos_with_coloops(3),),
             VAMOS_ORACLES),
         Row(bg.has_vamos_minor, "vamos + 3 coloops, from bases",
             lambda: (bg.from_bases(*vamos_bases(3)),), VAMOS_ORACLES),
-        Row(rank_of_built(bg.from_bases), "vamos bases", lambda: vamos_bases(0),
-            (rank_of_built(set_from_bases),)),
-        Row(rank_of_built(bg.from_bases), "vamos + 3 coloops bases", lambda: vamos_bases(3),
-            (rank_of_built(set_from_bases),)),
+        Row(bg.has_vamos_minor, "U(7,15), from bases",
+            lambda: (bg.from_bases(*uniform_bases(7, 15)),), (contracted_vamos_minor,)),
+        *(Row(rank_of_built(bg.from_bases), label, bases,
+              (rank_of_built(set_from_bases), rank_of_built(scanned_from_bases)))
+          for label, bases in (("vamos bases", lambda: vamos_bases(0)),
+                               ("vamos + 3 coloops bases", lambda: vamos_bases(3)),
+                               ("U(7,15) bases", lambda: uniform_bases(7, 15)))),
     ),
     "spanning": (
         Row(bg.tutte_11, "K6", lambda: (bg.complete_graph(6),), (relabeled_tutte_11,)),

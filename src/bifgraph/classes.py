@@ -123,29 +123,33 @@ def has_induced_diamond(g: SimpleGraph) -> bool:
 
 
 def is_chordal(g: SimpleGraph) -> bool:
-    """No induced cycle of length >= 4 (maximum cardinality search plus
-    perfect-elimination check)."""
+    """No induced cycle of length >= 4: the reverse of a maximum cardinality
+    search order is a perfect elimination order.  Keeping the unplaced
+    vertices in buckets by weight makes the search linear (Tarjan and
+    Yannakakis, 1984).  When v is placed, its placed neighbours must all be
+    adjacent to the one placed last."""
     n = g.n
     adj = g.adjacency()
     weight = [0] * n
-    order: list[int] = []
-    placed = [False] * n
+    buckets = [set(range(n))] + [set() for _ in range(n)]
+    pos: dict[int, int] = {}
+    top = 0
     for _ in range(n):
-        v = max((w for w in range(n) if not placed[w]), key=lambda w: (weight[w], -w))
-        placed[v] = True
-        order.append(v)
+        while not buckets[top]:
+            top -= 1
+        v = buckets[top].pop()
+        later = [w for w in adj[v] if w in pos]
+        if later:
+            u = max(later, key=pos.__getitem__)
+            if any(w != u and w not in adj[u] for w in later):
+                return False
+        pos[v] = len(pos)
         for w in adj[v]:
-            if not placed[w]:
+            if w not in pos:
+                buckets[weight[w]].remove(w)
                 weight[w] += 1
-    elim = list(reversed(order))
-    pos = {v: i for i, v in enumerate(elim)}
-    for i, v in enumerate(elim):
-        later = [w for w in adj[v] if pos[w] > i]
-        if not later:
-            continue
-        u = min(later, key=lambda w: pos[w])
-        if any(w != u and w not in adj[u] for w in later):
-            return False
+                buckets[weight[w]].add(w)
+                top = max(top, weight[w])
     return True
 
 

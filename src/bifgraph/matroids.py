@@ -9,7 +9,8 @@ the very obstruction the minor detector reports.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
+from operator import and_, or_
 
 from .spanning import _is_forest
 
@@ -74,13 +75,13 @@ class Matroid:
             got = self._memo[mask] = self._indep(mask)
         return got
 
-    def _rank(self, mask: int) -> int:
-        """Greedy rank of the elements of ``mask``, taken in ground order."""
-        got = 0
+    def _rank(self, mask: int, over: int = 0) -> int:
+        """Greedy rank of ``mask`` in ground order, over the contracted ``over``."""
+        got = over
         for b in self._bit.values():
             if b & mask and self._independent(got | b):
                 got |= b
-        return got.bit_count()
+        return (got ^ over).bit_count()
 
     def is_independent(self, subset) -> bool:
         return self._independent(self._mask(subset))
@@ -140,6 +141,11 @@ def from_bases(ground, bases) -> Matroid:
         raise ValueError("bases must share one size")
     bit = {e: 1 << i for i, e in enumerate(ground)}
     masks = [sum(bit[e] for e in b) for b in basis_sets]
+    # holders[x] has bit j set when the j-th distinct basis holds x: a set lies
+    # in a basis when its holders' AND is nonzero, meets all when their OR is full
+    distinct = tuple(dict.fromkeys(masks))
+    holders = {x: sum(1 << j for j, b in enumerate(distinct) if b & x) for x in bit.values()}
+    everyone = (1 << len(distinct)) - 1
     # Exchange axiom: for bases B1, B2 and x in B1 - B2, some y in B2 - B1
     # makes B1 - x + y a basis.  fills[B - x] holds every y that completes
     # B - x to a basis (x among them), so B2 must meet fills[B1 - x].
@@ -148,20 +154,23 @@ def from_bases(ground, bases) -> Matroid:
         for x in bit.values():
             if b & x:
                 fills[b ^ x] = fills.get(b ^ x, 0) | x
-    # document order: the oracle's scan stops at the first basis holding the set
-    distinct = tuple(dict.fromkeys(masks))
-    if any(not fill & b for fill in set(fills.values()) for b in distinct):
+    if any(_folded(holders, fill, or_, 0) != everyone for fill in set(fills.values())):
         # name the first failing pair in (i, j) order
         for i, b1 in enumerate(masks):
             row = [fills[b1 ^ x] for x in bit.values() if b1 & x]
             for j, b2 in enumerate(masks):
                 if any(not fill & b2 for fill in row):
                     raise ValueError(f"bases[{i}] and bases[{j}] break the basis exchange axiom")
+    return _on_masks(ground, lambda mask: _folded(holders, mask, and_, everyone) != 0, "tabulated")
 
-    def indep(mask: int) -> bool:
-        return any(mask & b == mask for b in distinct)
 
-    return _on_masks(ground, indep, "tabulated")
+def _folded(holders: dict, mask: int, op, acc: int) -> int:
+    """``acc`` combined by ``op`` with ``holders[x]`` for each bit x of ``mask``."""
+    while mask:
+        low = mask & -mask
+        acc = op(acc, holders[low])
+        mask ^= low
+    return acc
 
 
 VAMOS_GROUND = ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2")
@@ -206,27 +215,13 @@ def matroid_minor(m: Matroid, delete=(), contract=()) -> Matroid:
     return m._minor(ground, m._mask(cset), f"{m.name}-minor")
 
 
-def _vamos_candidates(m: Matroid):
-    """The eight-element subsets of m's ground set on which m restricts to
-    the Vamos matroid.
-
-    Each triple, and each quadruple without a dependent triple, is queried
-    once; the dependent ones are kept as bitmasks over the ground set.  A
-    Vamos restriction has rank 4, no dependent triple and exactly five
-    dependent quadruples, two of them disjoint with the eight elements as
-    their union (the pair unions along ac and bd).  The four diamond
-    vertices are the two-element intersections of the five quadruples, and
-    each quadruple must be the union of two of them; five distinct edges on
-    four vertices always form a diamond.
-    """
-    bit, independent = m._bit, m._independent
-    bits = tuple(bit.values())
-    triples = {t for t in map(sum, combinations(bits, 3)) if not independent(t)}
-    quads = []
-    for a, b, c, d in combinations(bits, 4):
-        mask = a | b | c | d
-        if triples.isdisjoint((mask ^ a, mask ^ b, mask ^ c, mask ^ d)) and not independent(mask):
-            quads.append(mask)
+def _vamos_eights(m: Matroid, cset: int, triples, quads):
+    """Eight-element masks on which m / ``cset`` is the Vamos matroid, given
+    the masks of its dependent triples and of its dependent quadruples
+    without a dependent triple.  A Vamos restriction has rank 4 and exactly
+    five dependent quadruples, two of them disjoint (the pair unions along
+    ac and bd); the diamond vertices are the quadruples' two-element
+    intersections, and five edges on four vertices always form a diamond."""
     for eight in sorted({a | b for a, b in combinations(quads, 2) if not a & b}):
         if any(t & eight == t for t in triples):
             continue
@@ -237,28 +232,53 @@ def _vamos_candidates(m: Matroid):
         # four two-element masks sum to the eight bits only when disjoint
         if (len(pairs) == 4 and sum(pairs) == eight
                 and all(sum(p & q == p for p in pairs) == 2 for q in inside)
-                and m._rank(eight) == 4):
-            yield tuple(e for e, b in bit.items() if b & eight)
+                and m._rank(eight, cset) == 4):
+            yield eight
 
 
 def has_vamos_minor(m: Matroid) -> bool:
     """True when some minor of m is isomorphic to the Vamos matroid.
 
-    Contracts each independent set small enough to leave rank 4 on eight
-    elements.  The Vamos matroid is sparse paving, so its dependent sets of
-    at most four elements decide it (Oxley, *Matroid Theory*, 2011): each
-    minor's dependent triples and quadruples are listed once as bitmasks,
-    and the Vamos restrictions are read off them.  The answer equals the
-    test of every eight-element restriction for any deterministic oracle.
+    Contracts each independent c-set C small enough to leave rank 4 on
+    eight elements.  The Vamos matroid is sparse paving, so the dependent
+    triples and quadruples of m / C decide it (Oxley, *Matroid Theory*,
+    2011).  Level c knows the dependent (3+c)-sets W and queries each
+    (4+c)-set U once: m / C has the dependent triples W - C for W holding
+    C, and the quadruples without one U - C for dependent U with
+    bad(U) <= C <= U, where bad(U) holds the x with U - x among the W.
+    These are the very sets that listing each m / C finds, each from the
+    oracle's answer on the same set, and no set is taken as dependent
+    because a subset is, so the answer equals the per-contraction search
+    for any deterministic oracle.  The last level skips U with |bad(U)| > c.
     A hit flags the source structure as non-representable.  Limited to
     ground sets of at most 15 elements.
     """
     size = len(m.ground)
     if size > 15:
         raise ValueError("vamos-minor search is limited to 15 ground elements")
-    for csize in range(min(size - 8, m.rank - 4) + 1):
-        for cset in combinations(m.ground, csize):
-            if m.is_independent(cset) and any(
-                    _vamos_candidates(matroid_minor(m, contract=cset))):
+    top = min(size - 8, m.rank - 4)
+    if top < 0:
+        return False
+    bits, independent = tuple(m._bit.values()), m._independent
+    below = [w for w in map(sum, combinations(bits, 3)) if not independent(w)]
+    for c in range(top + 1):
+        bad: dict[int, int] = {}
+        for w, b in product(below, bits):
+            if not w & b:
+                bad[w | b] = bad.get(w | b, 0) | b
+        above, quads = [], {}
+        for u in map(sum, combinations(bits, 4 + c)):
+            forced = bad.get(u, 0)
+            spare = c - forced.bit_count()
+            if (c < top or spare >= 0) and not independent(u):
+                above.append(u)
+                if spare >= 0:
+                    for rest in combinations([b for b in bits if b & u & ~forced], spare):
+                        cset = forced | sum(rest)
+                        quads.setdefault(cset, []).append(u ^ cset)
+        for cset, inside in quads.items():
+            if len(inside) >= 5 and independent(cset) and any(_vamos_eights(
+                    m, cset, [w ^ cset for w in below if w & cset == cset], inside)):
                 return True
+        below = above
     return False

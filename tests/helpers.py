@@ -39,7 +39,7 @@ from bifgraph.laws import (
     JUNCTION, PERIOD_DOUBLING, SADDLE_NODE, TYPE_M, _junction_children, check_index,
 )
 from bifgraph.graphs import _norm_edge, _refine_labels, graph_from_mask
-from bifgraph.matroids import VAMOS_CIRCUIT_QUADS, VAMOS_GROUND
+from bifgraph.matroids import VAMOS_CIRCUIT_QUADS, VAMOS_GROUND, _on_masks
 from bifgraph.represent import _branch_vertices
 from bifgraph.spanning import _int_det, _laplacian
 from bifgraph.trees import _tree_edges
@@ -843,6 +843,54 @@ def swept_vamos_minor(m) -> bool:
     return False
 
 
+def _vamos_candidates(m):
+    """The eight-element subsets of m's ground set on which m restricts to
+    the Vamos matroid.
+
+    Each triple, and each quadruple without a dependent triple, is queried
+    once; the dependent ones are kept as bitmasks over the ground set.  A
+    Vamos restriction has rank 4, no dependent triple and exactly five
+    dependent quadruples, two of them disjoint with the eight elements as
+    their union; the four diamond vertices are the two-element
+    intersections of the five quadruples, and each quadruple must be the
+    union of two of them.
+    """
+    bit, independent = m._bit, m._independent
+    bits = tuple(bit.values())
+    triples = {t for t in map(sum, combinations(bits, 3)) if not independent(t)}
+    quads = []
+    for a, b, c, d in combinations(bits, 4):
+        mask = a | b | c | d
+        if triples.isdisjoint((mask ^ a, mask ^ b, mask ^ c, mask ^ d)) and not independent(mask):
+            quads.append(mask)
+    for eight in sorted({a | b for a, b in combinations(quads, 2) if not a & b}):
+        if any(t & eight == t for t in triples):
+            continue
+        inside = [q for q in quads if q & eight == q]
+        if len(inside) != 5:
+            continue
+        pairs = {a & b for a, b in combinations(inside, 2) if (a & b).bit_count() == 2}
+        if (len(pairs) == 4 and sum(pairs) == eight
+                and all(sum(p & q == p for p in pairs) == 2 for q in inside)
+                and m._rank(eight) == 4):
+            yield tuple(e for e, b in bit.items() if b & eight)
+
+
+def contracted_vamos_minor(m) -> bool:
+    """The detector before the level search: each independent contraction's
+    triples and quadruples listed again through ``matroid_minor``, and its
+    eight-sets read off them by ``_vamos_candidates``."""
+    size = len(m.ground)
+    if size > 15:
+        raise ValueError("vamos-minor search is limited to 15 ground elements")
+    for csize in range(min(size - 8, m.rank - 4) + 1):
+        for cset in combinations(m.ground, csize):
+            if m.is_independent(cset) and any(
+                    _vamos_candidates(matroid_minor(m, contract=cset))):
+                return True
+    return False
+
+
 # -- the frozenset oracles the built-in matroids answered with ------------------
 
 def listed_is_forest(n: int, edges) -> bool:
@@ -920,6 +968,40 @@ def set_from_bases(ground, bases) -> Matroid:
         raise ValueError("bases must share one size")
     set_exchange_check(basis_sets)
     return Matroid(ground, tabulated_set_oracle(basis_sets), name="tabulated")
+
+
+def scanned_from_bases(ground, bases) -> Matroid:
+    """``from_bases`` before the holder bitsets: the exchange check tests
+    every fill mask against every distinct basis mask, and the oracle scans
+    the distinct bases for one that holds the queried mask."""
+    ground = tuple(ground)
+    basis_sets = [frozenset(b) for b in bases]
+    if not basis_sets:
+        raise ValueError("need at least one basis")
+    stray = frozenset().union(*basis_sets) - set(ground)
+    if stray:
+        raise ValueError(f"basis elements not in the ground set: {', '.join(sorted(map(repr, stray)))}")
+    if len({len(b) for b in basis_sets}) != 1:
+        raise ValueError("bases must share one size")
+    bit = {e: 1 << i for i, e in enumerate(ground)}
+    masks = [sum(bit[e] for e in b) for b in basis_sets]
+    fills: dict[int, int] = {}
+    for b in masks:
+        for x in bit.values():
+            if b & x:
+                fills[b ^ x] = fills.get(b ^ x, 0) | x
+    distinct = tuple(dict.fromkeys(masks))
+    if any(not fill & b for fill in set(fills.values()) for b in distinct):
+        for i, b1 in enumerate(masks):
+            row = [fills[b1 ^ x] for x in bit.values() if b1 & x]
+            for j, b2 in enumerate(masks):
+                if any(not fill & b2 for fill in row):
+                    raise ValueError(f"bases[{i}] and bases[{j}] break the basis exchange axiom")
+
+    def indep(mask: int) -> bool:
+        return any(mask & b == mask for b in distinct)
+
+    return _on_masks(ground, indep, "tabulated")
 
 
 def vamos_bases(coloops: int = 0) -> tuple[tuple, list]:
@@ -1091,6 +1173,53 @@ def searched_diamond_minor(g: SimpleGraph) -> bool:
         return any(search(_contract(h, u, v)) for u, v in sorted(h.edges))
 
     return search(g)
+
+
+# -- chordality by scanning every unplaced vertex ------------------------------
+
+def scanned_is_chordal(g: SimpleGraph) -> bool:
+    """``is_chordal`` before the weight buckets: each step of the maximum
+    cardinality search scans every unplaced vertex (quadratic), then the
+    reversed order is checked as a perfect elimination order."""
+    n = g.n
+    adj = g.adjacency()
+    weight = [0] * n
+    order: list[int] = []
+    placed = [False] * n
+    for _ in range(n):
+        v = max((w for w in range(n) if not placed[w]), key=lambda w: (weight[w], -w))
+        placed[v] = True
+        order.append(v)
+        for w in adj[v]:
+            if not placed[w]:
+                weight[w] += 1
+    elim = list(reversed(order))
+    pos = {v: i for i, v in enumerate(elim)}
+    for i, v in enumerate(elim):
+        later = [w for w in adj[v] if pos[w] > i]
+        if not later:
+            continue
+        u = min(later, key=lambda w: pos[w])
+        if any(w != u and w not in adj[u] for w in later):
+            return False
+    return True
+
+
+def filled_graph(rng: random.Random, g: SimpleGraph) -> SimpleGraph:
+    """g with the fill-in of eliminating its vertices in a random order:
+    each vertex's neighbours that come later become a clique, so the
+    result is chordal."""
+    adj = g.adjacency()
+    order = list(range(g.n))
+    rng.shuffle(order)
+    done = set()
+    for v in order:
+        done.add(v)
+        later = sorted(adj[v] - done)
+        for a, b in combinations(later, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    return SimpleGraph.from_edges(g.n, {(min(u, w), max(u, w)) for u in range(g.n) for w in adj[u]})
 
 
 # -- any diagram that constructs (a hypothesis strategy) -----------------------

@@ -17,8 +17,8 @@ from bifgraph import (
 )
 from bifgraph.classes import double_factorial
 from helpers import (
-    labeled_graphs, random_connected_graph, random_graph, searched_diamond_minor,
-    tracked_block_decomposition, triangle_cactus,
+    disjoint_union, filled_graph, labeled_graphs, random_connected_graph, random_graph, scanned_is_chordal,
+    searched_diamond_minor, tracked_block_decomposition, triangle_cactus,
 )
 
 TWO_TRIANGLES = SimpleGraph.from_edges(
@@ -117,6 +117,31 @@ def test_chordality():
     assert is_chordal(path_graph(5))
     assert not is_chordal(cycle_graph(4))
     assert not is_chordal(cycle_graph(6))
+
+
+def test_chordality_equals_the_scanning_search_exhaustively():
+    # every graph on at most six vertices, a seeded relabeling of each, its
+    # disjoint union with a random graph on four vertices, and its fill-in
+    # by eliminating the vertices in a random order (always chordal)
+    rng = random.Random(41)
+    fours = all_graphs(4)
+    for n in range(7):
+        for g in all_graphs(n):
+            perm = rng.sample(range(n), n)
+            for h in (g, g.relabeled(perm), disjoint_union(g, rng.choice(fours)),
+                      filled_graph(rng, g)):
+                assert is_chordal(h) == scanned_is_chordal(h), h.edges
+    assert all(is_chordal(filled_graph(rng, g)) for g in all_graphs(6))
+
+
+def test_chordality_is_linear_on_a_long_path_with_chords():
+    # the scanning search took seconds here; a chordal and a chordless case
+    n = 8000
+    path = [(i, i + 1) for i in range(n - 1)]
+    start = time.perf_counter()
+    assert is_chordal(SimpleGraph.from_edges(n, path + [(i, i + 2) for i in range(0, n - 2, 2)]))
+    assert not is_chordal(SimpleGraph.from_edges(n, path + [(0, n - 1)]))
+    assert time.perf_counter() - start < 2
 
 
 def test_block_graph_characterizations_agree_exhaustively():

@@ -13,11 +13,12 @@ from bifgraph import (
     from_bases, graphic_matroid, has_vamos_minor, matroid_minor, path_graph,
     vamos,
 )
-from bifgraph.matroids import VAMOS_CIRCUIT_QUADS, VAMOS_GROUND, _vamos_candidates
+from bifgraph.matroids import VAMOS_CIRCUIT_QUADS, VAMOS_GROUND, _vamos_eights
 from helpers import (
-    graphic_set_oracle, is_vamos_restriction, labeled_graphs, listed_is_forest, mask_subset,
-    random_connected_graph, random_graph, searched_vamos_minor, set_from_bases,
-    swept_vamos_minor, tabulated_set_oracle, vamos_bases, vamos_set_oracle,
+    contracted_vamos_minor, graphic_set_oracle, is_vamos_restriction, labeled_graphs,
+    listed_is_forest, mask_subset, random_connected_graph, random_graph, scanned_from_bases,
+    searched_vamos_minor, set_from_bases, swept_vamos_minor, tabulated_set_oracle, vamos_bases,
+    vamos_set_oracle,
 )
 
 
@@ -225,13 +226,18 @@ def _outcome(build, ground, bases):
 @pytest.mark.parametrize("ground, r", [("abcd", 2), ("abcde", 2), ("abcde", 3)])
 def test_from_bases_accepts_exactly_the_exchange_families(ground, r):
     # every nonempty family of r-subsets, against the axiom as written and
-    # against the frozenset check, message for message
+    # against the frozenset check and the basis-mask scan, message for
+    # message; an accepted family answers every set as the scan does
     subsets = ["".join(c) for c in combinations(ground, r)]
     for mask in range(1, 1 << len(subsets)):
         bases = [b for i, b in enumerate(subsets) if mask >> i & 1]
         got = _outcome(from_bases, ground, bases)
         assert got == _outcome(set_from_bases, ground, bases), bases
+        assert got == _outcome(scanned_from_bases, ground, bases), bases
         assert (got is None) == _satisfies_exchange(bases), bases
+        if got is None:
+            m, scanned = from_bases(ground, bases), scanned_from_bases(ground, bases)
+            assert all(m._indep(s) == scanned._indep(s) for s in range(1 << len(ground)))
 
 
 def _graphic_bases(g: SimpleGraph) -> list:
@@ -289,6 +295,16 @@ def _families(draw):
 def test_from_bases_rejects_like_the_frozenset_check(doc):
     ground, bases = doc
     assert _outcome(from_bases, ground, bases) == _outcome(set_from_bases, ground, bases)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_bases_documents(), st.randoms(use_true_random=False))
+def test_from_bases_answers_like_the_basis_scan(doc, rng):
+    ground, bases = doc
+    assert _outcome(from_bases, ground, bases) == _outcome(scanned_from_bases, ground, bases)
+    m, scanned = from_bases(ground, bases), scanned_from_bases(ground, bases)
+    for mask in [rng.getrandbits(len(ground)) for _ in range(64)]:
+        assert m._indep(mask) == scanned._indep(mask), (ground, bases, mask)
 
 
 def _assert_same_oracle(m, set_oracle, masks) -> None:
@@ -365,8 +381,8 @@ def _padded_vamos() -> Matroid:
     return Matroid(VAMOS_GROUND + ("x", "y"), indep, name="padded-vamos")
 
 
-def _with_coloop(base: Matroid) -> Matroid:
-    return Matroid(base.ground + ("z",), lambda sub: base.is_independent(sub - {"z"}),
+def _with_coloop(base: Matroid, z="z") -> Matroid:
+    return Matroid(base.ground + (z,), lambda sub: base.is_independent(sub - {z}),
                    name=f"{base.name}+coloop")
 
 
@@ -455,6 +471,7 @@ def test_vamos_minor_matches_the_split_search():
         samples.append(_with_coloop(m) if rng.random() < 0.25 else m)
     answers = [has_vamos_minor(m) for m in samples]
     assert answers == [searched_vamos_minor(m) for m in samples]
+    assert answers == [contracted_vamos_minor(m) for m in samples]
     assert answers[:len(expected)] == expected
     assert [swept_vamos_minor(m) for m in samples[:len(expected)]] == expected
     assert len(set(answers[-40:])) == 2
@@ -478,16 +495,21 @@ def test_vamos_minor_matches_the_split_search_outside_the_axioms():
     ]
     for m in samples:
         assert not has_vamos_minor(m) and not searched_vamos_minor(m)
-        assert not swept_vamos_minor(m)
+        assert not swept_vamos_minor(m) and not contracted_vamos_minor(m)
 
 
 def test_vamos_minor_matches_the_split_search_on_random_graphic():
+    # six and seven vertices with 8 to 15 edges, so contractions of up to
+    # two elements; the split search is too slow past 12 edges
     rng = random.Random(6)
-    pairs = list(combinations(range(6), 2))
-    for size in range(8, 13):
-        for _ in range(3):
-            m = graphic_matroid(SimpleGraph.from_edges(6, rng.sample(pairs, size)))
-            assert has_vamos_minor(m) == searched_vamos_minor(m)
+    for n in (6, 7):
+        pairs = list(combinations(range(n), 2))
+        for size in range(8, 16):
+            for _ in range(3):
+                m = graphic_matroid(SimpleGraph.from_edges(n, rng.sample(pairs, size)))
+                assert has_vamos_minor(m) == contracted_vamos_minor(m)
+                if size <= 12:
+                    assert has_vamos_minor(m) == searched_vamos_minor(m)
 
 
 def _random_oracle(rng: random.Random) -> Matroid:
@@ -502,15 +524,31 @@ def _random_oracle(rng: random.Random) -> Matroid:
     return _listed(ground, listed)
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.randoms(use_true_random=True), st.booleans(), st.integers(0, 2))
+def test_vamos_minor_matches_the_contracted_search_on_random_oracles(rng, sparse, coloops):
+    # up to two coloops, so hits through contractions of up to two elements
+    m = _random_sparse_paving(rng) if sparse else _random_oracle(rng)
+    for z in ("z", "y")[:coloops]:
+        m = _with_coloop(m, z)
+    assert has_vamos_minor(m) == contracted_vamos_minor(m) == searched_vamos_minor(m)
+
+
 def test_vamos_candidates_keep_every_vamos_restriction():
-    # the mask filter yields exactly the eight-sets the direct test accepts
+    # from the dependent triples and the quadruples without one, the
+    # eight-set test yields exactly the eight-sets the direct test accepts
     rng = random.Random(8)
     hits = 0
     for _ in range(60):
         m = _random_oracle(rng)
         accepted = {eight for eight in combinations(m.ground, 8)
                     if is_vamos_restriction(m, eight)}
-        assert accepted == set(_vamos_candidates(m))
+        bits = tuple(m._bit.values())
+        triples = [t for t in map(sum, combinations(bits, 3)) if not m._independent(t)]
+        quads = [q for q in map(sum, combinations(bits, 4)) if not m._independent(q)
+                 and all(m._independent(q ^ b) for b in bits if q & b)]
+        assert accepted == {tuple(e for e, b in m._bit.items() if b & eight)
+                            for eight in _vamos_eights(m, 0, triples, quads)}
         hits += bool(accepted)
     assert hits
 

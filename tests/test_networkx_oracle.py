@@ -8,9 +8,9 @@ import random
 import pytest
 
 from bifgraph import (
-    SimpleGraph, block_decomposition, graphs_isomorphic, spanning_count_kirchhoff,
+    SimpleGraph, block_decomposition, graphs_isomorphic, is_chordal, spanning_count_kirchhoff,
 )
-from helpers import random_connected_graph, random_graph
+from helpers import filled_graph, random_connected_graph, random_graph
 
 nx = pytest.importorskip("networkx")
 
@@ -57,3 +57,12 @@ def test_isomorphism_matches_networkx():
         else:
             b = random_graph(rng, n, p)
         assert graphs_isomorphic(a, b) == nx.is_isomorphic(to_nx(a), to_nx(b))
+
+
+def test_chordality_matches_networkx():
+    # random graphs are rarely chordal, so each is also tested filled in
+    rng = random.Random(34)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 14), rng.uniform(0.1, 0.6))
+        for h in (g, filled_graph(rng, g)):
+            assert is_chordal(h) == nx.is_chordal(to_nx(h)), h.edges
