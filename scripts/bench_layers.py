@@ -113,9 +113,13 @@ where the connectivity check answers before any determinant.
 Topic ``count``: the count engine.  ``count_sequence`` in plane mode for
 k=1 d=4 at n = 100, 220 and 1,000, k=2 d=4 at n = 200 and k=2 d=2 at
 n = 400, and in free mode for k=2 d=4 at n = 400, each against
-``per_color_count_sequence``, the engine that filled one series per color
-before colors with equal series were merged into one class.  In d = 2 no
-two colors merge.
+``prefix_count_sequence``, the engine that took one product per power and
+prefix of each rule before it took the factor A_root out of a root's rules,
+and ``per_color_count_sequence``, the engine that filled one series per
+color before colors with equal series were merged into one class.  In
+d = 2 no two colors merge, and color 0 has no rules.  ``count_colored`` at
+k=3 d=2 n=6 and k=1 d=1 n=3, where the per-call set-up (law rules,
+classes, plan) is most of the time.
 
 Topic ``cli``: ``bifgraph.cli.main``, which builds only the named
 subcommand's parser, on one command line per subcommand and on
@@ -140,6 +144,15 @@ checkout of another commit, each row is followed by the same process on
 ``DIR/src``, which must give the same exit code and stdout:
 
     python3 scripts/bench_layers.py --topic import --against ../parent
+
+In any other topic, ``--against DIR`` loads ``DIR/src/bifgraph`` beside
+this bifgraph, as the package ``bifgraph_against``, and gives each row whose
+function is a name of bifgraph one more oracle, first: that name of the
+other package, recorded as ``<name> at <commit of DIR>``.  It takes turns
+with the function run by run, as every oracle does, so the two compare
+under the same drift:
+
+    python3 scripts/bench_layers.py --topic count --against ../parent
 """
 
 from __future__ import annotations
@@ -147,6 +160,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import importlib.util
 import io
 import json
 import os
@@ -177,7 +191,7 @@ from helpers import (  # noqa: E402
     cached_slot_trees, contracted_vamos_minor, disjoint_union, dumped_diagram, dumped_graph,
     dumped_trees_json, eager_parse_diagram, formatted_trees_dot, kind_keyed_child_multisets,
     looped_to_clique, pairwise_block_intersection_graph, pairwise_line_graph,
-    per_color_count_sequence, period_labelled, recursive_graphs_isomorphic,
+    per_color_count_sequence, period_labelled, prefix_count_sequence, recursive_graphs_isomorphic,
     relabeled_tutte_11, scanned_from_bases, searched_diamond_minor, searched_vamos_minor,
     set_from_bases, sn_cycle, stepwise_validate_diagram, swept_all_graphs, swept_vamos_minor,
     tracked_block_decomposition, triangle_cactus, vamos_bases,
@@ -200,7 +214,7 @@ class Row:
 
 def clear_caches() -> None:
     for name, mod in list(sys.modules.items()):
-        if name in ("bifgraph", "helpers") or name.startswith("bifgraph."):
+        if name.partition(".")[0] in ("bifgraph", "bifgraph_against", "helpers"):
             for fn in vars(mod).values():
                 if hasattr(fn, "cache_clear"):
                     fn.cache_clear()
@@ -560,11 +574,14 @@ TOPICS = {
         Row(bg.spanning_count_kirchhoff, "K15 + K15",
             lambda: (disjoint_union(bg.complete_graph(15), bg.complete_graph(15)),)),
     ),
-    "count": tuple(
-        Row(bg.count_sequence, f"k={k} d={d} n={n} {mode}", lambda a=(k, d, n, mode): a,
-            (per_color_count_sequence,))
-        for k, d, n, mode in ((1, 4, 100, "plane"), (1, 4, 220, "plane"), (1, 4, 1000, "plane"),
-                              (2, 4, 200, "plane"), (2, 4, 400, "free"), (2, 2, 400, "plane"))),
+    "count": (
+        *(Row(bg.count_sequence, f"k={k} d={d} n={n} {mode}", lambda a=(k, d, n, mode): a,
+              (prefix_count_sequence, per_color_count_sequence))
+          for k, d, n, mode in ((1, 4, 100, "plane"), (1, 4, 220, "plane"), (1, 4, 1000, "plane"),
+                                (2, 4, 200, "plane"), (2, 4, 400, "free"), (2, 2, 400, "plane"))),
+        *(Row(bg.count_colored, f"k={k} d={d} n={n} plane", lambda a=(k, d, n): a)
+          for k, d, n in ((3, 2, 6), (1, 1, 3))),
+    ),
     "cli": (
         *(Row(printed(cli.main), line, command(line), (printed(through_the_full_parser),))
           for line in COMMAND_LINES),
@@ -654,16 +671,23 @@ def main() -> None:
     ap.add_argument("--topic", choices=sorted(TOPICS), default="validate")
     ap.add_argument("--out", type=Path)
     ap.add_argument("--against", type=Path, metavar="DIR",
-                    help="topic import: also run each row on DIR/src, a checkout of another commit")
+                    help="a checkout of another commit, whose bifgraph each row is timed"
+                         " against (topic import: in fresh processes)")
     args = ap.parse_args()
     out = (args.out or ROOT / f"BENCH_{args.topic}.json").resolve()
     topic = TOPICS[args.topic]
-    if args.against:
-        if args.topic != "import":
-            ap.error("--against applies to topic import only")
-        against = args.against.resolve()
+    against = args.against.resolve() if args.against else None
+    if against and args.topic == "import":
         other = fresh_python(against / "src", f"python on {against.name}")
         topic = tuple(replace(row, oracles=(other,)) for row in topic)
+    elif against:
+        commit = subprocess.run(["git", "-C", str(against), "rev-parse", "--short", "HEAD"],
+                                capture_output=True, text=True).stdout.strip() or against.name
+        package = loaded_beside(against / "src" / "bifgraph")
+        topic = tuple(replace(row, oracles=(renamed(getattr(package, row.fn.__name__),
+                                                    f"{row.fn.__name__} at {commit}"),
+                                            *row.oracles))
+                      if getattr(bg, row.fn.__name__, None) is row.fn else row for row in topic)
 
     rows = []
     with tempfile.TemporaryDirectory() as work:
@@ -680,6 +704,26 @@ def main() -> None:
               "cpus": os.cpu_count(), "runs": RUNS, "call_s": CALL_S,
               "calibration_ref_s": CALIBRATION_S, "rows": rows}
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+
+
+def loaded_beside(package_dir: Path):
+    """The package in ``package_dir``, imported as ``bifgraph_against``; its
+    modules import each other relatively, so they stay apart from bifgraph."""
+    spec = importlib.util.spec_from_file_location(
+        "bifgraph_against", package_dir / "__init__.py",
+        submodule_search_locations=[str(package_dir)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def renamed(fn: Callable, name: str) -> Callable:
+    def call(*args):
+        return fn(*args)
+
+    call.__name__ = name
+    return call
 
 
 if __name__ == "__main__":

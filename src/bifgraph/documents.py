@@ -11,6 +11,7 @@ inputs always produce byte-identical output.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Iterator
 from importlib import resources
 from json.encoder import encode_basestring_ascii
@@ -43,9 +44,28 @@ class SchemaError(ValueError):
         self.path = path
 
 
-def _expect(cond: bool, path: str, message: str) -> None:
+def _expect(cond: bool, path: str, message: str, value=None) -> None:
+    """Raise ``SchemaError(path, message)`` unless ``cond``; ``value`` is the
+    integer or list checked, for ``_unread``."""
     if not cond:
-        raise SchemaError(path, message)
+        raise SchemaError(path, _unread(value, message))
+
+
+class _LongLiteral(float):
+    """An integer literal with more digits than ``int`` reads, read as an
+    infinite float: every integer check fails on it, and ``_unread`` names
+    why."""
+
+    __slots__ = ()
+
+
+def _unread(value, message: str) -> str:
+    """``message``, or, when ``value`` is or lists an integer literal too
+    long to read, a message that says so."""
+    if any(isinstance(x, _LongLiteral) for x in (value if isinstance(value, list) else [value])):
+        return (f"integer literal longer than the {sys.get_int_max_str_digits()} digits"
+                " the parser reads (sys.get_int_max_str_digits())")
+    return message
 
 
 def _is_int(value) -> bool:
@@ -68,7 +88,7 @@ def _as_doc(source):
     """A dict as it is, anything else parsed as JSON text; text that is not
     JSON, or is nested too deeply to parse, is a ``SchemaError`` at ``$``.
     Text with an integer literal too long for ``int`` is read again with
-    that literal an infinite float, so the check of its field names it."""
+    that literal a ``_LongLiteral``, so the check of its field names it."""
     if isinstance(source, dict):
         return source
     for parse_int in (None, _int_or_inf):
@@ -86,7 +106,7 @@ def _int_or_inf(literal: str):
     try:
         return int(literal)
     except ValueError:
-        return float(literal)
+        return _LongLiteral(literal)
 
 
 def _as_object(source) -> dict:
@@ -109,8 +129,8 @@ def kind_from_json(raw, path: str) -> BifurcationKind:
         (name, param), = raw.items()
         if name in (TYPE_M, JUNCTION):
             if not (_is_int(param) or (param is None and name == TYPE_M)):
-                raise SchemaError(f"{path}.{name}", "parameter must be an integer"
-                                  + (" or null" if name == TYPE_M else ""))
+                message = "parameter must be an integer" + (" or null" if name == TYPE_M else "")
+                raise SchemaError(f"{path}.{name}", _unread(param, message))
             try:
                 return BifurcationKind(name, param)
             except ValueError as exc:
@@ -137,7 +157,7 @@ def parse_diagram(source) -> Diagram:
     if doc.get("schemaVersion") != SCHEMA_VERSION:
         raise SchemaError("$.schemaVersion", f"must be {SCHEMA_VERSION!r}")
     dim = doc.get("dimension")
-    _expect(_is_int(dim) and dim >= 1, "$.dimension", "must be an integer >= 1")
+    _expect(_is_int(dim) and dim >= 1, "$.dimension", "must be an integer >= 1", dim)
     _expect(isinstance(doc.get("edges"), list), "$.edges", "must be a list")
     _expect(isinstance(doc.get("vertices"), list), "$.vertices", "must be a list")
 
@@ -155,7 +175,8 @@ def parse_diagram(source) -> Diagram:
             raise SchemaError(f"$.edges[{i}].index", "must be -1, 0 or 1")
         period = item.get("period")
         if period is not None and not (_is_int(period) and period >= 1):
-            raise SchemaError(f"$.edges[{i}].period", "must be a positive integer")
+            raise SchemaError(f"$.edges[{i}].period",
+                              _unread(period, "must be a positive integer"))
         eps = item.get("endpoints")
         if not (isinstance(eps, list) and len(eps) == 2):
             raise SchemaError(f"$.edges[{i}].endpoints", "must be a two-element list")
@@ -238,13 +259,13 @@ def parse_graph(source) -> SimpleGraph:
     "colors"?: [...]}"""
     doc = _as_object(source)
     n = doc.get("vertexCount")
-    _expect(_is_int(n) and n >= 0, "$.vertexCount", "must be an integer >= 0")
+    _expect(_is_int(n) and n >= 0, "$.vertexCount", "must be an integer >= 0", n)
     raw = doc.get("edges")
     _expect(isinstance(raw, list), "$.edges", "must be a list")
     edges = []
     for i, e in enumerate(raw):
         _expect(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)),
-                f"$.edges[{i}]", "must be a pair of vertex numbers")
+                f"$.edges[{i}]", "must be a pair of vertex numbers", e)
         edges.append(tuple(e))
     colors = doc.get("colors")
     if colors is not None:
@@ -271,12 +292,12 @@ def parse_matroid(source):
     doc = _as_object(source)
     ground = doc.get("groundSet")
     _expect(_is_element_list(ground) and ground, "$.groundSet",
-            "must be a nonempty list of strings or integers")
+            "must be a nonempty list of strings or integers", ground)
     bases = doc.get("bases")
     _expect(isinstance(bases, list) and bases, "$.bases", "must be a nonempty list")
     for i, basis in enumerate(bases):
         _expect(_is_element_list(basis), f"$.bases[{i}]",
-                "must be a list of strings or integers")
+                "must be a list of strings or integers", basis)
     try:
         return from_bases(ground, bases)
     except ValueError as exc:
@@ -424,7 +445,7 @@ def load_law_table(source) -> LawTable:
     """
     doc = _as_object(source)
     d = doc.get("dimension")
-    _expect(_is_int(d) and d >= 1, "$.dimension", "must be an integer >= 1")
+    _expect(_is_int(d) and d >= 1, "$.dimension", "must be an integer >= 1", d)
     mode = doc.get("mode", "extend")
     _expect(mode in ("extend", "replace"), "$.mode", "must be 'extend' or 'replace'")
     items = doc.get("entries", [])
@@ -442,7 +463,7 @@ def load_law_table(source) -> LawTable:
                 f"{kind.name} entry needs {kind.child_count} children, got {len(children)}")
         multipliers = item.get("multipliers", [])
         _expect(_is_element_list(multipliers), f"{path}.multipliers",
-                "must be a list of integers or strings")
+                "must be a list of integers or strings", multipliers)
         try:
             extra.append(LawEntry(kind.name, item["parent"], tuple(children),
                                   tuple(multipliers)))

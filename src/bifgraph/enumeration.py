@@ -19,7 +19,6 @@ is read once, into the rules of the bottom-up count engine in ``trees``
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -205,7 +204,7 @@ def _count_rules(k: int, table: LawTable, n_max: int, plane: bool) -> dict:
     for color, rs in rules.items():
         for c in range(1, min(k + 1, n_max - 1) + 1):
             for mset in splits_for_child_count(table, c, color):
-                parts = tuple(sorted(Counter(mset).items()))
+                parts = tuple({h: mset.count(h) for h in mset}.items())  # mset is sorted
                 orderings = factorial(c) // prod(factorial(m) for _, m in parts)
                 rs.append((comb(k + 1, c) * orderings if plane else 1, parts))
     return rules

@@ -282,16 +282,86 @@ def _classes(rules: dict, plane: bool) -> tuple[dict, dict]:
     roots, in which two roots share a class when their rules, with every
     child replaced by its class (``_quotient``), are equal; and those rules
     of each representative.  Refined from one class until no class splits;
-    each representative is its class's least root."""
+    each representative is its class's least root.  Once every root is
+    alone in its class, the rules are read over classes as they stand."""
     roots = sorted(rules)
     rep = {root: roots[0] for root in roots}
     while True:
         groups: dict = {}
         for root in roots:
             groups.setdefault((rep[root], _quotient(rules[root], rep, plane)), []).append(root)
+        if len(groups) == len(roots):
+            return {root: root for root in roots}, rules
         if len(groups) == len(set(rep.values())):
             return rep, {root: quotient for root, quotient in groups}
         rep = {root: members[0] for members in groups.values() for root in members}
+
+
+def _keys(parts: tuple) -> list:
+    """The series a product of ``parts`` is built from, itself included:
+    each power ((h, j),), j = 2..m, of a factor (h, m), and each prefix of
+    two or more factors."""
+    return [((h, j),) for h, m in parts for j in range(2, m + 1)] + \
+        [parts[:i] for i in range(2, len(parts) + 1)]
+
+
+def _price(keys) -> float:
+    """Full products per coefficient that filling the series ``keys`` takes;
+    a square, a power (h, 2) or a product of two equal factors, counts 1/2."""
+    return sum(0.5 if len(key) == 1 and key[0][1] == 2 or key[1:] == key[:1] else 1
+               for key in keys)
+
+
+def _plan(rules: dict, plane: bool) -> tuple[float, dict, set]:
+    """The plan by which ``_count_series`` fills the series of ``rules``,
+    read over classes: ``{root: (direct, own)}``; its full products per
+    coefficient; and the series keys it reads.
+
+    Each term is (weight, shift, parts): a rule with the factors of classes
+    without rules taken out, since such a class's series is x (and
+    MSET_m(x) = x^m), leaving x^shift.  A direct term adds weight times
+    coefficient n-1-shift of the product of its parts to ``a[root][n]``.
+    The own terms are the rules of degree two or more that hold A_root, with
+    one factor A_root taken out (in free mode only a factor MSET_1(A_root),
+    since MSET_m does not factor).  The rules are linear in that factor, so
+    the own terms add coefficient n-1 of A_root times Q, the sum of their
+    weighted products: one convolution for all of them.
+
+    Two plans are priced, and the cheaper kept, the first on a tie: every
+    rule direct, or a root's own terms wherever a rule holds A_root.  A
+    product of parts takes one product per power and prefix (``_keys``),
+    shared across rules and priced by ``_price``, and each root with own
+    terms takes one more.  Powers are priced as in plane mode in both
+    modes."""
+    idle = {h for h, rs in rules.items() if not rs}
+    prefix, led, plans = set(), set(), ({}, {})
+    for root, rs in rules.items():
+        whole = plans[0][root] = []
+        direct, own = plans[1][root] = [], []
+        for weight, parts in rs:
+            shift = sum(m for h, m in parts if h in idle) if idle else 0
+            if shift:
+                parts = tuple(f for f in parts if f[0] not in idle)
+            whole.append((weight, shift, parts))
+            if len(parts) == 1 and parts[0][1] == 1:  # A_h alone: no product
+                direct.append((weight, shift, parts))
+                continue
+            keys = _keys(parts)
+            prefix.update(keys)
+            for i, (h, m) in enumerate(parts):
+                if h == root and (plane or m == 1):
+                    rest = parts[:i] + ((h, m - 1),) * (m > 1) + parts[i + 1:]
+                    own.append((weight, shift, rest))
+                    led.update(_keys(rest))
+                    break
+            else:
+                direct.append((weight, shift, parts))
+                led.update(keys)
+    by_prefix = _price(prefix)
+    by_root = _price(led) + sum(1 for _, own in plans[1].values() if own)
+    if by_root < by_prefix:
+        return by_root, plans[1], led
+    return by_prefix, {root: (whole, []) for root, whole in plans[0].items()}, prefix
 
 
 def _count_series(rules: dict, n_max: int, plane: bool) -> list[int]:
@@ -309,23 +379,28 @@ def _count_series(rules: dict, n_max: int, plane: bool) -> list[int]:
     -1 and +1 share a class, and 0 joins them when nodes have at most two
     children.
 
-    ``a[root][n]`` is filled in order of n: a rule adds its weight times
-    coefficient n-1 of a product with one factor per child h of multiplicity
-    m, ``A_h^m`` in plane mode and ``MSET_m(A_h)`` in free mode, from m Z_m(x)
-    = sum_j A_h(x^j) Z_{m-j}(x).  No series has a constant term, so
-    coefficient n-1 reads only trees of fewer nodes.
+    ``a[root][n]`` is filled in order of n, by the terms of ``_plan``, from
+    products with one factor per child h of multiplicity m, ``A_h^m`` in
+    plane mode and ``MSET_m(A_h)`` in free mode, from m Z_m(x) = sum_j
+    A_h(x^j) Z_{m-j}(x).  No series has a constant term, so coefficient n-1
+    reads only trees of fewer nodes.
     """
     rep, rules = _classes(rules, plane)
     size = Counter(rep.values())
-    keys = [parts for rs in rules.values() for _, parts in rs]
+    _, plan, keys = _plan(rules, plane)
     a = {root: [0, 1] for root in rules}
     # series[parts]: the product of the factors (h, m) in parts; the factor
-    # of (h, 1) is A_h in both modes, that of (h, 0) is 1
-    series = {((h, 1),): a[h] for h in rules}
-    series.update({((h, 0),): [1] + [0] * n_max for h in rules})
-    powers = sorted({(h, j) for parts in keys for h, m in parts for j in range(2, m + 1)})
-    products = sorted({parts[:i] for parts in keys for i in range(2, len(parts) + 1)}, key=len)
-    series.update({key: [0] for key in [((h, m),) for h, m in powers] + products})
+    # of (h, 1) is A_h in both modes, that of (h, 0) and the empty product are 1
+    one = [1] + [0] * n_max
+    series = {(): one, **{((h, 1),): a[h] for h in rules}, **{((h, 0),): one for h in rules}}
+    series.update({key: [0] for key in keys})
+    powers = sorted(key[0] for key in keys if len(key) == 1)
+    products = sorted((key for key in keys if len(key) > 1), key=len)
+
+    def read(terms):  # each term with the series of its parts
+        return [(weight, shift, series[parts]) for weight, shift, parts in terms]
+
+    fill = [(root, read(direct), read(own), [0]) for root, (direct, own) in plan.items()]
     for n in range(1, n_max):
         for h, m in powers:
             if plane:
@@ -336,8 +411,12 @@ def _count_series(rules: dict, n_max: int, plane: bool) -> list[int]:
             series[((h, m),)].append(got)
         for parts in products:
             series[parts].append(_coefficient(series[parts[-1:]], series[parts[:-1]], n))
-        for root, rs in rules.items():
-            a[root].append(sum(weight * series[parts][n] for weight, parts in rs))
+        for root, direct, own, q in fill:  # q: the sum of the own terms
+            got = sum([weight * s[n - shift] for weight, shift, s in direct if shift <= n])
+            if own:
+                got += _coefficient(a[root], q, n)
+                q.append(sum([weight * s[n - shift] for weight, shift, s in own if shift <= n]))
+            a[root].append(got)
     return [sum(size[root] * a[root][n] for root in rules) for n in range(1, n_max + 1)]
 
 

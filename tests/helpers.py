@@ -42,7 +42,8 @@ from bifgraph.graphs import _norm_edge, _refine_labels, graph_from_mask
 from bifgraph.matroids import VAMOS_CIRCUIT_QUADS, VAMOS_GROUND, _on_masks
 from bifgraph.represent import _branch_vertices
 from bifgraph.spanning import _int_det, _laplacian
-from bifgraph.trees import _tree_edges
+from bifgraph import trees
+from bifgraph.trees import _classes, _tree_edges
 
 
 def star_diagram(parent_index: int, child_indexes, parent_period=None,
@@ -318,10 +319,11 @@ def _coefficient(s: list[int], t: list[int], n: int, j: int = 1) -> int:
     return sum(map(mul, s[1:n // j + 1], t[n - j::-j]))
 
 
-def per_color_count_series(rules: dict, n_max: int, plane: bool) -> list[int]:
-    """The count engine before it merged roots into classes: one series per
-    root, every rule read as written, products and powers over the roots
-    themselves.  See ``trees._count_series`` for the rules' format."""
+def _prefix_series(rules: dict, n_max: int, plane: bool, coefficient=_coefficient) -> dict:
+    """``{root: [coefficients 0..n_max]}``: every rule read as written, one
+    product per power and per prefix of two or more factors of each rule,
+    each taken by ``coefficient``.  See ``trees._count_series`` for the
+    rules' format."""
     keys = [parts for rs in rules.values() for _, parts in rs]
     a = {root: [0, 1] for root in rules}
     series = {((h, 1),): a[h] for h in rules}
@@ -332,16 +334,51 @@ def per_color_count_series(rules: dict, n_max: int, plane: bool) -> list[int]:
     for n in range(1, n_max):
         for h, m in powers:
             if plane:
-                got = _coefficient(a[h], series[((h, m - 1),)], n)
+                got = coefficient(a[h], series[((h, m - 1),)], n)
             else:
-                got = sum(_coefficient(a[h], series[((h, m - j),)], n, j)
+                got = sum(coefficient(a[h], series[((h, m - j),)], n, j)
                           for j in range(1, m + 1)) // m
             series[((h, m),)].append(got)
         for parts in products:
-            series[parts].append(_coefficient(series[parts[-1:]], series[parts[:-1]], n))
+            series[parts].append(coefficient(series[parts[-1:]], series[parts[:-1]], n))
         for root, rs in rules.items():
             a[root].append(sum(weight * series[parts][n] for weight, parts in rs))
+    return a
+
+
+def per_color_count_series(rules: dict, n_max: int, plane: bool) -> list[int]:
+    """The count engine before it merged roots into classes: one series per
+    root, every rule read as written, products and powers over the roots
+    themselves."""
+    a = _prefix_series(rules, n_max, plane)
     return [sum(a[root][n] for root in rules) for n in range(1, n_max + 1)]
+
+
+def prefix_count_series(rules: dict, n_max: int, plane: bool) -> list[int]:
+    """The count engine before it planned its products: one series per class
+    of ``trees._classes``, each rule of a representative a product of its
+    powers and prefixes, with no factor taken out, each product taken by
+    ``trees._coefficient``, which takes a square's cross terms once."""
+    rep, quotient = _classes(rules, plane)
+    a = _prefix_series(quotient, n_max, plane, trees._coefficient)
+    size = Counter(rep.values())
+    return [sum(size[root] * a[root][n] for root in quotient) for n in range(1, n_max + 1)]
+
+
+def prefix_products(quotient: dict, plane: bool) -> float:
+    """Full products per coefficient of ``prefix_count_series`` on rules
+    read over classes: a square (of A_h, or of two equal factors) counts
+    1/2, and a product with A_h = x, for a class h without rules, counts 0.
+    Powers count as in plane mode in both modes."""
+    idle = {h for h, rs in quotient.items() if not rs}
+    keys = [parts for rs in quotient.values() for _, parts in rs]
+    powers = {(h, j) for parts in keys for h, m in parts for j in range(2, m + 1)}
+    products = {parts[:i] for parts in keys for i in range(2, len(parts) + 1)}
+    total = sum(0 if h in idle else 0.5 if j == 2 else 1 for h, j in powers)
+    for parts in products:
+        if parts[-1][0] not in idle and any(h not in idle for h, _ in parts[:-1]):
+            total += 0.5 if parts[:-1] == parts[-1:] else 1
+    return total
 
 
 def per_color_count_sequence(k: int, d: int, n_max: int, mode: str = "plane",
@@ -350,6 +387,14 @@ def per_color_count_sequence(k: int, d: int, n_max: int, mode: str = "plane",
     table = table if table is not None else builtin_table(d)
     plane = mode == "plane"
     return per_color_count_series(_count_rules(k, table, n_max, plane), n_max, plane)
+
+
+def prefix_count_sequence(k: int, d: int, n_max: int, mode: str = "plane",
+                          table: LawTable | None = None) -> list[int]:
+    """``count_sequence`` on the prefix engine ``prefix_count_series``."""
+    table = table if table is not None else builtin_table(d)
+    plane = mode == "plane"
+    return prefix_count_series(_count_rules(k, table, n_max, plane), n_max, plane)
 
 
 def _kind_json(kind: str, c: int):

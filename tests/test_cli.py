@@ -475,19 +475,23 @@ def _long_literal(text: str, field: str, digits: int = 5000) -> str:
     return text.replace(old, f'"{field}": ' + "9" * digits)
 
 
-@pytest.mark.parametrize("command, text, message", [
+@pytest.mark.parametrize("command, text, path", [
     ("validate", _long_literal(emit_diagram(star_diagram(1, (0, 1), 1, dimension=2)), "period"),
-     "error: $.edges[2].period: must be a positive integer\n"),
+     "$.edges[2].period"),
     ("classify", _long_literal('{"vertexCount": 1, "edges": []}', "vertexCount"),
-     "error: $.vertexCount: must be an integer >= 0\n"),
-], ids=["period", "vertexCount"])
-def test_over_long_integer_literal_names_its_path(command, text, message, tmp_path, capsys):
+     "$.vertexCount"),
+    ("validate", _long_literal(emit_diagram(star_diagram(1, (0, 1), dimension=1)), "dimension"),
+     "$.dimension"),
+], ids=["period", "vertexCount", "dimension"])
+def test_over_long_integer_literal_names_its_path(command, text, path, tmp_path, capsys):
     # longer than sys.get_int_max_str_digits(), which is never raised
     limit = sys.get_int_max_str_digits()
-    path = tmp_path / "long.json"
-    path.write_text(text)
-    assert main([command, str(path)]) == 2
-    assert capsys.readouterr().err == message
+    doc = tmp_path / "long.json"
+    doc.write_text(text)
+    assert main([command, str(doc)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: integer literal longer than the {limit} digits the parser reads"
+        " (sys.get_int_max_str_digits())\n")
     assert sys.get_int_max_str_digits() == limit
 
 

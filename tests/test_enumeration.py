@@ -18,11 +18,13 @@ from bifgraph import (
 )
 from bifgraph.cli import main
 from bifgraph.enumeration import _count_rules
-from bifgraph.trees import _classes, _pools
+from bifgraph import trees
+from bifgraph.trees import _classes, _plan, _pools
 from helpers import (
     cached_colored_trees, cached_ordered_trees, cached_slot_trees, chain_tree,
     distinct_children, field_values, law_table_of, legal_law_entries, negated,
-    per_color_count_sequence, plain_tree, plane_count, random_law_table, recursive_orderings,
+    per_color_count_sequence, plain_tree, plane_count, prefix_count_sequence, prefix_products,
+    random_law_table, recursive_orderings,
 )
 
 
@@ -140,6 +142,60 @@ def test_count_sequence_equals_the_per_color_engine(k, d):
     assert count_sequence(k, d, 40, "free") == per_color_count_sequence(k, d, 40, "free")
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_count_sequence_equals_the_prefix_engine(k, d):
+    assert count_sequence(k, d, 150) == prefix_count_sequence(k, d, 150)
+    assert count_sequence(k, d, 150, "free") == prefix_count_sequence(k, d, 150, "free")
+
+
+def quotient_of(k, table, plane, n_max=30):
+    return _classes(_count_rules(k, table, n_max, plane), plane)[1]
+
+
+# full products per coefficient in plane mode: (prefix engine, planned engine)
+PLANNED_PRODUCTS = {(2, 4): (5, 3), (3, 3): (5, 3), (3, 4): (6, 4), (4, 4): (10, 7),
+                    (5, 4): (13, 8), **{(1, d): (0.5 if d >= 3 else 0,) * 2 for d in range(1, 6)}}
+
+
+@pytest.mark.parametrize("k, d", sorted(PLANNED_PRODUCTS))
+def test_the_plan_takes_the_listed_products(k, d):
+    quotient = quotient_of(k, builtin_table(d), True)
+    assert (prefix_products(quotient, True), _plan(quotient, True)[0]) == PLANNED_PRODUCTS[k, d]
+
+
+def test_the_plan_never_takes_more_products_than_the_prefix_engine():
+    tables = [builtin_table(d) for d in range(1, 6)]
+    rng = random.Random("planned products")
+    tables += [random_law_table(rng, rng.choice(["extend", "replace"])) for _ in range(40)]
+    for table in tables:
+        for k in range(1, 6):
+            for plane in (True, False):
+                quotient = quotient_of(k, table, plane)
+                assert _plan(quotient, plane)[0] <= prefix_products(quotient, plane)
+
+
+@pytest.mark.parametrize("mode", ["plane", "free"])
+def test_the_engine_takes_the_products_its_plan_counts(monkeypatch, mode):
+    """The convolutions of one coefficient, a square counting 1/2, add up
+    to what ``_plan`` counts; the terms of A(x^j), j >= 2, of a free-mode
+    power are not counted, as ``_plan`` prices powers as in plane mode."""
+    taken, coefficient = [], trees._coefficient
+
+    def counted(s, t, n, j=1):
+        if n == 29 and j == 1:
+            taken.append(0.5 if s is t else 1)
+        return coefficient(s, t, n, j)
+
+    monkeypatch.setattr(trees, "_coefficient", counted)
+    for k in range(1, 6):
+        for d in range(1, 6):
+            taken.clear()
+            count_sequence(k, d, 30, mode)
+            assert sum(taken) == _plan(quotient_of(k, builtin_table(d), mode == "plane"),
+                                       mode == "plane")[0]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_builtin_classes_pair_minus_one_with_one_from_dimension_three(k, d):
@@ -181,10 +237,10 @@ def broken_law_table(rng: random.Random):
 
 def assert_engines_agree(k: int, table, n_plane: int, n_free: int) -> None:
     d = table.dimension
-    assert count_sequence(k, d, n_plane, "plane", table) == \
-        per_color_count_sequence(k, d, n_plane, "plane", table)
-    assert count_sequence(k, d, n_free, "free", table) == \
-        per_color_count_sequence(k, d, n_free, "free", table)
+    for mode, n in (("plane", n_plane), ("free", n_free)):
+        got = count_sequence(k, d, n, mode, table)
+        assert got == per_color_count_sequence(k, d, n, mode, table)
+        assert got == prefix_count_sequence(k, d, n, mode, table)
 
 
 def test_count_sequence_equals_the_per_color_engine_on_random_law_tables():
@@ -216,6 +272,13 @@ def _law_tables(draw):
 @given(st.integers(1, 4), _law_tables())
 def test_count_sequence_equals_the_per_color_engine_by_hypothesis(k, table):
     assert_engines_agree(k, table, 30, 12)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 5), _law_tables(), st.booleans())
+def test_the_plan_never_takes_more_products_by_hypothesis(k, table, plane):
+    quotient = quotient_of(k, table, plane)
+    assert _plan(quotient, plane)[0] <= prefix_products(quotient, plane)
 
 
 def test_listers_match_the_cached_recursive_listers():
