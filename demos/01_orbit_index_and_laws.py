@@ -9,8 +9,8 @@ which index splittings each bifurcation kind allows.
 """
 
 from bifgraph import (
-    COLOR_OF, EigenvalueSpec, allowed_child_multisets, builtin_table,
-    index_from_eigenvalues, junction, period_doubling, saddle_node, type_m,
+    COLOR_OF, EigenvalueSpec, builtin_table, index_from_eigenvalues, junction,
+    period_doubling, saddle_node, splits_for_child_count, type_m,
 )
 
 # ---------------------------------------------------------------------------
@@ -35,8 +35,9 @@ for spec in examples:
 # ---------------------------------------------------------------------------
 # The law tables
 # ---------------------------------------------------------------------------
-# Rules accumulate with dimension and stabilize at d=4.  An empty set means
-# the parent index cannot undergo that bifurcation at all.
+# Rules accumulate with dimension and stabilize at d=4.  A kind's child count
+# is all a lookup needs.  An empty set means the parent index cannot undergo
+# that bifurcation at all.
 
 kinds = [("saddle node", saddle_node()), ("doubling", period_doubling()),
          ("type m", type_m(3)), ("4-junction", junction(4)),
@@ -47,7 +48,7 @@ for d in (1, 2, 3, 4):
     print(f"\ndimension {d}")
     for label, kind in kinds:
         for parent in (-1, 0, 1):
-            splits = sorted(allowed_child_multisets(table, kind, parent))
+            splits = sorted(splits_for_child_count(table, kind.child_count, parent))
             if splits:
                 shown = " | ".join(str(s) for s in splits)
                 print(f"  {label:11s} {parent:+d} -> {shown}")

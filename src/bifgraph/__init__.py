@@ -17,8 +17,7 @@ _EXPORTS = {
         IndexResult ValidationReport Vertex Violation check_cycle_parity
         check_index_conservation check_period_consistency index_from_eigenvalues
         junction_periods_consistent validate_diagram""",
-    "laws": """COLOR_OF INDEX_VALUES BifurcationKind LawEntry LawTable
-        allowed_child_multisets builtin_table is_admissible_star junction
+    "laws": """COLOR_OF INDEX_VALUES BifurcationKind LawEntry LawTable builtin_table junction
         kind_for_child_count period_doubling saddle_node splits_for_child_count type_m""",
     "trees": """EnumerationLimitError TreeMode canonical_form canonical_trees
         count_kary_formula count_shapes enumerate_shapes free_trees is_binary

@@ -24,7 +24,7 @@ from decimal import Decimal
 from . import classes, documents, enumeration, matroids, represent, spanning, trees
 from .diagram import validate_diagram
 from .laws import builtin_table
-from .trees import EnumerationLimitError, TreeMode
+from .trees import EnumerationLimitError
 
 
 class UsageError(ValueError):
@@ -88,8 +88,7 @@ def cmd_enumerate(args) -> tuple[int, str | Iterable[str]]:
     spec = enumeration.EnumerationSpec(args.k, args.d, args.n, args.mode,
                                        _table_for(args, args.d))
     if args.emit in ("counts", "csv"):  # ints and a mode name: no field needs CSV quoting
-        counts = enumeration.count_sequence(args.k, args.d, args.n, spec.mode,
-                                            spec.resolved_table())
+        counts = enumeration.count_sequence(args.k, args.d, args.n, spec.mode, spec.table)
         return 0, "k,d,n,mode,count\n" + "".join(
             f"{args.k},{args.d},{n},{spec.mode.value},{_digits(count)}\n"
             for n, count in enumerate(counts, start=1))
@@ -127,15 +126,13 @@ def _fractions(values, as_json: bool) -> str:
 
 
 def cmd_ratio(args) -> tuple[int, str]:
-    values = enumeration.ratio_sequence(args.k1, args.k2, args.d, args.n_max,
-                                        TreeMode.coerce(args.mode),
+    values = enumeration.ratio_sequence(args.k1, args.k2, args.d, args.n_max, args.mode,
                                         _table_for(args, args.d))
     return 0, _fractions(values, args.json)
 
 
 def cmd_share(args) -> tuple[int, str]:
-    values = enumeration.share_sequence(args.k, args.d1, args.d2, args.n_max,
-                                        TreeMode.coerce(args.mode))
+    values = enumeration.share_sequence(args.k, args.d1, args.d2, args.n_max, args.mode)
     return 0, _fractions(values, args.json)
 
 
@@ -196,8 +193,12 @@ def _int(option: str, text: str) -> int:
 
 
 def _parse_sizes(option: str, text: str) -> dict[int, int]:
-    pairs = (part.partition("=")[::2] for part in text.split(",") if part)
-    return {_int(option, size): _int(option, count) for size, count in pairs}
+    sizes: dict[int, int] = {}
+    for size, _, count in (part.partition("=") for part in text.split(",") if part):
+        if (size := _int(option, size)) in sizes:
+            raise UsageError(f"{option}: size {size} is given twice")
+        sizes[size] = _int(option, count)
+    return sizes
 
 
 def cmd_count(args) -> tuple[int, str]:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .laws import (
     SADDLE_NODE, PERIOD_DOUBLING, TYPE_M, JUNCTION,
-    BifurcationKind, LawTable, check_index, splits_for_child_count,
+    INDEX_VALUES, BifurcationKind, LawTable, check_index, splits_for_child_count,
 )
 
 
@@ -444,8 +444,8 @@ def validate_diagram(diagram: Diagram, k: int, table: LawTable) -> ValidationRep
       period, or one ``period_partial`` when only some do.
 
     Each vertex's incident edges are read once.  Each law is looked up once
-    per call: the saddle-node pairs, and the child multisets per (child
-    count, parent index).
+    per call: the saddle-node pairs, sorted and so in either edge order, and
+    the child multisets per (child count, parent index).
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -453,7 +453,8 @@ def validate_diagram(diagram: Diagram, k: int, table: LawTable) -> ValidationRep
         raise ValueError(
             f"table dimension {table.dimension} != diagram dimension {diagram.dimension}")
     out: list[Violation] = []
-    saddle_pairs = table.saddle_node_pairs()
+    saddle_pairs = {tuple(sorted((p, c))) for p in INDEX_VALUES
+                    for (c,) in splits_for_child_count(table, 1, p)}
     allowed: dict = {}  # (child count, parent index) -> admissible child multisets
 
     for v in diagram.vertices:

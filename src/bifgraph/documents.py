@@ -293,11 +293,13 @@ def parse_matroid(source):
     ground = doc.get("groundSet")
     _expect(_is_element_list(ground) and ground, "$.groundSet",
             "must be a nonempty list of strings or integers", ground)
+    _expect(len(set(ground)) == len(ground), "$.groundSet", "elements must be distinct")
     bases = doc.get("bases")
     _expect(isinstance(bases, list) and bases, "$.bases", "must be a nonempty list")
     for i, basis in enumerate(bases):
         _expect(_is_element_list(basis), f"$.bases[{i}]",
                 "must be a list of strings or integers", basis)
+        _expect(len(set(basis)) == len(basis), f"$.bases[{i}]", "elements must be distinct")
     try:
         return from_bases(ground, bases)
     except ValueError as exc:

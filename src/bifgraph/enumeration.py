@@ -139,37 +139,29 @@ class EnumerationSpec:
             raise ValueError("k, d and n must all be >= 1")
         object.__setattr__(self, "mode", TreeMode.coerce(self.mode))
 
-    def resolved_table(self) -> LawTable:
-        return self.table if self.table is not None else builtin_table(self.d)
-
 
 # ---------------------------------------------------------------------------
 # Explicit enumeration
 # ---------------------------------------------------------------------------
 
-def _colored_pools(table: LawTable, k: int, n: int, plane: bool) -> dict:
-    """``pool[color][size]``: every admissible ``ColoredTree`` with that root
-    color and size, at most k+1 children per node, listed by ``_pools`` over
-    the count engine's rules of the table (``_count_rules``)."""
-    def colored(color, slots, tuples):  # a leaf comes with slots () and keeps None
-        return [ColoredTree(color, kids, slots or None) for kids in tuples]
-
-    return _pools(_count_rules(k, table, n, plane), k + 1, n, plane, colored)
-
-
 def enumerate_colored(spec: EnumerationSpec) -> tuple[ColoredTree, ...]:
     """All admissible colored trees for the spec, root color unconstrained.
 
     The explicit list is capped (``spec.limit``, default 10**6): the exact
-    count is checked against the cap before any tree is built.  Use
-    ``count_colored`` for sizes beyond the cap.
+    count, from the rules that the trees are then listed by, is checked
+    against the cap before any tree is built.  Use ``count_colored`` for
+    sizes beyond the cap.
     """
-    table = spec.resolved_table()
     limit = spec.limit if spec.limit is not None else DEFAULT_LIST_LIMIT
-    total = count_colored(spec.k, spec.d, spec.n, spec.mode, table)
+    rules, plane = _checked_rules(spec.k, spec.d, spec.n, spec.mode, spec.table)
+    total = _count_series(rules, spec.n, plane)[-1]
     if total > limit:
         raise EnumerationLimitError(f"{total} colored trees exceed limit {limit}")
-    pool = _colored_pools(table, spec.k, spec.n, spec.mode is TreeMode.PLANE)
+
+    def colored(color, slots, tuples):  # a leaf comes with slots () and keeps None
+        return [ColoredTree(color, kids, slots or None) for kids in tuples]
+
+    pool = _pools(rules, spec.k + 1, spec.n, plane, colored)
     return tuple(t for color in INDEX_VALUES for t in pool[color][spec.n])
 
 
@@ -210,10 +202,8 @@ def _count_rules(k: int, table: LawTable, n_max: int, plane: bool) -> dict:
     return rules
 
 
-def count_sequence(k: int, d: int, n_max: int, mode=TreeMode.PLANE,
-                   table: LawTable | None = None) -> list[int]:
-    """Exact numbers of admissible colored trees on n = 1..n_max nodes, from
-    the count engine on the law table's rules (``_count_rules``)."""
+def _checked_rules(k: int, d: int, n_max: int, mode, table: LawTable | None) -> tuple[dict, bool]:
+    """Check the count arguments; return the count rules and whether trees are plane."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if n_max < 0:
@@ -222,7 +212,15 @@ def count_sequence(k: int, d: int, n_max: int, mode=TreeMode.PLANE,
     if table.dimension != d:
         raise ValueError(f"table dimension {table.dimension} != d = {d}")
     plane = TreeMode.coerce(mode) is TreeMode.PLANE
-    return _count_series(_count_rules(k, table, n_max, plane), n_max, plane)
+    return _count_rules(k, table, n_max, plane), plane
+
+
+def count_sequence(k: int, d: int, n_max: int, mode=TreeMode.PLANE,
+                   table: LawTable | None = None) -> list[int]:
+    """Exact numbers of admissible colored trees on n = 1..n_max nodes, from
+    the count engine on the law table's rules (``_count_rules``)."""
+    rules, plane = _checked_rules(k, d, n_max, mode, table)
+    return _count_series(rules, n_max, plane)
 
 
 def count_colored(k: int, d: int, n: int, mode=TreeMode.PLANE,
@@ -230,8 +228,7 @@ def count_colored(k: int, d: int, n: int, mode=TreeMode.PLANE,
     """Exact number of admissible colored trees on n nodes (0 for n < 1):
     the last entry of ``count_sequence``, in either mode, which checks the
     arguments for every n."""
-    counts = count_sequence(k, d, max(n, 0), mode, table)
-    return counts[-1] if counts else 0
+    return (count_sequence(k, d, max(n, 0), mode, table) or [0])[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -184,10 +184,6 @@ class LawTable:
                 raise ValueError(f"unknown junction family {family!r}")
             check_index(parent)
 
-    def saddle_node_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(tuple(sorted((e.parent, e.children[0])))
-                         for e in self.entries if e.kind == SADDLE_NODE)
-
 
 def splits_for_child_count(table: LawTable, c: int, parent: int) -> frozenset[tuple[int, ...]]:
     """Every admissible child multiset for a node with c children and the
@@ -205,19 +201,6 @@ def splits_for_child_count(table: LawTable, c: int, parent: int) -> frozenset[tu
                      for family, p in table.junction_families if p == parent)
         found.discard(None)
     return frozenset(found)
-
-
-def allowed_child_multisets(table: LawTable, kind: BifurcationKind, parent: int) -> frozenset[tuple[int, ...]]:
-    return splits_for_child_count(table, kind.child_count, parent)
-
-
-def is_admissible_star(table: LawTable, kind: BifurcationKind, parent: int, children) -> bool:
-    """Membership wrapper: may ``parent`` split into exactly this child multiset?"""
-    kids = tuple(sorted(children))
-    if len(kids) != kind.child_count:
-        raise ValueError(
-            f"{kind.name} expects {kind.child_count} children, got {len(kids)}")
-    return kids in allowed_child_multisets(table, kind, parent)
 
 
 # ---------------------------------------------------------------------------

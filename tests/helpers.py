@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from bifgraph import (
     TERMINAL, ColoredTree, ConservationCheck, Diagram, Edge, LawEntry, LawTable, Matroid,
     SimpleGraph, ValidationReport, Vertex, Violation, builtin_table, canonical_trees,
-    check_cycle_parity, check_period_consistency, emit_dot, is_admissible_star, junction,
+    check_cycle_parity, check_period_consistency, emit_dot, junction,
     junction_periods_consistent, kind_for_child_count, load_law_table, matroid_minor,
     period_doubling, saddle_node, splits_for_child_count, to_star, tree_size,
     tree_to_diagram, type_m,
@@ -532,7 +532,7 @@ def _colored_free(table: LawTable, max_children: int, n: int, color: int) -> tup
 def cached_colored_trees(spec) -> tuple:
     """``enumerate_colored`` without its cap, through one cached recursive
     lister per mode that keeps every smaller list between calls."""
-    table = spec.resolved_table()
+    table = spec.table if spec.table is not None else builtin_table(spec.d)
     build = _colored_plane if spec.mode.value == "plane" else _colored_free
     return tuple(t for color in (-1, 0, 1) for t in build(table, spec.k + 1, spec.n, color))
 
@@ -1685,7 +1685,9 @@ def stepwise_index_conservation(diagram: Diagram, vertex_id: str) -> Conservatio
 def stepwise_validate_diagram(diagram: Diagram, k: int, table: LawTable) -> ValidationReport:
     """``validate_diagram`` as it was before the one-pass validator: each
     vertex runs every check as its own lookup, and each law query scans the
-    table again.
+    table again.  The laws are read from ``table.entries``, the saddle-node
+    pairs directly and the rest through ``kind_keyed_child_multisets``, so
+    this shares no lookup with ``validate_diagram``.
 
     Runs the degree bound (k + 2), per-vertex index conservation, the law
     lookup per vertex, the junction two-index rule, cycle parity, and (when
@@ -1710,14 +1712,15 @@ def stepwise_validate_diagram(diagram: Diagram, k: int, table: LawTable) -> Vali
                                  f"child side {cons.child_sum}", vertex_id=v.id))
         if v.kind.name == SADDLE_NODE:
             pair = tuple(sorted(e.index for e in diagram.incident_edges(v.id)))
-            if pair not in table.saddle_node_pairs():
+            if pair not in {tuple(sorted((e.parent, e.children[0])))
+                            for e in table.entries if e.kind == SADDLE_NODE}:
                 out.append(Violation("law",
                                      f"saddle-node pair {pair} not admissible in "
                                      f"dimension {table.dimension}", vertex_id=v.id))
             continue
         parent = diagram.edge(v.parent_edge).index
         kids = [e.index for e in split_incident(v, diagram.incident_edges(v.id))[1]]
-        if not is_admissible_star(table, v.kind, parent, kids):
+        if tuple(sorted(kids)) not in kind_keyed_child_multisets(table, v.kind, parent):
             out.append(Violation("law",
                                  f"vertex {v.id!r}: {parent} -> {tuple(sorted(kids))} not "
                                  f"admissible for {v.kind.name} in dimension {table.dimension}",

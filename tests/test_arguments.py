@@ -75,6 +75,11 @@ def test_induced_and_relabeled_keep_empty_colors_and_names():
 def test_colored_and_uncolored_graphs_differ_when_colors_count():
     g = SimpleGraph.from_edges(3, [(0, 1)], colors=[1, 0, -1])
     assert not graphs_isomorphic(g, SimpleGraph.from_edges(3, [(0, 1)]), respect_colors=True)
+    # all colors 0 refine like no colors, so only the colored flag tells them apart
+    zeros = SimpleGraph.from_edges(3, [(0, 1), (1, 2)], colors=[0, 0, 0])
+    plain = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+    assert not graphs_isomorphic(zeros, plain, respect_colors=True)
+    assert graphs_isomorphic(zeros, plain)
 
 
 def test_colored_tree_is_not_equal_to_another_type():

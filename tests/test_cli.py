@@ -427,6 +427,7 @@ def test_classify_disconnected_exits_two(tmp_path, capsys):
     ["classify", "@dir"],
     ["count", "--kary", "x", "3"],
     ["count", "--husimi", "2=x"],
+    ["count", "--husimi", "2=1,2=3"],
     ["validate", "@valid", "--k", "0"],
     ["validate", "@valid", "--k", "-3"],
 ])
@@ -443,6 +444,8 @@ def test_bad_input_exits_two_without_traceback(argv, tmp_path, valid_file, capsy
     (["count", "--kary", "x", "3"], "error: --kary: 'x' is not an integer\n"),
     (["count", "--husimi", "2=x"], "error: --husimi: 'x' is not an integer\n"),
     (["count", "--cactus", "x"], "error: --cactus: 'x' is not an integer\n"),
+    (["count", "--husimi", "2=1,2=3"], "error: --husimi: size 2 is given twice\n"),
+    (["count", "--cactus", "3=1,4=1,3=2"], "error: --cactus: size 3 is given twice\n"),
 ])
 def test_bad_count_integer_is_named_with_its_option(argv, message, capsys):
     assert main(argv) == 2

@@ -13,8 +13,8 @@ from bifgraph import (
     TERMINAL, ColoredTree, Diagram, DiagramError, Edge, EigenvalueSpec, EnumerationSpec, Vertex,
     builtin_table, check_cycle_parity, check_index_conservation,
     check_period_consistency, emit_diagram, enumerate_colored, index_from_eigenvalues,
-    junction_periods_consistent, parse_diagram, period_doubling, saddle_node, tree_to_diagram,
-    type_m, validate_diagram,
+    junction_periods_consistent, load_law_table, parse_diagram, period_doubling, saddle_node,
+    tree_to_diagram, type_m, validate_diagram,
 )
 from helpers import (
     branched_cycle_parity, branched_period_consistency, constructible_diagrams,
@@ -71,6 +71,26 @@ def test_conservation_doubling_pass():
 def test_conservation_saddle_node_pair():
     d = star_diagram(1, (-1,))
     assert check_index_conservation(d, "v") == (True, 0, 0)
+
+
+@pytest.mark.parametrize("parent", [1, -1])
+def test_a_saddle_node_pairing_listed_one_way_admits_either_edge_order(parent):
+    """A table that lists only ``parent -> (-parent)`` admits a saddle node
+    whose two edges carry -1 and 1 in either order, and no other pair."""
+    table = load_law_table({"schemaVersion": "1", "dimension": 3, "mode": "replace", "entries": [
+        {"kind": "saddle_node", "parent": parent, "children": [-parent]}]})
+
+    def saddle(first, second):
+        return Diagram(3, (Edge("a", first, (TERMINAL, "v")), Edge("b", second, ("v", TERMINAL))),
+                       (Vertex("v", saddle_node()),))
+
+    for pair in ((-1, 1), (1, -1)):
+        assert validate_diagram(saddle(*pair), 1, table).ok
+        assert stepwise_validate_diagram(saddle(*pair), 1, table).ok
+    report = validate_diagram(saddle(0, 0), 1, table)
+    assert [v.message for v in report.violations] == [
+        "saddle-node pair (0, 0) not admissible in dimension 3"]
+    assert report == stepwise_validate_diagram(saddle(0, 0), 1, table)
 
 
 def test_conservation_holds_even_for_unlawful_doubling():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from bifgraph import (
     TERMINAL, BifurcationKind, ColoredTree, Diagram, DiagramError, Edge, EnumerationSpec,
     SchemaError, SimpleGraph, Vertex, builtin_table, check_period_consistency, emit_diagram,
-    emit_dot, emit_graph, enumerate_colored, junction, mary_to_binary,
+    emit_dot, emit_graph, enumerate_colored, from_bases, junction, mary_to_binary,
     nonadmissible_period_fixture, parse_diagram, parse_graph, parse_matroid, parse_tree,
     period_doubling, saddle_node, to_clique, to_star, tree_to_diagram, validate_diagram,
 )
@@ -230,6 +230,30 @@ def test_matroid_document():
     with pytest.raises(SchemaError) as err:
         parse_matroid('{"groundSet": ["a", "b", "c", "d"], "bases": [["a", "b"], ["c", "d"]]}')
     assert err.value.path == "$.bases" and "exchange" in str(err.value)
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"groundSet": ["a", "a", "b"], "bases": [["a"], ["b"]]}, "$.groundSet"),
+    ({"groundSet": [1, 2, 1], "bases": [[1]]}, "$.groundSet"),
+    ({"groundSet": ["a", "b"], "bases": [["a", "a"], ["b"]]}, "$.bases[0]"),
+    ({"groundSet": ["a", "b"], "bases": [["a", "a"], ["b", "a"]]}, "$.bases[0]"),
+    ({"groundSet": ["a", "b", "c"], "bases": [["a", "b"], ["c", "b", "c"]]}, "$.bases[1]"),
+])
+def test_matroid_document_repeats_are_reported_where_they_are(doc, path, tmp_path, capsys):
+    with pytest.raises(SchemaError) as err:
+        parse_matroid(json.dumps(doc))
+    assert (err.value.path, str(err.value)) == (path, f"{path}: elements must be distinct")
+    file = tmp_path / "matroid.json"
+    file.write_text(json.dumps(doc))
+    assert main(["matroid", str(file)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: elements must be distinct\n"
+
+
+def test_from_bases_keeps_its_own_errors_for_repeats():
+    with pytest.raises(ValueError, match="^ground set elements must be distinct$"):
+        from_bases(["a", "a", "b"], [["a"], ["b"]])
+    # a basis with a repeat is the set of its elements
+    assert from_bases(["a", "b"], [["a", "a"], ["b"]]).rank == 1
 
 
 def _edge(**changes):

@@ -441,6 +441,30 @@ def test_one_rule_table_two_readers():
                 count_sequence(k, table.dimension, 6, mode, table), (mode, k, table)
 
 
+@pytest.mark.parametrize("mode", ["plane", "free"])
+def test_listing_reads_the_law_table_once(monkeypatch, mode):
+    """``enumerate_colored`` builds its rules once, for the count it checks
+    against the limit and for the lister: one law lookup per (child count,
+    parent index), 3 * min(k + 1, n - 1) per call."""
+    import bifgraph.enumeration as enumeration
+    lookup, calls = enumeration.splits_for_child_count, []
+
+    def counted(table, c, parent):
+        calls.append((c, parent))
+        return lookup(table, c, parent)
+
+    monkeypatch.setattr(enumeration, "splits_for_child_count", counted)
+    for k in (1, 2, 3):
+        for d in (1, 4):
+            for n in range(1, 7):
+                calls.clear()
+                listed = enumerate_colored(EnumerationSpec(k, d, n, mode))
+                assert sorted(calls) == sorted(
+                    (c, parent) for c in range(1, min(k + 1, n - 1) + 1) for parent in (-1, 0, 1))
+                assert len(calls) == 3 * min(k + 1, n - 1), (k, d, n)
+                assert len(listed) == count_colored(k, d, n, mode)
+
+
 def test_count_colored_is_the_last_sequence_entry():
     assert count_sequence(2, 4, 0) == []
     assert count_colored(2, 4, 0) == count_colored(2, 4, -3, "free") == 0
@@ -453,7 +477,7 @@ def test_free_counts_build_no_trees(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("counting built a tree")
 
-    for name in ("ColoredTree", "_colored_pools"):
+    for name in ("ColoredTree", "_pools"):
         monkeypatch.setattr(enumeration, name, refuse)
     free = count_colored(2, 4, 60, "free")
     # every free tree has at least one plane arrangement

@@ -5,43 +5,54 @@ import random
 import pytest
 
 from bifgraph import (
-    BifurcationKind, LawEntry, SchemaError, allowed_child_multisets, builtin_table,
-    is_admissible_star, junction, kind_for_child_count, parse_diagram, period_doubling,
-    saddle_node, splits_for_child_count, type_m, load_law_table,
+    INDEX_VALUES, BifurcationKind, LawEntry, SchemaError, builtin_table, junction,
+    kind_for_child_count, parse_diagram, period_doubling, saddle_node, splits_for_child_count,
+    type_m, load_law_table,
 )
 from bifgraph.laws import JUNCTION, PERIOD_DOUBLING, SADDLE_NODE, TYPE_M
 
 from helpers import kind_keyed_child_multisets, random_law_table
 
 
+def saddle_node_pairs(table):
+    """The saddle-node pairs of a table, each sorted, from the one lookup."""
+    return {tuple(sorted((p, c))) for p in INDEX_VALUES
+            for (c,) in splits_for_child_count(table, 1, p)}
+
+
+def is_admissible_star(table, kind, parent, kids):
+    """May ``parent`` split into exactly this child multiset, at a ``kind`` vertex?"""
+    return tuple(sorted(kids)) in splits_for_child_count(table, kind.child_count, parent)
+
+
 def test_saddle_node_pairs_by_dimension():
-    assert sorted(builtin_table(1).saddle_node_pairs()) == [(-1, 1)]
-    assert sorted(builtin_table(2).saddle_node_pairs()) == [(-1, 1)]
-    assert sorted(builtin_table(3).saddle_node_pairs()) == [(-1, 1), (0, 0)]
+    assert sorted(saddle_node_pairs(builtin_table(1))) == [(-1, 1)]
+    assert sorted(saddle_node_pairs(builtin_table(2))) == [(-1, 1)]
+    assert sorted(saddle_node_pairs(builtin_table(3))) == [(-1, 1), (0, 0)]
 
 
 def test_doubling_laws():
-    assert allowed_child_multisets(builtin_table(2), period_doubling(), 1) == {(0, 1)}
-    assert allowed_child_multisets(builtin_table(2), period_doubling(), -1) == frozenset()
-    assert allowed_child_multisets(builtin_table(3), period_doubling(), 0) == {(-1, 1)}
-    assert allowed_child_multisets(builtin_table(3), period_doubling(), -1) == {(-1, 0)}
+    assert splits_for_child_count(builtin_table(2), 2, 1) == {(0, 1)}
+    assert splits_for_child_count(builtin_table(2), 2, -1) == frozenset()
+    assert splits_for_child_count(builtin_table(3), 2, 0) == {(-1, 1)}
+    assert splits_for_child_count(builtin_table(3), 2, -1) == {(-1, 0)}
 
 
 def test_type_m_laws():
     t2, t3, t4 = builtin_table(2), builtin_table(3), builtin_table(4)
-    assert allowed_child_multisets(t2, type_m(3), 1) == {(-1, 1, 1)}
-    assert allowed_child_multisets(t2, type_m(3), -1) == frozenset()
-    assert allowed_child_multisets(t3, type_m(5), -1) == {(-1, -1, 1)}
-    assert allowed_child_multisets(t4, type_m(3), 0) == {(0, 0, 0), (-1, 0, 1)}
+    assert splits_for_child_count(t2, 3, 1) == {(-1, 1, 1)}
+    assert splits_for_child_count(t2, 3, -1) == frozenset()
+    assert splits_for_child_count(t3, 3, -1) == {(-1, -1, 1)}
+    assert splits_for_child_count(t4, 3, 0) == {(0, 0, 0), (-1, 0, 1)}
 
 
 def test_junction_laws():
     t2, t4 = builtin_table(2), builtin_table(4)
-    assert allowed_child_multisets(t2, junction(4), 1) == {(0, 0, 0, 1)}
-    assert allowed_child_multisets(t4, junction(6), 0) == {(0,) * 6}
+    assert splits_for_child_count(t2, 4, 1) == {(0, 0, 0, 1)}
+    assert splits_for_child_count(t4, 6, 0) == {(0,) * 6}
     # n=4 is neither odd nor a multiple of 3: only the doubling family fires
-    assert allowed_child_multisets(t4, junction(4), 0) == frozenset()
-    five = allowed_child_multisets(t4, junction(5), 1)
+    assert splits_for_child_count(t4, 4, 0) == frozenset()
+    five = splits_for_child_count(t4, 5, 1)
     assert five == {(0, 0, 0, 0, 1), (-1, -1, 1, 1, 1)}
 
 
@@ -56,11 +67,6 @@ def test_is_admissible_star_examples():
     assert is_admissible_star(builtin_table(3), type_m(5), -1, (-1, 1, -1))
     assert not is_admissible_star(builtin_table(4), period_doubling(), 0, (0, 0))
     assert is_admissible_star(builtin_table(2), junction(4), 1, (1, 0, 0, 0))
-
-
-def test_is_admissible_star_arity_mismatch():
-    with pytest.raises(ValueError):
-        is_admissible_star(builtin_table(2), period_doubling(), 1, (0, 1, 1))
 
 
 def test_tables_nest_with_dimension():
@@ -84,7 +90,7 @@ def test_junction_rules_conserve_and_stay_two_index():
         table = builtin_table(d)
         for n in range(4, 13):
             for parent in (-1, 0, 1):
-                for entry in allowed_child_multisets(table, junction(n), parent):
+                for entry in splits_for_child_count(table, n, parent):
                     assert sum(entry) == parent
                     assert len(set(entry)) <= 2
 
@@ -165,9 +171,13 @@ def test_child_count_lookup_equals_the_kind_keyed_lookup():
                 kind = kind_for_child_count(c)
                 want = kind_keyed_child_multisets(table, kind, parent)
                 assert splits_for_child_count(table, c, parent) == want, (table, c, parent)
-                assert allowed_child_multisets(table, kind, parent) == want
-            assert (allowed_child_multisets(table, type_m(None), parent)
-                    == allowed_child_multisets(table, type_m(5), parent))
+            # a type_m lookup does not depend on m
+            assert (kind_keyed_child_multisets(table, type_m(None), parent)
+                    == kind_keyed_child_multisets(table, type_m(5), parent)
+                    == splits_for_child_count(table, type_m(5).child_count, parent))
+        # the saddle-node pairs as they were read off the entries
+        assert saddle_node_pairs(table) == {tuple(sorted((e.parent, e.children[0])))
+                                            for e in table.entries if e.kind == SADDLE_NODE}
 
 
 def test_load_law_table_extend():
@@ -175,18 +185,18 @@ def test_load_law_table_extend():
         {"kind": "period_doubling", "parent": 0, "children": [-1, 1],
          "multipliers": [1, 2]}]}
     table = load_law_table(doc)
-    assert allowed_child_multisets(table, period_doubling(), 0) == {(-1, 1)}
+    assert splits_for_child_count(table, 2, 0) == {(-1, 1)}
     # the rest of the builtin table is still there
-    assert allowed_child_multisets(table, period_doubling(), 1) == {(0, 1)}
+    assert splits_for_child_count(table, 2, 1) == {(0, 1)}
 
 
 def test_load_law_table_replace():
     doc = {"schemaVersion": "1", "dimension": 2, "mode": "replace", "entries": [
         {"kind": "saddle_node", "parent": 1, "children": [-1]}]}
     table = load_law_table(doc)
-    assert table.saddle_node_pairs() == {(-1, 1)}
-    assert allowed_child_multisets(table, period_doubling(), 1) == frozenset()
-    assert allowed_child_multisets(table, junction(5), 1) == frozenset()
+    assert saddle_node_pairs(table) == {(-1, 1)}
+    assert splits_for_child_count(table, 2, 1) == frozenset()
+    assert splits_for_child_count(table, 5, 1) == frozenset()
 
 
 def _one_entry_table(kind, children):
@@ -197,7 +207,7 @@ def _one_entry_table(kind, children):
 def test_load_law_table_accepts_a_null_multiplier():
     # as in diagram documents: the index laws do not depend on m
     table = _one_entry_table({"type_m": None}, [1, 1, -1])
-    assert (-1, 1, 1) in allowed_child_multisets(table, type_m(), 1)
+    assert (-1, 1, 1) in splits_for_child_count(table, 3, 1)
 
 
 @pytest.mark.parametrize("kind, path", [

@@ -56,7 +56,7 @@ def test_graphic_rank_counts_components():
 
 def test_vamos_structure():
     v = vamos()
-    assert v.rank == 4
+    assert v.rank == 4 and repr(v) == "Matroid(vamos, |E|=8)"
     for quad in VAMOS_CIRCUIT_QUADS:
         assert not v.is_independent(quad)
     assert v.is_independent({"c1", "c2", "d1", "d2"})  # the missing diamond edge

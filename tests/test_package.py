@@ -26,9 +26,9 @@ STAR_NAMES = (
     "EigenvalueSpec", "IndexResult", "ValidationReport", "Vertex", "Violation",
     "check_cycle_parity", "check_index_conservation", "check_period_consistency",
     "index_from_eigenvalues", "junction_periods_consistent", "validate_diagram", "COLOR_OF",
-    "INDEX_VALUES", "BifurcationKind", "LawEntry", "LawTable", "allowed_child_multisets",
-    "builtin_table", "is_admissible_star", "junction", "kind_for_child_count",
-    "period_doubling", "saddle_node", "splits_for_child_count", "type_m", "graphs", "trees",
+    "INDEX_VALUES", "BifurcationKind", "LawEntry", "LawTable", "builtin_table", "junction",
+    "kind_for_child_count", "period_doubling", "saddle_node", "splits_for_child_count",
+    "type_m", "graphs", "trees",
     "EnumerationLimitError", "TreeMode", "canonical_form", "canonical_trees",
     "count_kary_formula", "count_shapes", "enumerate_shapes", "free_trees", "is_binary",
     "mary_to_binary", "ordered_trees", "slot_trees", "strip_slots", "tree_size",

@@ -144,6 +144,8 @@ def test_ordered_trees_catalan():
 def test_rooted_and_free_tree_counts():
     assert [len(canonical_trees(n)) for n in range(1, 11)] == \
         [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
+    # with no children allowed, the one-node tree is the only tree
+    assert canonical_trees(1, 0) == ((),) and canonical_trees(3, 0) == ()
     assert [len(free_trees(n)) for n in range(1, 10)] == \
         [1, 1, 1, 2, 3, 6, 11, 23, 47]
     for n in range(2, 10):
