@@ -193,11 +193,19 @@ def _int(option: str, text: str) -> int:
 
 
 def _parse_sizes(option: str, text: str) -> dict[int, int]:
+    """A SIZE=COUNT,... spec as {size: count}; each error names the option and the part."""
     sizes: dict[int, int] = {}
-    for size, _, count in (part.partition("=") for part in text.split(",") if part):
-        if (size := _int(option, size)) in sizes:
+    for part in filter(None, text.split(",")):
+        size, _, count = part.partition("=")
+        if (size := _int(option, size) if size else None) in sizes:
             raise UsageError(f"{option}: size {size} is given twice")
-        sizes[size] = _int(option, count)
+        if size is None or not count:
+            raise UsageError(f"{option}: {part!r} is not SIZE=COUNT")
+        if size < 2:
+            raise UsageError(f"{option}: {part!r}: sizes start at 2")
+        if (count := _int(option, count)) < 0:
+            raise UsageError(f"{option}: {part!r}: counts are nonnegative")
+        sizes[size] = count
     return sizes
 
 

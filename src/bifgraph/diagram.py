@@ -100,7 +100,7 @@ def index_from_eigenvalues(spec: EigenvalueSpec) -> IndexResult:
 # Diagram structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Edge:
     """An orbit branch: orbit index color, optional minimal period, and the
     two ends (vertex ids or TERMINAL)."""
@@ -110,15 +110,19 @@ class Edge:
     ends: tuple
     period: int | None = None
 
-    def __post_init__(self):
-        check_index(self.index)
-        if len(self.ends) != 2:
-            raise DiagramError(f"edge {self.id!r} needs exactly two ends")
-        if self.period is not None and self.period < 1:
-            raise DiagramError(f"edge {self.id!r} period must be a positive integer")
+    def __init__(self, id: str, index: int, ends: tuple, period: int | None = None):
+        check_index(index)
+        if len(ends) != 2:
+            raise DiagramError(f"edge {id!r} needs exactly two ends")
+        if period is not None and period < 1:
+            raise DiagramError(f"edge {id!r} period must be a positive integer")
+        _set_edge_id(self, id)
+        _set_edge_index(self, index)
+        _set_edge_ends(self, ends)
+        _set_edge_period(self, period)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Vertex:
     """A bifurcation event.  Saddle nodes are symmetric (no parent); every
     other kind designates one incident edge as the bifurcating branch."""
@@ -126,6 +130,19 @@ class Vertex:
     id: str
     kind: BifurcationKind
     parent_edge: str | None = None
+
+    def __init__(self, id: str, kind: BifurcationKind, parent_edge: str | None = None):
+        _set_vertex_id(self, id)
+        _set_vertex_kind(self, kind)
+        _set_vertex_parent_edge(self, parent_edge)
+
+
+# The constructors write each frozen field through its slot's member
+# descriptor, where a generated frozen __init__ calls object.__setattr__.
+_set_edge_id, _set_edge_index, _set_edge_ends, _set_edge_period = (
+    Edge.__dict__[name].__set__ for name in ("id", "index", "ends", "period"))
+_set_vertex_id, _set_vertex_kind, _set_vertex_parent_edge = (
+    Vertex.__dict__[name].__set__ for name in ("id", "kind", "parent_edge"))
 
 
 @dataclass(frozen=True)
@@ -148,38 +165,43 @@ class Diagram:
     def __post_init__(self):
         if self.dimension < 1:
             raise DiagramError("dimension must be >= 1", ".dimension")
-        edge_by_id = {e.id: e for e in self.edges}
+        vertex_by_id = {v.id: v for v in self.vertices}
+        incident: dict[str, list[Edge]] = {v: [] for v in vertex_by_id}
+        edge_by_id: dict[str, Edge] = {}
+        dangling = None  # the first (edge, end) naming no vertex, raised after the id checks
+        for e in self.edges:
+            edge_by_id[e.id] = e
+            for end in e.ends:
+                if end is not TERMINAL:
+                    try:
+                        incident[end].append(e)
+                    except KeyError:
+                        dangling = dangling or (e, end)
         if len(edge_by_id) != len(self.edges):
             raise DiagramError("edge ids must be unique", ".edges")
-        vertex_by_id = {v.id: v for v in self.vertices}
         if len(vertex_by_id) != len(self.vertices):
             raise DiagramError("vertex ids must be unique", ".vertices")
-        incident: dict[str, list[Edge]] = {v: [] for v in vertex_by_id}
-        for i, e in enumerate(self.edges):
-            for slot, end in enumerate(e.ends):
-                if end is TERMINAL:
-                    continue
-                if end not in incident:
-                    raise DiagramError(f"edge {e.id!r} references missing vertex {end!r}",
-                                       f".edges[{i}].endpoints[{slot}]")
-                incident[end].append(e)
+        if dangling:  # ids are unique, so index() finds the edge and the end's first slot
+            e, end = dangling
+            raise DiagramError(f"edge {e.id!r} references missing vertex {end!r}",
+                               f".edges[{self.edges.index(e)}].endpoints[{e.ends.index(end)}]")
         parted: dict[str, tuple[Edge | None, list[Edge]]] = {}
         for i, v in enumerate(self.vertices):
-            inc = incident[v.id]
-            if not inc:
-                raise DiagramError(f"vertex {v.id!r} has no incident edge", f".vertices[{i}]")
-            if len(inc) != v.kind.degree:
+            inc, kind = incident[v.id], v.kind
+            degree = kind.degree
+            if len(inc) != degree:
                 raise DiagramError(
-                    f"vertex {v.id!r} ({v.kind.name}) needs degree {v.kind.degree}, has {len(inc)}",
+                    f"vertex {v.id!r} has no incident edge" if not inc else
+                    f"vertex {v.id!r} ({kind.name}) needs degree {degree}, has {len(inc)}",
                     f".vertices[{i}]")
-            if v.kind.name == SADDLE_NODE:
+            if kind.name == SADDLE_NODE:
                 if v.parent_edge is not None:
                     raise DiagramError(f"saddle-node vertex {v.id!r} takes no parent edge",
                                        f".vertices[{i}].parentEdge")
                 parted[v.id] = None, inc
                 continue
             if v.parent_edge is None:
-                raise DiagramError(f"vertex {v.id!r} ({v.kind.name}) needs a parent edge",
+                raise DiagramError(f"vertex {v.id!r} ({kind.name}) needs a parent edge",
                                    f".vertices[{i}].parentEdge")
             kids = inc.copy()  # minus the parent's first occurrence: a loop keeps one
             try:
@@ -465,8 +487,8 @@ def validate_diagram(diagram: Diagram, k: int, table: LawTable) -> ValidationRep
                                  vertex_id=v.id))
         parent, kid_edges = diagram._parted[v.id]
         kids = [e.index for e in kid_edges]
-        cons = _conservation(parent, kids)
-        if not cons.ok:
+        if sum(kids) != (0 if parent is None else parent.index):
+            cons = _conservation(parent, kids)
             out.append(Violation("conservation",
                                  f"vertex {v.id!r}: parent side {cons.parent_sum} != "
                                  f"child side {cons.child_sum}", vertex_id=v.id))

@@ -161,6 +161,7 @@ def parse_diagram(source) -> Diagram:
     _expect(isinstance(doc.get("edges"), list), "$.edges", "must be a list")
     _expect(isinstance(doc.get("vertices"), list), "$.vertices", "must be a list")
 
+    # the field tests of _is_int and _is_index, inlined: a bool is no integer
     edges = []
     for i, item in enumerate(doc["edges"]):
         if not isinstance(item, dict):
@@ -171,22 +172,26 @@ def parse_diagram(source) -> Diagram:
         if not (isinstance(eid, str) and eid):
             raise SchemaError(f"$.edges[{i}].id", "must be a nonempty string")
         index = item.get("index")
-        if not _is_index(index):
+        if not (isinstance(index, int) and index.__class__ is not bool and index in INDEX_VALUES):
             raise SchemaError(f"$.edges[{i}].index", "must be -1, 0 or 1")
         period = item.get("period")
-        if period is not None and not (_is_int(period) and period >= 1):
+        if period is not None and not (
+                isinstance(period, int) and period.__class__ is not bool and period >= 1):
             raise SchemaError(f"$.edges[{i}].period",
                               _unread(period, "must be a positive integer"))
         eps = item.get("endpoints")
         if not (isinstance(eps, list) and len(eps) == 2):
             raise SchemaError(f"$.edges[{i}].endpoints", "must be a two-element list")
         a, b = eps
-        ends = (TERMINAL if a == "terminal" else a, TERMINAL if b == "terminal" else b)
-        for j, e in enumerate(ends):
-            if e is not TERMINAL and not (isinstance(e, str) and e):
-                raise SchemaError(f"$.edges[{i}].endpoints[{j}]",
-                                  'must be a vertex id or "terminal"')
-        edges.append(Edge(eid, index, ends, period))
+        if a == "terminal":
+            a = TERMINAL
+        elif not (isinstance(a, str) and a):
+            raise SchemaError(f"$.edges[{i}].endpoints[0]", 'must be a vertex id or "terminal"')
+        if b == "terminal":
+            b = TERMINAL
+        elif not (isinstance(b, str) and b):
+            raise SchemaError(f"$.edges[{i}].endpoints[1]", 'must be a vertex id or "terminal"')
+        edges.append(Edge(eid, index, (a, b), period))
 
     vertices = []
     for i, item in enumerate(doc["vertices"]):

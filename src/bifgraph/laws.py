@@ -23,6 +23,9 @@ PERIOD_DOUBLING = "period_doubling"
 TYPE_M = "type_m"
 JUNCTION = "junction"
 
+#: The child count of each kind that fixes it; a junction's is its parameter.
+_FIXED_CHILD_COUNTS = {SADDLE_NODE: 1, PERIOD_DOUBLING: 2, TYPE_M: 3}
+
 
 def check_index(value: int) -> int:
     if value not in INDEX_VALUES:
@@ -58,7 +61,7 @@ class BifurcationKind:
     @property
     def child_count(self) -> int:
         """Number of branches split off (the saddle-node pairing counts 1)."""
-        return {SADDLE_NODE: 1, PERIOD_DOUBLING: 2, TYPE_M: 3}.get(self.name, self.param)
+        return _FIXED_CHILD_COUNTS.get(self.name, self.param)
 
     @property
     def degree(self) -> int:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -18,13 +19,14 @@ from hypothesis import strategies as st
 
 import bifgraph
 from bifgraph import (
-    count_kary_formula, count_sequence, emit_diagram, load_law_table,
-    nonadmissible_period_fixture,
+    DiagramError, SchemaError, count_kary_formula, count_sequence, emit_diagram,
+    load_law_table, nonadmissible_period_fixture, parse_diagram,
 )
 from bifgraph.cli import COMMANDS, _fractions, _run, build_parser, main
 from bifgraph.documents import kind_from_json
 from helpers import (
-    chunked_digits, csv_written_counts, diagram_trees_dot, dumped_trees_json, star_diagram,
+    chunked_digits, csv_written_counts, diagram_trees_dot, dumped_trees_json,
+    eager_parse_diagram, star_diagram,
 )
 
 
@@ -446,6 +448,11 @@ def test_bad_input_exits_two_without_traceback(argv, tmp_path, valid_file, capsy
     (["count", "--cactus", "x"], "error: --cactus: 'x' is not an integer\n"),
     (["count", "--husimi", "2=1,2=3"], "error: --husimi: size 2 is given twice\n"),
     (["count", "--cactus", "3=1,4=1,3=2"], "error: --cactus: size 3 is given twice\n"),
+    (["count", "--husimi", "2=-1"], "error: --husimi: '2=-1': counts are nonnegative\n"),
+    (["count", "--husimi", "2"], "error: --husimi: '2' is not SIZE=COUNT\n"),
+    (["count", "--husimi", "3=1,=2"], "error: --husimi: '=2' is not SIZE=COUNT\n"),
+    (["count", "--husimi", "1=3"], "error: --husimi: '1=3': sizes start at 2\n"),
+    (["count", "--cactus", "3=1,0=1"], "error: --cactus: '0=1': sizes start at 2\n"),
 ])
 def test_bad_count_integer_is_named_with_its_option(argv, message, capsys):
     assert main(argv) == 2
@@ -649,6 +656,80 @@ def test_every_document_exits_zero_one_or_two(doc, command):
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([command[0], "-", *command[1:]])
     assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+
+
+_BAD_ENDPOINTS = ("", 0, 1.0, True, None, ["v"])
+
+
+@st.composite
+def _mutated_diagrams(draw) -> dict:
+    """A near-valid diagram document with one field mutated: a bool, a
+    float or a string in its place, the key missing, an extra key beside
+    it, or a bad endpoint (a non-id value, or a list of the wrong length)."""
+    doc = draw(_near_valid_diagrams())
+    item = draw(st.sampled_from([doc, *doc["edges"], *doc["vertices"]]))
+    how = draw(st.sampled_from(("bool", "float", "string", "missing", "extra", "endpoint")))
+    key = draw(st.sampled_from(sorted(item)))
+    if how == "extra":
+        item["extra"] = 1
+    elif how == "missing":
+        del item[key]
+    elif how == "endpoint" and doc["edges"]:
+        ends = draw(st.sampled_from(doc["edges"]))["endpoints"]
+        if draw(st.booleans()):
+            ends[draw(st.integers(0, 1))] = draw(st.sampled_from(_BAD_ENDPOINTS))
+        else:
+            ends[:] = draw(st.sampled_from(([], ends[:1], ends * 2)))
+    elif how != "endpoint":
+        item[key] = {"bool": draw(st.booleans()), "float": draw(st.sampled_from((0.0, 1.0, 2.5))),
+                     "string": str(item[key])}[how]
+    return doc
+
+
+def _parsed_or_error(parse, source):
+    """The parsed diagram, or the path and text of the error; a
+    ``DiagramError`` is located as ``"$" + where``, as ``parse_diagram``
+    reports it."""
+    try:
+        return parse(source)
+    except SchemaError as exc:
+        return exc.path, str(exc)
+    except DiagramError as exc:
+        return "$" + exc.where, f"${exc.where}: {exc}"
+
+
+@settings(deadline=None, max_examples=400)
+@given(_mutated_diagrams())
+def test_parse_diagram_equals_the_eager_parser_on_mutated_documents(doc):
+    """On a near-valid document with one field mutated, ``parse_diagram`` and
+    ``eager_parse_diagram`` build equal diagrams or fail with the same path
+    and message, from the dict and from its JSON text."""
+    for source in (doc, json.dumps(doc)):
+        assert (_parsed_or_error(parse_diagram, source)
+                == _parsed_or_error(eager_parse_diagram, source))
+
+
+def test_a_dict_source_takes_subclassed_items_indices_and_ids():
+    """Through the library a dict source may hold a ``dict``-subclass item,
+    an ``IntEnum`` index and a ``str``-subclass id; the diagram equals the
+    one parsed from the document's JSON text."""
+    class Item(dict):
+        pass
+
+    class Index(IntEnum):
+        MINUS = -1
+        PLUS = 1
+
+    class Id(str):
+        pass
+
+    doc = {"schemaVersion": "1", "dimension": 2, "edges": [
+        Item(id=Id("a"), index=Index.PLUS, endpoints=["terminal", Id("v")]),
+        {"id": "b", "index": Index.MINUS, "endpoints": [Id("v"), "terminal"]}],
+        "vertices": [Item(id=Id("v"), kind="saddle_node")]}
+    parsed = parse_diagram(doc)
+    assert parsed == parse_diagram(json.dumps(doc)) == eager_parse_diagram(doc)
+    assert parsed.edges[0].index is Index.PLUS and type(parsed.vertices[0].id) is Id
 
 
 _FLAG_SUBCOMMANDS = {c[0]: c[3] for c in COMMANDS

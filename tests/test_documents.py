@@ -142,6 +142,14 @@ def test_structural_errors_name_their_json_path(edges, vertices, path, message, 
      "$.edges", "edge ids must be unique"),
     (_SN_EDGES, [{"id": "v", "kind": "saddle_node"}] * 2,
      "$.vertices", "vertex ids must be unique"),
+    # the first missing end in edge and slot order is the one named
+    (_SN_EDGES[:1] + [{"id": "b", "index": -1, "endpoints": ["v", "w"]},
+                      {"id": "c", "index": 0, "endpoints": ["x", "terminal"]}],
+     [{"id": "v", "kind": "saddle_node"}],
+     "$.edges[1].endpoints[1]", "edge 'b' references missing vertex 'w'"),
+    (_SN_EDGES[:1] + [{"id": "b", "index": -1, "endpoints": ["w", "x"]}],
+     [{"id": "v", "kind": "saddle_node"}],
+     "$.edges[1].endpoints[0]", "edge 'b' references missing vertex 'w'"),
 ])
 def test_built_diagrams_locate_their_structural_errors(edges, vertices, path, message):
     """``Diagram`` itself names the path that ``parse_diagram`` reports."""
