@@ -11,6 +11,8 @@ is not timed, so no call reuses what an earlier one memoised on its input
 (a ``Matroid`` memoises on itself), and the functools caches of bifgraph
 and of ``tests/helpers.py`` are emptied before every call.  One timed first
 call sets how many calls a run averages: as many as last about ``CALL_S``.
+Each call starts with the garbage collector's counts at zero, so a long
+call's runs do not spread with the counts that earlier calls left.
 A row records the median (and every run) of ``RUNS`` runs, in seconds as
 measured (``median_s``, ``runs_s``) and at the reference speed of
 ``benchmarks/run.py`` (``median_ref_s``): each run divided by the mean time
@@ -49,7 +51,10 @@ against ``cached_colored_trees``, the recursive lister that keeps every
 smaller list in module-level caches;
 ``trees_json`` (against ``dumped_trees_json``) and ``trees_dot``
 (against ``formatted_trees_dot``) write the k=2 d=4 n=5 plane trees, each
-generator's chunks joined into its text;
+generator's chunks joined into its text; both write the 20 plane listings
+of the ``emission`` workload of ``benchmarks/run.py`` (``emission_listings``),
+each as JSON and then as DOT, against the writers they replaced,
+``reindented_trees_json`` and ``walked_trees_dot``;
 ``emit_diagram`` (against ``dumped_diagram``) writes the 1,500-node tree
 diagram and ``emit_graph`` (against ``dumped_graph``) its clique graph.
 The last three rows list the two 3,000-node paths of a law table holding
@@ -153,7 +158,11 @@ other package, recorded as ``<name> at <commit of DIR>``.  It takes turns
 with the function run by run, as every oracle does, so the two compare
 under the same drift.  Its input is moved into the other package's classes
 (``TERMINAL`` included) and its result back into bifgraph's, by pickling,
-outside the timed call, so the two results compare as values:
+outside the timed call, so the two results compare as values.  A row with
+``of`` gets ``of(bifgraph_against, name)`` as that oracle instead, given
+the row's input as it is: the tree writers read trees only through their
+fields, and a listing moved by pickling would lose the subtrees its trees
+share, which the writers reuse:
 
     python3 scripts/bench_layers.py --topic count --against ../parent
 """
@@ -189,6 +198,7 @@ import helpers  # noqa: E402
 from bifgraph import cli  # noqa: E402
 from bifgraph.diagram import PeriodReport  # noqa: E402
 from bifgraph.documents import trees_dot, trees_json  # noqa: E402
+import inputs  # noqa: E402
 from run import CALIBRATION_S, calibration_loop  # noqa: E402
 from helpers import (  # noqa: E402
     branched_to_star, cached_canonical_trees, cached_colored_trees, cached_free_trees,
@@ -196,9 +206,10 @@ from helpers import (  # noqa: E402
     dumped_trees_json, eager_parse_diagram, formatted_trees_dot, kind_keyed_child_multisets,
     looped_to_clique, pairwise_block_intersection_graph, pairwise_line_graph,
     per_color_count_sequence, period_labelled, prefix_count_sequence, recursive_graphs_isomorphic,
-    relabeled_tutte_11, scanned_from_bases, searched_diamond_minor, searched_vamos_minor,
+    reindented_trees_json, relabeled_tutte_11, scanned_from_bases, searched_diamond_minor,
+    searched_vamos_minor,
     set_from_bases, sn_cycle, stepwise_validate_diagram, swept_all_graphs, swept_vamos_minor,
-    tracked_block_decomposition, triangle_cactus, vamos_bases,
+    tracked_block_decomposition, triangle_cactus, vamos_bases, walked_trees_dot,
 )
 
 RUNS = 5
@@ -208,12 +219,14 @@ CALL_S = 0.01  # about how long one run lasts
 @dataclass(frozen=True)
 class Row:
     """One registry entry: ``fn(*args())`` is timed, ``args()`` built
-    before every call."""
+    before every call.  ``of(package, name)``, when given, is the row's
+    function in another bifgraph package, named ``name``, for ``--against``."""
 
     fn: Callable
     input: str
     args: Callable[[], tuple]
     oracles: tuple[Callable, ...] = ()
+    of: Callable | None = None
 
 
 def clear_caches() -> None:
@@ -312,6 +325,25 @@ def text_of(chunks: Callable) -> Callable:
 
     text.__name__ = chunks.__name__
     return text
+
+
+def emission_listings() -> tuple:
+    """The plane listings of the ``emission`` workload's ``enum_json`` jobs
+    (its ``enum_dot`` jobs list the same): k = 1, 2, d = 1..4, n = 4..6,
+    and n = 4, 5 at k = 2."""
+    return tuple(listed(job["k"], job["d"], job["n"])
+                 for job in inputs.emission_jobs(random.Random(0)) if job["family"] == "enum_json")
+
+
+def emitted(trees_json: Callable, trees_dot: Callable, name: str = "trees_json + trees_dot"):
+    """A function of listings that writes each as JSON and then as DOT
+    with these two writers, and returns the texts joined; named ``name``."""
+    def emit(listings) -> str:
+        return "".join([chunk for trees in listings for write in (trees_json, trees_dot)
+                        for chunk in write(trees)])
+
+    emit.__name__ = name
+    return emit
 
 
 # -- inputs and adapters: graphs and minors ------------------------------------
@@ -527,6 +559,11 @@ TOPICS = {
             (dumped_trees_json,)),
         Row(text_of(trees_dot), "k=2 d=4 n=5 plane trees", lambda: (listed(2, 4, 5),),
             (text_of(formatted_trees_dot),)),
+        Row(emitted(trees_json, trees_dot), "the emission workload's 20 plane listings",
+            lambda: (emission_listings(),),
+            (emitted(reindented_trees_json, walked_trees_dot, "reindented + walked"),),
+            lambda package, name: emitted(package.documents.trees_json,
+                                          package.documents.trees_dot, name)),
         Row(bg.emit_diagram, "1,500-node tree", lambda: (tree_diagram(1500),), (dumped_diagram,)),
         Row(bg.emit_graph, "clique graph of the 1,500-node tree",
             lambda: (bg.to_clique(tree_diagram(1500)),), (dumped_graph,)),
@@ -618,10 +655,15 @@ def timed(fn, args: Callable[[], tuple]) -> tuple[float, object]:
     """One call on a freshly built input, with the caches emptied.  The
     garbage collector skips the objects alive before the call
     (``gc.freeze``), as in a fresh process: otherwise the results kept from
-    earlier calls make its passes, and the call, slower."""
+    earlier calls make its passes, and the call, slower.  It also starts
+    the call with no pending counts (``gc.collect`` of the then empty
+    generations), so how often it runs within a call does not depend on
+    the calls before; the counts those left made a 0.5 s call's runs spread
+    widely."""
     inputs = moved_for(fn, args())
     clear_caches()
     gc.freeze()
+    gc.collect()
     start = time.perf_counter()
     result = fn(*inputs)
     elapsed = time.perf_counter() - start
@@ -705,10 +747,9 @@ def main() -> None:
         commit = subprocess.run(["git", "-C", str(against), "rev-parse", "--short", "HEAD"],
                                 capture_output=True, text=True).stdout.strip() or against.name
         package = loaded_beside(against / "src" / "bifgraph")
-        topic = tuple(replace(row, oracles=(beside(getattr(package, row.fn.__name__),
-                                                   f"{row.fn.__name__} at {commit}"),
-                                            *row.oracles))
-                      if getattr(bg, row.fn.__name__, None) is row.fn else row for row in topic)
+        others = [counterpart(row, package, f"{row.fn.__name__} at {commit}") for row in topic]
+        topic = tuple(replace(row, oracles=(other, *row.oracles)) if other else row
+                      for row, other in zip(topic, others))
 
     rows = []
     with tempfile.TemporaryDirectory() as work:
@@ -752,6 +793,18 @@ def beside(fn: Callable, name: str) -> Callable:
     return call
 
 
+def counterpart(row: Row, package, name: str) -> Callable | None:
+    """The row's function in ``package`` as an oracle named ``name``: that of
+    ``row.of``, which reads this package's input as it is, or, when the row's
+    function is a name of bifgraph, that name of ``package``, given its input
+    moved into its classes (``beside``).  None for any other row."""
+    if row.of:
+        return row.of(package, name)
+    if getattr(bg, row.fn.__name__, None) is row.fn:
+        return beside(getattr(package, row.fn.__name__), name)
+    return None
+
+
 def is_beside(fn: Callable) -> bool:
     """True for an oracle of the package of ``--against DIR``."""
     return getattr(fn, "beside", False)
@@ -770,10 +823,32 @@ class _Moving(pickle.Unpickler):
                                   name)
 
 
+class _Flat(pickle.Pickler):
+    """Pickles each colored tree, of either package, as its class and the
+    flat record of ``ColoredTree.__reduce__``: a package may pickle its
+    trees through a helper the other lacks, or only by recursion, which a
+    3,000-node path exceeds."""
+
+    def reducer_override(self, obj):
+        if type(obj).__name__ != "ColoredTree":
+            return NotImplemented
+        return rebuilt, (type(obj), *bg.ColoredTree.__reduce__(obj)[1])
+
+
+def rebuilt(cls, record) -> object:
+    """The tree of a flat record, built by ``cls``: its last entry."""
+    built = []
+    for color, kids, slots in record:
+        built.append(cls(color, tuple(built[i] for i in kids), slots))
+    return built[-1]
+
+
 def moved(value, source: str, target: str):
     """``value`` with every object of package ``source`` rebuilt, by
     pickling, as the equal object of package ``target``."""
-    return _Moving(pickle.dumps(value), source, target).load()
+    data = io.BytesIO()
+    _Flat(data).dump(value)
+    return _Moving(data.getvalue(), source, target).load()
 
 
 def moved_for(fn: Callable, inputs: tuple) -> tuple:

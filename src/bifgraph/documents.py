@@ -24,6 +24,7 @@ from .laws import (
     builtin_table, period_doubling, saddle_node,
 )
 from .matroids import from_bases
+from .trees import _fold
 
 SCHEMA_VERSION = "1"
 
@@ -33,7 +34,7 @@ _VERTEX_KEYS = frozenset({"id", "kind", "parentEdge"})
 
 #: The kinds written as plain strings, each one shared immutable value.
 _STRING_KINDS = {kind.name: kind for kind in (saddle_node(), period_doubling())}
-_by_id = attrgetter("id")
+_by_id, _children = attrgetter("id"), attrgetter("children")
 
 
 class SchemaError(ValueError):
@@ -115,13 +116,14 @@ def _as_object(source) -> dict:
     return doc
 
 
-def kind_from_json(raw, path: str) -> BifurcationKind:
+def kind_from_json(raw, path: str, kinds: dict) -> BifurcationKind:
     """The kind as diagram and law-table documents write it:
     "saddle_node", "period_doubling", {"type_m": m} or {"junction": n}.
 
     type_m admits a null multiplier: the index laws do not depend on m, only
     the period check does (and it demands a concrete m).  Errors are
-    ``SchemaError``s that name ``path``.
+    ``SchemaError``s that name ``path``.  ``kinds`` keeps each kind written
+    as an object, so the equal kinds of one document are one value.
     """
     if isinstance(raw, str) and raw in _STRING_KINDS:
         return _STRING_KINDS[raw]
@@ -131,10 +133,13 @@ def kind_from_json(raw, path: str) -> BifurcationKind:
             if not (_is_int(param) or (param is None and name == TYPE_M)):
                 message = "parameter must be an integer" + (" or null" if name == TYPE_M else "")
                 raise SchemaError(f"{path}.{name}", _unread(param, message))
-            try:
-                return BifurcationKind(name, param)
-            except ValueError as exc:
-                raise SchemaError(f"{path}.{name}", str(exc)) from exc
+            key = name, param.__class__, param
+            if key not in kinds:
+                try:
+                    kinds[key] = BifurcationKind(name, param)
+                except ValueError as exc:
+                    raise SchemaError(f"{path}.{name}", str(exc)) from exc
+            return kinds[key]
     raise SchemaError(path, f"unknown kind {raw!r}")
 
 
@@ -193,7 +198,7 @@ def parse_diagram(source) -> Diagram:
             raise SchemaError(f"$.edges[{i}].endpoints[1]", 'must be a vertex id or "terminal"')
         edges.append(Edge(eid, index, (a, b), period))
 
-    vertices = []
+    vertices, kinds = [], {}  # kinds: each object-written kind, shared by its vertices
     for i, item in enumerate(doc["vertices"]):
         if not isinstance(item, dict):
             raise SchemaError(f"$.vertices[{i}]", "must be an object")
@@ -206,7 +211,7 @@ def parse_diagram(source) -> Diagram:
         raw = item.get("kind")
         kind = _STRING_KINDS.get(raw) if isinstance(raw, str) else None
         if kind is None:
-            kind = kind_from_json(raw, f"$.vertices[{i}].kind")
+            kind = kind_from_json(raw, f"$.vertices[{i}].kind", kinds)
         parent = item.get("parentEdge")
         if parent is not None and not isinstance(parent, str):
             raise SchemaError(f"$.vertices[{i}].parentEdge", "must be an edge id")
@@ -367,68 +372,83 @@ def trees_json(trees) -> Iterator[str]:
 
     The text of each distinct subtree is built once and kept by ``id()``:
     enumerated trees share their subtree objects, so most of a tree's text
-    is already there.  A parent indents a child's text with one replace."""
+    is already there.  A listed tree is one join of kept texts: each child's
+    at its final indent, and its members after "children" per (color, slots)."""
     memo: dict = {}  # id(subtree) -> (subtree, its text indented as a child)
+    placed: dict = {}  # id(child of a listed tree) -> its text at its final indent
+    tails: dict = {}  # (color, slots) -> a listed tree's text after its children
     sep = "[\n  "
     for tree in trees:
-        yield sep + _tree_text(tree, memo).replace("\n", "\n  ")
+        kids = [placed.get(id(c)) or placed.setdefault(
+            id(c), _subtree_text(c, memo).replace("\n", "\n  ")) for c in tree.children]
+        key = tree.color, tree.slots
+        tail = tails.get(key) or tails.setdefault(key, _tree_tail(tree, "\n    ") + "\n  }")
+        yield sep + '{\n    "children": ' + _json_array(kids, "\n    ") + tail
         sep = ",\n  "
     yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
-def _tree_text(root, memo: dict) -> str:
-    """The JSON text of one colored tree at indent 0, children first from an
-    explicit stack; the text of every proper subtree ends up in ``memo``."""
-    order, stack = [], [root]  # the nodes still to write, each before its children
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack += [c for c in node.children if id(c) not in memo]
-    for node in reversed(order):
-        text = ('{\n  "children": ' + _json_array([memo[id(c)][1] for c in node.children])
-                + ',\n  "color": ' + str(node.color))
-        if node.slots is not None:
-            text += ',\n  "slots": ' + _json_array(list(map(str, node.slots)))
-        text += "\n}"
-        if node is root:
-            return text
-        memo[id(node)] = (node, text.replace("\n", "\n    "))
+def _subtree_text(root, memo: dict) -> str:
+    """The JSON text of a colored tree as a child of a tree at indent 0, kept
+    in ``memo`` with every subtree's, as ``(subtree, text)`` by ``id()``."""
+    def text(node, kids) -> tuple:
+        return node, ('{\n  "children": ' + _json_array([t for _, t in kids])
+                      + _tree_tail(node, "\n  ") + "\n}").replace("\n", "\n    ")
+
+    return _fold((root,), _children, text, memo)[id(root)][1]
 
 
-def _json_array(items: list) -> str:
-    """A JSON array that is a member of an object at indent 0, from its
-    items' texts already indented to their place."""
-    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+def _tree_tail(node, pad: str) -> str:
+    """A colored tree's JSON members after "children", each after ``pad``."""
+    text = "," + pad + '"color": ' + str(node.color)
+    if node.slots is not None:
+        text += "," + pad + '"slots": ' + _json_array(list(map(str, node.slots)), pad)
+    return text
+
+
+def _json_array(items: list, pad: str = "\n  ") -> str:
+    """A JSON array member of an object whose members follow ``pad`` (a
+    newline and their indent), from its items' texts indented to their place."""
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
 
 
 def trees_dot(trees) -> Iterator[str]:
     """Each colored tree's star representation as a DOT graph t0, t1, ...,
     one chunk per tree: the DOT of ``to_star(tree_to_diagram(tree, d))``
     without building either.  Vertex i is the i-th node in preorder, labelled
-    e{i} and colored by its index; each parent links to its children, sorted."""
-    vertex_lines: list[dict] = []  # [i][color]: the line of vertex i in that color
-    edge_lines: dict = {}  # (u, v): the line of edge u -- v
+    e{i} and colored by its index; each parent links to its children, sorted.
+
+    Edges sort by parent, so each child's subtree has its edges in one run
+    after the root's links; a child numbered p has its vertex lines, its
+    link and that run built once per (id(child), p) and kept."""
+    blocks: dict = {}  # (id(child), p) -> (child, size, vertex lines, link, edge lines)
     for t, tree in enumerate(trees):
-        lines, edges = [f"graph t{t} {{\n"], []
-        stack = [(tree, -1)]  # (node, its parent's number); the root's (-1, 0) sorts first
-        while stack:
-            node, parent = stack.pop()
-            i = len(lines) - 1
-            if i == len(vertex_lines):
-                vertex_lines.append({c: f'  n{i} [label="e{i}", color={name}];\n'
-                                     for c, name in COLOR_OF.items()})
-            lines.append(vertex_lines[i][node.color])
-            edges.append((parent, i))
-            if node.children:
-                stack += [(c, i) for c in reversed(node.children)]
-        edges.sort()
-        for edge in edges[1:]:
-            line = edge_lines.get(edge)
-            if line is None:
-                line = edge_lines[edge] = "  n%d -- n%d;\n" % edge
-            lines.append(line)
-        lines.append("}\n")
-        yield "".join(lines)
+        head = [f'graph t{t} {{\n  n0 [label="e0", color={COLOR_OF[tree.color]}];\n']
+        links, tail, i = [], [], 1
+        for c in tree.children:
+            _, size, vertices, link, edges = (blocks.get((id(c), i))
+                                              or blocks.setdefault((id(c), i), _dot_block(c, i)))
+            head.append(vertices)
+            links.append(link)
+            tail.append(edges)
+            i += size
+        yield "".join(head + links + tail) + "}\n"
+
+
+def _dot_block(root, first: int) -> tuple:
+    """``trees_dot``'s block of a child numbered ``first``, from an explicit stack."""
+    vertices, edges, stack = [], [], [(root, -1)]  # the root's (-1, first) sorts first
+    while stack:
+        node, parent = stack.pop()
+        i = first + len(vertices)
+        vertices.append(f'  n{i} [label="e{i}", color={COLOR_OF[node.color]}];\n')
+        edges.append((parent, i))
+        if node.children:
+            stack += [(c, i) for c in reversed(node.children)]
+    edges.sort()
+    return (root, len(vertices), "".join(vertices), "  n0 -- n%d;\n" % first,
+            "".join(["  n%d -- n%d;\n" % edge for edge in edges[1:]]))
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +477,11 @@ def load_law_table(source) -> LawTable:
     _expect(mode in ("extend", "replace"), "$.mode", "must be 'extend' or 'replace'")
     items = doc.get("entries", [])
     _expect(isinstance(items, list), "$.entries", "must be a list")
-    extra = []
+    extra, kinds = [], {}
     for i, item in enumerate(items):
         path = f"$.entries[{i}]"
         _expect(isinstance(item, dict), path, "must be an object")
-        kind = kind_from_json(item.get("kind"), f"{path}.kind")
+        kind = kind_from_json(item.get("kind"), f"{path}.kind", kinds)
         _expect(_is_index(item.get("parent")), f"{path}.parent", "must be -1, 0 or 1")
         children = item.get("children")
         _expect(isinstance(children, list) and all(map(_is_index, children)),

@@ -38,24 +38,35 @@ DEFAULT_LIST_LIMIT = 1_000_000
 _children = attrgetter("children")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ColoredTree:
     """Rooted tree with orbit-index colors; ``slots`` gives the child
     positions in plane mode and is None in free mode.
 
-    Equality, hashing and ``shape`` walk the tree with an explicit stack,
-    so a tree of any depth answers them; the hash equals the one the
-    dataclass would compute from (color, children, slots).
+    Equality, hashing, ``shape``, pickling and copying walk the tree with an
+    explicit stack, so a tree of any depth answers them; the hash equals the
+    one the dataclass would compute from (color, children, slots).
     """
 
     color: int
     children: tuple["ColoredTree", ...] = ()
     slots: tuple[int, ...] | None = None
 
-    def __post_init__(self):
-        check_index(self.color)
-        if self.slots is not None and len(self.slots) != len(self.children):
+    def __init__(self, color: int, children: tuple = (), slots: tuple | None = None):
+        check_index(color)
+        if slots is not None and len(slots) != len(children):
             raise ValueError("slots must parallel children")
+        _set_color(self, color)
+        _set_children(self, children)
+        _set_slots(self, slots)
+
+    def __reduce__(self):
+        """Rebuild from a flat record, children first, each distinct subtree
+        once as (color, its children's places in the record, slots)."""
+        order = _fold((self,), _children, lambda t, _: t)  # id(subtree) -> subtree
+        place = {key: i for i, key in enumerate(order)}
+        return _rebuilt, ([(t.color, tuple(place[id(c)] for c in t.children), t.slots)
+                           for t in order.values()],)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -92,6 +103,19 @@ class ColoredTree:
     def shape(self):
         """Uncolored shape in the carrier matching the tree's mode."""
         return _shapes((self,))[id(self)]
+
+
+# The constructor writes each field through its slot, as ``Edge`` and ``Vertex`` do.
+_set_color, _set_children, _set_slots = (
+    ColoredTree.__dict__[name].__set__ for name in ("color", "children", "slots"))
+
+
+def _rebuilt(record) -> ColoredTree:
+    """The tree of a ``ColoredTree.__reduce__`` record: its last entry."""
+    built = []
+    for color, kids, slots in record:
+        built.append(ColoredTree(color, tuple(built[i] for i in kids), slots))
+    return built[-1]
 
 
 class _Hash:

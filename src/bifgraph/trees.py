@@ -54,11 +54,12 @@ def count_kary_formula(k: int, n: int) -> int:
     return q
 
 
-def _fold(roots, children, combine) -> dict:
+def _fold(roots, children, combine, done: dict | None = None) -> dict:
     """``{id(node): combine(node, [value of each child])}`` over every node
     under ``roots``, where ``children(node)`` lists a node's children;
-    children first from an explicit stack, each shared subtree once."""
-    done: dict = {}
+    children first from an explicit stack, each shared subtree once.  Nodes
+    already in ``done``, when given, keep their values there."""
+    done = {} if done is None else done
     stack = [(t, False) for t in roots]
     while stack:
         node, ready = stack.pop()

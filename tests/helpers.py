@@ -22,8 +22,8 @@ from operator import mul
 from hypothesis import strategies as st
 
 from bifgraph import (
-    TERMINAL, ColoredTree, ConservationCheck, Diagram, Edge, LawEntry, LawTable, Matroid,
-    SimpleGraph, ValidationReport, Vertex, Violation, builtin_table, canonical_trees,
+    TERMINAL, COLOR_OF, ColoredTree, ConservationCheck, Diagram, Edge, LawEntry, LawTable,
+    Matroid, SimpleGraph, ValidationReport, Vertex, Violation, builtin_table, canonical_trees,
     check_cycle_parity, check_period_consistency, emit_dot, junction,
     junction_periods_consistent, kind_for_child_count, load_law_table, matroid_minor,
     period_doubling, saddle_node, splits_for_child_count, to_star, tree_size,
@@ -31,7 +31,8 @@ from bifgraph import (
 )
 from bifgraph.classes import BlockDecomposition, block_decomposition, has_diamond_subgraph
 from bifgraph.documents import (
-    SCHEMA_VERSION, _as_object, _expect, _graph_dot, _is_index, _is_int, kind_from_json,
+    SCHEMA_VERSION, _as_object, _expect, _graph_dot, _is_index, _is_int, _json_array,
+    kind_from_json,
 )
 from bifgraph.diagram import CycleCheck, PeriodReport, PeriodViolation, _saddle_node_cycles
 from bifgraph.enumeration import _count_rules
@@ -1437,6 +1438,63 @@ def diagram_trees_dot(trees, dimension: int) -> str:
                    for i, t in enumerate(trees))
 
 
+def reindented_trees_json(trees):
+    """``trees_json`` as it was: each listed tree's text built at indent 0
+    from a stack walk over its new subtrees, then indented with one replace
+    over the whole tree's text."""
+    memo: dict = {}  # id(subtree) -> (subtree, its text indented as a child)
+    sep = "[\n  "
+    for tree in trees:
+        yield sep + _tree_text(tree, memo).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
+
+
+def _tree_text(root, memo: dict) -> str:
+    order, stack = [], [root]  # the nodes still to write, each before its children
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack += [c for c in node.children if id(c) not in memo]
+    for node in reversed(order):
+        text = ('{\n  "children": ' + _json_array([memo[id(c)][1] for c in node.children])
+                + ',\n  "color": ' + str(node.color))
+        if node.slots is not None:
+            text += ',\n  "slots": ' + _json_array(list(map(str, node.slots)))
+        text += "\n}"
+        if node is root:
+            return text
+        memo[id(node)] = (node, text.replace("\n", "\n    "))
+
+
+def walked_trees_dot(trees):
+    """``trees_dot`` as it was: every node of every tree walked, with the
+    line of each vertex number and color and of each edge built once."""
+    vertex_lines: list[dict] = []  # [i][color]: the line of vertex i in that color
+    edge_lines: dict = {}  # (u, v): the line of edge u -- v
+    for t, tree in enumerate(trees):
+        lines, edges = [f"graph t{t} {{\n"], []
+        stack = [(tree, -1)]  # (node, its parent's number); the root's (-1, 0) sorts first
+        while stack:
+            node, parent = stack.pop()
+            i = len(lines) - 1
+            if i == len(vertex_lines):
+                vertex_lines.append({c: f'  n{i} [label="e{i}", color={name}];\n'
+                                     for c, name in COLOR_OF.items()})
+            lines.append(vertex_lines[i][node.color])
+            edges.append((parent, i))
+            if node.children:
+                stack += [(c, i) for c in reversed(node.children)]
+        edges.sort()
+        for edge in edges[1:]:
+            line = edge_lines.get(edge)
+            if line is None:
+                line = edge_lines[edge] = "  n%d -- n%d;\n" % edge
+            lines.append(line)
+        lines.append("}\n")
+        yield "".join(lines)
+
+
 def dumped_diagram(diagram: Diagram) -> str:
     """``emit_diagram`` as it was: the document built as dicts and written
     by ``json.dumps(doc, indent=2)``."""
@@ -1611,7 +1669,8 @@ def with_stack_room(frames: int, fn, *args):
 def eager_parse_diagram(source) -> Diagram:
     """``parse_diagram`` as it was before the one-pass parser: every check
     formats its path and message before it is tested, and every kind goes
-    through ``kind_from_json``.  Structural errors stay ``DiagramError``s."""
+    through ``kind_from_json``, each built anew.  Structural errors stay
+    ``DiagramError``s."""
     doc = _as_object(source)
     extra = set(doc) - {"schemaVersion", "dimension", "edges", "vertices", "comment"}
     _expect(not extra, "$", f"unknown keys {sorted(extra)}")
@@ -1652,7 +1711,7 @@ def eager_parse_diagram(source) -> Diagram:
         _expect(not extra, path, f"unknown keys {sorted(extra)}")
         _expect(isinstance(item.get("id"), str) and item["id"], f"{path}.id",
                 "must be a nonempty string")
-        kind = kind_from_json(item.get("kind"), f"{path}.kind")
+        kind = kind_from_json(item.get("kind"), f"{path}.kind", {})
         parent = item.get("parentEdge")
         if parent is not None:
             _expect(isinstance(parent, str), f"{path}.parentEdge", "must be an edge id")

@@ -617,7 +617,7 @@ def _near_valid_diagrams(draw) -> dict:
     freely (so periods may be partial)."""
     kinds = draw(st.lists(st.sampled_from(_DOC_KINDS), max_size=4))
     vids = draw(st.lists(_POOL, min_size=len(kinds), max_size=len(kinds)))
-    degrees = [kind_from_json(kind, "$").degree for kind in kinds]
+    degrees = [kind_from_json(kind, "$", {}).degree for kind in kinds]
     halves = draw(st.permutations([v for v, degree in zip(vids, degrees) for _ in range(degree)]))
     pairs = draw(st.integers(0, len(halves) // 2))
     ends = [halves[2 * i:2 * i + 2] for i in range(pairs)]

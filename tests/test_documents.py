@@ -5,7 +5,7 @@ import copy
 import io
 import json
 import pickle
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -25,7 +25,7 @@ from bifgraph.documents import emit_binary_tree, trees_dot, trees_json
 from helpers import (
     chain_tree, constructible_diagrams, diagram_trees_dot, dumped_binary_tree, dumped_diagram,
     dumped_graph, dumped_trees_json, field_values, formatted_trees_dot, nested_mary_to_binary,
-    nested_parse_tree, star_diagram, with_stack_room,
+    nested_parse_tree, reindented_trees_json, star_diagram, walked_trees_dot, with_stack_room,
 )
 
 MINIMAL = {
@@ -351,6 +351,46 @@ def test_tree_writers_do_not_recurse():
     assert with_stack_room(40, _written, trees_dot, [tree]) == diagram_trees_dot([tree], 1)
 
 
+@st.composite
+def _shared_listings(draw) -> list:
+    """A listing of trees from one pool, each pool tree built over trees
+    drawn before it, so listed trees share subtree objects and may be
+    children of one another; repeats are allowed.  In a plane pool children
+    get slots and a leaf's are None or (); in a free pool slots are None."""
+    plane, pool = draw(st.booleans()), []
+    for _ in range(draw(st.integers(1, 10))):
+        kids = tuple(draw(st.lists(st.sampled_from(pool), max_size=3))) if pool else ()
+        slots = None
+        if plane and kids:
+            slots = tuple(sorted(draw(st.sets(st.integers(0, 3), min_size=len(kids),
+                                              max_size=len(kids)))))
+        elif plane:
+            slots = draw(st.sampled_from([None, ()]))
+        pool.append(ColoredTree(draw(st.sampled_from([-1, 0, 1])), kids, slots))
+    return draw(st.lists(st.sampled_from(pool), max_size=8))
+
+
+_LEAF = ColoredTree(1)
+_PLANE_MID, _FREE_MID = ColoredTree(-1, (_LEAF,), (0,)), ColoredTree(-1, (_LEAF,))
+_PLANE_TOP = ColoredTree(0, (_PLANE_MID, _LEAF), (0, 2))
+_FREE_TOP = ColoredTree(0, (_FREE_MID, _LEAF, _FREE_MID))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_shared_listings())
+@example([_PLANE_MID, _PLANE_TOP, _PLANE_TOP, _LEAF, ColoredTree(0)])
+@example([_FREE_MID, _FREE_TOP, _LEAF, _FREE_TOP, ColoredTree(0)])
+@example([])
+def test_tree_writers_equal_the_oracles_on_shared_subtrees(trees):
+    """On trees that share subtrees (a listed tree that is a child of a later
+    one, the same tree listed twice, leaves, the empty list) both writers
+    give the per-object texts and those of the writers they replaced."""
+    assert (_written(trees_json, trees) == dumped_trees_json(trees)
+            == _written(reindented_trees_json, trees))
+    assert (_written(trees_dot, trees) == diagram_trees_dot(trees, 4)
+            == _written(walked_trees_dot, trees))
+
+
 def test_tree_dot_equals_the_graph_dot_writer_exhaustively():
     for mode in ("plane", "free"):
         for k in (1, 2, 3):
@@ -413,6 +453,54 @@ def test_trees_edges_and_vertices_are_slotted_values():
                       for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
             for other in (*copies, copy.deepcopy(values)):
                 assert other == values and list(map(hash, other)) == list(map(hash, values))
+
+
+def test_deep_and_shared_trees_pickle_and_copy():
+    """A 3,000-node path pickles at every protocol and deep-copies to an
+    equal tree with an equal hash, without stack room to recurse by level.
+    A subtree that a tree holds twice stays one object, so a tree of 60
+    levels that holds each level twice comes back as 61 objects, not 2^61.
+    Shallow trees still copy and ``dataclasses.replace`` to equal values."""
+    tree = chain_tree(3000)
+    copies = [with_stack_room(40, lambda p=p: pickle.loads(pickle.dumps(tree, p)))
+              for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in (*copies, with_stack_room(40, copy.deepcopy, tree)):
+        assert other == tree and hash(other) == hash(tree)
+    shared = ColoredTree(1)
+    for level in range(60):
+        shared = ColoredTree((-1) ** level, (shared, shared), (0, 1))
+    node = again = pickle.loads(pickle.dumps(shared))
+    assert hash(again) == hash(shared)
+    kept = []  # per level: one child object, of the color of the original's
+    while node.children:
+        kept.append(node.children[0] is node.children[1] and node.color == shared.color)
+        node, shared = node.children[0], shared.children[0]
+    assert kept == [True] * 60
+    small = ColoredTree(1, (ColoredTree(0), ColoredTree(1)), (0, 1))
+    assert copy.copy(small) == small and hash(copy.copy(small)) == hash(small)
+    assert replace(small, color=-1) == ColoredTree(-1, small.children, (0, 1))
+    assert replace(small, slots=(1, 2)).slots == (1, 2)
+
+
+def test_object_written_kinds_are_shared_within_one_document():
+    """Equal kinds written as objects are one value in one parsed document
+    and new values in the next; a bool or float parameter after an equal
+    integer one is still an error at its own path."""
+    leaves = tuple(ColoredTree(0) for _ in range(4))
+    tree = ColoredTree(1, (ColoredTree(1, leaves[:3]), ColoredTree(-1, leaves[:3]),
+                           ColoredTree(0, leaves)))
+    text = emit_diagram(tree_to_diagram(tree, 4))
+    first, second = ([v.kind for v in parse_diagram(text).vertices] for _ in range(2))
+    assert [k.name for k in first] == ["type_m", "type_m", "type_m", "junction"]
+    assert first[0] is first[1] is first[2] and first[0] is not second[0]
+    assert first == second
+    for kind, bad, message in (("junction", True, "parameter must be an integer"),
+                               ("type_m", 3.0, "parameter must be an integer or null")):
+        doc = dict(MINIMAL, vertices=[{"id": "v", "kind": {kind: 4}},
+                                      {"id": "w", "kind": {kind: bad}}])
+        with pytest.raises(SchemaError) as err:
+            parse_diagram(doc)
+        assert str(err.value) == f"$.vertices[1].kind.{kind}: {message}"
 
 
 @settings(deadline=None, max_examples=300)

@@ -363,6 +363,24 @@ def test_tree_equality_and_hash_match_the_dataclass():
             assert project_uncolored(trees) == frozenset(p.shape() for p in plain)
 
 
+def test_colored_tree_constructor_checks_and_hashes_as_the_dataclass():
+    """The constructor raises the dataclass's two errors, takes its fields
+    by position or keyword and keeps them as given; the hash is the one the
+    dataclass computes from (color, children, slots)."""
+    with pytest.raises(ValueError, match="^orbit index must be -1, 0 or \\+1, got 2$"):
+        ColoredTree(2)
+    for children, slots in (((ColoredTree(0),), (0, 1)), ((), (0,))):
+        with pytest.raises(ValueError, match="^slots must parallel children$"):
+            ColoredTree(1, children, slots)
+    leaf = ColoredTree(color=-1)
+    tree = ColoredTree(color=1, children=(leaf, ColoredTree(0)), slots=(0, 2))
+    assert field_values(tree) == (ColoredTree, 1, (leaf, ColoredTree(0)), (0, 2))
+    assert tree.children[0] is leaf and field_values(leaf) == (ColoredTree, -1, (), None)
+    assert field_values(ColoredTree(0, (), ())) == (ColoredTree, 0, (), ())
+    assert hash(tree) == hash((1, tree.children, (0, 2))) == hash(plain_tree(tree))
+    assert hash(leaf) == hash((-1, (), None)) == hash(plain_tree(leaf))
+
+
 @pytest.mark.parametrize("c", range(8))
 def test_multiset_orderings_match_the_distinct_permutations(c):
     rng = random.Random(c)
