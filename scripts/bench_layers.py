@@ -50,16 +50,21 @@ Topic ``emit``: listing and writing trees, diagrams and graphs.
 against ``cached_colored_trees``, the recursive lister that keeps every
 smaller list in module-level caches;
 ``trees_json`` (against ``dumped_trees_json``) and ``trees_dot``
-(against ``formatted_trees_dot``) write the k=2 d=4 n=5 plane trees, each
-generator's chunks joined into its text; both write the 20 plane listings
-of the ``emission`` workload of ``benchmarks/run.py`` (``emission_listings``),
-each as JSON and then as DOT, against the writers they replaced,
-``reindented_trees_json`` and ``walked_trees_dot``;
+(against ``formatted_trees_dot``) write the rows of the k=2 d=4 n=5 plane
+trees (``enumerate_rows``), each generator's chunks joined into its text,
+and the oracles write the same trees as ``ColoredTree``s; both write the 20
+plane listings of the ``emission`` workload of ``benchmarks/run.py``
+(``emission_listings``), each as JSON and then as DOT, against the writers
+they replaced, ``joined_trees_json`` and ``joined_trees_dot`` (which read
+``ColoredTree``s), and ``reindented_trees_json`` and ``walked_trees_dot``.
+``listed_and_written`` runs those 20 listings as the CLI's ``enumerate
+--emit json|dot`` does, listing rows and writing them, against
+``enumerate_colored`` and the joined writers, the path before rows.
 ``emit_diagram`` (against ``dumped_diagram``) writes the 1,500-node tree
 diagram and ``emit_graph`` (against ``dumped_graph``) its clique graph.
 The last three rows list the two 3,000-node paths of a law table holding
-only the saddle-node entries, in free mode, and list and write as JSON its
-two 400-node paths.
+only the saddle-node entries, in free mode, and list two 400-node paths
+and write them as JSON, against ``joined_trees_json``.
 
 Topic ``graphs``: the graph and tree-shape catalogs, and the intersection
 graphs.  ``all_graphs`` (n = 5, 6) and ``connected_graphs`` (n = 6) against
@@ -198,13 +203,15 @@ import helpers  # noqa: E402
 from bifgraph import cli  # noqa: E402
 from bifgraph.diagram import PeriodReport  # noqa: E402
 from bifgraph.documents import trees_dot, trees_json  # noqa: E402
+from bifgraph.enumeration import enumerate_rows  # noqa: E402
 import inputs  # noqa: E402
 from run import CALIBRATION_S, calibration_loop  # noqa: E402
 from helpers import (  # noqa: E402
     branched_to_star, cached_canonical_trees, cached_colored_trees, cached_free_trees,
     cached_slot_trees, contracted_vamos_minor, disjoint_union, dumped_diagram, dumped_graph,
-    dumped_trees_json, eager_parse_diagram, formatted_trees_dot, kind_keyed_child_multisets,
-    looped_to_clique, pairwise_block_intersection_graph, pairwise_line_graph,
+    dumped_trees_json, eager_parse_diagram, formatted_trees_dot, joined_trees_dot,
+    joined_trees_json, kind_keyed_child_multisets, looped_to_clique,
+    pairwise_block_intersection_graph, pairwise_line_graph,
     per_color_count_sequence, period_labelled, prefix_count_sequence, recursive_graphs_isomorphic,
     reindented_trees_json, relabeled_tutte_11, scanned_from_bases, searched_diamond_minor,
     searched_vamos_minor,
@@ -314,36 +321,83 @@ def saddle_node_paths(n: int) -> bg.EnumerationSpec:
     return bg.EnumerationSpec(1, 1, n, "free", bg.load_law_table(SADDLE_NODES_ONLY))
 
 
-def listed(k: int, d: int, n: int, mode: str = "plane") -> tuple:
-    return bg.enumerate_colored(bg.EnumerationSpec(k, d, n, mode))
+def listed(spec: bg.EnumerationSpec) -> tuple:
+    """The row table, listed row ids and listed trees of one spec: the input
+    of a writer row, whose row writers read the table and whose oracles the
+    trees."""
+    return (*enumerate_rows(spec), bg.enumerate_colored(spec))
 
 
-def text_of(chunks: Callable) -> Callable:
-    """``chunks(trees)`` as a function of the trees that returns the joined text."""
-    def text(trees) -> str:
-        return "".join(chunks(trees))
+def of_rows(write: Callable) -> Callable:
+    """``write(table, listed)`` as a function of a ``listed`` input that
+    returns the joined text."""
+    def text(table, listed, trees) -> str:
+        return "".join(write(table, listed))
 
-    text.__name__ = chunks.__name__
+    text.__name__ = write.__name__
     return text
 
 
-def emission_listings() -> tuple:
-    """The plane listings of the ``emission`` workload's ``enum_json`` jobs
-    (its ``enum_dot`` jobs list the same): k = 1, 2, d = 1..4, n = 4..6,
-    and n = 4, 5 at k = 2."""
-    return tuple(listed(job["k"], job["d"], job["n"])
+def of_trees(write: Callable) -> Callable:
+    """``write(trees)`` as a function of a ``listed`` input that returns the
+    joined text."""
+    def text(table, listed, trees) -> str:
+        return "".join(write(trees))
+
+    text.__name__ = write.__name__
+    return text
+
+
+def emission_specs() -> tuple:
+    """(k, d, n) of the plane listings of the ``emission`` workload's
+    ``enum_json`` jobs (its ``enum_dot`` jobs list the same): k = 1, 2,
+    d = 1..4, n = 4..6, and n = 4, 5 at k = 2."""
+    return tuple((job["k"], job["d"], job["n"])
                  for job in inputs.emission_jobs(random.Random(0)) if job["family"] == "enum_json")
 
 
-def emitted(trees_json: Callable, trees_dot: Callable, name: str = "trees_json + trees_dot"):
-    """A function of listings that writes each as JSON and then as DOT
-    with these two writers, and returns the texts joined; named ``name``."""
+def emission_listings() -> tuple:
+    """Each of ``emission_specs`` as a ``listed`` input."""
+    return tuple(listed(bg.EnumerationSpec(*spec)) for spec in emission_specs())
+
+
+def emitted(trees_json: Callable, trees_dot: Callable, name: str, write=of_rows):
+    """A function of ``listed`` inputs that writes each as JSON and then as
+    DOT with these two writers, taken by ``write`` (``of_rows`` or
+    ``of_trees``), and returns the texts joined; named ``name``."""
+    writers = write(trees_json), write(trees_dot)
+
     def emit(listings) -> str:
-        return "".join([chunk for trees in listings for write in (trees_json, trees_dot)
-                        for chunk in write(trees)])
+        return "".join([w(*listing) for listing in listings for w in writers])
 
     emit.__name__ = name
     return emit
+
+
+def listed_and_written(specs) -> str:
+    """The ``emission`` workload's ``enum_json`` and ``enum_dot`` jobs as the
+    CLI runs them: for each (k, d, n) and each writer, the rows listed by
+    ``enumerate_rows`` and then written; the texts joined."""
+    chunks: list = []
+    for k, d, n in specs:
+        for write in (trees_json, trees_dot):
+            chunks += write(*enumerate_rows(bg.EnumerationSpec(k, d, n)))
+    return "".join(chunks)
+
+
+def colored_and_written(package, trees_json: Callable, trees_dot: Callable, name: str):
+    """``listed_and_written`` as the CLI ran before rows: ``ColoredTree``s
+    listed by ``package.enumerate_colored`` and written by these writers;
+    named ``name``."""
+    def run(specs) -> str:
+        chunks: list = []
+        for k, d, n in specs:
+            for write in (trees_json, trees_dot):
+                chunks += write(package.enumerate_colored(package.EnumerationSpec(k, d, n)))
+        return "".join(chunks)
+
+    run.__name__ = name
+    return run
 
 
 # -- inputs and adapters: graphs and minors ------------------------------------
@@ -555,15 +609,22 @@ TOPICS = {
             (cached_colored_trees,)),
         Row(bg.enumerate_colored, "k=1 d=4 n=9 free",
             lambda: (bg.EnumerationSpec(1, 4, 9, "free"),), (cached_colored_trees,)),
-        Row(text_of(trees_json), "k=2 d=4 n=5 plane trees", lambda: (listed(2, 4, 5),),
-            (dumped_trees_json,)),
-        Row(text_of(trees_dot), "k=2 d=4 n=5 plane trees", lambda: (listed(2, 4, 5),),
-            (text_of(formatted_trees_dot),)),
-        Row(emitted(trees_json, trees_dot), "the emission workload's 20 plane listings",
-            lambda: (emission_listings(),),
-            (emitted(reindented_trees_json, walked_trees_dot, "reindented + walked"),),
+        Row(of_rows(trees_json), "k=2 d=4 n=5 plane trees",
+            lambda: listed(bg.EnumerationSpec(2, 4, 5)), (of_trees(dumped_trees_json),)),
+        Row(of_rows(trees_dot), "k=2 d=4 n=5 plane trees",
+            lambda: listed(bg.EnumerationSpec(2, 4, 5)), (of_trees(formatted_trees_dot),)),
+        Row(emitted(trees_json, trees_dot, "trees_json + trees_dot"),
+            "the emission workload's 20 plane listings", lambda: (emission_listings(),),
+            (emitted(joined_trees_json, joined_trees_dot, "joined, of trees", of_trees),
+             emitted(reindented_trees_json, walked_trees_dot, "reindented + walked", of_trees)),
             lambda package, name: emitted(package.documents.trees_json,
-                                          package.documents.trees_dot, name)),
+                                          package.documents.trees_dot, name, of_trees)),
+        Row(listed_and_written, "the emission workload's 20 plane listings, listed",
+            lambda: (emission_specs(),),
+            (colored_and_written(bg, joined_trees_json, joined_trees_dot,
+                                 "enumerate_colored + joined"),),
+            lambda package, name: colored_and_written(package, package.documents.trees_json,
+                                                      package.documents.trees_dot, name)),
         Row(bg.emit_diagram, "1,500-node tree", lambda: (tree_diagram(1500),), (dumped_diagram,)),
         Row(bg.emit_graph, "clique graph of the 1,500-node tree",
             lambda: (bg.to_clique(tree_diagram(1500)),), (dumped_graph,)),
@@ -571,8 +632,9 @@ TOPICS = {
             lambda: (saddle_node_paths(3000),)),
         Row(bg.enumerate_colored, "400-node saddle-node paths, free",
             lambda: (saddle_node_paths(400),)),
-        Row(text_of(trees_json), "400-node saddle-node paths, free",
-            lambda: (bg.enumerate_colored(saddle_node_paths(400)),)),
+        Row(of_rows(trees_json), "400-node saddle-node paths, free",
+            lambda: listed(saddle_node_paths(400)),
+            (of_trees(joined_trees_json),)),
     ),
     "graphs": (
         Row(bg.all_graphs, "5", lambda: (5,), (swept_all_graphs,)),

@@ -92,8 +92,8 @@ def cmd_enumerate(args) -> tuple[int, str | Iterable[str]]:
         return 0, "k,d,n,mode,count\n" + "".join(
             f"{args.k},{args.d},{n},{spec.mode.value},{_digits(count)}\n"
             for n, count in enumerate(counts, start=1))
-    colored = enumeration.enumerate_colored(replace(spec, limit=_limit(args)))
-    return 0, (documents.trees_json if args.emit == "json" else documents.trees_dot)(colored)
+    table, listed = enumeration.enumerate_rows(replace(spec, limit=_limit(args)))
+    return 0, (documents.trees_json if args.emit == "json" else documents.trees_dot)(table, listed)
 
 
 def _approx(v) -> float | None:

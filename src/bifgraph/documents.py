@@ -24,7 +24,6 @@ from .laws import (
     builtin_table, period_doubling, saddle_node,
 )
 from .matroids import from_bases
-from .trees import _fold
 
 SCHEMA_VERSION = "1"
 
@@ -34,7 +33,7 @@ _VERTEX_KEYS = frozenset({"id", "kind", "parentEdge"})
 
 #: The kinds written as plain strings, each one shared immutable value.
 _STRING_KINDS = {kind.name: kind for kind in (saddle_node(), period_doubling())}
-_by_id, _children = attrgetter("id"), attrgetter("children")
+_by_id = attrgetter("id")
 
 
 class SchemaError(ValueError):
@@ -365,44 +364,51 @@ def emit_binary_tree(t) -> str:
 # Colored trees (enumerate --emit json|dot)
 # ---------------------------------------------------------------------------
 
-def trees_json(trees) -> Iterator[str]:
-    """Colored trees in the text of ``json.dumps(docs, indent=2, sort_keys=True)``
-    plus a newline, one chunk per tree and then the closing one, where a
-    tree's doc is {"children": [...], "color": c} and "slots" in plane mode.
+def trees_json(table, listed) -> Iterator[str]:
+    """The ``listed`` rows of a tree table (``enumeration.enumerate_rows``)
+    in the text of ``json.dumps(docs, indent=2, sort_keys=True)`` plus a
+    newline, one chunk per tree and then the closing one, where a tree's
+    doc is {"children": [...], "color": c} and "slots" unless they are None.
 
-    The text of each distinct subtree is built once and kept by ``id()``:
-    enumerated trees share their subtree objects, so most of a tree's text
-    is already there.  A listed tree is one join of kept texts: each child's
-    at its final indent, and its members after "children" per (color, slots)."""
-    memo: dict = {}  # id(subtree) -> (subtree, its text indented as a child)
-    placed: dict = {}  # id(child of a listed tree) -> its text at its final indent
-    tails: dict = {}  # (color, slots) -> a listed tree's text after its children
+    Rows come after their children, so one forward loop over the table
+    builds the text of each row as a child of a tree at indent 0 once, from
+    its children's; it runs only as far as the listed trees' children.  A
+    listed tree is one join of kept texts: each child's at its final indent,
+    and its members after "children" per (color, slots)."""
+    colors, slots, kids = table
+    texts: list[str] = []  # texts[r]: row r's text as a child of a tree at indent 0
+    placed: dict = {}  # row of a listed tree's child -> its text at its final indent
+    tails: dict = {}  # (color, slots) -> a row's text after its children, as a child
+    listed_tails: dict = {}  # (color, slots) -> a listed tree's text after its children
     sep = "[\n  "
-    for tree in trees:
-        kids = [placed.get(id(c)) or placed.setdefault(
-            id(c), _subtree_text(c, memo).replace("\n", "\n  ")) for c in tree.children]
-        key = tree.color, tree.slots
-        tail = tails.get(key) or tails.setdefault(key, _tree_tail(tree, "\n    ") + "\n  }")
-        yield sep + '{\n    "children": ' + _json_array(kids, "\n    ") + tail
+    for r in listed:
+        key, children = (colors[r], slots[r]), kids[r]
+        if children and (last := max(children)) >= len(texts):
+            _kept_texts(table, last + 1, texts, tails)
+        tail = listed_tails.get(key) or listed_tails.setdefault(
+            key, _tree_tail(*key, "\n    ") + "\n  }")
+        kid_texts = [placed.get(c) or placed.setdefault(c, texts[c].replace("\n", "\n  "))
+                     for c in children]
+        yield sep + '{\n    "children": ' + _json_array(kid_texts, "\n    ") + tail
         sep = ",\n  "
     yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
-def _subtree_text(root, memo: dict) -> str:
-    """The JSON text of a colored tree as a child of a tree at indent 0, kept
-    in ``memo`` with every subtree's, as ``(subtree, text)`` by ``id()``."""
-    def text(node, kids) -> tuple:
-        return node, ('{\n  "children": ' + _json_array([t for _, t in kids])
-                      + _tree_tail(node, "\n  ") + "\n}").replace("\n", "\n    ")
+def _kept_texts(table, stop: int, texts: list, tails: dict) -> None:
+    """Extend ``texts`` to rows ``len(texts)`` .. ``stop - 1`` of ``trees_json``,
+    each from its children's, with ``tails`` kept per (color, slots)."""
+    rows = slice(len(texts), stop)
+    for key, kids in zip(zip(table[0][rows], table[1][rows]), table[2][rows]):
+        tail = tails.get(key) or tails.setdefault(key, _tree_tail(*key, "\n      ") + "\n    }")
+        texts.append('{\n      "children": '
+                     + _json_array([texts[c] for c in kids]).replace("\n", "\n    ") + tail)
 
-    return _fold((root,), _children, text, memo)[id(root)][1]
 
-
-def _tree_tail(node, pad: str) -> str:
+def _tree_tail(color: int, slots, pad: str) -> str:
     """A colored tree's JSON members after "children", each after ``pad``."""
-    text = "," + pad + '"color": ' + str(node.color)
-    if node.slots is not None:
-        text += "," + pad + '"slots": ' + _json_array(list(map(str, node.slots)), pad)
+    text = "," + pad + '"color": ' + str(color)
+    if slots is not None:
+        text += "," + pad + '"slots": ' + _json_array(list(map(str, slots)), pad)
     return text
 
 
@@ -413,22 +419,24 @@ def _json_array(items: list, pad: str = "\n  ") -> str:
     return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
 
 
-def trees_dot(trees) -> Iterator[str]:
-    """Each colored tree's star representation as a DOT graph t0, t1, ...,
-    one chunk per tree: the DOT of ``to_star(tree_to_diagram(tree, d))``
-    without building either.  Vertex i is the i-th node in preorder, labelled
-    e{i} and colored by its index; each parent links to its children, sorted.
+def trees_dot(table, listed) -> Iterator[str]:
+    """Each of the ``listed`` rows of a tree table as the DOT graph of its
+    star representation, t0, t1, ..., one chunk per tree: the DOT of
+    ``to_star(tree_to_diagram(tree, d))`` without building either.  Vertex i
+    is the i-th node in preorder, labelled e{i} and colored by its index;
+    each parent links to its children, sorted.
 
     Edges sort by parent, so each child's subtree has its edges in one run
-    after the root's links; a child numbered p has its vertex lines, its
-    link and that run built once per (id(child), p) and kept."""
-    blocks: dict = {}  # (id(child), p) -> (child, size, vertex lines, link, edge lines)
-    for t, tree in enumerate(trees):
-        head = [f'graph t{t} {{\n  n0 [label="e0", color={COLOR_OF[tree.color]}];\n']
+    after the root's links; a child of a listed tree numbered p has its
+    vertex lines, its link and that run built once per (row, p) and kept."""
+    colors, _, kids = table
+    blocks: dict = {}  # (row, p) -> (size, vertex lines, link, edge lines)
+    for t, r in enumerate(listed):
+        head = [f'graph t{t} {{\n  n0 [label="e0", color={COLOR_OF[colors[r]]}];\n']
         links, tail, i = [], [], 1
-        for c in tree.children:
-            _, size, vertices, link, edges = (blocks.get((id(c), i))
-                                              or blocks.setdefault((id(c), i), _dot_block(c, i)))
+        for c in kids[r]:
+            size, vertices, link, edges = (blocks.get((c, i))
+                                           or blocks.setdefault((c, i), _dot_block(table, c, i)))
             head.append(vertices)
             links.append(link)
             tail.append(edges)
@@ -436,18 +444,19 @@ def trees_dot(trees) -> Iterator[str]:
         yield "".join(head + links + tail) + "}\n"
 
 
-def _dot_block(root, first: int) -> tuple:
-    """``trees_dot``'s block of a child numbered ``first``, from an explicit stack."""
+def _dot_block(table, root: int, first: int) -> tuple:
+    """``trees_dot``'s block of a child row numbered ``first``, from an explicit stack."""
+    colors, _, kids = table
     vertices, edges, stack = [], [], [(root, -1)]  # the root's (-1, first) sorts first
     while stack:
-        node, parent = stack.pop()
+        r, parent = stack.pop()
         i = first + len(vertices)
-        vertices.append(f'  n{i} [label="e{i}", color={COLOR_OF[node.color]}];\n')
+        vertices.append(f'  n{i} [label="e{i}", color={COLOR_OF[colors[r]]}];\n')
         edges.append((parent, i))
-        if node.children:
-            stack += [(c, i) for c in reversed(node.children)]
+        if kids[r]:
+            stack += [(c, i) for c in reversed(kids[r])]
     edges.sort()
-    return (root, len(vertices), "".join(vertices), "  n0 -- n%d;\n" % first,
+    return (len(vertices), "".join(vertices), "  n0 -- n%d;\n" % first,
             "".join(["  n%d -- n%d;\n" % edge for edge in edges[1:]]))
 
 

@@ -14,7 +14,8 @@ Explicit enumeration is capped, and fills one table of trees by size and
 root color inside each call, keeping nothing between calls.  The law table
 is read once, into the rules of the bottom-up count engine in ``trees``
 (``_count_rules``), which counts them without building a tree; the lister
-``trees._pools`` builds the trees they describe.  Both serve shapes too.
+``trees._pools`` builds the trees they describe, as ``ColoredTree``s or as
+the rows of one table (``enumerate_rows``).  Both serve shapes too.
 """
 
 from __future__ import annotations
@@ -43,9 +44,12 @@ class ColoredTree:
     """Rooted tree with orbit-index colors; ``slots`` gives the child
     positions in plane mode and is None in free mode.
 
-    Equality, hashing, ``shape``, pickling and copying walk the tree with an
-    explicit stack, so a tree of any depth answers them; the hash equals the
-    one the dataclass would compute from (color, children, slots).
+    Equality, hashing, ``repr``, ``shape``, pickling and copying walk the
+    tree with an explicit stack, so a tree of any depth answers them; the
+    hash and the repr equal the ones the dataclass would compute from
+    (color, children, slots).  Equality compares each pair of subtree
+    objects once, so trees that share subtrees compare in time linear in
+    their distinct pairs.
     """
 
     color: int
@@ -71,16 +75,33 @@ class ColoredTree:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        stack = [(self, other)]
+        stack, seen = [(self, other)], set()  # seen: id pairs already taken from the stack
         while stack:
             a, b = stack.pop()
-            if a is b:
+            if a is b or (pair := (id(a), id(b))) in seen:
                 continue
+            seen.add(pair)
             if (a.color != b.color or a.slots != b.slots
                     or len(a.children) != len(b.children)):
                 return False
             stack += zip(a.children, b.children)
         return True
+
+    def __repr__(self):
+        """The dataclass's repr, written from an explicit stack."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                out.append(node)
+                continue
+            kids = node.children
+            out.append(f"{node.__class__.__qualname__}(color={node.color!r}, children=(")
+            stack.append(f"{',' * (len(kids) == 1)}), slots={node.slots!r})")
+            for i in range(len(kids) - 1, 0, -1):
+                stack += (kids[i], ", ")
+            stack += kids[:1]
+        return "".join(out)
 
     def __hash__(self):
         hashes = _fold((self,), _children,
@@ -176,17 +197,44 @@ def enumerate_colored(spec: EnumerationSpec) -> tuple[ColoredTree, ...]:
     against the cap before any tree is built.  Use ``count_colored`` for
     sizes beyond the cap.
     """
+    def colored(color, slots, tuples):  # a leaf comes with slots () and keeps None
+        return [ColoredTree(color, kids, slots or None) for kids in tuples]
+
+    return tuple(_listed(spec, colored))
+
+
+def enumerate_rows(spec: EnumerationSpec) -> tuple[tuple[list, list, list], list[int]]:
+    """The trees of ``enumerate_colored(spec)``, checked and capped alike,
+    as one table and the ids of the listed rows, in the same order.
+
+    The table is three columns ``(colors, slots, kids)``: row r is the tree
+    of color ``colors[r]`` whose children are the rows ``kids[r]``, at
+    ``slots[r]`` (None in free mode and at a leaf, as in ``ColoredTree``).
+    Each distinct subtree is one row, after its children's rows.  No
+    ``ColoredTree`` is built."""
+    colors, slots, kids = table = [], [], []
+
+    def row(color, slots_of_kids, tuples):  # the ids of the rows it appends
+        first = len(kids)
+        kids.extend(tuples)
+        colors.extend([color] * (len(kids) - first))
+        slots.extend([slots_of_kids or None] * (len(kids) - first))
+        return range(first, len(kids))
+
+    return table, _listed(spec, row)
+
+
+def _listed(spec: EnumerationSpec, node) -> list:
+    """The trees of size ``spec.n`` that ``trees._pools`` builds through
+    ``node`` from the spec's rules, by root color; the arguments and the
+    exact count against the cap are checked first."""
     limit = spec.limit if spec.limit is not None else DEFAULT_LIST_LIMIT
     rules, plane = _checked_rules(spec.k, spec.d, spec.n, spec.mode, spec.table)
     total = _count_series(rules, spec.n, plane)[-1]
     if total > limit:
         raise EnumerationLimitError(f"{total} colored trees exceed limit {limit}")
-
-    def colored(color, slots, tuples):  # a leaf comes with slots () and keeps None
-        return [ColoredTree(color, kids, slots or None) for kids in tuples]
-
-    pool = _pools(rules, spec.k + 1, spec.n, plane, colored)
-    return tuple(t for color in INDEX_VALUES for t in pool[color][spec.n])
+    pool = _pools(rules, spec.k + 1, spec.n, plane, node)
+    return [t for color in INDEX_VALUES for t in pool[color][spec.n]]
 
 
 def project_uncolored(trees) -> frozenset:
@@ -319,7 +367,7 @@ def tree_to_diagram(tree: ColoredTree, dimension: int) -> Diagram:
 
 __all__ = [
     "ColoredTree", "EnumerationSpec", "DEFAULT_LIST_LIMIT",
-    "enumerate_colored", "project_uncolored", "count_colored", "count_sequence",
+    "enumerate_colored", "enumerate_rows", "project_uncolored", "count_colored", "count_sequence",
     "ratio_sequence", "share_sequence", "ratio_lower_bound", "shape_coverage",
     "tree_to_diagram", "count_shapes", "count_kary_formula", "TreeMode",
     "EnumerationLimitError",

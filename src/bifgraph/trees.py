@@ -108,7 +108,8 @@ def _pools(rules: dict, arity: int, n: int, plane: bool, node) -> dict:
     shape, root, child keys), built once per tree from its children's keys;
     a child multiset is taken once, in the order whose keys (led by sizes)
     do not increase.  Every tree of a pool is one object, shared by each
-    larger tree that holds it."""
+    larger tree that holds it.  ``node`` may return any objects, such as
+    int row ids: each stays in a pool for the call, so its ``id()`` keys it."""
     heads = {}  # root: its sorted (child count, slots, child roots)
     for root, rs in rules.items():
         tuples = []

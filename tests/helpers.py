@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial
-from operator import mul
+from operator import attrgetter, mul
 
 from hypothesis import strategies as st
 
@@ -32,7 +32,7 @@ from bifgraph import (
 from bifgraph.classes import BlockDecomposition, block_decomposition, has_diamond_subgraph
 from bifgraph.documents import (
     SCHEMA_VERSION, _as_object, _expect, _graph_dot, _is_index, _is_int, _json_array,
-    kind_from_json,
+    _tree_tail, kind_from_json,
 )
 from bifgraph.diagram import CycleCheck, PeriodReport, PeriodViolation, _saddle_node_cycles
 from bifgraph.enumeration import _count_rules
@@ -44,7 +44,7 @@ from bifgraph.matroids import VAMOS_CIRCUIT_QUADS, VAMOS_GROUND, _on_masks
 from bifgraph.represent import _branch_vertices
 from bifgraph.spanning import _int_det, _laplacian
 from bifgraph import trees
-from bifgraph.trees import _classes, _tree_edges
+from bifgraph.trees import _classes, _fold, _tree_edges
 
 
 def star_diagram(parent_index: int, child_indexes, parent_period=None,
@@ -416,20 +416,29 @@ def legal_law_entries() -> list:
     return out
 
 
+def law_table_doc(d: int, mode: str, entries) -> dict:
+    """The law-table document of ``entries`` in dimension d, in ``extend``
+    or ``replace`` mode."""
+    return {"schemaVersion": "1", "dimension": d, "mode": mode,
+            "entries": [{"kind": _kind_json(e.kind, len(e.children)), "parent": e.parent,
+                         "children": list(e.children)} for e in entries]}
+
+
 def law_table_of(d: int, mode: str, entries) -> LawTable:
-    """The law-table document of ``entries`` in dimension d, loaded in
-    ``extend`` or ``replace`` mode."""
-    return load_law_table({
-        "schemaVersion": "1", "dimension": d, "mode": mode,
-        "entries": [{"kind": _kind_json(e.kind, len(e.children)), "parent": e.parent,
-                     "children": list(e.children)} for e in entries]})
+    """``law_table_doc`` of ``entries``, loaded."""
+    return load_law_table(law_table_doc(d, mode, entries))
+
+
+def random_law_doc(rng: random.Random, mode: str) -> dict:
+    """A law-table document of random legal entries (up to five children),
+    in ``extend`` or ``replace`` mode."""
+    entries = rng.sample(legal_law_entries(), rng.randint(2, 12))
+    return law_table_doc(rng.randint(1, 4), mode, entries)
 
 
 def random_law_table(rng: random.Random, mode: str) -> LawTable:
-    """A law-table document of random legal entries (up to five children),
-    loaded in ``extend`` or ``replace`` mode."""
-    entries = rng.sample(legal_law_entries(), rng.randint(2, 12))
-    return law_table_of(rng.randint(1, 4), mode, entries)
+    """``random_law_doc``, loaded."""
+    return load_law_table(random_law_doc(rng, mode))
 
 
 def negated(entry: LawEntry) -> LawEntry:
@@ -1524,6 +1533,92 @@ def dumped_graph(g: SimpleGraph) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def tree_rows(trees) -> tuple[tuple[list, list, list], list[int]]:
+    """A listing of colored trees as the table, in columns (colors, slots,
+    kids), and listed row ids that ``enumerate_rows`` gives: one row per
+    distinct subtree object, after its children's rows.  Every tree is held
+    until the end, so no ``id()`` is taken again by a new object."""
+    colors, slots, kids = table = [], [], []
+    done, held, listed = {}, [], []
+
+    def row(node, children) -> int:
+        colors.append(node.color)
+        slots.append(node.slots)
+        kids.append(tuple(children))
+        return len(kids) - 1
+
+    for tree in trees:
+        held.append(tree)
+        listed.append(_fold((tree,), attrgetter("children"), row, done)[id(tree)])
+    return table, listed
+
+
+def row_trees(table, listed) -> tuple:
+    """The listed rows of a table as ``ColoredTree``s, one object per row."""
+    built = []
+    for color, slots, kids in zip(*table):
+        built.append(ColoredTree(color, tuple(built[c] for c in kids), slots))
+    return tuple(built[r] for r in listed)
+
+
+def joined_trees_json(trees):
+    """``trees_json`` as it was on ``ColoredTree``s: the text of each distinct
+    subtree built once by ``_fold`` and kept by ``id()``, and each listed
+    tree joined from its children's kept texts at their final indent."""
+    memo: dict = {}  # id(subtree) -> (subtree, its text indented as a child)
+    placed: dict = {}  # id(child of a listed tree) -> its text at its final indent
+    tails: dict = {}  # (color, slots) -> a listed tree's text after its children
+    sep = "[\n  "
+    for tree in trees:
+        kids = [placed.get(id(c)) or placed.setdefault(
+            id(c), _subtree_text(c, memo).replace("\n", "\n  ")) for c in tree.children]
+        key = tree.color, tree.slots
+        tail = tails.get(key) or tails.setdefault(key, _tree_tail(*key, "\n    ") + "\n  }")
+        yield sep + '{\n    "children": ' + _json_array(kids, "\n    ") + tail
+        sep = ",\n  "
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
+
+
+def _subtree_text(root, memo: dict) -> str:
+    def text(node, kids) -> tuple:
+        return node, ('{\n  "children": ' + _json_array([t for _, t in kids])
+                      + _tree_tail(node.color, node.slots, "\n  ") + "\n}").replace("\n", "\n    ")
+
+    return _fold((root,), attrgetter("children"), text, memo)[id(root)][1]
+
+
+def joined_trees_dot(trees):
+    """``trees_dot`` as it was on ``ColoredTree``s: each child of a listed
+    tree numbered p has its vertex lines, its link and its run of edge
+    lines built once per (id(child), p) and kept."""
+    blocks: dict = {}  # (id(child), p) -> (child, size, vertex lines, link, edge lines)
+    for t, tree in enumerate(trees):
+        head = [f'graph t{t} {{\n  n0 [label="e0", color={COLOR_OF[tree.color]}];\n']
+        links, tail, i = [], [], 1
+        for c in tree.children:
+            _, size, vertices, link, edges = (blocks.get((id(c), i))
+                                              or blocks.setdefault((id(c), i), _dot_block(c, i)))
+            head.append(vertices)
+            links.append(link)
+            tail.append(edges)
+            i += size
+        yield "".join(head + links + tail) + "}\n"
+
+
+def _dot_block(root, first: int) -> tuple:
+    vertices, edges, stack = [], [], [(root, -1)]  # the root's (-1, first) sorts first
+    while stack:
+        node, parent = stack.pop()
+        i = first + len(vertices)
+        vertices.append(f'  n{i} [label="e{i}", color={COLOR_OF[node.color]}];\n')
+        edges.append((parent, i))
+        if node.children:
+            stack += [(c, i) for c in reversed(node.children)]
+    edges.sort()
+    return (root, len(vertices), "".join(vertices), "  n0 -- n%d;\n" % first,
+            "".join(["  n%d -- n%d;\n" % edge for edge in edges[1:]]))
+
+
 def formatted_trees_dot(trees):
     """``trees_dot`` as it was: each tree's preorder colors and sorted
     edges through the general DOT formatter ``_graph_dot``, one chunk per tree."""
@@ -1647,6 +1742,12 @@ class PlainTree:
 
 def plain_tree(t: ColoredTree) -> PlainTree:
     return PlainTree(t.color, tuple(map(plain_tree, t.children)), t.slots)
+
+
+def nested_repr(t: ColoredTree) -> str:
+    """``repr(t)`` as the dataclass writes it, by recursion once per level:
+    ``PlainTree``'s generated repr under ``ColoredTree``'s name."""
+    return repr(plain_tree(t)).replace("PlainTree(", "ColoredTree(")
 
 
 def with_stack_room(frames: int, fn, *args):

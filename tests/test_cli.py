@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,14 +20,15 @@ from hypothesis import strategies as st
 
 import bifgraph
 from bifgraph import (
-    DiagramError, SchemaError, count_kary_formula, count_sequence, emit_diagram,
-    load_law_table, nonadmissible_period_fixture, parse_diagram,
+    DiagramError, EnumerationSpec, SchemaError, count_colored, count_kary_formula,
+    count_sequence, emit_diagram, enumerate_colored, load_law_table,
+    nonadmissible_period_fixture, parse_diagram,
 )
 from bifgraph.cli import COMMANDS, _fractions, _run, build_parser, main
 from bifgraph.documents import kind_from_json
 from helpers import (
     chunked_digits, csv_written_counts, diagram_trees_dot, dumped_trees_json,
-    eager_parse_diagram, star_diagram,
+    eager_parse_diagram, random_law_doc, star_diagram,
 )
 
 
@@ -237,6 +239,53 @@ def test_listed_trees_are_written_as_a_stream(emit, monkeypatch):
     assert out.writes >= len(trees)
     want = dumped_trees_json(trees) if emit == "json" else diagram_trees_dot(trees, 4)
     assert out.getvalue() == want
+
+
+def _prints_the_listing(argv, spec: EnumerationSpec, capsys) -> None:
+    """``argv`` with ``--emit json`` and with ``--emit dot`` prints the
+    per-object texts of ``enumerate_colored(spec)`` and nothing on stderr;
+    past ``spec.limit`` it exits 2 and prints the limit error alone."""
+    count = count_colored(spec.k, spec.d, spec.n, spec.mode, spec.table)
+    trees = enumerate_colored(spec) if spec.limit is None or count <= spec.limit else None
+    for emit in ("json", "dot"):
+        code = main([*argv, "--emit", emit])
+        if trees is None:
+            error = f"error: {count} colored trees exceed limit {spec.limit}\n"
+            assert (code, capsys.readouterr()) == (2, ("", error)), argv
+        else:
+            want = dumped_trees_json(trees) if emit == "json" else diagram_trees_dot(trees, spec.d)
+            assert (code, capsys.readouterr()) == (0, (want, "")), argv
+
+
+@pytest.mark.parametrize("mode", ["plane", "free"])
+@pytest.mark.parametrize("k, d", [(k, d) for k in (1, 2, 3) for d in (1, 2, 3, 4)])
+def test_listed_rows_print_the_per_object_texts(k, d, mode, capsys):
+    for n in range(1, 7):
+        argv = ["enumerate", "--k", str(k), "--d", str(d), "--n", str(n), "--mode", mode]
+        _prints_the_listing(argv, EnumerationSpec(k, d, n, mode), capsys)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_listed_rows_of_random_law_tables_print_the_per_object_texts(seed, tmp_path, capsys):
+    rng = random.Random(f"listed rows {seed}")
+    doc = random_law_doc(rng, rng.choice(["extend", "replace"]))
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    table, d = load_law_table(doc), doc["dimension"]
+    mode, k = rng.choice(["plane", "free"]), rng.randint(1, 3)
+    for n in range(1, 7):
+        argv = ["enumerate", "--k", str(k), "--d", str(d), "--n", str(n), "--mode", mode,
+                "--law-table", str(path), "--limit", "2000"]
+        _prints_the_listing(argv, EnumerationSpec(k, d, n, mode, table, 2000), capsys)
+
+
+@pytest.mark.parametrize("mode", ["plane", "free"])
+def test_listing_past_the_limit_prints_the_limit_error_alone(mode, capsys):
+    count = count_colored(2, 4, 6, mode)
+    argv = ["enumerate", "--k", "2", "--d", "4", "--n", "6", "--mode", mode]
+    for limit in (count - 1, count):
+        _prints_the_listing([*argv, "--limit", str(limit)],
+                            EnumerationSpec(2, 4, 6, mode, limit=limit), capsys)
 
 
 # stdout, stderr and exit code of help and usage errors, recorded with the

@@ -24,8 +24,9 @@ from bifgraph.cli import main
 from bifgraph.documents import emit_binary_tree, trees_dot, trees_json
 from helpers import (
     chain_tree, constructible_diagrams, diagram_trees_dot, dumped_binary_tree, dumped_diagram,
-    dumped_graph, dumped_trees_json, field_values, formatted_trees_dot, nested_mary_to_binary,
-    nested_parse_tree, reindented_trees_json, star_diagram, walked_trees_dot, with_stack_room,
+    dumped_graph, dumped_trees_json, field_values, formatted_trees_dot, joined_trees_dot,
+    joined_trees_json, nested_mary_to_binary, nested_parse_tree, reindented_trees_json,
+    star_diagram, tree_rows, walked_trees_dot, with_stack_room,
 )
 
 MINIMAL = {
@@ -319,7 +320,13 @@ def test_documents_roundtrip_over_enumerated_diagrams():
 
 
 def _written(write, trees) -> str:
+    """The text of a writer of ``ColoredTree``s."""
     return "".join(write(trees))
+
+
+def _rows_written(write, trees) -> str:
+    """The text of a row writer on the rows of ``trees`` (``tree_rows``)."""
+    return "".join(write(*tree_rows(trees)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -328,27 +335,28 @@ def test_tree_writers_equal_the_per_object_oracles(mode, k):
     for d in (1, 2, 3, 4):
         for n in range(1, (5 if k == 3 else 6) + 1):
             trees = enumerate_colored(EnumerationSpec(k, d, n, mode))
-            assert _written(trees_json, trees) == dumped_trees_json(trees), (d, n)
-            assert _written(trees_dot, trees) == diagram_trees_dot(trees, d), (d, n)
+            assert _rows_written(trees_json, trees) == dumped_trees_json(trees), (d, n)
+            assert _rows_written(trees_dot, trees) == diagram_trees_dot(trees, d), (d, n)
 
 
 def test_tree_writers_take_any_iterable_of_trees():
-    # fresh trees from a generator, each dropped once written: a new subtree
-    # could take a freed one's id unless the JSON memo keeps them alive
+    # fresh trees from a generator, each dropped once turned into rows: a new
+    # subtree could take a freed one's id unless tree_rows keeps them alive
     def fresh():
         for color in (1, -1, 0, 1):
             yield ColoredTree(color, (ColoredTree(-color), ColoredTree(color)), None)
 
-    assert _written(trees_json, fresh()) == dumped_trees_json(list(fresh()))
-    assert _written(trees_dot, fresh()) == diagram_trees_dot(list(fresh()), 4)
-    assert _written(trees_json, []) == "[]\n"
-    assert _written(trees_dot, []) == ""
+    table, listed = tree_rows(fresh())
+    assert "".join(trees_json(table, iter(listed))) == dumped_trees_json(list(fresh()))
+    assert "".join(trees_dot(table, iter(listed))) == diagram_trees_dot(list(fresh()), 4)
+    assert _rows_written(trees_json, []) == "[]\n"
+    assert _rows_written(trees_dot, []) == ""
 
 
 def test_tree_writers_do_not_recurse():
     tree = chain_tree(150)
-    assert with_stack_room(40, _written, trees_json, [tree]) == dumped_trees_json([tree])
-    assert with_stack_room(40, _written, trees_dot, [tree]) == diagram_trees_dot([tree], 1)
+    assert with_stack_room(40, _rows_written, trees_json, [tree]) == dumped_trees_json([tree])
+    assert with_stack_room(40, _rows_written, trees_dot, [tree]) == diagram_trees_dot([tree], 1)
 
 
 @st.composite
@@ -382,13 +390,14 @@ _FREE_TOP = ColoredTree(0, (_FREE_MID, _LEAF, _FREE_MID))
 @example([_FREE_MID, _FREE_TOP, _LEAF, _FREE_TOP, ColoredTree(0)])
 @example([])
 def test_tree_writers_equal_the_oracles_on_shared_subtrees(trees):
-    """On trees that share subtrees (a listed tree that is a child of a later
-    one, the same tree listed twice, leaves, the empty list) both writers
-    give the per-object texts and those of the writers they replaced."""
-    assert (_written(trees_json, trees) == dumped_trees_json(trees)
-            == _written(reindented_trees_json, trees))
-    assert (_written(trees_dot, trees) == diagram_trees_dot(trees, 4)
-            == _written(walked_trees_dot, trees))
+    """On the rows of trees that share subtrees (a listed tree that is a
+    child of a later one, the same tree listed twice, leaves, the empty
+    list) both writers give the per-object texts and those of the writers
+    they replaced."""
+    assert (_rows_written(trees_json, trees) == dumped_trees_json(trees)
+            == _written(reindented_trees_json, trees) == _written(joined_trees_json, trees))
+    assert (_rows_written(trees_dot, trees) == diagram_trees_dot(trees, 4)
+            == _written(walked_trees_dot, trees) == _written(joined_trees_dot, trees))
 
 
 def test_tree_dot_equals_the_graph_dot_writer_exhaustively():
@@ -397,7 +406,7 @@ def test_tree_dot_equals_the_graph_dot_writer_exhaustively():
             for d in (1, 2, 3, 4):
                 for n in range(1, 7):
                     trees = enumerate_colored(EnumerationSpec(k, d, n, mode))
-                    assert (_written(trees_dot, trees)
+                    assert (_rows_written(trees_dot, trees)
                             == _written(formatted_trees_dot, trees)), (mode, k, d, n)
 
 

@@ -1,7 +1,9 @@
 """Colored-tree enumeration, exact counts, ratio and share sequences."""
 
 import json
+import pickle
 import random
+import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -11,20 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifgraph import (
-    ColoredTree, EnumerationSpec, builtin_table, count_colored,
+    ColoredTree, EnumerationLimitError, EnumerationSpec, builtin_table, count_colored,
     count_sequence, count_shapes, enumerate_colored, enumerate_shapes,
     load_law_table, ordered_trees, project_uncolored, ratio_lower_bound,
     ratio_sequence, share_sequence, slot_trees, tree_to_diagram, validate_diagram,
 )
 from bifgraph.cli import main
-from bifgraph.enumeration import _count_rules
+from bifgraph.enumeration import _count_rules, enumerate_rows
 from bifgraph import trees
 from bifgraph.trees import _classes, _plan, _pools
 from helpers import (
     cached_colored_trees, cached_ordered_trees, cached_slot_trees, chain_tree,
     distinct_children, field_values, law_table_of, legal_law_entries, negated,
-    per_color_count_sequence, plain_tree, plane_count, prefix_count_sequence, prefix_products,
-    random_law_table, recursive_orderings,
+    nested_repr, per_color_count_sequence, plain_tree, plane_count, prefix_count_sequence,
+    prefix_products, random_law_table, recursive_orderings, row_trees,
 )
 
 
@@ -347,6 +349,71 @@ def test_deep_trees_hash_compare_and_project():
     chain = chain_tree(3000)
     assert chain == chain_tree(3000) and hash(chain) == hash(chain_tree(3000))
     assert len(project_uncolored([chain])) == 1
+
+
+def test_listed_rows_are_the_listed_trees():
+    """``enumerate_rows`` lists the trees of ``enumerate_colored``, in its
+    order, each row after its children's.  In free mode ``_pools`` keys its
+    sort keys by ``id()`` of each node object, here an int row id: past the
+    small ints that Python caches, and on the 3,000-node free paths."""
+    specs = [EnumerationSpec(k, d, n, mode) for mode in ("plane", "free") for k in (1, 2, 3)
+             for d in (1, 2, 3, 4) for n in range(1, (5 if k == 3 and mode == "plane" else 6) + 1)]
+    specs.append(EnumerationSpec(1, 1, 3000, "free", load_law_table(SADDLE_NODES_ONLY)))
+    for spec in specs:
+        table, listed = enumerate_rows(spec)
+        assert len({*map(len, table)}) == 1, spec
+        assert all(c < r for r, kids in enumerate(table[2]) for c in kids), spec
+        assert row_trees(table, listed) == enumerate_colored(spec), spec
+    assert len(table[2]) > 6000
+    assert [row_trees(table, [r])[0].size for r in listed] == [3000, 3000]
+
+
+def test_listed_rows_keep_the_argument_checks_and_the_limit():
+    for spec in (EnumerationSpec(2, 4, 6, limit=100), EnumerationSpec(2, 4, 6, "free", limit=3)):
+        with pytest.raises(EnumerationLimitError) as colored:
+            enumerate_colored(spec)
+        with pytest.raises(EnumerationLimitError) as rows:
+            enumerate_rows(spec)
+        assert str(rows.value) == str(colored.value) == (
+            f"{count_colored(2, 4, 6, spec.mode)} colored trees exceed limit {spec.limit}")
+    wrong = EnumerationSpec(1, 2, 3, table=builtin_table(3))
+    for lister in (enumerate_colored, enumerate_rows):
+        with pytest.raises(ValueError, match="table dimension 3 != d = 2"):
+            lister(wrong)
+
+
+def test_trees_sharing_subtrees_compare_in_linear_time():
+    """A tree that holds one subtree twice at each of 20 levels compares
+    with its unpickled copy once per level, not once per path; a single
+    changed leaf color at the bottom still makes the trees differ, and so
+    does one of two counterparts of a shared subtree."""
+    def doubled(leaf_colors):
+        t = ColoredTree(1, tuple(map(ColoredTree, leaf_colors)), (0, 1))
+        for level in range(20):
+            t = ColoredTree((-1) ** level, (t, t), (0, 1))
+        return t
+
+    tree, other = doubled((1, 0)), doubled((1, -1))
+    again = pickle.loads(pickle.dumps(tree))
+    start = time.perf_counter()
+    assert tree == again and again == tree and tree != other and not other == again
+    assert time.perf_counter() - start < 0.5
+    # a subtree held twice is compared with each of its two counterparts
+    leaf, twin, odd = ColoredTree(1), ColoredTree(1), ColoredTree(0)
+    for kids in ((twin, odd), (odd, twin)):
+        assert ColoredTree(0, (leaf, leaf)) != ColoredTree(0, kids)
+
+
+def test_repr_matches_the_dataclass_at_any_depth():
+    for mode in ("plane", "free"):
+        for t in enumerate_colored(spec(3, 4, 5, mode)):
+            assert repr(t) == nested_repr(t)
+    assert repr(ColoredTree(0, (ColoredTree(1),), (2,))) == (
+        "ColoredTree(color=0, children=(ColoredTree(color=1, children=(), slots=None),),"
+        " slots=(2,))")
+    text = repr(chain_tree(3000))
+    assert text.count("ColoredTree(") == 3000
+    assert text.endswith(", slots=None)" + ",), slots=(0,))" * 2999)
 
 
 def test_tree_equality_and_hash_match_the_dataclass():
